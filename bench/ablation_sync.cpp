@@ -7,12 +7,6 @@
  * restricted to the probed layer, run as one ScenarioRunner batch —
  * only the probed layers are ever flipped, through the shared
  * preparation cache.
- *
- * The same batch also serves as a host-side scheduler A/B: after the
- * timed run, the warm batch is re-run under the legacy static-slice
- * scheduler and the work-stealing deque core, and both wall times land
- * side by side in the JSON params (`wall_static_slice_s` /
- * `wall_worksteal_s`).
  */
 #include "bench_util.hpp"
 
@@ -76,30 +70,5 @@ main()
                 "driving the lockstep/decoupled penalty toward 1.0 "
                 "(Section III-D's balanced-workload claim).\n");
     bench::print_runner_report(report);
-
-    // Scheduler A/B on the now-warm batch: old static-slice pool vs the
-    // work-stealing deque core, same scenarios, same thread count.
-    {
-        const auto timed_run = [&](eval::SchedulerKind scheduler) {
-            eval::RunnerOptions options;
-            options.scheduler = scheduler;
-            options.shard_layers = 1;  // per-layer chunks, max stealing
-            eval::RunnerReport r;
-            eval::ScenarioRunner(options).run(scenarios, &r);
-            return r;
-        };
-        const eval::RunnerReport stat =
-            timed_run(eval::SchedulerKind::kStaticSlice);
-        const eval::RunnerReport steal =
-            timed_run(eval::SchedulerKind::kWorkSteal);
-        json.param("wall_static_slice_s", stat.wall_seconds);
-        json.param("wall_worksteal_s", steal.wall_seconds);
-        json.param("worksteal_steals", steal.steals);
-        std::printf("[scheduler A/B, warm: static-slice %.3fs vs "
-                    "worksteal %.3fs (%lld steals, %d threads)]\n",
-                    stat.wall_seconds, steal.wall_seconds,
-                    static_cast<long long>(steal.steals),
-                    steal.threads_used);
-    }
     return 0;
 }

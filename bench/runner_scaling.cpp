@@ -1,10 +1,9 @@
 /**
  * @file
  * Runner scaling bench — strong-scaling sweep of the ScenarioRunner's
- * work-stealing core against the legacy static-slice baseline.
+ * work-stealing core.
  *
- * Two sweeps share one thread grid (1/2/4/8/hw, both SchedulerKind
- * values):
+ * Two sweeps share one thread grid (1/2/4/8/hw):
  *
  *  - Identity: a warm mixed batch (analytical BitWave grid over every
  *    workload with and without heavy-layer Bit-Flip, one statistics
@@ -40,16 +39,9 @@ namespace {
 
 using bench::identical_results;
 
-const char *
-scheduler_name(eval::SchedulerKind kind)
-{
-    return kind == eval::SchedulerKind::kWorkSteal ? "worksteal"
-                                                   : "static_slice";
-}
-
 /// Warm identity batch: long analytical scenarios (BERT-Base dominates),
 /// a bag of short ones, one stats scenario and one cycle-sim probe —
-/// the imbalanced shape static slicing handles worst.
+/// an imbalanced shape only stealing spreads evenly.
 std::vector<eval::Scenario>
 make_identity_batch()
 {
@@ -133,22 +125,20 @@ main(int argc, char **argv)
         trace::start();
     }
     bench::banner("Runner scaling",
-                  "work-stealing vs static-slice strong scaling, "
-                  "bit-identity across thread counts");
+                  "work-stealing strong scaling, bit-identity across "
+                  "thread counts");
     bench::JsonReport json("runner_scaling");
 
     const auto identity_batch = make_identity_batch();
-    const auto run_identity = [&](int threads,
-                                  eval::SchedulerKind scheduler) {
+    const auto run_identity = [&](int threads) {
         eval::RunnerOptions options;
         options.threads = threads;
         options.shard_layers = 4;
-        options.scheduler = scheduler;
         return eval::ScenarioRunner(options).run(identity_batch);
     };
     // Warms every cache and pins the golden results each sweep point
     // must reproduce.
-    const auto golden = run_identity(1, eval::SchedulerKind::kWorkSteal);
+    const auto golden = run_identity(1);
 
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     std::vector<int> sweep = {1, 2, 4, 8};
@@ -169,50 +159,40 @@ main(int argc, char **argv)
         wall_1t = report.wall_seconds;
     }
 
-    Table t({"threads", "scheduler", "wall", "speedup", "efficiency",
-             "steals", "identical"});
+    Table t({"threads", "wall", "speedup", "efficiency", "steals",
+             "identical"});
     double efficiency_at_max = 1.0;
     std::int64_t steals_at_max = 0;
     bool all_identical = true;
     std::uint64_t point = 1;
     for (const int threads : sweep) {
-        for (const eval::SchedulerKind scheduler :
-             {eval::SchedulerKind::kWorkSteal,
-              eval::SchedulerKind::kStaticSlice}) {
-            const bool identical = identical_results(
-                golden, run_identity(threads, scheduler));
+        const bool identical =
+            identical_results(golden, run_identity(threads));
 
-            eval::RunnerReport report;
-            eval::RunnerOptions options;
-            options.threads = threads;
-            options.shard_layers = 4;
-            options.scheduler = scheduler;
-            eval::ScenarioRunner(options).run(make_timed_batch(point++),
-                                              &report);
-            const double wall = report.wall_seconds;
-            const double speedup = wall > 0.0 ? wall_1t / wall : 0.0;
-            const double efficiency = speedup / threads;
-            if (scheduler == eval::SchedulerKind::kWorkSteal &&
-                threads == sweep.back()) {
-                efficiency_at_max = efficiency;
-                steals_at_max = report.steals;
-            }
-            all_identical = all_identical && identical;
-            t.add_row({strprintf("%d", threads),
-                       scheduler_name(scheduler),
-                       strprintf("%.3fs", wall), fmt_ratio(speedup),
-                       fmt_percent(efficiency, 1),
-                       strprintf("%lld",
-                                 static_cast<long long>(report.steals)),
-                       identical ? "yes" : "NO"});
-            json.add_row({{"threads", threads},
-                          {"scheduler", scheduler_name(scheduler)},
-                          {"wall_s", wall},
-                          {"speedup_vs_1t", speedup},
-                          {"efficiency", efficiency},
-                          {"steals", report.steals},
-                          {"identical", identical}});
+        eval::RunnerReport report;
+        eval::RunnerOptions options;
+        options.threads = threads;
+        options.shard_layers = 4;
+        eval::ScenarioRunner(options).run(make_timed_batch(point++),
+                                          &report);
+        const double wall = report.wall_seconds;
+        const double speedup = wall > 0.0 ? wall_1t / wall : 0.0;
+        const double efficiency = speedup / threads;
+        if (threads == sweep.back()) {
+            efficiency_at_max = efficiency;
+            steals_at_max = report.steals;
         }
+        all_identical = all_identical && identical;
+        t.add_row({strprintf("%d", threads), strprintf("%.3fs", wall),
+                   fmt_ratio(speedup), fmt_percent(efficiency, 1),
+                   strprintf("%lld", static_cast<long long>(report.steals)),
+                   identical ? "yes" : "NO"});
+        json.add_row({{"threads", threads},
+                      {"wall_s", wall},
+                      {"speedup_vs_1t", speedup},
+                      {"efficiency", efficiency},
+                      {"steals", report.steals},
+                      {"identical", identical}});
     }
 
     json.param("hardware_concurrency", hw);

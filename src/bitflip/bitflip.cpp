@@ -8,7 +8,7 @@
 
 #include "common/bits.hpp"
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
+#include "common/worksteal.hpp"
 
 namespace bitwave {
 
@@ -437,7 +437,7 @@ bitflip_tensor(const Int8Tensor &tensor, int group_size,
     const int threads =
         n >= (1 << 18) ? parallel_threads(static_cast<std::size_t>(groups))
                        : 1;
-    parallel_for(static_cast<std::size_t>(groups), [&](std::size_t g) {
+    worksteal_for(static_cast<std::size_t>(groups), [&](std::size_t g) {
         const std::int64_t start = static_cast<std::int64_t>(g) * group_size;
         const std::int64_t len =
             std::min<std::int64_t>(group_size, n - start);

@@ -1,13 +1,12 @@
 /**
  * @file
  * One validated front door for the BITWAVE_* environment knobs
- * (BITWAVE_THREADS, BITWAVE_CACHE_ENTRIES, BITWAVE_CACHE_SHARDS,
- * BITWAVE_WORKLOAD_CACHE). Every consumer used to hand-roll its own
- * strtoll/getenv parsing with silently divergent error handling; this
- * helper parses strictly, and a malformed or out-of-range value is
- * *reported* — warned once per variable per process — instead of being
- * silently ignored, so "BITWAVE_THREADS=4x" no longer masquerades as an
- * unset knob.
+ * (BITWAVE_THREADS, BITWAVE_CACHE_ENTRIES, BITWAVE_WORKLOAD_CACHE).
+ * Every consumer used to hand-roll its own strtoll/getenv parsing with
+ * silently divergent error handling; this helper parses strictly, and a
+ * malformed or out-of-range value is *reported* — warned once per
+ * variable per process — instead of being silently ignored, so
+ * "BITWAVE_THREADS=4x" no longer masquerades as an unset knob.
  */
 #pragma once
 

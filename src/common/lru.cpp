@@ -17,21 +17,19 @@ cache_capacity_from_env(std::size_t fallback)
 }
 
 std::size_t
-cache_shards_from_env()
+cache_shard_count(std::size_t capacity, std::size_t requested)
 {
-    auto want = static_cast<std::size_t>(
-        env_positive_int("BITWAVE_CACHE_SHARDS", 0));
-    if (want == 0) {
-        want = std::thread::hardware_concurrency();
-        if (want == 0) {
-            want = 1;
-        }
+    if (requested == 0) {
+        requested = std::max(1u, std::thread::hardware_concurrency());
     }
-    std::size_t pow2 = 1;
-    while (pow2 < want && pow2 < 64) {
-        pow2 <<= 1;
+    std::size_t shards = 1;
+    while (shards < requested && shards < 64) {
+        shards <<= 1;
     }
-    return pow2;
+    while (shards > 1 && capacity / shards < kMinShardEntries) {
+        shards >>= 1;
+    }
+    return shards;
 }
 
 }  // namespace bitwave

@@ -1,18 +1,14 @@
 /**
  * @file
- * Thread-safe LRU caches for the process-wide preparation caches
- * (Bit-Flip twins, packed bit planes, workload synthesis, layer stats).
+ * The thread-safe LRU cache behind the process-wide preparation caches
+ * (Bit-Flip twins, packed bit planes, layer stats, mapping statistics).
  *
- * Two implementations share one contract:
- *
- *  - `LruCache` — exact LRU under a single mutex. Kept as the simple
- *    oracle the sharded cache is tested against.
- *  - `ShardedLruCache` — the production cache: N power-of-two
- *    lock-striped shards keyed by content hash, each with a
- *    shared-mutex read fast path (concurrent hits of resident entries
- *    never contend — recency is an atomic tick, not a list splice) and
- *    per-shard capacity/eviction. With one shard and sequential access
- *    it reproduces the oracle's hit/miss/eviction behavior exactly.
+ * `ShardedLruCache` splits its capacity over a power-of-two number of
+ * lock-striped shards keyed by content hash, each with a shared-mutex
+ * read fast path (concurrent hits of resident entries never contend —
+ * recency is an atomic tick, not a list splice) and per-shard
+ * capacity/eviction. With one shard and sequential access it is exact
+ * LRU.
  *
  * Entries build exactly once under a per-entry once_flag, so concurrent
  * first requests for the same key never duplicate work and builds of
@@ -21,16 +17,16 @@
  * builder) keep the value alive.
  *
  * Every cache reads its capacity from the BITWAVE_CACHE_ENTRIES
- * environment variable and its shard count from BITWAVE_CACHE_SHARDS
- * (one pair of knobs for all of them), falling back to per-cache
- * defaults, so long-running batches can bound residency.
+ * environment variable, falling back to per-cache defaults, so
+ * long-running batches can bound residency. The shard count is derived
+ * (cache_shard_count), never configured.
  */
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -39,6 +35,7 @@
 #include <vector>
 
 #include "common/annotations.hpp"
+#include "common/logging.hpp"
 #include "common/metrics.hpp"
 
 namespace bitwave {
@@ -51,104 +48,22 @@ namespace bitwave {
 std::size_t cache_capacity_from_env(std::size_t fallback);
 
 /**
- * Shard count of a process-wide cache: BITWAVE_CACHE_SHARDS when set
- * to a positive integer, else the smallest power of two covering the
- * machine's hardware concurrency (capped at 64). Always returns a
- * power of two >= 1.
+ * Fewest entries a shard holds (unless the whole cache holds fewer).
+ * Keys land on shards by hash, not evenly: a shard of one or two slots
+ * evicts a hot key while its siblings sit empty — four hot keys in a
+ * four-entry cache split four ways share a shard and evict each other
+ * on every request. At 64 slots a shard overflows before the cache
+ * fills only under extreme hash skew.
  */
-std::size_t cache_shards_from_env();
+inline constexpr std::size_t kMinShardEntries = 64;
 
 /**
- * Thread-safe LRU map from Key to immutable shared values.
- *
- * @tparam Key   hashable, equality-comparable, copyable key.
- * @tparam Value cached value type (held as shared_ptr<const Value>).
+ * Shard count of a cache of @p capacity entries: @p requested (0 = one
+ * per hardware thread) rounded up to a power of two, at most 64, then
+ * halved until every shard holds at least kMinShardEntries entries. A
+ * cache smaller than that gets one shard.
  */
-template <typename Key, typename Value, typename Hash = std::hash<Key>>
-class LruCache
-{
-  public:
-    /// @p capacity entries are retained; at least 1 is enforced.
-    explicit LruCache(std::size_t capacity)
-        : capacity_(capacity > 0 ? capacity : 1)
-    {
-    }
-
-    /**
-     * Return the cached value for @p key, building it via `build()`
-     * (a callable returning Value) on the first request. The returned
-     * pointer stays valid after eviction. @p was_hit, when non-null,
-     * reports whether the key was already resident.
-     */
-    template <typename Build>
-    std::shared_ptr<const Value> get_or_build(const Key &key, Build &&build,
-                                              bool *was_hit = nullptr)
-    {
-        std::shared_ptr<Entry> entry;
-        {
-            MutexLock lock(mutex_);
-            auto it = map_.find(key);
-            if (was_hit != nullptr) {
-                *was_hit = it != map_.end();
-            }
-            if (it != map_.end()) {
-                order_.splice(order_.begin(), order_, it->second);
-                entry = *it->second;
-                ++hits_;
-            } else {
-                entry = std::make_shared<Entry>();
-                order_.push_front(entry);
-                map_.emplace(key, order_.begin());
-                entry->key = key;
-                ++misses_;
-                while (map_.size() > capacity_) {
-                    map_.erase(order_.back()->key);
-                    order_.pop_back();
-                }
-            }
-        }
-        std::call_once(entry->once, [&] {
-            entry->value = std::make_shared<const Value>(build());
-        });
-        return entry->value;
-    }
-
-    std::size_t size() const
-    {
-        MutexLock lock(mutex_);
-        return map_.size();
-    }
-    std::size_t capacity() const { return capacity_; }
-    std::int64_t hits() const
-    {
-        MutexLock lock(mutex_);
-        return hits_;
-    }
-    std::int64_t misses() const
-    {
-        MutexLock lock(mutex_);
-        return misses_;
-    }
-
-  private:
-    struct Entry
-    {
-        Key key{};
-        std::once_flag once;
-        std::shared_ptr<const Value> value;
-    };
-
-    mutable MutexCap mutex_;
-    /// Front = most recent.
-    std::list<std::shared_ptr<Entry>> order_ GUARDED_BY(mutex_);
-    std::unordered_map<Key,
-                       typename std::list<std::shared_ptr<Entry>>::iterator,
-                       Hash>
-        map_ GUARDED_BY(mutex_);
-    std::size_t capacity_;
-    std::int64_t hits_ GUARDED_BY(mutex_) = 0;
-    std::int64_t misses_ GUARDED_BY(mutex_) = 0;
-};
+std::size_t cache_shard_count(std::size_t capacity, std::size_t requested);
 
 /**
  * Sharded thread-safe LRU map from Key to immutable shared values.
@@ -162,16 +77,15 @@ class LruCache
  * caches never serialize; only a miss (insert + possible eviction)
  * takes the shard lock exclusively. Eviction removes the entry with
  * the smallest tick, which for sequential access is exactly the
- * least-recently-used entry of the `LruCache` oracle.
+ * least-recently-used entry.
  */
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class ShardedLruCache
 {
   public:
     /**
-     * @p capacity total entries (distributed over the shards, at least
-     * one each); @p shards a power-of-two shard count, 0 = the
-     * BITWAVE_CACHE_SHARDS / hardware default. A non-null
+     * @p capacity total entries over cache_shard_count(capacity,
+     * @p shards) shards (@p shards 0 = the hardware default). A non-null
      * @p metric_name publishes the cache's hit/miss/eviction counters
      * as `cache.<metric_name>.{hits,misses,evictions}` in the global
      * metrics registry (the hits()/misses()/evictions() accessors then
@@ -187,16 +101,14 @@ class ShardedLruCache
             misses_ = &metrics::counter(prefix + ".misses");
             evictions_ = &metrics::counter(prefix + ".evictions");
         }
-        if (shards == 0) {
-            shards = cache_shards_from_env();
+        capacity = std::max<std::size_t>(capacity, 1);
+        shards = cache_shard_count(capacity, shards);
+        shards_.resize(shards);
+        shard_capacity_ = (capacity + shards - 1) / shards;
+        if (shard_capacity_ < std::min(capacity, kMinShardEntries)) {
+            panic("cache of %zu entries split %zu ways: %zu per shard",
+                  capacity, shards, shard_capacity_);
         }
-        std::size_t pow2 = 1;
-        while (pow2 < shards && pow2 < 64) {
-            pow2 <<= 1;
-        }
-        shards_.resize(pow2);
-        shard_capacity_ =
-            (std::max<std::size_t>(capacity, 1) + pow2 - 1) / pow2;
         for (auto &shard : shards_) {
             shard = std::make_unique<Shard>();
         }
@@ -204,8 +116,9 @@ class ShardedLruCache
 
     /**
      * Return the cached value for @p key, building it via `build()` on
-     * the first request — same contract as LruCache::get_or_build, plus
-     * the shared-lock fast path for hits.
+     * the first request. The returned pointer stays valid after eviction.
+     * @p was_hit, when non-null, reports whether the key was already
+     * resident.
      */
     template <typename Build>
     std::shared_ptr<const Value> get_or_build(const Key &key, Build &&build,

@@ -9,9 +9,23 @@
 #include <vector>
 
 #include "common/annotations.hpp"
+#include "common/env.hpp"
 #include "common/rng.hpp"
 
 namespace bitwave {
+
+int
+parallel_threads(std::size_t n)
+{
+    int threads = static_cast<int>(env_positive_int("BITWAVE_THREADS", 0));
+    if (threads <= 0) {
+        threads = static_cast<int>(std::thread::hardware_concurrency());
+    }
+    threads = std::max(threads, 1);
+    return static_cast<int>(
+        std::min<std::size_t>(static_cast<std::size_t>(threads),
+                              std::max<std::size_t>(n, 1)));
+}
 
 int &
 detail::parallel_depth()

@@ -2,7 +2,7 @@
  * @file
  * Work-stealing execution core: per-worker Chase–Lev range deques with
  * steal-on-empty and split-on-steal, the engine under every
- * data-parallel loop in the tree (`parallel_for`) and the
+ * data-parallel loop in the tree (`worksteal_for`) and the
  * ScenarioRunner's splittable scenario × layer-range tasks.
  *
  * The unit of work is an index range [begin, end) over a flat item
@@ -97,9 +97,12 @@ worksteal_run(std::size_t n, Body &&body, const WorkstealOptions &options = {})
 }
 
 /**
- * Run `fn(i)` for every i in [0, n) on the work-stealing core —
- * parallel_for semantics (independent iterations, first exception
- * rethrown, nested calls inline) with steal-based load balancing.
+ * Run `fn(i)` for every i in [0, n) on up to @p threads workers
+ * (0 = parallel_threads(n)). Iterations must be independent — results
+ * must not depend on which worker runs an index. The first exception is
+ * rethrown on the caller after all workers stop; a call reached from
+ * inside a worker runs inline, so parallelism belongs to the outermost
+ * loop.
  */
 template <typename Fn>
 WorkstealStats

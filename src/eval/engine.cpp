@@ -187,8 +187,6 @@ prepare_scenario(const Scenario &scenario)
         prep.owned = scenario.custom_workload;
         prep.workload = prep.owned.get();
     } else if (scenario.workload_seed == kCachedWorkloadSeed) {
-        // Hold the shared instance through the prep keepalive so the
-        // LRU can evict it once the last evaluation finishes.
         prep.owned = shared_workload(scenario.workload);
         prep.workload = prep.owned.get();
     } else {

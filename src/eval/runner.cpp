@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "common/fault.hpp"
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
-#include "common/parallel.hpp"
 #include "common/trace.hpp"
 #include "common/worksteal.hpp"
 
@@ -129,7 +125,7 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
             }
         }
         for (WorkloadId id : distinct) {
-            shared_workload(id);  // warm the LRU; preps re-fetch cheaply
+            shared_workload(id);  // fill the slot; preps re-fetch cheaply
         }
     }
 
@@ -141,7 +137,7 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
     std::vector<std::uint64_t> seeds(n);
     std::vector<double> prep_seconds(n, 0.0);
     const int prep_threads = effective_threads(n);
-    parallel_for(n, [&](std::size_t i) {
+    worksteal_for(n, [&](std::size_t i) {
         check_cancel();
         trace::Span span("runner.prepare", "runner");
         span.arg("scenario", i);
@@ -225,76 +221,11 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
     };
 
     const int threads = effective_threads(total_units);
-    WorkstealStats sched;
-    sched.threads_used = threads;
-    switch (options_.scheduler) {
-      case SchedulerKind::kWorkSteal: {
-        WorkstealOptions wopts;
-        wopts.threads = threads;
-        wopts.grain = grain;
-        wopts.chaos_seed = options_.chaos_seed;
-        sched = worksteal_run(total_units, execute, wopts);
-        break;
-      }
-      case SchedulerKind::kStaticSlice: {
-        // Legacy baseline for the A/B benches: pre-chop the unit space
-        // into grain-sized chunks and statically slice the chunk list
-        // over the workers. No stealing — a worker that drew the BERT
-        // tail keeps it.
-        std::vector<std::pair<std::size_t, std::size_t>> chunks;
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t b = units.offsets[i];
-                 b < units.offsets[i + 1]; b += grain) {
-                chunks.emplace_back(
-                    b, std::min(b + grain, units.offsets[i + 1]));
-            }
-        }
-        sched.chunks = static_cast<std::int64_t>(chunks.size());
-        if (threads <= 1 || chunks.size() <= 1) {
-            for (const auto &[b, e] : chunks) {
-                execute(b, e);
-            }
-        } else {
-            const std::size_t workers = std::min<std::size_t>(
-                static_cast<std::size_t>(threads), chunks.size());
-            std::atomic<bool> failed{false};
-            std::exception_ptr first_error;
-            std::mutex error_mutex;
-            std::vector<std::thread> pool;
-            pool.reserve(workers);
-            for (std::size_t t = 0; t < workers; ++t) {
-                const std::size_t lo = t * chunks.size() / workers;
-                const std::size_t hi =
-                    (t + 1) * chunks.size() / workers;
-                pool.emplace_back([&, lo, hi] {
-                    for (std::size_t c = lo; c < hi; ++c) {
-                        if (failed.load(std::memory_order_relaxed)) {
-                            return;
-                        }
-                        try {
-                            execute(chunks[c].first, chunks[c].second);
-                        } catch (...) {
-                            std::lock_guard<std::mutex> lock(error_mutex);
-                            if (!first_error) {
-                                first_error = std::current_exception();
-                            }
-                            failed.store(true,
-                                         std::memory_order_relaxed);
-                            return;
-                        }
-                    }
-                });
-            }
-            for (auto &worker : pool) {
-                worker.join();
-            }
-            if (first_error) {
-                std::rethrow_exception(first_error);
-            }
-        }
-        break;
-      }
-    }
+    WorkstealOptions wopts;
+    wopts.threads = threads;
+    wopts.grain = grain;
+    wopts.chaos_seed = options_.chaos_seed;
+    const WorkstealStats sched = worksteal_run(total_units, execute, wopts);
 
     // Phase C — deterministic reduction: totals accumulate in layer
     // order inside finalize_scenario, independent of chunk boundaries.

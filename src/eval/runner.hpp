@@ -44,18 +44,6 @@ class BatchCancelled : public std::runtime_error
     BatchCancelled() : std::runtime_error("evaluation batch cancelled") {}
 };
 
-/// Which execution core drains the evaluation tasks.
-enum class SchedulerKind
-{
-    /// Chase–Lev work-stealing deques with split-on-steal (default).
-    kWorkSteal,
-    /// Legacy baseline: the task list is pre-chopped and statically
-    /// sliced over the workers, no stealing. Kept for the
-    /// ablation_sync / runner_scaling A/B — shows the batch-tail
-    /// imbalance the deque core removes. Results are bit-identical.
-    kStaticSlice,
-};
-
 /// Runner knobs.
 struct RunnerOptions
 {
@@ -68,8 +56,6 @@ struct RunnerOptions
      * single unsplittable task.
      */
     int shard_layers = 8;
-    /// Execution core; see SchedulerKind.
-    SchedulerKind scheduler = SchedulerKind::kWorkSteal;
     /**
      * Adversarial test scheduler seed (see WorkstealOptions): non-zero
      * forces seeded steal-first scheduling and reverses the initial
@@ -95,7 +81,7 @@ struct RunnerReport
     int shards = 0;            ///< Evaluation chunks (grain-sized).
     std::int64_t chunks = 0;   ///< Executed body chunks (scheduler view:
                                ///< includes split-on-steal fragments).
-    std::int64_t steals = 0;   ///< Cross-worker steals (kWorkSteal).
+    std::int64_t steals = 0;   ///< Cross-worker steals.
     double wall_seconds = 0.0;          ///< End-to-end batch wall time.
     double scenario_seconds_sum = 0.0;  ///< Sum of per-scenario costs.
 

@@ -5,7 +5,7 @@
 
 #include "common/bits.hpp"
 #include "common/hash.hpp"
-#include "common/parallel.hpp"
+#include "common/worksteal.hpp"
 
 namespace bitwave {
 
@@ -65,7 +65,7 @@ synthesize_weights(const LayerDesc &desc, const WeightProfile &profile,
         1, kSynthesisChunkElements / std::max<std::int64_t>(per_kernel, 1));
     const std::int64_t chunks = ceil_div(std::max<std::int64_t>(kernels, 1),
                                          chunk_kernels);
-    parallel_for(static_cast<std::size_t>(chunks), [&](std::size_t c) {
+    worksteal_for(static_cast<std::size_t>(chunks), [&](std::size_t c) {
         const std::int64_t k0 =
             static_cast<std::int64_t>(c) * chunk_kernels;
         const std::int64_t k1 =

@@ -1,14 +1,15 @@
 #include "nn/workloads.hpp"
 
 #include <array>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "common/hash.hpp"
 #include "common/logging.hpp"
-#include "common/lru.hpp"
-#include "common/parallel.hpp"
+#include "common/metrics.hpp"
+#include "common/worksteal.hpp"
 #include "nn/synthesis.hpp"
 #include "nn/workload_io.hpp"
 
@@ -37,7 +38,7 @@ struct SynthesisQueue
         if (skeleton_only) {
             return;
         }
-        parallel_for(w.layers.size(), [&](std::size_t i) {
+        worksteal_for(w.layers.size(), [&](std::size_t i) {
             WorkloadLayer &layer = w.layers[i];
             Rng rng(hash_combine(hash_combine(kFnvBasis, seed),
                                  static_cast<std::uint64_t>(i)));
@@ -366,60 +367,61 @@ matches_current_builder(const Workload &loaded, WorkloadId id)
     return true;
 }
 
+/// The shared instance of @p id: loaded from the on-disk cache
+/// (BITWAVE_WORKLOAD_CACHE) when it holds a current copy, else
+/// synthesized (and saved there, best effort).
+Workload
+load_or_build(WorkloadId id)
+{
+    constexpr std::uint64_t kSeed = 0x5eed;
+    const std::string dir = workload_cache_dir();
+    if (dir.empty()) {
+        return build_workload(id, kSeed);
+    }
+    // Cold path housekeeping: sweep temp droppings of writers that died
+    // mid-save, so the cache dir cannot fill with orphans under a
+    // long-running service.
+    remove_stale_temp_files(dir, /*max_age_seconds=*/600.0);
+    const std::string path =
+        workload_cache_path(dir, workload_name(id), kSeed);
+    Workload loaded;
+    if (load_cached_workload(path, &loaded) &&
+        matches_current_builder(loaded, id)) {
+        return loaded;
+    }
+    Workload built = build_workload(id, kSeed);
+    save_workload(built, path);  // best effort
+    return built;
+}
+
 }  // namespace
 
 std::shared_ptr<const Workload>
 shared_workload(WorkloadId id)
 {
-    // Bounded sharded LRU: each resident entry synthesized (or
-    // disk-loaded) at most once under its own flag, so concurrent first
-    // touches of *different* workloads never serialize behind one
-    // global mutex, and warm fetches from the worker pool take a shard
-    // lock shared. BITWAVE_CACHE_ENTRIES below 4 bounds how many of
-    // the ~10-100 MB networks stay resident at once; rebuilds are
-    // deterministic and the on-disk cache (BITWAVE_WORKLOAD_CACHE)
-    // makes them cheap.
-    static ShardedLruCache<int, Workload> cache(cache_capacity_from_env(4),
-                                                0, "workloads");
-    return cache.get_or_build(static_cast<int>(id), [&] {
-        constexpr std::uint64_t kSeed = 0x5eed;
-        const std::string dir = workload_cache_dir();
-        if (!dir.empty()) {
-            // Cold path housekeeping: sweep temp droppings of writers
-            // that died mid-save, so the cache dir cannot fill with
-            // orphans under a long-running service.
-            remove_stale_temp_files(dir, /*max_age_seconds=*/600.0);
-            const std::string path =
-                workload_cache_path(dir, workload_name(id), kSeed);
-            Workload loaded;
-            if (load_cached_workload(path, &loaded) &&
-                matches_current_builder(loaded, id)) {
-                return loaded;
-            }
-            Workload built = build_workload(id, kSeed);
-            save_workload(built, path);  // best effort
-            return built;
-        }
-        return build_workload(id, kSeed);
+    // One build-once slot per network, held for the process lifetime:
+    // there are four networks, so a bounded cache over them bounds
+    // nothing. Concurrent first touches of one network wait on its
+    // flag; different networks never serialize. A build that throws
+    // leaves the slot empty and the next call retries.
+    struct Slot
+    {
+        std::once_flag once;
+        std::shared_ptr<const Workload> workload;
+    };
+    static std::array<Slot, std::size(kAllWorkloads)> slots;
+    Slot &slot = slots[static_cast<std::size_t>(id)];
+    std::call_once(slot.once, [&] {
+        metrics::counter("cache.workloads.misses").inc();
+        slot.workload = std::make_shared<const Workload>(load_or_build(id));
     });
+    return slot.workload;
 }
 
 const Workload &
 get_workload(WorkloadId id)
 {
-    // Pin the shared instance for the process lifetime: references
-    // handed out here must survive LRU eviction. The scenario engine
-    // holds workloads via shared_workload() instead and participates in
-    // the bound.
-    static std::array<std::shared_ptr<const Workload>, 4> pins;
-    static std::mutex pin_mutex;
-    std::shared_ptr<const Workload> w = shared_workload(id);
-    std::lock_guard<std::mutex> lock(pin_mutex);
-    auto &slot = pins[static_cast<std::size_t>(id)];
-    if (!slot) {
-        slot = std::move(w);
-    }
-    return *slot;
+    return *shared_workload(id);
 }
 
 }  // namespace bitwave

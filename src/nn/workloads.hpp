@@ -47,21 +47,15 @@ Workload build_workload(WorkloadId id, std::uint64_t seed = 0x5eed);
 Workload build_workload_skeleton(WorkloadId id);
 
 /**
- * Shared synthesized instance of one workload (seed 0x5eed), served from
- * a bounded LRU (BITWAVE_CACHE_ENTRIES, default all 4 networks) backed
- * by the optional on-disk synthesis cache. The scenario engine holds
- * workloads through this handle, so an evicted network frees its ~tens
- * of MB once the last evaluation drops it; a re-request rebuilds (or
- * reloads) the identical instance deterministically.
+ * Shared synthesized instance of one workload (seed 0x5eed): built (or
+ * loaded from the optional on-disk synthesis cache) on first request,
+ * then held for the process lifetime — one slot per network, never
+ * evicted. Each build counts into the `cache.workloads.misses` metric.
  */
 std::shared_ptr<const Workload> shared_workload(WorkloadId id);
 
-/**
- * Reference convenience over shared_workload(): pins the instance for
- * the process lifetime so the returned reference stays valid across
- * evictions. Tests and benches use this; long-running services should
- * prefer shared_workload().
- */
+/// Reference convenience over shared_workload(); valid for the process
+/// lifetime.
 const Workload &get_workload(WorkloadId id);
 
 /// Individual builders -------------------------------------------------

@@ -5,12 +5,13 @@
  * encoding, and bit-identical results between the packed kernels and
  * their scalar oracles (column statistics, BCS measure/compress, cycle
  * statistics, sparsity) on randomized tensors in both representations.
- * Also home of the process-cache tests: the single-mutex LruCache
- * oracle and the sharded lock-striped ShardedLruCache pinned against
- * it, including the concurrent-reader paths the CI TSan job checks.
+ * Also home of the process-cache tests: ShardedLruCache's exact LRU
+ * order on one shard, its derived shard count, and the concurrent-reader
+ * paths the CI TSan job checks.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <thread>
@@ -250,11 +251,11 @@ TEST(BitPlanes, SharedPlanesHitTheContentCache)
     EXPECT_EQ(a.get(), d.get());
 }
 
-// ------------------------------------------------------------- LRU ---
+// --------------------------------------------------------- sharded LRU ---
 
-TEST(LruCache, EvictsLeastRecentlyUsedAndRebuilds)
+TEST(ShardedLruCache, EvictsLeastRecentlyUsedAndRebuilds)
 {
-    LruCache<int, int> cache(2);
+    ShardedLruCache<int, int> cache(2, /*shards=*/1);
     int builds = 0;
     const auto build = [&](int v) {
         return [&builds, v] {
@@ -276,19 +277,11 @@ TEST(LruCache, EvictsLeastRecentlyUsedAndRebuilds)
     EXPECT_EQ(*cache.get_or_build(2, build(2), &hit), 20);
     EXPECT_FALSE(hit);
     EXPECT_EQ(builds, 4);
-    EXPECT_GE(cache.hits(), 1);
+    EXPECT_EQ(cache.hits(), 1);
+    EXPECT_EQ(cache.evictions(), 2);
 }
 
-TEST(LruCache, EvictedValueStaysAliveThroughHolders)
-{
-    LruCache<int, std::vector<int>> cache(1);
-    const auto held =
-        cache.get_or_build(1, [] { return std::vector<int>{1, 2, 3}; });
-    cache.get_or_build(2, [] { return std::vector<int>{9}; });  // evicts 1
-    EXPECT_EQ(held->size(), 3u) << "holder must outlive eviction";
-}
-
-TEST(LruCache, CapacityEnvOverride)
+TEST(ShardedLruCache, CapacityEnvOverride)
 {
     ASSERT_EQ(setenv("BITWAVE_CACHE_ENTRIES", "7", 1), 0);
     EXPECT_EQ(cache_capacity_from_env(99), 7u);
@@ -298,75 +291,102 @@ TEST(LruCache, CapacityEnvOverride)
     EXPECT_EQ(cache_capacity_from_env(99), 99u);
 }
 
-// --------------------------------------------------------- sharded LRU ---
-
-TEST(ShardedLruCache, ShardCountEnvOverrideRoundsToPowerOfTwo)
+TEST(ShardedLruCache, ShardCountKeepsEveryShardAboveTheFloor)
 {
-    ASSERT_EQ(setenv("BITWAVE_CACHE_SHARDS", "5", 1), 0);
-    EXPECT_EQ(cache_shards_from_env(), 8u);
-    ASSERT_EQ(setenv("BITWAVE_CACHE_SHARDS", "1", 1), 0);
-    EXPECT_EQ(cache_shards_from_env(), 1u);
-    ASSERT_EQ(setenv("BITWAVE_CACHE_SHARDS", "1000", 1), 0);
-    EXPECT_EQ(cache_shards_from_env(), 64u) << "capped at 64";
-    ASSERT_EQ(unsetenv("BITWAVE_CACHE_SHARDS"), 0);
-    EXPECT_GE(cache_shards_from_env(), 1u);
-
-    ShardedLruCache<int, int> cache(32, 5);
-    EXPECT_EQ(cache.shards(), 8u);
-    EXPECT_GE(cache.capacity(), 32u);
+    for (const std::size_t capacity :
+         {1u, 4u, 63u, 64u, 127u, 128u, 256u, 4096u, 1u << 20}) {
+        for (const std::size_t requested : {0u, 1u, 3u, 5u, 8u, 1000u}) {
+            const std::size_t shards =
+                cache_shard_count(capacity, requested);
+            EXPECT_GE(shards, 1u);
+            EXPECT_LE(shards, 64u);
+            EXPECT_EQ(shards & (shards - 1), 0u) << "power of two";
+            EXPECT_GE(capacity / shards,
+                      std::min(capacity, kMinShardEntries))
+                << capacity << " entries, " << requested << " requested";
+            if (requested > 0 && capacity >= 64 * kMinShardEntries) {
+                EXPECT_GE(shards, std::min<std::size_t>(requested, 64));
+            }
+            ShardedLruCache<int, int> cache(capacity, requested);
+            EXPECT_EQ(cache.shards(), shards);
+            EXPECT_GE(cache.capacity(), capacity);
+        }
+    }
+    EXPECT_EQ(cache_shard_count(1u << 20, 5), 8u) << "rounds up";
+    EXPECT_EQ(cache_shard_count(4, 8), 1u);
+    EXPECT_EQ(cache_shard_count(256, 8), 4u);
 }
 
-TEST(ShardedLruCache, SingleShardMatchesTheSingleMutexOracle)
+TEST(ShardedLruCache, FewHotKeysNeverEvictEachOther)
 {
-    // Pin the sharded cache's hit/miss/eviction behavior against the
-    // LruCache oracle over a seeded mixed access pattern. With one
-    // shard and sequential access the tick-based eviction IS exact
-    // LRU, so every counter must agree; the oracle's evictions are
-    // misses minus resident entries.
-    constexpr std::size_t kCapacity = 8;
-    LruCache<int, int> oracle(kCapacity);
-    ShardedLruCache<int, int> sharded(kCapacity, /*shards=*/1);
-    ASSERT_EQ(sharded.shards(), 1u);
-    ASSERT_EQ(sharded.capacity(), kCapacity);
+    // Four keys in a four-entry cache, requested over eight shards:
+    // split one slot per shard, hash placement would land two keys on
+    // one shard and every alternating request would rebuild.
+    ShardedLruCache<int, int> cache(4, /*shards=*/8);
+    for (int round = 0; round < 50; ++round) {
+        for (int key : {0, 3, 1, 2}) {
+            cache.get_or_build(key, [key] { return key; });
+        }
+    }
+    EXPECT_EQ(cache.misses(), 4);
+    EXPECT_EQ(cache.evictions(), 0);
+}
 
+TEST(ShardedLruCache, SingleShardIsExactLru)
+{
+    // Over a seeded mixed access pattern, every hit/miss of a one-shard
+    // cache must match an exact LRU of the same capacity: a key hits
+    // iff it is among the kCapacity most recently used distinct keys.
+    constexpr std::size_t kCapacity = 8;
+    ShardedLruCache<int, int> cache(kCapacity, /*shards=*/1);
+    ASSERT_EQ(cache.shards(), 1u);
+    ASSERT_EQ(cache.capacity(), kCapacity);
+
+    std::vector<int> recent;  // Distinct keys, most recent last.
     Rng rng(0xCAFE);
     for (int step = 0; step < 2000; ++step) {
         // Zipf-ish: small keys dominate, so the pattern mixes hot hits
         // with cold misses and steady evictions.
         const int key = static_cast<int>(
             rng.uniform_int(0, rng.bernoulli(0.7) ? 7 : 31));
-        bool oracle_hit = false, sharded_hit = false;
-        const auto a =
-            oracle.get_or_build(key, [&] { return key * 3; }, &oracle_hit);
-        const auto b = sharded.get_or_build(
-            key, [&] { return key * 3; }, &sharded_hit);
-        ASSERT_EQ(*a, *b);
-        ASSERT_EQ(oracle_hit, sharded_hit) << "step " << step;
+        bool hit = false;
+        EXPECT_EQ(*cache.get_or_build(key, [&] { return key * 3; }, &hit),
+                  key * 3);
+        const auto it = std::find(recent.begin(), recent.end(), key);
+        ASSERT_EQ(hit, it != recent.end()) << "step " << step;
+        if (it != recent.end()) {
+            recent.erase(it);
+        }
+        recent.push_back(key);
+        if (recent.size() > kCapacity) {
+            recent.erase(recent.begin());
+        }
     }
-    EXPECT_EQ(sharded.hits(), oracle.hits());
-    EXPECT_EQ(sharded.misses(), oracle.misses());
-    EXPECT_EQ(sharded.size(), oracle.size());
-    EXPECT_EQ(sharded.evictions(),
-              oracle.misses() -
-                  static_cast<std::int64_t>(oracle.size()));
+    EXPECT_EQ(cache.size(), recent.size());
+    EXPECT_EQ(cache.evictions(),
+              cache.misses() - static_cast<std::int64_t>(cache.size()));
 }
 
 TEST(ShardedLruCache, ShardingPreservesHitMissCountsWithoutEviction)
 {
     // Below capacity, hits and misses are per-key properties and must
     // not depend on how keys spread over the shards.
-    for (const std::size_t shards : {1u, 4u, 8u}) {
-        ShardedLruCache<int, int> cache(128, shards);
-        LruCache<int, int> oracle(128);
+    const auto replay = [](ShardedLruCache<int, int> &cache) {
         Rng rng(42);
         for (int step = 0; step < 500; ++step) {
             const int key = static_cast<int>(rng.uniform_int(0, 63));
             cache.get_or_build(key, [&] { return key; });
-            oracle.get_or_build(key, [&] { return key; });
         }
-        EXPECT_EQ(cache.hits(), oracle.hits()) << shards << " shards";
-        EXPECT_EQ(cache.misses(), oracle.misses());
-        EXPECT_EQ(cache.size(), oracle.size());
+    };
+    ShardedLruCache<int, int> one(1024, /*shards=*/1);
+    replay(one);
+    for (const std::size_t shards : {4u, 8u}) {
+        ShardedLruCache<int, int> cache(1024, shards);
+        ASSERT_EQ(cache.shards(), shards);
+        replay(cache);
+        EXPECT_EQ(cache.hits(), one.hits()) << shards << " shards";
+        EXPECT_EQ(cache.misses(), one.misses());
+        EXPECT_EQ(cache.size(), one.size());
         EXPECT_EQ(cache.evictions(), 0);
     }
 }
@@ -387,7 +407,8 @@ TEST(ShardedLruCache, ConcurrentReadersAndBuildersStayConsistent)
     // sharded cache with overlapping hot keys must build each resident
     // key exactly once, return the right value every time, and account
     // every access as a hit or a miss.
-    ShardedLruCache<int, int> cache(256, /*shards=*/8);
+    ShardedLruCache<int, int> cache(8 * kMinShardEntries, /*shards=*/8);
+    ASSERT_EQ(cache.shards(), 8u);
     std::atomic<std::int64_t> builds{0};
     constexpr int kThreads = 8, kOps = 400, kKeys = 64;
     std::vector<std::thread> workers;

@@ -29,7 +29,6 @@
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
 #include "common/mpmc_queue.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/trace.hpp"
@@ -261,7 +260,7 @@ TEST(Worksteal, ThreadsEnvOverrideOfOneRunsInline)
     ASSERT_EQ(setenv("BITWAVE_THREADS", "1", 1), 0);
     EXPECT_EQ(parallel_threads(1000), 1);
     const auto caller = std::this_thread::get_id();
-    parallel_for(256, [&](std::size_t) {
+    worksteal_for(256, [&](std::size_t) {
         EXPECT_EQ(std::this_thread::get_id(), caller);
     });
     ASSERT_EQ(unsetenv("BITWAVE_THREADS"), 0);
@@ -328,7 +327,7 @@ TEST(Worksteal, AdversarialSchedulerStillCoversEverything)
 
 TEST(Worksteal, NestedLoopsRunInline)
 {
-    // A parallel_for reached from inside a worker executes serially on
+    // A worksteal_for reached from inside a worker executes serially on
     // that worker — no threads x threads explosion, every index still
     // covered exactly once.
     const std::size_t outer = 16, inner = 64;
@@ -337,7 +336,7 @@ TEST(Worksteal, NestedLoopsRunInline)
         outer,
         [&](std::size_t o) {
             const auto worker = std::this_thread::get_id();
-            parallel_for(inner, [&](std::size_t i) {
+            worksteal_for(inner, [&](std::size_t i) {
                 EXPECT_EQ(std::this_thread::get_id(), worker);
                 counts[o * inner + i].fetch_add(
                     1, std::memory_order_relaxed);

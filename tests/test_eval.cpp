@@ -271,11 +271,10 @@ TEST(ScenarioRunner, IntraScenarioSplittingIsBitIdentical)
 TEST(ScenarioRunner, AdversarialStealOrderIsBitIdentical)
 {
     // The work-stealing contract: scheduling — thread count, chunk
-    // grain, steal order, initial task order, even the scheduler
-    // implementation — must never show up in results. Run the same
-    // batch under a seeded adversarial scheduler (forced steals in
-    // seeded victim order, reversed initial task assignment), several
-    // chaos seeds, both schedulers, and 1 vs N threads, and require
+    // grain, steal order, initial task order — must never show up in
+    // results. Run the same batch under a seeded adversarial scheduler
+    // (forced steals in seeded victim order, reversed initial task
+    // assignment), several chaos seeds, and 1 vs N threads, and require
     // bit-identical ScenarioResults throughout.
     const auto scenarios = determinism_batch();
 
@@ -297,10 +296,9 @@ TEST(ScenarioRunner, AdversarialStealOrderIsBitIdentical)
         coarse_chaos.shard_layers = 2;
         coarse_chaos.chaos_seed = 7;
         variants.push_back(coarse_chaos);
-        eval::RunnerOptions legacy;
-        legacy.threads = 4;
-        legacy.scheduler = eval::SchedulerKind::kStaticSlice;
-        variants.push_back(legacy);
+        eval::RunnerOptions plain;
+        plain.threads = 4;
+        variants.push_back(plain);
     }
     for (std::size_t v = 0; v < variants.size(); ++v) {
         const auto got = eval::ScenarioRunner(variants[v]).run(scenarios);
@@ -323,7 +321,7 @@ TEST(ScenarioRunner, AdversarialStealOrderIsBitIdentical)
     }
 }
 
-TEST(ScenarioRunner, SchedulersReportConsistentDiagnostics)
+TEST(ScenarioRunner, ReportsConsistentDiagnostics)
 {
     const auto scenarios = determinism_batch();
     eval::RunnerOptions steal;
@@ -336,12 +334,6 @@ TEST(ScenarioRunner, SchedulersReportConsistentDiagnostics)
     // 7 scenarios x 3 layers at grain 1.
     EXPECT_EQ(report.shards, 21);
     EXPECT_GE(report.steals, 1) << "adversarial run must actually steal";
-
-    eval::RunnerOptions legacy = steal;
-    legacy.chaos_seed = 0;
-    legacy.scheduler = eval::SchedulerKind::kStaticSlice;
-    eval::ScenarioRunner(legacy).run(scenarios, &report);
-    EXPECT_EQ(report.steals, 0) << "the static pool never steals";
 }
 
 TEST(ScenarioRunner, ShardedEvaluationMatchesEvaluateScenario)

@@ -8,8 +8,11 @@
 
 #include <iterator>
 #include <map>
+#include <string>
 
 #include "bitflip/bitflip.hpp"
+#include "common/metrics.hpp"
+#include "eval/runner.hpp"
 #include "eval/scenario.hpp"
 #include "model/accelerator.hpp"
 #include "model/performance.hpp"
@@ -362,6 +365,60 @@ TEST(Fig17, EfficiencyOrderingMatchesPaper)
               run(make_huaa(), id)}) {
             EXPECT_GT(bw.tops_per_watt(), other.tops_per_watt())
                 << workload_name(id) << " vs " << other.accelerator;
+        }
+    }
+}
+
+// ----- Process caches -----------------------------------------------------
+
+TEST(Caches, WarmBatchEvictsNothingAtAnyThreadCount)
+{
+    // A batch that reads every content cache — the Fig. 14 BitWave
+    // flagship on all four networks (workloads, Bit-Flip twins, bit
+    // planes, mapping statistics) plus a stats scenario — re-run warm
+    // must be served from resident entries only, whatever the thread
+    // count. A cache whose shards are too small for their share of the
+    // working set evicts here on every pass.
+    std::vector<eval::Scenario> batch;
+    for (auto id : kAllWorkloads) {
+        eval::Scenario s;
+        s.accel = make_bitwave(BitWaveVariant::kDfSmBf);
+        s.workload = id;
+        s.bitflip.mode = eval::BitflipSpec::Mode::kHeavyLayers;
+        s.bitflip.weight_share = 0.8;
+        s.bitflip.group_size = 16;
+        s.bitflip.zero_columns = 5;
+        batch.push_back(s);
+    }
+    eval::Scenario stats;
+    stats.engine = eval::EngineKind::kStats;
+    stats.workload = WorkloadId::kCnnLstm;
+    batch.push_back(stats);
+
+    const auto counters = [] {
+        std::map<std::string, std::uint64_t> out;
+        for (const auto &[name, value] : metrics::snapshot().counters) {
+            if (name.starts_with("cache.")) {
+                out[name] = value;
+            }
+        }
+        return out;
+    };
+    const auto golden = eval::ScenarioRunner().run(batch);  // Fills.
+    auto cold = counters();
+    EXPECT_LE(cold["cache.workloads.misses"], std::size(kAllWorkloads));
+    for (const int threads : {1, 2, 4, 8}) {
+        eval::RunnerOptions options;
+        options.threads = threads;
+        const auto warm = eval::ScenarioRunner(options).run(batch);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            EXPECT_EQ(warm[i].total_cycles, golden[i].total_cycles);
+        }
+        for (const auto &[name, value] : counters()) {
+            if (name.ends_with(".misses") || name.ends_with(".evictions")) {
+                EXPECT_EQ(value, cold[name])
+                    << name << " at " << threads << " threads";
+            }
         }
     }
 }

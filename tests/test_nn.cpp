@@ -12,9 +12,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "nn/accuracy.hpp"
 #include "nn/reference.hpp"
@@ -63,6 +65,32 @@ TEST(Layer, LinearAndLstmShapes)
 }
 
 // ----------------------------------------------------------- workloads ---
+
+TEST(Workloads, SharedInstanceBuildsOnceUnderConcurrentFirstTouch)
+{
+    // Four threads touch CNN-LSTM at once (its first touch when the
+    // suite runs in order): at most one build, one instance for every
+    // caller, and the same instance behind get_workload() afterwards.
+    const auto &misses = metrics::counter("cache.workloads.misses");
+    const std::uint64_t before = misses.value();
+    std::vector<std::shared_ptr<const Workload>> got(4);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < got.size(); ++t) {
+        threads.emplace_back([&got, t] {
+            got[t] = shared_workload(WorkloadId::kCnnLstm);
+        });
+    }
+    for (auto &thread : threads) {
+        thread.join();
+    }
+    const std::uint64_t built = misses.value();
+    EXPECT_LE(built, before + 1);
+    for (const auto &w : got) {
+        EXPECT_EQ(w.get(), got.front().get());
+    }
+    EXPECT_EQ(&get_workload(WorkloadId::kCnnLstm), got.front().get());
+    EXPECT_EQ(misses.value(), built);
+}
 
 TEST(Workloads, ResNet18MatchesPublishedSize)
 {
