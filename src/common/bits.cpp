@@ -1,7 +1,5 @@
 #include "common/bits.hpp"
 
-#include <bit>
-
 namespace bitwave {
 
 const char *
@@ -10,44 +8,12 @@ representation_name(Representation repr)
     return repr == Representation::kTwosComplement ? "2C" : "SM";
 }
 
-std::uint8_t
-to_sign_magnitude(std::int8_t value)
-{
-    int v = value;
-    if (v < kSignMagMin) {
-        v = kSignMagMin;  // -128 is not representable in 8-bit SM.
-    }
-    const bool negative = v < 0;
-    const std::uint8_t magnitude =
-        static_cast<std::uint8_t>(negative ? -v : v);
-    return static_cast<std::uint8_t>((negative ? 0x80u : 0x00u) | magnitude);
-}
-
 std::int8_t
 from_sign_magnitude(std::uint8_t sm)
 {
     const int magnitude = sm & 0x7Fu;
     const bool negative = (sm & 0x80u) != 0;
     return static_cast<std::int8_t>(negative ? -magnitude : magnitude);
-}
-
-int
-popcount8(std::uint8_t word)
-{
-    return std::popcount(word);
-}
-
-int
-bit_count_twos_complement(std::int8_t value)
-{
-    return std::popcount(
-        static_cast<unsigned>(static_cast<std::uint8_t>(value)));
-}
-
-int
-bit_count_sign_magnitude(std::int8_t value)
-{
-    return popcount8(to_sign_magnitude(value));
 }
 
 std::string

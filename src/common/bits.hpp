@@ -16,6 +16,8 @@
  */
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -49,7 +51,16 @@ inline constexpr int kSignMagMax = 127;
  * @param value Value in [-127, 127]. -128 is clamped to -127.
  * @return Packed byte: bit7 = sign (1 = negative), bits6..0 = |value|.
  */
-std::uint8_t to_sign_magnitude(std::int8_t value);
+constexpr std::uint8_t
+to_sign_magnitude(std::int8_t value)
+{
+    // -128 is not representable in 8-bit SM. Branch-free: inlined into
+    // element loops, a sign branch mispredicts on every other weight.
+    const int v = value < kSignMagMin ? kSignMagMin : value;
+    const int negative = v >> 31;  // 0 or -1
+    const int magnitude = (v ^ negative) - negative;
+    return static_cast<std::uint8_t>((negative & 0x80) | magnitude);
+}
 
 /**
  * Decode a packed sign-magnitude byte back to two's complement.
@@ -65,13 +76,55 @@ constexpr bool test_bit(std::uint8_t word, int pos)
 }
 
 /// Number of set bits in @p word.
-int popcount8(std::uint8_t word);
+constexpr int
+popcount8(std::uint8_t word)
+{
+    return std::popcount(word);
+}
 
 /// Number of set bits in the two's-complement encoding of @p value.
-int bit_count_twos_complement(std::int8_t value);
+constexpr int
+bit_count_twos_complement(std::int8_t value)
+{
+    return popcount8(static_cast<std::uint8_t>(value));
+}
 
 /// Number of set bits in the sign-magnitude encoding of @p value.
-int bit_count_sign_magnitude(std::int8_t value);
+constexpr int
+bit_count_sign_magnitude(std::int8_t value)
+{
+    return popcount8(to_sign_magnitude(value));
+}
+
+/// Set-bit counts of one int8 value in both representations.
+struct BitCounts
+{
+    std::uint8_t twos_complement = 0;
+    std::uint8_t sign_magnitude = 0;
+
+    /// The count in @p repr.
+    constexpr int in(Representation repr) const
+    {
+        return repr == Representation::kTwosComplement ? twos_complement
+                                                       : sign_magnitude;
+    }
+};
+
+/**
+ * (2C, SM) set-bit counts of every int8 value, indexed by its byte
+ * (`static_cast<std::uint8_t>(value)`): element scans read one table
+ * entry per weight instead of encoding and counting it.
+ */
+inline constexpr std::array<BitCounts, 256> kBitCounts = [] {
+    std::array<BitCounts, 256> table{};
+    for (int byte = 0; byte < 256; ++byte) {
+        const auto value = static_cast<std::int8_t>(byte);
+        table[static_cast<std::size_t>(byte)] = {
+            static_cast<std::uint8_t>(bit_count_twos_complement(value)),
+            static_cast<std::uint8_t>(bit_count_sign_magnitude(value))};
+    }
+    return table;
+}();
 
 /**
  * Render @p word as a binary literal string, MSB first ("10001100").

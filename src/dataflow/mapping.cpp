@@ -279,17 +279,16 @@ bit_serial_sync_cycles(const Int8Tensor &weights, std::int64_t lanes,
         fatal("bit_serial_sync_cycles: lanes must be >= 1");
     }
     const std::int64_t n = weights.numel();
+    const std::int8_t *data = weights.data();
     double total = 0.0;
     std::int64_t steps = 0;
     for (std::int64_t start = 0; start < n; start += lanes) {
         const std::int64_t end = std::min<std::int64_t>(start + lanes, n);
         int worst = 0;
         for (std::int64_t i = start; i < end; ++i) {
-            const std::uint8_t enc =
-                repr == Representation::kTwosComplement
-                ? static_cast<std::uint8_t>(weights[i])
-                : to_sign_magnitude(weights[i]);
-            worst = std::max(worst, popcount8(enc));
+            worst = std::max(
+                worst,
+                kBitCounts[static_cast<std::uint8_t>(data[i])].in(repr));
         }
         total += worst;
         ++steps;

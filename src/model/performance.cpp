@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include <optional>
+#include <initializer_list>
+#include <variant>
 
 #include "common/bits.hpp"
+#include "common/hash.hpp"
 #include "common/logging.hpp"
+#include "common/lru.hpp"
 #include "compress/bcs.hpp"
 #include "compress/zre.hpp"
 #include "search/cost.hpp"
@@ -14,6 +16,87 @@
 #include "tensor/bitplane.hpp"
 
 namespace bitwave {
+
+namespace {
+
+/// The weight statistics the value- and bit-sparsity machines read.
+enum class WeightStat { kSparsity, kSyncCycles, kInterleaveCycles, kZreRatio };
+
+using WeightStatValue = std::variant<SparsityStats, double>;
+
+/// One cache for every statistic: scalars only (never a ZRE stream).
+ShardedLruCache<std::uint64_t, WeightStatValue> &
+weight_stat_memo()
+{
+    static ShardedLruCache<std::uint64_t, WeightStatValue> memo(
+        cache_capacity_from_env(4096), 0, "baseline_stats");
+    return memo;
+}
+
+/**
+ * Statistic @p stat of @p w, served from the process-wide content-hash
+ * memo (cache.baseline_stats). The key is the tensor's content and
+ * element count, the statistic, and exactly the arguments its kernel
+ * takes (@p kernel_args) — never AcceleratorConfig fields, so every
+ * machine reading a statistic with the same arguments shares one scan.
+ * @p content_hash 0 computes uncached.
+ */
+template <typename T, typename Build>
+T
+memoized(WeightStat stat, const Int8Tensor &w, std::uint64_t content_hash,
+         std::initializer_list<std::uint64_t> kernel_args, Build &&build)
+{
+    if (content_hash == 0) {
+        return build();
+    }
+    std::uint64_t key = hash_combine(
+        content_hash, static_cast<std::uint64_t>(w.numel()));
+    key = hash_combine(key, static_cast<std::uint64_t>(stat));
+    for (const std::uint64_t arg : kernel_args) {
+        key = hash_combine(key, arg);
+    }
+    return std::get<T>(*weight_stat_memo().get_or_build(
+        key, [&] { return WeightStatValue(build()); }));
+}
+
+SparsityStats
+weight_sparsity(const Int8Tensor &w, std::uint64_t content_hash)
+{
+    return memoized<SparsityStats>(WeightStat::kSparsity, w, content_hash,
+                                   {}, [&] { return compute_sparsity(w); });
+}
+
+double
+sync_cycles(const Int8Tensor &w, std::int64_t lanes, Representation repr,
+            std::uint64_t content_hash)
+{
+    return memoized<double>(
+        WeightStat::kSyncCycles, w, content_hash,
+        {static_cast<std::uint64_t>(lanes),
+         static_cast<std::uint64_t>(repr)},
+        [&] { return bit_serial_sync_cycles(w, lanes, repr); });
+}
+
+double
+interleave_cycles(const Int8Tensor &w, std::int64_t window,
+                  Representation repr, std::uint64_t content_hash)
+{
+    return memoized<double>(
+        WeightStat::kInterleaveCycles, w, content_hash,
+        {static_cast<std::uint64_t>(window),
+         static_cast<std::uint64_t>(repr)},
+        [&] { return bit_interleave_cycles(w, window, repr); });
+}
+
+double
+zre_compression_ratio(const Int8Tensor &w, std::uint64_t content_hash)
+{
+    return memoized<double>(
+        WeightStat::kZreRatio, w, content_hash, {},
+        [&] { return zre_compress(w).compression_ratio(); });
+}
+
+}  // namespace
 
 double
 WorkloadResult::runtime_ms(const TechParams &tech) const
@@ -63,7 +146,8 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
     r.layer_name = desc.name;
 
     // Content identity of the evaluated tensor for the shared
-    // content-hash caches (bit planes, cycle stats, BCS sizes).
+    // content-hash caches (bit planes, cycle stats, BCS sizes, baseline
+    // weight statistics).
     const std::uint64_t content_hash =
         weights == nullptr ? layer.weights_hash : weights_hash;
 
@@ -110,17 +194,11 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
     const std::int64_t iterations = temporal_iterations(desc, su);
 
     // ---- STEP2: sparsity statistics --------------------------------------
-    // Lazy: only the value/bit-sparsity machines read them; the
-    // bit-column machines derive everything from the packed planes, so
-    // hardware sweeps never pay the element-wise scan.
-    std::optional<SparsityStats> wstats_memo;
-    const auto wstats = [&]() -> const SparsityStats & {
-        if (!wstats_memo) {
-            wstats_memo = compute_sparsity(w);
-        }
-        return *wstats_memo;
-    };
-    const auto sw = [&] { return wstats().value_sparsity(); };
+    // Only the value/bit-sparsity machines read them (memoized by
+    // content); the bit-column machines derive everything from the
+    // packed planes.
+    const double sw = config_.sparsity == SparsityMode::kValue
+        ? weight_sparsity(w, content_hash).value_sparsity() : 0.0;
     const double sa = layer.activation_sparsity;
 
     // ---- STEP3: effective compute ----------------------------------------
@@ -139,21 +217,22 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
       case ComputeStyle::kBitSerial:
         e_mac_pj = tech_.e_mac_bit_serial_pj;
         if (config_.sparsity == SparsityMode::kWeightBit) {
-            cycles_per_pass = bit_serial_sync_cycles(
-                w, config_.sync_lanes, config_.weight_repr);
-            mac_energy_scale =
-                1.0 - wstats().bit_sparsity(config_.weight_repr);
+            cycles_per_pass = sync_cycles(w, config_.sync_lanes,
+                                          config_.weight_repr, content_hash);
+            const SparsityStats stats = weight_sparsity(w, content_hash);
+            mac_energy_scale = 1.0 - stats.bit_sparsity(config_.weight_repr);
         } else if (config_.sparsity ==
                    SparsityMode::kWeightBitInterleaved) {
             // Bitlet: cycles bounded by the worst-loaded significance of
             // each interleaving window.
-            const double window_cycles = bit_interleave_cycles(
-                w, config_.interleave_window, config_.weight_repr);
+            const double window_cycles =
+                interleave_cycles(w, config_.interleave_window,
+                                  config_.weight_repr, content_hash);
             cycles_per_pass = window_cycles * 8.0 /
                 static_cast<double>(config_.interleave_window) *
                 config_.interleave_overhead;
-            mac_energy_scale =
-                1.0 - wstats().bit_sparsity(config_.weight_repr);
+            const SparsityStats stats = weight_sparsity(w, content_hash);
+            mac_energy_scale = 1.0 - stats.bit_sparsity(config_.weight_repr);
         } else {
             cycles_per_pass = 8.0;  // Stripes: all bits, every time.
         }
@@ -190,7 +269,7 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
         // conflicts make value-skipping machines *slower* than a dense
         // array (the SCNN pathology behind the paper's Fig. 14, where
         // every baseline outruns SCNN on the benchmark suite).
-        value_skip = (1.0 - sw()) * (1.0 - sa) * config_.value_imbalance;
+        value_skip = (1.0 - sw) * (1.0 - sa) * config_.value_imbalance;
         compute_cycles *= value_skip;
     }
     // Crossbar starvation multiplier of matmul tiles (> 1 only on
@@ -224,7 +303,7 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
     // Effective MACs (Eq. 1) for energy pricing.
     double effective_macs = macs;
     if (config_.sparsity == SparsityMode::kValue) {
-        effective_macs = macs * (1.0 - sw()) * (1.0 - sa);
+        effective_macs = macs * (1.0 - sw) * (1.0 - sa);
     }
     r.effective_macs = effective_macs;
 
@@ -243,10 +322,10 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
                     (cycles_per_pass *
                      static_cast<double>(su.group_size()));
         } else if (config_.sparsity == SparsityMode::kValue) {
-            const auto compressed = zre_compress(w);
-            cf.weight_fetch_ratio = 1.0 / compressed.compression_ratio();
+            cf.weight_fetch_ratio =
+                1.0 / zre_compression_ratio(w, content_hash);
             // 12-bit ZRE entries for the (1 - Sw) surviving weights.
-            cf.weight_sram_overhead = (1.0 - sw()) * 12.0 / 8.0;
+            cf.weight_sram_overhead = (1.0 - sw) * 12.0 / 8.0;
         }
     }
     if (config_.compress_acts) {

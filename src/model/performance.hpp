@@ -89,9 +89,11 @@ class AcceleratorModel
      * @param ctx          Position of the layer in the network.
      * @param weights_hash Content hash of @p weights when known (e.g.
      *                     eval::flipped_weights_hash); 0 hashes on the
-     *                     fly for the shared bit-plane cache. Ignored
-     *                     when @p weights is null (the layer's own
-     *                     weights_hash applies).
+     *                     fly for the shared bit-plane cache and
+     *                     computes the baseline weight statistics
+     *                     (sparsity, sync, interleave, ZRE) uncached.
+     *                     Ignored when @p weights is null (the layer's
+     *                     own weights_hash applies).
      */
     LayerResult model_layer(const WorkloadLayer &layer,
                             const Int8Tensor *weights = nullptr,

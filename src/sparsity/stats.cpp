@@ -1,5 +1,6 @@
 #include "sparsity/stats.hpp"
 
+#include <array>
 #include <bit>
 #include <limits>
 
@@ -81,17 +82,24 @@ compute_sparsity(const BitPlanes &planes_2c, const BitPlanes &planes_sm)
 SparsityStats
 compute_sparsity(const Int8Tensor &tensor)
 {
+    // One increment per element into a byte histogram; the bit counts
+    // then come from kBitCounts once per byte value, not per element.
+    std::array<std::int64_t, 256> histogram{};
+    const std::int8_t *data = tensor.data();
+    for (std::int64_t i = 0; i < tensor.numel(); ++i) {
+        ++histogram[static_cast<std::uint8_t>(data[i])];
+    }
     SparsityStats stats;
     stats.words = tensor.numel();
     stats.bits = tensor.numel() * kWordBits;
-    for (std::int64_t i = 0; i < tensor.numel(); ++i) {
-        const std::int8_t v = tensor[i];
-        if (v == 0) {
-            ++stats.zero_words;
-        }
-        stats.zero_bits_2c += kWordBits - bit_count_twos_complement(v);
-        stats.zero_bits_sm += kWordBits - bit_count_sign_magnitude(v);
+    stats.zero_words = histogram[0];
+    std::int64_t set_2c = 0, set_sm = 0;
+    for (std::size_t byte = 0; byte < histogram.size(); ++byte) {
+        set_2c += histogram[byte] * kBitCounts[byte].twos_complement;
+        set_sm += histogram[byte] * kBitCounts[byte].sign_magnitude;
     }
+    stats.zero_bits_2c = stats.bits - set_2c;
+    stats.zero_bits_sm = stats.bits - set_sm;
     return stats;
 }
 

@@ -111,6 +111,34 @@ TEST(Bits, SmallNegativesSparserInSignMagnitude)
     EXPECT_LT(sm_total, tc_total);
 }
 
+TEST(Bits, CountTableMatchesTheHelpersOnEveryByte)
+{
+    // The table is built at compile time from the helpers; a byte
+    // indexes the int8 value with the same bit pattern.
+    static_assert(kBitCounts[0xFF].twos_complement == 8);  // -1
+    static_assert(kBitCounts[0xFF].sign_magnitude == 2);
+    static_assert(kBitCounts[0x80].sign_magnitude == 8);  // -128 -> -127
+    for (int byte = 0; byte < 256; ++byte) {
+        const auto value = static_cast<std::int8_t>(byte);
+        const BitCounts counts = kBitCounts[static_cast<std::size_t>(byte)];
+        EXPECT_EQ(counts.twos_complement, bit_count_twos_complement(value))
+            << "byte " << byte;
+        EXPECT_EQ(counts.sign_magnitude, bit_count_sign_magnitude(value))
+            << "byte " << byte;
+        // And both against a bit-by-bit count of the encodings.
+        const int magnitude = std::min(std::abs(int{value}), 127);
+        int tc = 0, sm = value < 0 ? 1 : 0;
+        for (int b = 0; b < kWordBits; ++b) {
+            tc += (byte >> b) & 1;
+            sm += b < kMagnitudeBits ? (magnitude >> b) & 1 : 0;
+        }
+        EXPECT_EQ(counts.in(Representation::kTwosComplement), tc)
+            << "byte " << byte;
+        EXPECT_EQ(counts.in(Representation::kSignMagnitude), sm)
+            << "byte " << byte;
+    }
+}
+
 TEST(Bits, TestBitAndBinaryString)
 {
     const std::uint8_t w = 0b10001100;

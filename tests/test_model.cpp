@@ -12,10 +12,12 @@
 
 #include "bitflip/bitflip.hpp"
 #include "common/metrics.hpp"
+#include "common/rng.hpp"
 #include "eval/runner.hpp"
 #include "eval/scenario.hpp"
 #include "model/accelerator.hpp"
 #include "model/performance.hpp"
+#include "nn/synthesis.hpp"
 #include "nn/workloads.hpp"
 
 namespace bitwave {
@@ -371,14 +373,65 @@ TEST(Fig17, EfficiencyOrderingMatchesPaper)
 
 // ----- Process caches -----------------------------------------------------
 
+TEST(Caches, BaselineStatsKeyOnEveryKernelArgument)
+{
+    // The default SCNN, Pragmatic and Bitlet configs fill the
+    // baseline_stats memo for one layer. Each variant then differs
+    // from a filled entry in one kernel argument only — Pragmatic's
+    // sync lanes, Bitlet's interleave window, or the representation
+    // (2C runs first, so the SM variant finds its 2C twin resident).
+    // A key that drops that argument serves the wrong entry, and the
+    // memoized result leaves the uncached one.
+    Rng rng(2024);
+    WorkloadLayer layer;
+    layer.desc = make_conv("probe", 64, 32, 8, 8, 3, 3);
+    layer.weights = synthesize_weights(layer.desc, WeightProfile{}, rng);
+    layer.activation_sparsity = 0.3;
+    layer.weights_hash = layer.compute_weights_hash();
+
+    // Memoized (the layer's own hash) vs uncached (hash 0).
+    const auto check = [&](const AcceleratorConfig &cfg) {
+        const AcceleratorModel model(cfg);
+        const LayerResult memo = model.model_layer(layer);
+        const LayerResult direct =
+            model.model_layer(layer, &layer.weights, {}, 0);
+        const std::string what = cfg.name + " lanes " +
+            std::to_string(cfg.sync_lanes) + " window " +
+            std::to_string(cfg.interleave_window) + " " +
+            representation_name(cfg.weight_repr);
+        EXPECT_EQ(memo.total_cycles, direct.total_cycles) << what;
+        EXPECT_EQ(memo.compute_cycles, direct.compute_cycles) << what;
+        EXPECT_EQ(memo.energy.total_pj, direct.energy.total_pj) << what;
+    };
+    for (const auto &cfg : {make_scnn(), make_pragmatic(), make_bitlet()}) {
+        check(cfg);
+    }
+    for (const auto repr : {Representation::kTwosComplement,
+                            Representation::kSignMagnitude}) {
+        for (const std::int64_t lanes : {4, 16}) {
+            auto cfg = make_pragmatic();
+            cfg.sync_lanes = lanes;
+            cfg.weight_repr = repr;
+            check(cfg);
+        }
+        for (const std::int64_t window : {32, 128}) {
+            auto cfg = make_bitlet();
+            cfg.interleave_window = window;
+            cfg.weight_repr = repr;
+            check(cfg);
+        }
+    }
+}
+
 TEST(Caches, WarmBatchEvictsNothingAtAnyThreadCount)
 {
-    // A batch that reads every content cache — the Fig. 14 BitWave
-    // flagship on all four networks (workloads, Bit-Flip twins, bit
-    // planes, mapping statistics) plus a stats scenario — re-run warm
-    // must be served from resident entries only, whatever the thread
-    // count. A cache whose shards are too small for their share of the
-    // working set evicts here on every pass.
+    // A batch that reads every content cache — the Fig. 14 grid on all
+    // four networks: the BitWave flagship (workloads, Bit-Flip twins,
+    // bit planes, mapping statistics) and the five paper baselines
+    // (baseline weight statistics), plus a stats scenario — re-run
+    // warm must be served from resident entries only, whatever the
+    // thread count. A cache whose shards are too small for their share
+    // of the working set evicts here on every pass.
     std::vector<eval::Scenario> batch;
     for (auto id : kAllWorkloads) {
         eval::Scenario s;
@@ -389,6 +442,14 @@ TEST(Caches, WarmBatchEvictsNothingAtAnyThreadCount)
         s.bitflip.group_size = 16;
         s.bitflip.zero_columns = 5;
         batch.push_back(s);
+        for (const auto &baseline : {make_scnn(), make_stripes(),
+                                     make_pragmatic(), make_bitlet(),
+                                     make_huaa()}) {
+            eval::Scenario b;
+            b.accel = baseline;
+            b.workload = id;
+            batch.push_back(b);
+        }
     }
     eval::Scenario stats;
     stats.engine = eval::EngineKind::kStats;
