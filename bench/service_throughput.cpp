@@ -27,7 +27,8 @@
  *
  * A fourth replay runs the same trace under a seeded 1% wildcard
  * transient fault storm (`--faults [seed]` picks the storm seed; CI
- * sweeps it): the self-healing layer retries, bisects and quarantines,
+ * sweeps it): the runner retries each failed layer range in place, a
+ * request fails only when one of its ranges faults on all 6 attempts,
  * and `bit_identical_under_faults` — every completion still matching
  * the direct goldens — is the second hard gate.  `--metrics` prints
  * the full Prometheus snapshot after the run.
@@ -202,8 +203,8 @@ main(int argc, char **argv)
         : 0.0;
 
     // Fault-storm replay: the same trace under a seeded 1% wildcard
-    // transient storm. The robustness gate: the service self-heals
-    // (retry, bisection, quarantine) and everything it completes is
+    // transient storm. The robustness gate: the runner retries failed
+    // layer ranges in place and everything the service completes is
     // still bit-identical to the fault-free goldens.
     const auto faults_before = fault::stats();
     service::ServiceOptions fault_options = bench_service_options();

@@ -4,8 +4,8 @@
  * robustness layer. A registry of named **fault points**
  * (`BITWAVE_FAULT_POINT("workload_io.read")`, `"runner.chunk"`, …) sits
  * at the seams of the stack: IO reads/writes, queue admission, runner
- * chunk execution, bit-plane packing, service dispatch. Each point can
- * be armed with a per-point probability and a fault *kind*:
+ * layer-range execution, bit-plane packing. Each point can be armed
+ * with a per-point probability and a fault *kind*:
  *
  *   - `transient` — throw FaultError(kTransient): the weather of flaky
  *     infrastructure (an NFS hiccup, a preempted worker). Retryable.

@@ -204,7 +204,7 @@ prepare_scenario(const Scenario &scenario)
     } else {
         for (const auto &name : scenario.layer_filter) {
             prep.layers.push_back(
-                prep.workload->layer_index(name));  // fatal() on typos
+                prep.workload->layer_index(name));  // kInvalid on typos
         }
         std::sort(prep.layers.begin(), prep.layers.end());
         prep.layers.erase(

@@ -4,9 +4,9 @@
  * taxonomy (ErrorKind) lives in common/fault.hpp so the low-level
  * layers can classify their own failures; this header gives the eval/
  * and service/ layers their named exception type. EvalError is what a
- * failed EvalTicket carries: the kind drives the service's healing
- * decisions (retry kTransient, quarantine repeat offenders, rebuild
- * kCorruption artifacts, fail kInvalid/kInternal fast).
+ * failed EvalTicket carries: the kind drives the healing decisions (the
+ * runner retries kTransient layer ranges in place; everything else
+ * fails its scenario, and the service quarantines the fingerprint).
  */
 #pragma once
 
@@ -15,8 +15,8 @@
 namespace bitwave {
 namespace eval {
 
-/// Classified evaluation failure; `kind()` is the retry/quarantine
-/// decision input. FaultError (from armed fault points or real
+/// Classified evaluation failure; `kind()` is the retry decision
+/// input. FaultError (from armed fault points or real
 /// detection) converts 1:1 — same taxonomy, service-facing name.
 using EvalError = ::bitwave::FaultError;
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <thread>
 #include <utility>
 
 #include "common/fault.hpp"
@@ -30,6 +32,7 @@ struct RunnerMetrics
     metrics::Counter &batches = metrics::counter("runner.batches");
     metrics::Counter &chunks = metrics::counter("runner.chunks");
     metrics::Counter &steals = metrics::counter("runner.steals");
+    metrics::Counter &retries = metrics::counter("runner.retries");
     metrics::Histogram &chunk_ns = metrics::histogram("runner.chunk_ns");
     metrics::Histogram &batch_wall_ns =
         metrics::histogram("runner.batch_wall_ns");
@@ -93,22 +96,87 @@ ScenarioRunner::run(const std::vector<Scenario> &scenarios,
 
 std::vector<ScenarioResult>
 ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
-                           const std::vector<std::uint64_t> &seed_overrides,
+                           const std::vector<std::uint64_t> &seeds,
                            RunnerReport *report) const
+{
+    auto outcomes =
+        run_outcomes(scenarios, seeds, RetryPolicy{.max_attempts = 1},
+                     report);
+    std::vector<ScenarioResult> results;
+    results.reserve(outcomes.size());
+    for (auto &outcome : outcomes) {
+        if (outcome.error) {
+            std::rethrow_exception(outcome.error);
+        }
+        results.push_back(std::move(outcome.result));
+    }
+    return results;
+}
+
+std::vector<ScenarioOutcome>
+ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
+                             const std::vector<std::uint64_t> &seed_overrides,
+                             const RetryPolicy &retry,
+                             RunnerReport *report) const
 {
     const auto t0 = std::chrono::steady_clock::now();
     const std::size_t n = scenarios.size();
     if (!seed_overrides.empty() && seed_overrides.size() != n) {
-        panic("run_seeded: %zu seeds for %zu scenarios",
+        panic("run_outcomes: %zu seeds for %zu scenarios",
               seed_overrides.size(), n);
     }
+
+    // Per-scenario failure state. The first error to end a scenario
+    // wins its slot (the exchange elects one writer); every later piece
+    // of that scenario sees the flag and is skipped. `errors` is read
+    // only after the worker pools have joined.
+    std::vector<std::atomic<bool>> failed(n);
+    std::vector<std::exception_ptr> errors(n);
+    std::atomic<std::int64_t> retries{0};
     const std::atomic<bool> *cancel = options_.cancel;
-    const auto check_cancel = [cancel] {
-        if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-            throw BatchCancelled();
+
+    // Run one piece of scenario i's work — its preparation or one layer
+    // range — re-running it in place while it throws kTransient and
+    // attempts remain. Skipped once the scenario has ended.
+    const auto attempt = [&](std::size_t i, const auto &body) {
+        for (int k = 1;; ++k) {
+            if (failed[i].load(std::memory_order_relaxed)) {
+                return;
+            }
+            std::exception_ptr error;
+            bool transient = false;
+            try {
+                if (cancel != nullptr &&
+                    cancel->load(std::memory_order_relaxed)) {
+                    throw BatchCancelled();
+                }
+                body();
+                return;
+            } catch (const FaultError &e) {
+                error = std::current_exception();
+                transient = e.kind() == ErrorKind::kTransient;
+            } catch (...) {
+                error = std::current_exception();
+            }
+            if (!transient || k >= retry.max_attempts) {
+                if (!failed[i].exchange(true, std::memory_order_relaxed)) {
+                    errors[i] = error;
+                }
+                return;
+            }
+            retries.fetch_add(1, std::memory_order_relaxed);
+            runner_metrics().retries.inc();
+            trace::instant("runner.retry", "runner", "scenario", i,
+                           "attempt", static_cast<std::uint64_t>(k + 1));
+            const double backoff =
+                std::min(std::ldexp(retry.backoff_seconds, k - 1),
+                         retry.max_backoff_seconds);
+            if (backoff > 0.0) {
+                std::this_thread::sleep_for(
+                    std::chrono::duration<double>(backoff));
+            }
         }
     };
-    check_cancel();
 
     // Resolve shared workloads up front, from this (un-nested) thread:
     // per-layer synthesis streams only fan out when the build is not
@@ -125,7 +193,12 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
             }
         }
         for (WorkloadId id : distinct) {
-            shared_workload(id);  // fill the slot; preps re-fetch cheaply
+            try {
+                shared_workload(id);  // fill the slot; preps re-fetch
+            } catch (...) {
+                // The slot stays empty: each scenario's preparation
+                // re-fetches it and owns (or retries) the failure.
+            }
         }
     }
 
@@ -138,14 +211,13 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
     std::vector<double> prep_seconds(n, 0.0);
     const int prep_threads = effective_threads(n);
     worksteal_for(n, [&](std::size_t i) {
-        check_cancel();
         trace::Span span("runner.prepare", "runner");
         span.arg("scenario", i);
         const auto p0 = std::chrono::steady_clock::now();
         seeds[i] = seed_overrides.empty()
             ? scenario_rng_seed(scenarios[i], i)
             : seed_overrides[i];
-        preps[i] = prepare_scenario(scenarios[i]);
+        attempt(i, [&] { preps[i] = prepare_scenario(scenarios[i]); });
         prep_seconds[i] = seconds_since(p0);
     }, prep_threads);
 
@@ -153,7 +225,7 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
     // layer). Each scenario is one coarse splittable task; the grain is
     // shard_layers. Chunk boundaries only affect scheduling, never
     // results: every layer evaluates from its own (scenario, layer)
-    // stream.
+    // stream. A scenario whose preparation failed has no units.
     UnitSpace units;
     units.offsets.resize(n + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -172,15 +244,40 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
     // chunks that touched the scenario (diagnostics only).
     std::vector<std::atomic<std::int64_t>> eval_nanos(n);
 
-    // One chunk [begin, end) of the unit space: evaluate each
-    // per-scenario sub-range and scatter the records into place.
-    // Disjoint chunks write disjoint slots.
+    // One layer range [local_begin, local_end) of scenario i: evaluate
+    // it and scatter the records into place. Disjoint ranges write
+    // disjoint slots, and a retried range overwrites its own.
+    const auto evaluate_range = [&](std::size_t i, std::size_t local_begin,
+                                    std::size_t local_end) {
+        // Context-tagged by scenario label so a chaos test can poison
+        // exactly one job of a coalesced batch
+        // (`runner.chunk@<label>=1:transient`).
+        BITWAVE_FAULT_INJECT_CTX("runner.chunk",
+                                 fault::context_tag(scenarios[i].label));
+        const std::uint64_t tr0 = trace::enabled() ? trace::now_ns() : 0;
+        const auto s0 = std::chrono::steady_clock::now();
+        auto evals = evaluate_layer_range(scenarios[i], preps[i], seeds[i],
+                                          local_begin, local_end);
+        const std::int64_t chunk_nanos =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - s0).count();
+        eval_nanos[i].fetch_add(chunk_nanos, std::memory_order_relaxed);
+        runner_metrics().chunk_ns.record(
+            static_cast<std::uint64_t>(chunk_nanos));
+        if (tr0 != 0) {
+            trace::emit_complete("runner.chunk", "runner", tr0,
+                                 trace::now_ns() - tr0, "scenario", i,
+                                 "layers", local_end - local_begin);
+        }
+        auto &slot = layer_results[i];
+        for (std::size_t k = 0; k < evals.size(); ++k) {
+            slot[local_begin + k] = std::move(evals[k]);
+        }
+    };
+
+    // One chunk [begin, end) of the unit space: its per-scenario layer
+    // ranges, each attempted on its own.
     const auto execute = [&](std::size_t begin, std::size_t end) {
-        // Cancellation polls once per chunk: the flag rides the
-        // scheduler's existing first-exception-wins abort protocol, so
-        // no worksteal-core changes are needed and the check works
-        // identically on the inline single-thread path.
-        check_cancel();
         std::size_t i = units.scenario_of(begin);
         while (begin < end) {
             while (units.offsets[i + 1] <= begin) {
@@ -189,33 +286,7 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
             const std::size_t local_begin = begin - units.offsets[i];
             const std::size_t local_end =
                 std::min(end, units.offsets[i + 1]) - units.offsets[i];
-            // Context-tagged by scenario label so a chaos test can
-            // poison exactly one job of a coalesced batch
-            // (`runner.chunk@<label>=1:transient`).
-            BITWAVE_FAULT_INJECT_CTX(
-                "runner.chunk", fault::context_tag(scenarios[i].label));
-            const std::uint64_t tr0 =
-                trace::enabled() ? trace::now_ns() : 0;
-            const auto s0 = std::chrono::steady_clock::now();
-            auto evals = evaluate_layer_range(scenarios[i], preps[i],
-                                              seeds[i], local_begin,
-                                              local_end);
-            const std::int64_t chunk_nanos =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - s0).count();
-            eval_nanos[i].fetch_add(chunk_nanos,
-                                    std::memory_order_relaxed);
-            runner_metrics().chunk_ns.record(
-                static_cast<std::uint64_t>(chunk_nanos));
-            if (tr0 != 0) {
-                trace::emit_complete("runner.chunk", "runner", tr0,
-                                     trace::now_ns() - tr0, "scenario", i,
-                                     "layers", local_end - local_begin);
-            }
-            auto &slot = layer_results[i];
-            for (std::size_t k = 0; k < evals.size(); ++k) {
-                slot[local_begin + k] = std::move(evals[k]);
-            }
+            attempt(i, [&] { evaluate_range(i, local_begin, local_end); });
             begin = units.offsets[i] + local_end;
         }
     };
@@ -231,16 +302,21 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
     // order inside finalize_scenario, independent of chunk boundaries.
     trace::Span finalize_span("runner.finalize", "runner");
     finalize_span.arg("scenarios", n);
-    std::vector<ScenarioResult> results(n);
+    std::vector<ScenarioOutcome> outcomes(n);
     int chunk_count = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        results[i] = finalize_scenario(scenarios[i], preps[i], seeds[i],
-                                       std::move(layer_results[i]));
-        results[i].wall_seconds = prep_seconds[i] +
-            static_cast<double>(
-                eval_nanos[i].load(std::memory_order_relaxed)) * 1e-9;
         chunk_count += static_cast<int>(
             (preps[i].layers.size() + grain - 1) / grain);
+        if (errors[i]) {
+            outcomes[i].error = errors[i];
+            continue;
+        }
+        auto &result = outcomes[i].result;
+        result = finalize_scenario(scenarios[i], preps[i], seeds[i],
+                                   std::move(layer_results[i]));
+        result.wall_seconds = prep_seconds[i] +
+            static_cast<double>(
+                eval_nanos[i].load(std::memory_order_relaxed)) * 1e-9;
     }
 
     const double wall_seconds = seconds_since(t0);
@@ -258,13 +334,14 @@ ScenarioRunner::run_seeded(const std::vector<Scenario> &scenarios,
         report->shards = chunk_count;
         report->chunks = sched.chunks;
         report->steals = sched.steals;
+        report->retries = retries.load(std::memory_order_relaxed);
         report->wall_seconds = wall_seconds;
         report->scenario_seconds_sum = 0.0;
-        for (const auto &r : results) {
-            report->scenario_seconds_sum += r.wall_seconds;
+        for (const auto &o : outcomes) {
+            report->scenario_seconds_sum += o.result.wall_seconds;
         }
     }
-    return results;
+    return outcomes;
 }
 
 }  // namespace bitwave::eval

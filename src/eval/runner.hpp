@@ -19,11 +19,21 @@
  * bit-identical to a 1-thread run, under any steal order (modulo the
  * `wall_seconds` diagnostics). The adversarial-scheduler tests pin this
  * with forced steals (`RunnerOptions::chaos_seed`).
+ *
+ * Failure contract: every scenario ends with its own outcome — its
+ * result, or the exception that ended it. A layer range (one scenario's
+ * slice of a work-stealing chunk) that throws kTransient is re-run in
+ * place under the caller's RetryPolicy; because a layer is a pure
+ * function of (scenario seed, layer index), the re-run is bit-identical
+ * to a fault-free one. Any other error, or the last attempt's, ends
+ * that scenario alone: its remaining ranges are skipped and its
+ * siblings finish normally.
  */
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <stdexcept>
 #include <vector>
 
@@ -33,10 +43,10 @@
 namespace bitwave::eval {
 
 /**
- * Thrown out of run()/run_seeded() when `RunnerOptions::cancel` flips
- * mid-batch: the batch aborts at the next chunk boundary (partial
- * results are discarded) and the flag's owner — e.g. a service request
- * whose deadline expired — decides what to tell its clients.
+ * The error of a scenario that `RunnerOptions::cancel` ended before it
+ * finished: its remaining layer ranges are skipped (partial results are
+ * discarded) and the flag's owner — e.g. a service request whose
+ * deadline expired — decides what to tell its clients.
  */
 class BatchCancelled : public std::runtime_error
 {
@@ -64,14 +74,35 @@ struct RunnerOptions
      */
     std::uint64_t chaos_seed = 0;
     /**
-     * Cooperative batch-abort flag, polled at chunk boundaries (and
-     * between scenario preparations). When the pointed-to flag becomes
-     * true, the batch stops issuing work and run() throws
-     * BatchCancelled. The flag must outlive the run() call; nullptr
-     * (default) disables cancellation. The evaluation service sets this
-     * per batch to implement request deadlines and client cancels.
+     * Cooperative abort flag, polled before every scenario preparation
+     * and layer range. Once the pointed-to flag becomes true, every
+     * scenario that has not finished ends with BatchCancelled; finished
+     * ones keep their results. The flag must outlive the run call;
+     * nullptr (default) disables cancellation. The evaluation service
+     * sets this per batch to implement request deadlines, client
+     * cancels and its stall watchdog.
      */
     const std::atomic<bool> *cancel = nullptr;
+};
+
+/**
+ * In-place retry of a failing layer range (or scenario preparation):
+ * only kTransient errors retry, up to max_attempts tries in total.
+ * Before retry k (k = 1 for the second try) the worker sleeps
+ * min(backoff_seconds * 2^(k-1), max_backoff_seconds).
+ */
+struct RetryPolicy
+{
+    int max_attempts = 3;  ///< Total attempts including the first.
+    double backoff_seconds = 0.01;     ///< Sleep before the first retry.
+    double max_backoff_seconds = 1.0;  ///< Cap on any one sleep.
+};
+
+/// One scenario's outcome in a batch.
+struct ScenarioOutcome
+{
+    ScenarioResult result;     ///< Valid when `error` is null.
+    std::exception_ptr error;  ///< The exception that ended the scenario.
 };
 
 /// Aggregate diagnostics of one run() call.
@@ -82,6 +113,8 @@ struct RunnerReport
     std::int64_t chunks = 0;   ///< Executed body chunks (scheduler view:
                                ///< includes split-on-steal fragments).
     std::int64_t steals = 0;   ///< Cross-worker steals.
+    std::int64_t retries = 0;  ///< In-place retries of transient
+                               ///< failures (RetryPolicy).
     double wall_seconds = 0.0;          ///< End-to-end batch wall time.
     double scenario_seconds_sum = 0.0;  ///< Sum of per-scenario costs.
 
@@ -101,26 +134,40 @@ class ScenarioRunner
 
     /**
      * Evaluate @p scenarios and return their results in batch order.
+     * One attempt per layer range; once the batch has finished, the
+     * first failed scenario's error (in batch order) is rethrown.
      * @p report, when non-null, receives the run diagnostics.
      */
     std::vector<ScenarioResult> run(const std::vector<Scenario> &scenarios,
                                     RunnerReport *report = nullptr) const;
 
     /**
-     * Re-entrant seeded submission path for batch composers: evaluate
-     * @p scenarios with caller-supplied per-scenario RNG seeds instead
-     * of deriving them from the batch position. The evaluation service
-     * coalesces requests submitted at different times into one batch;
-     * pinning each request's seed to its *standalone* value
-     * (`scenario_rng_seed(s, 0)`) keeps every coalesced result
+     * run() with caller-supplied per-scenario RNG seeds instead of
+     * seeds derived from the batch position. A batch composer that
+     * coalesces requests submitted at different times pins each
+     * request's seed to its *standalone* value
+     * (`scenario_rng_seed(s, 0)`), which keeps every coalesced result
      * bit-identical to a direct per-request evaluation regardless of
-     * where the batcher placed it. @p seeds must match @p scenarios in
-     * size. Safe to call from multiple service dispatcher threads at
-     * once — the runner holds no mutable state across calls.
+     * where it landed in the batch. @p seeds must match @p scenarios in
+     * size.
      */
     std::vector<ScenarioResult> run_seeded(
         const std::vector<Scenario> &scenarios,
         const std::vector<std::uint64_t> &seeds,
+        RunnerReport *report = nullptr) const;
+
+    /**
+     * The batch call behind run() and run_seeded(): one outcome per
+     * scenario, in batch order, retrying transient layer-range failures
+     * in place under @p retry (see the file comment). Empty @p seeds
+     * derives them from the batch position like run(). Never throws for
+     * a scenario's failure. Safe to call from multiple service
+     * dispatcher threads at once — the runner holds no mutable state
+     * across calls.
+     */
+    std::vector<ScenarioOutcome> run_outcomes(
+        const std::vector<Scenario> &scenarios,
+        const std::vector<std::uint64_t> &seeds, const RetryPolicy &retry,
         RunnerReport *report = nullptr) const;
 
     /// Threads run() will use for @p work_items parallel work items.

@@ -10,6 +10,7 @@
 #include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/lru.hpp"
+#include "eval/error.hpp"
 
 namespace bitwave::eval {
 
@@ -357,9 +358,12 @@ alias_weight_override(const Scenario &scenario, const Workload &workload)
         return {};
     }
     if (scenario.weight_override->size() != workload.layers.size()) {
-        fatal("Scenario %s: %zu override tensors for %zu layers",
-              scenario.name().c_str(), scenario.weight_override->size(),
-              workload.layers.size());
+        throw EvalError(ErrorKind::kInvalid,
+                        strprintf("Scenario %s: %zu override tensors for "
+                                  "%zu layers",
+                                  scenario.name().c_str(),
+                                  scenario.weight_override->size(),
+                                  workload.layers.size()));
     }
     std::vector<std::shared_ptr<const Int8Tensor>> out(
         workload.layers.size());

@@ -154,9 +154,9 @@ selected_bitflip_layers(const Workload &workload, const BitflipSpec &spec,
                         const std::vector<std::size_t> *selection);
 
 /**
- * Validate a scenario's explicit weight_override arity (fatal on
- * mismatch) and alias its tensors per layer, copy-free. Empty when the
- * scenario has no override.
+ * Validate a scenario's explicit weight_override arity (EvalError of
+ * kind kInvalid on mismatch) and alias its tensors per layer,
+ * copy-free. Empty when the scenario has no override.
  */
 std::vector<std::shared_ptr<const Int8Tensor>>
 alias_weight_override(const Scenario &scenario, const Workload &workload);

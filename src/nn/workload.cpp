@@ -1,5 +1,6 @@
 #include "nn/workload.hpp"
 
+#include "common/fault.hpp"
 #include "common/hash.hpp"
 #include "common/logging.hpp"
 
@@ -69,8 +70,9 @@ Workload::layer_index(const std::string &layer_name) const
             return i;
         }
     }
-    fatal("workload %s has no layer named %s", name.c_str(),
-          layer_name.c_str());
+    throw FaultError(ErrorKind::kInvalid,
+                     strprintf("workload %s has no layer named %s",
+                               name.c_str(), layer_name.c_str()));
 }
 
 }  // namespace bitwave

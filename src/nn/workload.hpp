@@ -72,7 +72,7 @@ struct Workload
     std::int64_t total_weights() const;
     std::int64_t total_activations() const;
 
-    /// Index of a layer by name; fatal() if absent.
+    /// Index of a layer by name; throws FaultError(kInvalid) if absent.
     std::size_t layer_index(const std::string &layer_name) const;
 };
 

@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "common/annotations.hpp"
-#include "common/env.hpp"
 #include "common/fault.hpp"
-#include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/metrics.hpp"
 #include "common/mpmc_queue.hpp"
@@ -46,9 +43,10 @@ struct TicketState
 
 /// Cooperative abort shared by the jobs of one runner batch: live_jobs
 /// counts jobs that still have subscribers; when the last one detaches,
-/// `cancel` flips and the runner aborts at its next chunk boundary. The
-/// watchdog flips the same flag when the batch outruns its stall budget
-/// (and marks watchdog_fired so the abort classifies as transient).
+/// `cancel` flips and the runner ends every unfinished job at its next
+/// layer range. The watchdog flips the same flag when the batch outruns
+/// its stall budget (and marks watchdog_fired so the abort classifies
+/// as transient).
 struct BatchControl
 {
     std::atomic<bool> cancel{false};
@@ -67,10 +65,8 @@ struct Job
     std::uint64_t fingerprint = 0;
     eval::Scenario scenario;
     std::uint64_t seed = 0;  ///< Pinned standalone seed (batch-invariant).
-    RetryPolicy retry;       ///< Effective policy, fixed at submit.
     /// Trace-clock phase stamps. submit_ns is written once at
-    /// submit(); pop_ns is written by the one dispatcher that popped
-    /// the job (re-popping a retry is sequenced through the queue).
+    /// submit(); pop_ns by the one dispatcher that popped the job.
     std::uint64_t submit_ns = 0;
     std::uint64_t pop_ns = 0;
 
@@ -81,13 +77,6 @@ struct Job
     bool done GUARDED_BY(mutex) = false;
     /// Non-null while evaluating.
     BatchControl *batch GUARDED_BY(mutex) = nullptr;
-    /// Evaluation attempts so far.
-    int attempts GUARDED_BY(mutex) = 0;
-    /// Backoff gate for the next attempt.
-    Clock::time_point not_before GUARDED_BY(mutex);
-    /// Last transient error (kept so a failed requeue can finish the
-    /// job).
-    std::exception_ptr retry_error GUARDED_BY(mutex);
     TicketStatus outcome GUARDED_BY(mutex) = TicketStatus::kDone;
     /// Valid when done && outcome == kDone.
     eval::ScenarioResult result GUARDED_BY(mutex);
@@ -159,7 +148,6 @@ struct ServiceShared
         steals.mirror = &metrics::counter("service.steals");
         chunks.mirror = &metrics::counter("service.chunks");
         retries.mirror = &metrics::counter("service.retries");
-        bisections.mirror = &metrics::counter("service.bisections");
         quarantined.mirror = &metrics::counter("service.quarantined");
         quarantine_hits.mirror =
             &metrics::counter("service.quarantine_hits");
@@ -207,7 +195,6 @@ struct ServiceShared
     MirroredCounter steals;
     MirroredCounter chunks;
     MirroredCounter retries;
-    MirroredCounter bisections;
     MirroredCounter quarantined;
     MirroredCounter quarantine_hits;
     MirroredCounter watchdog_cancels;
@@ -248,31 +235,6 @@ classify(const std::exception_ptr &error)
     } catch (...) {
         return ErrorKind::kInternal;
     }
-}
-
-/// uint64 -> double in [0, 1).
-double
-to_unit(std::uint64_t u)
-{
-    return static_cast<double>(u >> 11) * 0x1.0p-53;
-}
-
-/// Backoff before retry attempt @p attempt (2 = first retry):
-/// exponential in the attempt, capped, scaled by a deterministic jitter
-/// factor in [0.5, 1.0] — same (policy, fingerprint, attempt) always
-/// sleeps the same time; distinct fingerprints decorrelate.
-double
-backoff_seconds(const RetryPolicy &policy, std::uint64_t fingerprint,
-                int attempt)
-{
-    double base = policy.backoff_seconds *
-        std::pow(policy.backoff_multiplier, std::max(attempt - 2, 0));
-    base = std::min(base, policy.max_backoff_seconds);
-    const double jitter = 0.5 +
-        0.5 *
-            to_unit(splitmix64(policy.jitter_seed ^ fingerprint ^
-                               static_cast<std::uint64_t>(attempt)));
-    return base * jitter;
 }
 
 /**
@@ -401,95 +363,6 @@ abandon_job_locked(ServiceShared &shared, Job &job)
         job.batch->live_jobs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         job.batch->cancel.store(true, std::memory_order_relaxed);
     }
-}
-
-/// Terminal per-job verdict of one evaluation pass (after bisection).
-struct JobOutcome
-{
-    enum class Kind
-    {
-        kPending,
-        kOk,
-        kError,
-        kCancelled,
-    };
-    Kind kind = Kind::kPending;
-    eval::ScenarioResult result;
-    std::exception_ptr error;
-    ErrorKind error_kind = ErrorKind::kInternal;
-};
-
-/**
- * Evaluate jobs [begin, end) of @p jobs, bisecting on failure to
- * isolate the poison: a throwing run of more than one job is split in
- * half and both halves re-run (deterministic seeds make the re-run of
- * innocent jobs bit-identical), recursing down to the single bad job.
- * BatchCancelled never bisects — the shared cancel flag would abort the
- * halves instantly; it classifies as transient when the watchdog fired
- * (the jobs deserve another attempt on a fresh batch) and as cancelled
- * otherwise. Runner stats of successful subsets accumulate into @p agg.
- */
-void
-evaluate_jobs(const ServiceOptions &options, ServiceShared &shared,
-              BatchControl &control,
-              const std::vector<std::shared_ptr<Job>> &jobs,
-              std::size_t begin, std::size_t end,
-              std::vector<JobOutcome> *outcomes, eval::RunnerReport *agg)
-{
-    try {
-        BITWAVE_FAULT_INJECT("service.dispatch");
-        std::vector<eval::Scenario> scenarios;
-        std::vector<std::uint64_t> seeds;
-        scenarios.reserve(end - begin);
-        seeds.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-            scenarios.push_back(jobs[i]->scenario);
-            seeds.push_back(jobs[i]->seed);
-        }
-        eval::RunnerOptions runner_options = options.runner;
-        runner_options.cancel = &control.cancel;
-        eval::ScenarioRunner runner(runner_options);
-        eval::RunnerReport report;
-        auto results = runner.run_seeded(scenarios, seeds, &report);
-        for (std::size_t i = begin; i < end; ++i) {
-            auto &out = (*outcomes)[i];
-            out.kind = JobOutcome::Kind::kOk;
-            out.result = std::move(results[i - begin]);
-        }
-        agg->steals += report.steals;
-        agg->chunks += report.chunks;
-        return;
-    } catch (const eval::BatchCancelled &) {
-        const bool stalled =
-            control.watchdog_fired.load(std::memory_order_relaxed);
-        for (std::size_t i = begin; i < end; ++i) {
-            auto &out = (*outcomes)[i];
-            if (stalled) {
-                out.kind = JobOutcome::Kind::kError;
-                out.error_kind = ErrorKind::kTransient;
-                out.error = std::make_exception_ptr(eval::EvalError(
-                    ErrorKind::kTransient,
-                    "batch cancelled by watchdog: stall budget exceeded"));
-            } else {
-                out.kind = JobOutcome::Kind::kCancelled;
-            }
-        }
-        return;
-    } catch (...) {
-        if (end - begin == 1) {
-            auto &out = (*outcomes)[begin];
-            out.kind = JobOutcome::Kind::kError;
-            out.error = std::current_exception();
-            out.error_kind = classify(out.error);
-            return;
-        }
-        shared.bisections++;
-        trace::instant("service.bisection", "service", "jobs",
-                       static_cast<std::uint64_t>(end - begin));
-    }
-    const std::size_t mid = begin + (end - begin) / 2;
-    evaluate_jobs(options, shared, control, jobs, begin, mid, outcomes, agg);
-    evaluate_jobs(options, shared, control, jobs, mid, end, outcomes, agg);
 }
 
 }  // namespace
@@ -663,24 +536,6 @@ EvalService::EvalService(ServiceOptions options)
     if (options_.max_batch == 0) {
         options_.max_batch = 1;
     }
-    if (!env_string("BITWAVE_RETRY_ATTEMPTS").empty()) {
-        options_.retry.max_attempts = static_cast<int>(env_positive_int(
-            "BITWAVE_RETRY_ATTEMPTS", options_.retry.max_attempts));
-    }
-    if (!env_string("BITWAVE_STALL_BUDGET_MS").empty()) {
-        options_.stall_budget_seconds =
-            static_cast<double>(env_positive_int("BITWAVE_STALL_BUDGET_MS",
-                                                 0)) *
-            1e-3;
-    }
-    if (!env_string("BITWAVE_QUARANTINE_TTL_MS").empty()) {
-        options_.quarantine_ttl_seconds = static_cast<double>(
-                                              env_positive_int(
-                                                  "BITWAVE_QUARANTINE_TTL_"
-                                                  "MS",
-                                                  30000)) *
-            1e-3;
-    }
     dispatchers_.reserve(static_cast<std::size_t>(
         std::max(options_.dispatchers, 0)));
     for (int i = 0; i < options_.dispatchers; ++i) {
@@ -713,8 +568,6 @@ EvalService::submit(const eval::Scenario &scenario,
     ticket.shared_ = shared_;
     ticket.state_ = state;
 
-    const RetryPolicy retry =
-        submit_options.retry.value_or(options_.retry);
     const std::uint64_t fingerprint = eval::scenario_fingerprint(scenario);
     {
         MutexLock jobs_lock(shared_->jobs_mutex);
@@ -758,7 +611,6 @@ EvalService::submit(const eval::Scenario &scenario,
         // would derive at batch index 0. Pinning it here is what makes
         // batch composition invisible in the results.
         job->seed = eval::scenario_rng_seed(scenario, 0);
-        job->retry = retry;
         {
             // Unpublished job — uncontended; taken for the guarded
             // subscribers write.
@@ -804,7 +656,7 @@ EvalService::submit(const eval::Scenario &scenario,
         } catch (const FaultError &e) {
             admission_error = std::current_exception();
             if (e.kind() != ErrorKind::kTransient ||
-                attempt >= retry.max_attempts) {
+                attempt >= options_.retry.max_attempts) {
                 break;
             }
             shared_->retries++;
@@ -891,7 +743,6 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
     // the survivors to this batch's cancel control.
     detail::BatchControl control;
     std::vector<std::shared_ptr<detail::Job>> live;
-    Clock::time_point gate{};
     const auto now = Clock::now();
     {
         MutexLock jobs_lock(shared_->jobs_mutex);
@@ -918,8 +769,6 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
                 continue;
             }
             job->batch = &control;
-            job->attempts++;
-            gate = std::max(gate, job->not_before);
             for (auto &state : subs) {
                 MutexLock lock(state->mutex);
                 if (!ticket_status_terminal(state->status)) {
@@ -938,41 +787,65 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
         return false;
     }
 
-    // Backoff gate: retried jobs carry a not-before stamp; waiting here
-    // (bounded by max_backoff_seconds) keeps the requeue path simple —
-    // retries share the one queue instead of a timed side channel.
-    if (gate > now) {
-        std::this_thread::sleep_until(gate);
+    // One runner call, one outcome per job: a failing job fails alone,
+    // and transient failures were already retried in place per layer
+    // range. Publish the start for the watchdog first (release pairs
+    // with its acquire of `running`).
+    std::vector<eval::Scenario> scenarios;
+    std::vector<std::uint64_t> seeds;
+    scenarios.reserve(live.size());
+    seeds.reserve(live.size());
+    for (const auto &job : live) {
+        scenarios.push_back(job->scenario);
+        seeds.push_back(job->seed);
     }
-
-    // Publish the start for the watchdog (release pairs with its
-    // acquire of `running`).
+    eval::RunnerOptions runner_options = options_.runner;
+    runner_options.cancel = &control.cancel;
+    eval::RunnerReport report;
     control.started = Clock::now();
     control.running.store(true, std::memory_order_release);
-
     const std::uint64_t eval_start_ns = trace::now_ns();
-    std::vector<detail::JobOutcome> outcomes(live.size());
-    eval::RunnerReport agg;
-    agg.steals = 0;
-    agg.chunks = 0;
-    detail::evaluate_jobs(options_, *shared_, control, live, 0, live.size(),
-                          &outcomes, &agg);
+    auto outcomes = eval::ScenarioRunner(runner_options)
+                        .run_outcomes(scenarios, seeds, options_.retry,
+                                      &report);
     control.running.store(false, std::memory_order_relaxed);
     const std::uint64_t eval_end_ns = trace::now_ns();
+    const auto chunks = static_cast<std::uint64_t>(
+        std::max<std::int64_t>(report.chunks, 0));
     if (trace::enabled()) {
-        trace::emit_complete(
-            "service.dispatch", "service", eval_start_ns,
-            eval_end_ns - eval_start_ns, "jobs",
-            static_cast<std::uint64_t>(live.size()), "chunks",
-            static_cast<std::uint64_t>(std::max<std::int64_t>(agg.chunks,
-                                                              0)));
+        trace::emit_complete("service.dispatch", "service", eval_start_ns,
+                             eval_end_ns - eval_start_ns, "jobs",
+                             static_cast<std::uint64_t>(live.size()),
+                             "chunks", chunks);
     }
     const auto sub_sat = [](std::uint64_t a, std::uint64_t b) {
         return a > b ? a - b : 0;
     };
 
+    // A cancelled job was abandoned by every subscriber, cut short by
+    // shutdown(kAbort), or reclaimed by the watchdog; only the last
+    // counts as evaluated, as a terminal transient failure.
+    const bool stalled =
+        control.watchdog_fired.load(std::memory_order_relaxed);
+    std::vector<ErrorKind> kinds(live.size(), ErrorKind::kInternal);
+    for (std::size_t i = 0; i < live.size(); ++i) {
+        auto &out = outcomes[i];
+        if (!out.error) {
+            continue;
+        }
+        kinds[i] = detail::classify(out.error);
+        if (kinds[i] == ErrorKind::kCancelled && stalled) {
+            kinds[i] = ErrorKind::kTransient;
+            out.error = std::make_exception_ptr(eval::EvalError(
+                ErrorKind::kTransient,
+                "cancelled by watchdog: stall budget exceeded"));
+        }
+    }
+    const auto evaluated = [&](std::size_t i) {
+        return kinds[i] != ErrorKind::kCancelled;
+    };
+
     bool any_done = false;
-    std::vector<std::shared_ptr<detail::Job>> requeue;
     {
         MutexLock jobs_lock(shared_->jobs_mutex);
         auto &batches = shared_->active_batches;
@@ -983,26 +856,21 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
         // submitter whose wait() returns must observe these counters
         // already bumped (finish_ticket publishes through the ticket
         // mutex), so stats() read after a completion never lags it.
-        std::uint64_t evaluated = 0;
+        std::uint64_t evaluated_jobs = 0;
         for (std::size_t i = 0; i < live.size(); ++i) {
-            auto &job = *live[i];
-            MutexLock job_lock(job.mutex);
-            if (job.done || job.abandoned) {
-                continue;
-            }
-            const auto kind = outcomes[i].kind;
-            if (kind == detail::JobOutcome::Kind::kOk ||
-                kind == detail::JobOutcome::Kind::kError) {
-                evaluated++;
+            MutexLock job_lock(live[i]->mutex);
+            if (!live[i]->done && !live[i]->abandoned && evaluated(i)) {
+                evaluated_jobs++;
             }
         }
-        if (evaluated > 0) {
+        if (evaluated_jobs > 0) {
             shared_->batches++;
-            shared_->batched_jobs += evaluated;
+            shared_->batched_jobs += evaluated_jobs;
             shared_->steals += static_cast<std::uint64_t>(
-                std::max<std::int64_t>(agg.steals, 0));
-            shared_->chunks += static_cast<std::uint64_t>(
-                std::max<std::int64_t>(agg.chunks, 0));
+                std::max<std::int64_t>(report.steals, 0));
+            shared_->chunks += chunks;
+            shared_->retries += static_cast<std::uint64_t>(
+                std::max<std::int64_t>(report.retries, 0));
         }
         for (std::size_t i = 0; i < live.size(); ++i) {
             auto &job = *live[i];
@@ -1013,8 +881,7 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
                 continue;
             }
             auto &out = outcomes[i];
-            if (out.kind == detail::JobOutcome::Kind::kOk ||
-                out.kind == detail::JobOutcome::Kind::kError) {
+            if (evaluated(i)) {
                 // Phase decomposition of this request's latency:
                 // submit -> pop -> evaluation start -> evaluation end.
                 const std::uint64_t queue_ns =
@@ -1036,23 +903,21 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
                     trace::emit_complete("service.batch", "service",
                                          job.pop_ns, batch_ns,
                                          "fingerprint", job.fingerprint);
-                    trace::emit_complete(
-                        "service.compute", "service", eval_start_ns,
-                        compute_ns, "fingerprint", job.fingerprint,
-                        "attempt",
-                        static_cast<std::uint64_t>(job.attempts));
+                    trace::emit_complete("service.compute", "service",
+                                         eval_start_ns, compute_ns,
+                                         "fingerprint", job.fingerprint);
                 }
             }
-            switch (out.kind) {
-              case detail::JobOutcome::Kind::kOk:
+            if (!out.error) {
                 job.result = std::move(out.result);
                 detail::finish_job_locked(*shared_, job, TicketStatus::kDone,
                                           nullptr);
                 detail::record_attempt(*shared_, true);
                 any_done = true;
-                break;
-              case detail::JobOutcome::Kind::kCancelled:
-                // A cancelled batch with live subscribers only happens
+                continue;
+            }
+            if (!evaluated(i)) {
+                // A cancelled job with live subscribers only happens
                 // under shutdown(kAbort); organic cancellation implies
                 // every subscriber already detached.
                 detail::finish_job_locked(
@@ -1060,78 +925,30 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
                     aborting ? TicketStatus::kShutdown
                              : TicketStatus::kCancelled,
                     nullptr, ErrorKind::kCancelled);
-                break;
-              case detail::JobOutcome::Kind::kError:
-                detail::record_attempt(*shared_, false);
-                if (out.error_kind == ErrorKind::kTransient &&
-                    job.attempts < job.retry.max_attempts && !aborting) {
-                    shared_->retries++;
-                    trace::instant(
-                        "service.retry", "service", "fingerprint",
-                        job.fingerprint, "attempt",
-                        static_cast<std::uint64_t>(job.attempts));
-                    job.not_before = Clock::now() +
-                        std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double>(
-                                detail::backoff_seconds(job.retry,
-                                                        job.fingerprint,
-                                                        job.attempts + 1)));
-                    job.retry_error = out.error;
-                    requeue.push_back(live[i]);
-                    break;
-                }
-                // Terminal failure: quarantine the fingerprint so
-                // identical resubmissions fail fast for a TTL.
-                if (options_.quarantine_ttl_seconds > 0.0) {
-                    detail::QuarantineEntry entry;
-                    entry.expires = detail::saturating_deadline(
-                        Clock::now(), options_.quarantine_ttl_seconds);
-                    entry.error = out.error;
-                    entry.kind = out.error_kind;
-                    shared_->quarantine[job.fingerprint] = entry;
-                    shared_->quarantined++;
-                    trace::instant("service.quarantine", "service",
-                                   "fingerprint", job.fingerprint);
-                }
-                detail::finish_job_locked(*shared_, job,
-                                          TicketStatus::kFailed, out.error,
-                                          out.error_kind);
-                break;
-              case detail::JobOutcome::Kind::kPending:
-                panic("batch job left unresolved by evaluate_jobs");
+                continue;
             }
+            detail::record_attempt(*shared_, false);
+            // Terminal failure: quarantine the fingerprint so identical
+            // resubmissions fail fast for a TTL.
+            if (options_.quarantine_ttl_seconds > 0.0) {
+                detail::QuarantineEntry entry;
+                entry.expires = detail::saturating_deadline(
+                    Clock::now(), options_.quarantine_ttl_seconds);
+                entry.error = out.error;
+                entry.kind = kinds[i];
+                shared_->quarantine[job.fingerprint] = entry;
+                shared_->quarantined++;
+                trace::instant("service.quarantine", "service",
+                               "fingerprint", job.fingerprint);
+            }
+            detail::finish_job_locked(*shared_, job, TicketStatus::kFailed,
+                                      out.error, kinds[i]);
         }
     }
     if (trace::enabled()) {
         trace::emit_complete("service.finalize", "service", eval_end_ns,
                              sub_sat(trace::now_ns(), eval_end_ns), "jobs",
                              static_cast<std::uint64_t>(live.size()));
-    }
-
-    // Requeue retries outside jobs_mutex (push can block/throw). A
-    // requeue that fails — queue closed at shutdown, full, or its own
-    // injected fault — terminates the job with the original error: no
-    // ticket is ever left hanging.
-    for (auto &job : requeue) {
-        std::exception_ptr requeue_error;
-        QueuePush pushed = QueuePush::kClosed;
-        try {
-            pushed = shared_->queue.try_push(job);
-        } catch (const FaultError &) {
-            requeue_error = std::current_exception();
-        }
-        if (pushed == QueuePush::kAccepted) {
-            continue;
-        }
-        MutexLock jobs_lock(shared_->jobs_mutex);
-        MutexLock job_lock(job->mutex);
-        if (job->done || job->abandoned) {
-            continue;
-        }
-        std::exception_ptr error =
-            requeue_error ? requeue_error : job->retry_error;
-        detail::finish_job_locked(*shared_, *job, TicketStatus::kFailed,
-                                  error, detail::classify(error));
     }
     return any_done;
 }
@@ -1204,7 +1021,7 @@ EvalService::watchdog_loop()
             trace::instant("service.watchdog_cancel", "service");
             warn_once("service-watchdog",
                       "watchdog cancelled a batch exceeding the %.0f ms "
-                      "stall budget (retrying as transient)",
+                      "stall budget (unfinished jobs fail as transient)",
                       options_.stall_budget_seconds * 1e3);
         }
     }
@@ -1215,7 +1032,7 @@ EvalService::shutdown(ShutdownMode mode)
 {
     if (mode == ShutdownMode::kAbort) {
         shared_->abort.store(true, std::memory_order_relaxed);
-        // Evaluating batches abort at their next chunk boundary.
+        // Evaluating batches abort at their next layer range.
         MutexLock jobs_lock(shared_->jobs_mutex);
         for (detail::BatchControl *batch : shared_->active_batches) {
             batch->cancel.store(true, std::memory_order_relaxed);
@@ -1231,9 +1048,9 @@ EvalService::shutdown(ShutdownMode mode)
     // Resolve whatever is still queued: dispatchers==0 services, and
     // jobs admitted after the dispatchers drained. Under kAbort
     // process_batch completes them as kShutdown without evaluating.
-    // Retries requeued into the closed queue fail over to kFailed, so
-    // this loop terminates. The watchdog stays alive until the drain
-    // finishes — a stalling final batch must still be reclaimed.
+    // The closed queue admits nothing new, so this loop terminates. The
+    // watchdog stays alive until the drain finishes — a stalling final
+    // batch must still be reclaimed.
     std::shared_ptr<detail::Job> job;
     while (shared_->queue.try_pop(&job)) {
         process_batch(std::move(job), /*linger=*/false);
@@ -1267,7 +1084,6 @@ EvalService::stats() const
     s.steals = shared_->steals.value();
     s.chunks = shared_->chunks.value();
     s.retries = shared_->retries.value();
-    s.bisections = shared_->bisections.value();
     s.quarantined = shared_->quarantined.value();
     s.quarantine_hits = shared_->quarantine_hits.value();
     s.watchdog_cancels = shared_->watchdog_cancels.value();

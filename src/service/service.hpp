@@ -30,12 +30,13 @@
  * matter how the batcher composed batches, what the admission order was,
  * or how the deque scheduler stole. The service pins each job's RNG
  * seed to its standalone value (`scenario_rng_seed(s, 0)`) and evaluates
- * through `run_seeded()`, so batch position is pure scheduling.
+ * through `run_outcomes()` with those seeds, so batch position is pure
+ * scheduling.
  *
  * Deadlines and cancellation ride the runner's cooperative cancel flag:
- * an expired or cancelled request detaches from its job; a job (and
- * eventually its whole batch) with no subscribers left aborts at the
- * next chunk boundary instead of burning the pool.
+ * an expired or cancelled request detaches from its job; a batch with
+ * no subscribers left aborts at the next layer range instead of burning
+ * the pool.
  *
  * Self-healing (the robustness layer on top):
  *
@@ -44,20 +45,20 @@
  *    lands in kFailed, result() rethrows the payload, error_kind()
  *    reports the taxonomy.
  *
- *  - **Retry.** kTransient failures re-enter the queue with exponential
- *    backoff and deterministically seeded jitter, up to
- *    RetryPolicy::max_attempts; nothing else is retried.
+ *  - **Per-scenario outcomes.** Each batch is one runner call that
+ *    returns one outcome per job, so a failing job fails only its own
+ *    tickets; coalesced siblings complete normally.
  *
- *  - **Poison-batch bisection.** A throwing batch is split and re-run
- *    to isolate the bad job, so coalesced innocent siblings complete
- *    normally instead of sharing the failure.
+ *  - **Retry.** The runner re-runs a layer range that failed kTransient
+ *    in place, under ServiceOptions::retry; nothing else is retried.
  *
  *  - **Quarantine.** A fingerprint that failed terminally is
  *    quarantined for a TTL: identical resubmissions fail fast with the
  *    recorded error instead of burning the pool again.
  *
- *  - **Watchdog.** Batches exceeding a stall budget are cancelled via
- *    the cooperative flag and their jobs retried as transient.
+ *  - **Watchdog.** A batch exceeding a stall budget is cancelled via
+ *    the cooperative flag: its unfinished jobs fail as kTransient and
+ *    its finished ones complete.
  *
  *  - **Health.** stats().health summarises the recent attempt window
  *    (kHealthy/kDegraded/kFailing); a failing service degrades
@@ -69,7 +70,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -92,21 +92,6 @@ enum class BackpressurePolicy
     kReject,     ///< The new request completes immediately as kRejected.
     kShedOldest, ///< The oldest queued request completes as kShed and
                  ///< the new one is admitted.
-};
-
-/**
- * How failed evaluations are retried. Only kTransient failures retry;
- * backoff grows exponentially per attempt, scaled by a jitter factor in
- * [0.5, 1.0] drawn deterministically from (jitter_seed, fingerprint,
- * attempt) — reproducible storms, decorrelated thundering herds.
- */
-struct RetryPolicy
-{
-    int max_attempts = 3;  ///< Total attempts including the first.
-    double backoff_seconds = 0.01;      ///< Base delay before attempt 2.
-    double backoff_multiplier = 2.0;    ///< Growth per further attempt.
-    double max_backoff_seconds = 1.0;   ///< Cap on the un-jittered delay.
-    std::uint64_t jitter_seed = 0x5eedULL;
 };
 
 /// Service health, derived from the recent evaluation-attempt window.
@@ -147,19 +132,17 @@ struct ServiceOptions
     /// chaos_seed). The per-batch cancel flag is service-managed; any
     /// `cancel` pointer set here is ignored.
     eval::RunnerOptions runner;
-    /// Default retry policy for kTransient failures. Overridable per
-    /// request and via BITWAVE_RETRY_ATTEMPTS (max_attempts only).
-    RetryPolicy retry;
+    /// In-place retry of kTransient failures: layer ranges in the
+    /// runner, and queue admission in submit().
+    eval::RetryPolicy retry;
     /**
      * Watchdog stall budget: a batch evaluating longer than this is
-     * cancelled through the cooperative flag and its jobs retried as
-     * transient. <= 0 disables the watchdog (default). Env override:
-     * BITWAVE_STALL_BUDGET_MS.
+     * cancelled through the cooperative flag, and its unfinished jobs
+     * fail as kTransient. <= 0 disables the watchdog (default).
      */
     double stall_budget_seconds = 0.0;
     /// How long a terminally failed fingerprint stays quarantined
-    /// (identical resubmissions fail fast). Env override:
-    /// BITWAVE_QUARANTINE_TTL_MS.
+    /// (identical resubmissions fail fast).
     double quarantine_ttl_seconds = 30.0;
 };
 
@@ -171,13 +154,11 @@ struct SubmitOptions
      * completes as kDeadlineExpired: before dispatch it is pruned
      * without evaluating; once evaluating it can only be reclaimed by
      * cancellation of all its subscribers (the runner polls the batch
-     * cancel flag at chunk boundaries). Huge values (including
+     * cancel flag before every layer range). Huge values (including
      * infinity) saturate to "no deadline ever expires" instead of
      * overflowing the clock.
      */
     double deadline_seconds = 0.0;
-    /// Per-request retry override; unset uses ServiceOptions::retry.
-    std::optional<RetryPolicy> retry;
 };
 
 /// Lifecycle of one submitted request.
@@ -281,8 +262,12 @@ struct ServiceStats
     std::uint64_t batched_jobs = 0;   ///< Jobs evaluated across them.
     std::uint64_t steals = 0;         ///< Work-steal events (aggregate).
     std::uint64_t chunks = 0;         ///< Executed chunks (aggregate).
-    std::uint64_t retries = 0;        ///< Transient failures requeued.
-    std::uint64_t bisections = 0;     ///< Poison-batch splits performed.
+    std::uint64_t retries = 0;        ///< Transient failures retried in
+                                      ///< place: layer ranges in the
+                                      ///< runner, and queue admission.
+    /// Always 0: the runner reports each job's outcome, so nothing is
+    /// bisected. Kept so existing readers of the field still build.
+    std::uint64_t bisections = 0;
     std::uint64_t quarantined = 0;    ///< Fingerprints quarantined.
     std::uint64_t quarantine_hits = 0;  ///< Submissions failed fast by
                                         ///< an active quarantine entry.
@@ -294,7 +279,7 @@ struct ServiceStats
     /**
      * Per-phase latency decomposition of evaluated requests, in
      * nanoseconds: submit -> pop (queue_wait_ns), pop -> evaluation
-     * start (batch_ns: gather/linger/prune/backoff), and the shared
+     * start (batch_ns: gather/linger/prune), and the shared
      * runner evaluation (compute_ns). Always recorded — these are the
      * service's own ungated histograms — and fixed-size, so stats()
      * stays allocation-free.

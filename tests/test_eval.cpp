@@ -3,7 +3,9 @@
  * Tests for the unified evaluation subsystem: Scenario naming and
  * seeding, the shared energy-pricing/latency core, sim-vs-model
  * agreement through the shared traversal, ScenarioRunner determinism
- * under 1 vs N threads, and the core/pipeline facade that drives it.
+ * under 1 vs N threads, its per-scenario failure contract (in-place
+ * retry, isolation, invalid requests), and the core/pipeline facade
+ * that drives it.
  */
 #include <gtest/gtest.h>
 
@@ -13,10 +15,12 @@
 #include "bitflip/bitflip.hpp"
 #include "core/pipeline.hpp"
 #include "energy/pricing.hpp"
+#include "eval/error.hpp"
 #include "eval/runner.hpp"
 #include "nn/synthesis.hpp"
 #include "nn/workloads.hpp"
 #include "sparsity/stats.hpp"
+#include "test_util.hpp"
 
 namespace bitwave {
 namespace {
@@ -353,6 +357,134 @@ TEST(ScenarioRunner, ShardedEvaluationMatchesEvaluateScenario)
     ASSERT_EQ(batch.size(), 1u);
     EXPECT_EQ(direct.total_cycles, batch[0].total_cycles);
     EXPECT_EQ(direct.energy.total_pj, batch[0].energy.total_pj);
+}
+
+// ---------------------------------------------------- failure contract ---
+
+eval::ErrorKind
+error_kind_of(const std::exception_ptr &error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const eval::EvalError &e) {
+        return e.kind();
+    } catch (...) {
+        return eval::ErrorKind::kInternal;
+    }
+}
+
+/// Runner configurations the failure tests sweep: inline, split across
+/// a real pool, and the same under adversarial stealing.
+std::vector<eval::RunnerOptions>
+failure_variants()
+{
+    eval::RunnerOptions serial;
+    serial.threads = 1;
+    eval::RunnerOptions split;
+    split.threads = 4;
+    split.shard_layers = 1;
+    eval::RunnerOptions chaotic = split;
+    chaotic.chaos_seed = 99;
+    return {serial, split, chaotic};
+}
+
+TEST(ScenarioRunner, FailingScenarioFailsAloneAfterInPlaceRetries)
+{
+    // A scenario whose every layer-range attempt faults ends with its
+    // own transient error after max_attempts tries of its one range;
+    // the batch's other scenarios come back bit-identical to a
+    // fault-free run of the same batch.
+    auto batch = determinism_batch();
+    eval::Scenario poison;
+    poison.custom_workload = batch.front().custom_workload;
+    poison.accel = make_scnn();
+    poison.label = "poison";
+    poison.layer_filter = {"pw"};  // one layer: one range under any split
+    const std::size_t poison_at = 3;
+    batch.insert(batch.begin() + poison_at, poison);
+    const auto golden = eval::ScenarioRunner().run(batch);
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        seeds.push_back(eval::scenario_rng_seed(batch[i], i));
+    }
+
+    FaultGuard guard("runner.chunk@poison=1:transient", 7);
+    eval::RetryPolicy retry;
+    retry.max_attempts = 3;
+    retry.backoff_seconds = 0.0;
+    for (const auto &options : failure_variants()) {
+        const eval::ScenarioRunner runner(options);
+        eval::RunnerReport report;
+        const auto outcomes = runner.run_outcomes(batch, {}, retry, &report);
+        ASSERT_EQ(outcomes.size(), batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            if (i == poison_at) {
+                ASSERT_TRUE(outcomes[i].error);
+                EXPECT_EQ(error_kind_of(outcomes[i].error),
+                          eval::ErrorKind::kTransient);
+                continue;
+            }
+            ASSERT_FALSE(outcomes[i].error) << batch[i].name();
+            expect_identical(outcomes[i].result, golden[i]);
+        }
+        EXPECT_EQ(report.retries, retry.max_attempts - 1);
+
+        try {
+            runner.run_seeded(batch, seeds);
+            ADD_FAILURE() << "run_seeded swallowed the poison's error";
+        } catch (const eval::EvalError &e) {
+            EXPECT_EQ(e.kind(), eval::ErrorKind::kTransient);
+        }
+    }
+}
+
+TEST(ScenarioRunner, TransientStormRetriesInPlaceBitIdentical)
+{
+    // p = 0.5 per layer-range attempt and 26 attempts: one range
+    // exhausts with probability 0.5^26 = 1.5e-8, so a batch of at most
+    // 21 ranges fails with probability below 1e-6.
+    const auto batch = determinism_batch();
+    const auto golden = eval::ScenarioRunner().run(batch);
+
+    eval::RetryPolicy retry;
+    retry.max_attempts = 26;
+    retry.backoff_seconds = 1e-5;
+    retry.max_backoff_seconds = 1e-4;
+    for (const auto &options : failure_variants()) {
+        FaultGuard storm("runner.chunk=0.5:transient", 11);
+        eval::RunnerReport report;
+        const auto outcomes =
+            eval::ScenarioRunner(options).run_outcomes(batch, {}, retry,
+                                                       &report);
+        ASSERT_EQ(outcomes.size(), batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            ASSERT_FALSE(outcomes[i].error) << batch[i].name();
+            expect_identical(outcomes[i].result, golden[i]);
+        }
+        EXPECT_GT(report.retries, 0) << "storm never fired";
+    }
+}
+
+TEST(ScenarioRunner, InvalidScenarioThrowsInvalidEvalError)
+{
+    // Unservable requests are errors of kind kInvalid, not process
+    // exits: an unknown layer name, and an override of the wrong arity.
+    const auto net = std::make_shared<Workload>(tiny_workload());
+    eval::Scenario typo;
+    typo.custom_workload = net;
+    typo.layer_filter = {"no_such_layer"};
+    eval::Scenario arity;
+    arity.custom_workload = net;
+    arity.weight_override = std::make_shared<const std::vector<Int8Tensor>>(
+        std::vector<Int8Tensor>{net->layers.front().weights});
+    for (const auto &s : {typo, arity}) {
+        try {
+            eval::ScenarioRunner().run({s});
+            ADD_FAILURE() << "no error for " << s.name();
+        } catch (const eval::EvalError &e) {
+            EXPECT_EQ(e.kind(), eval::ErrorKind::kInvalid) << e.what();
+        }
+    }
 }
 
 // --------------------------------------------------------- prep caches ---

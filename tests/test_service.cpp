@@ -20,6 +20,7 @@
 
 #include "nn/synthesis.hpp"
 #include "service/service.hpp"
+#include "test_util.hpp"
 
 // Counting global allocator: the observability layer guarantees that
 // EvalService::stats() never touches the heap (it copies counters and
@@ -155,23 +156,6 @@ distinct_scenarios(const std::shared_ptr<Workload> &net)
     return scenarios;
 }
 
-void
-expect_identical(const eval::ScenarioResult &a,
-                 const eval::ScenarioResult &b)
-{
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.rng_seed, b.rng_seed);
-    EXPECT_EQ(a.total_cycles, b.total_cycles) << a.name;
-    EXPECT_EQ(a.energy.total_pj, b.energy.total_pj) << a.name;
-    EXPECT_EQ(a.nominal_macs, b.nominal_macs) << a.name;
-    ASSERT_EQ(a.layers.size(), b.layers.size());
-    for (std::size_t l = 0; l < a.layers.size(); ++l) {
-        EXPECT_EQ(a.layers[l].layer_name, b.layers[l].layer_name);
-        EXPECT_EQ(a.layers[l].total_cycles, b.layers[l].total_cycles);
-        EXPECT_EQ(a.layers[l].energy.total_pj, b.layers[l].energy.total_pj);
-    }
-}
-
 // Pump-driven options: no dispatcher threads, nothing timing-dependent.
 ServiceOptions
 pump_options(std::size_t capacity,
@@ -245,6 +229,47 @@ TEST(Service, InvalidDefaultTicket)
 {
     EvalTicket ticket;
     EXPECT_FALSE(ticket.valid());
+}
+
+// A request the runner cannot serve (a layer filter naming no layer)
+// fails alone: coalesced into one batch with good requests, it ends
+// kFailed/kInvalid and the others complete bit-identically to direct
+// runs. The service process survives it.
+TEST(Service, InvalidRequestFailsAloneInItsBatch)
+{
+    const auto net = tiny_net();
+    const auto scenarios = distinct_scenarios(net);
+    std::vector<eval::ScenarioResult> golden;
+    for (const auto &s : scenarios) {
+        golden.push_back(eval::ScenarioRunner().run({s}).front());
+    }
+    eval::Scenario bad = tiny_scenario(net, make_scnn());
+    bad.layer_filter = {"no_such_layer"};
+
+    ServiceOptions options = pump_options(16);
+    options.runner.threads = 2;
+    EvalService svc(options);
+    std::vector<EvalTicket> tickets;
+    for (std::size_t i = 0; i < scenarios.size(); ++i) {
+        tickets.push_back(svc.submit(scenarios[i]));
+        if (i == 2) {
+            tickets.push_back(svc.submit(bad));
+        }
+    }
+    EXPECT_EQ(svc.pump(), 1);
+    EXPECT_EQ(svc.stats().batches, 1u);
+
+    std::size_t next = 0;
+    for (std::size_t t = 0; t < tickets.size(); ++t) {
+        if (t == 3) {
+            EXPECT_EQ(tickets[t].status(), TicketStatus::kFailed);
+            EXPECT_EQ(tickets[t].error_kind(), eval::ErrorKind::kInvalid);
+            EXPECT_THROW(tickets[t].result(), eval::EvalError);
+            continue;
+        }
+        ASSERT_EQ(tickets[t].status(), TicketStatus::kDone) << t;
+        expect_identical(tickets[t].result(), golden[next++]);
+    }
 }
 
 // ----------------------------------------------------------------- dedup ---
