@@ -5,7 +5,7 @@
  *
  * Times the element-at-a-time oracles against the word-parallel kernels
  * that replaced them on every hot path (bit-column statistics, BCS
- * measure/compress, mapping cycle statistics, sparsity, Bit-Flip), and
+ * measure/compress, mapping cycle statistics, Bit-Flip), and
  * verifies bit-identical results in the same run, and closes with a
  * `runner_scaling` row timing the work-stealing runner core serial vs
  * parallel on a warm batch plus `fault_branch` / `metrics_record` rows
@@ -33,7 +33,6 @@
 #include "nn/layer.hpp"
 #include "nn/synthesis.hpp"
 #include "sparsity/bitcolumn.hpp"
-#include "sparsity/stats.hpp"
 #include "tensor/bitplane.hpp"
 
 using namespace bitwave;
@@ -174,23 +173,6 @@ main()
                s.groups == p.groups &&
                    s.mean_cycles_per_group == p.mean_cycles_per_group &&
                    s.sync_cycles_per_group == p.sync_cycles_per_group);
-    }
-
-    {  // Sparsity statistics (needs both representations).
-        BitPlanes p2c;
-        const double pack2c_ms =
-            time_ms([&] {
-                p2c = pack_bitplanes(w, Representation::kTwosComplement);
-            });
-        SparsityStats s, p;
-        const double scalar_ms = time_ms([&] { s = compute_sparsity(w); });
-        const double packed_ms =
-            time_ms([&] { p = compute_sparsity(p2c, planes); });
-        (void)pack2c_ms;
-        report(json, table, "compute_sparsity", scalar_ms, packed_ms,
-               s.zero_words == p.zero_words &&
-                   s.zero_bits_2c == p.zero_bits_2c &&
-                   s.zero_bits_sm == p.zero_bits_sm);
     }
 
     {  // ZRE encoding (SWAR non-zero mask scan vs per-element walk).

@@ -1,7 +1,8 @@
 /**
  * @file
  * One validated front door for the BITWAVE_* environment knobs
- * (BITWAVE_THREADS, BITWAVE_CACHE_ENTRIES, BITWAVE_WORKLOAD_CACHE).
+ * (BITWAVE_THREADS, BITWAVE_FAULT_SPEC/_SEED, BITWAVE_METRICS,
+ * BITWAVE_TRACE/_EVENTS).
  * Every consumer used to hand-roll its own strtoll/getenv parsing with
  * silently divergent error handling; this helper parses strictly, and a
  * malformed or out-of-range value is *reported* — warned once per

@@ -19,7 +19,6 @@ error_kind_name(ErrorKind kind)
 {
     switch (kind) {
       case ErrorKind::kTransient: return "transient";
-      case ErrorKind::kCorruption: return "corruption";
       case ErrorKind::kInvalid: return "invalid";
       case ErrorKind::kCancelled: return "cancelled";
       case ErrorKind::kInternal: return "internal";

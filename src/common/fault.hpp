@@ -2,10 +2,10 @@
  * @file
  * Deterministic fault injection — the failure model behind the
  * robustness layer. A registry of named **fault points**
- * (`BITWAVE_FAULT_POINT("workload_io.read")`, `"runner.chunk"`, …) sits
- * at the seams of the stack: IO reads/writes, queue admission, runner
- * layer-range execution, bit-plane packing. Each point can be armed
- * with a per-point probability and a fault *kind*:
+ * (`BITWAVE_FAULT_POINT("runner.chunk")`, `"mpmc.push"`, …) sits at the
+ * seams of the stack: queue admission, runner layer-range execution,
+ * bit-plane packing. Each point can be armed with a per-point
+ * probability and a fault *kind*:
  *
  *   - `transient` — throw FaultError(kTransient): the weather of flaky
  *     infrastructure (an NFS hiccup, a preempted worker). Retryable.
@@ -44,23 +44,20 @@ namespace bitwave {
 /**
  * Error taxonomy shared across the stack (the service surfaces it as
  * the EvalTicket failure payload):
- *   kTransient  — infrastructure weather; safe and worthwhile to retry.
- *   kCorruption — data failed validation (torn write, bit rot); the
- *                 artifact is discarded and rebuilt, never retried as-is.
- *   kInvalid    — the request itself is unservable (bad configuration).
- *   kCancelled  — cooperative abort (deadline, client cancel, shutdown).
- *   kInternal   — an unexpected failure; not retryable by default.
+ *   kTransient — infrastructure weather; safe and worthwhile to retry.
+ *   kInvalid   — the request itself is unservable (bad configuration).
+ *   kCancelled — cooperative abort (deadline, client cancel, shutdown).
+ *   kInternal  — an unexpected failure; not retryable by default.
  */
 enum class ErrorKind
 {
     kTransient,
-    kCorruption,
     kInvalid,
     kCancelled,
     kInternal,
 };
 
-/// Display name ("transient", "corruption", ...).
+/// Display name ("transient", "invalid", ...).
 const char *error_kind_name(ErrorKind kind);
 
 /// Exception thrown by armed fault points (and usable by real failure

@@ -5,8 +5,8 @@
  * hashing of tensors and cache keys.
  *
  * Both functions are fixed algorithms with stable outputs across
- * platforms and runs — cache keys derived from them are valid as on-disk
- * identities and the seed streams reproduce bit-identically everywhere.
+ * platforms and runs — cache keys derived from them are stable across
+ * processes and the seed streams reproduce bit-identically everywhere.
  */
 #pragma once
 

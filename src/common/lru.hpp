@@ -16,10 +16,9 @@
  * only; holders of the returned shared_ptr (including an in-flight
  * builder) keep the value alive.
  *
- * Every cache reads its capacity from the BITWAVE_CACHE_ENTRIES
- * environment variable, falling back to per-cache defaults, so
- * long-running batches can bound residency. The shard count is derived
- * (cache_shard_count), never configured.
+ * Every cache fixes its capacity where it is constructed, so
+ * long-running batches have bounded residency. The shard count is
+ * derived (cache_shard_count), never configured.
  */
 #pragma once
 
@@ -39,13 +38,6 @@
 #include "common/metrics.hpp"
 
 namespace bitwave {
-
-/**
- * Capacity of a process-wide cache in entries: the value of
- * BITWAVE_CACHE_ENTRIES when set to a positive integer, else
- * @p fallback. Read per call; never returns 0.
- */
-std::size_t cache_capacity_from_env(std::size_t fallback);
 
 /**
  * Fewest entries a shard holds (unless the whole cache holds fewer).

@@ -12,6 +12,7 @@
 #include "dataflow/su.hpp"
 #include "nn/workload.hpp"
 #include "sparsity/stats.hpp"
+#include "tensor/bitplane.hpp"
 #include "tensor/tensor.hpp"
 
 namespace bitwave {

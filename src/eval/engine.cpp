@@ -83,24 +83,29 @@ from_sim(const LayerSimResult &r)
     return e;
 }
 
-/// Build one layer's statistics record from packed bit planes (both
-/// representations share the content-hash plane cache).
+/// Build one layer's statistics record. Sparsity comes from the byte
+/// histogram; the column, BCS and CSR records read packed bit planes
+/// (both representations share the content-hash plane cache), fetched
+/// only when one of them is requested.
 LayerStatsEval
 build_layer_stats(const StatsSpec &spec, const Int8Tensor &w,
                   std::uint64_t weights_hash)
 {
     const int group = spec.group_size;
     LayerStatsEval stats;
+    stats.sparsity = compute_sparsity(w);
+    stats.weight_bits = w.numel() * 8;
+    if (!spec.column_stats && !spec.bcs && !spec.reference_codecs) {
+        return stats;
+    }
     const auto p2c = shared_bitplanes(
         w, Representation::kTwosComplement, weights_hash);
     const auto psm = shared_bitplanes(
         w, Representation::kSignMagnitude, weights_hash);
-    stats.sparsity = compute_sparsity(*p2c, *psm);
     if (spec.column_stats) {
         stats.columns_2c = analyze_bit_columns(*p2c, group);
         stats.columns_sm = analyze_bit_columns(*psm, group);
     }
-    stats.weight_bits = w.numel() * 8;
     if (spec.reference_codecs) {
         const auto zre = zre_compress(w);
         stats.zre_bits = zre.compressed_bits();
@@ -153,7 +158,7 @@ layer_stats(const Scenario &scenario, const WorkloadLayer &layer,
     }
 
     static ShardedLruCache<std::uint64_t, LayerStatsEval> memo(
-        cache_capacity_from_env(256), 0, "stats_memo");
+        256, 0, "stats_memo");
     bool was_hit = false;
     auto stats = memo.get_or_build(
         key, [&] { return build_layer_stats(spec, w, weights_hash); },

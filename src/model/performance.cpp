@@ -29,7 +29,7 @@ ShardedLruCache<std::uint64_t, WeightStatValue> &
 weight_stat_memo()
 {
     static ShardedLruCache<std::uint64_t, WeightStatValue> memo(
-        cache_capacity_from_env(4096), 0, "baseline_stats");
+        4096, 0, "baseline_stats");
     return memo;
 }
 

@@ -32,11 +32,11 @@ struct WorkloadLayer
      */
     double activation_sparsity = 0.0;
     /**
-     * FNV-1a content hash of `weights` (0 = not computed). Builders and
-     * the workload loader fill it in so caches keyed on weight content
-     * (Bit-Flip preparation, on-disk synthesis) avoid rehashing the
-     * tensors; hand-built layers may leave it 0 and pay an on-demand
-     * hash in the eval layer.
+     * FNV-1a content hash of `weights` (0 = not computed). Builders
+     * fill it in so caches keyed on weight content (Bit-Flip
+     * preparation, bit planes, stats) avoid rehashing the tensors;
+     * hand-built layers may leave it 0 and pay an on-demand hash in the
+     * eval layer.
      */
     std::uint64_t weights_hash = 0;
 
@@ -62,8 +62,8 @@ struct Workload
     double error_sensitivity = 40.0;
     /**
      * Content hash over the layer weight hashes and descriptors
-     * (0 = not computed). Identifies the synthesized instance for the
-     * on-disk synthesis cache and the Bit-Flip preparation cache.
+     * (0 = not computed). Identifies the synthesized instance: a
+     * scenario's fingerprint mixes it in for a custom workload.
      */
     std::uint64_t content_hash = 0;
     std::vector<WorkloadLayer> layers;

@@ -11,7 +11,6 @@
 #include "common/metrics.hpp"
 #include "common/worksteal.hpp"
 #include "nn/synthesis.hpp"
-#include "nn/workload_io.hpp"
 
 namespace bitwave {
 
@@ -27,8 +26,7 @@ struct SynthesisQueue
 {
     /// When set, materialize() is a no-op: builders then return the
     /// network *structure* only (descriptors, sparsity metadata, empty
-    /// weights) — the cheap skeleton the on-disk cache validates
-    /// against.
+    /// weights) — the cheap skeleton shape-only callers read.
     static thread_local bool skeleton_only;
 
     std::vector<WeightProfile> profiles;
@@ -333,69 +331,6 @@ build_workload_skeleton(WorkloadId id)
     return w;
 }
 
-namespace {
-
-/// A cached workload is only served if it still matches the structure
-/// the current builders would produce — a builder change (layer shapes,
-/// topology, metadata) silently invalidates old cache entries instead
-/// of silently serving them. Weight-profile-only changes are invisible
-/// to the skeleton; bump workload_io's format version for those.
-bool
-matches_current_builder(const Workload &loaded, WorkloadId id)
-{
-    const Workload skeleton = build_workload_skeleton(id);
-    if (loaded.name != skeleton.name ||
-        loaded.metric_name != skeleton.metric_name ||
-        loaded.base_metric != skeleton.base_metric ||
-        loaded.error_sensitivity != skeleton.error_sensitivity ||
-        loaded.layers.size() != skeleton.layers.size()) {
-        return false;
-    }
-    for (std::size_t i = 0; i < skeleton.layers.size(); ++i) {
-        const LayerDesc &a = loaded.layers[i].desc;
-        const LayerDesc &b = skeleton.layers[i].desc;
-        if (a.name != b.name || a.kind != b.kind || a.batch != b.batch ||
-            a.k != b.k || a.c != b.c || a.oy != b.oy || a.ox != b.ox ||
-            a.fy != b.fy || a.fx != b.fx || a.stride != b.stride ||
-            loaded.layers[i].activation_sparsity !=
-                skeleton.layers[i].activation_sparsity ||
-            loaded.layers[i].weight_scale !=
-                skeleton.layers[i].weight_scale) {
-            return false;
-        }
-    }
-    return true;
-}
-
-/// The shared instance of @p id: loaded from the on-disk cache
-/// (BITWAVE_WORKLOAD_CACHE) when it holds a current copy, else
-/// synthesized (and saved there, best effort).
-Workload
-load_or_build(WorkloadId id)
-{
-    constexpr std::uint64_t kSeed = 0x5eed;
-    const std::string dir = workload_cache_dir();
-    if (dir.empty()) {
-        return build_workload(id, kSeed);
-    }
-    // Cold path housekeeping: sweep temp droppings of writers that died
-    // mid-save, so the cache dir cannot fill with orphans under a
-    // long-running service.
-    remove_stale_temp_files(dir, /*max_age_seconds=*/600.0);
-    const std::string path =
-        workload_cache_path(dir, workload_name(id), kSeed);
-    Workload loaded;
-    if (load_cached_workload(path, &loaded) &&
-        matches_current_builder(loaded, id)) {
-        return loaded;
-    }
-    Workload built = build_workload(id, kSeed);
-    save_workload(built, path);  // best effort
-    return built;
-}
-
-}  // namespace
-
 std::shared_ptr<const Workload>
 shared_workload(WorkloadId id)
 {
@@ -413,7 +348,7 @@ shared_workload(WorkloadId id)
     Slot &slot = slots[static_cast<std::size_t>(id)];
     std::call_once(slot.once, [&] {
         metrics::counter("cache.workloads.misses").inc();
-        slot.workload = std::make_shared<const Workload>(load_or_build(id));
+        slot.workload = std::make_shared<const Workload>(build_workload(id));
     });
     return slot.workload;
 }

@@ -42,15 +42,15 @@ const char *workload_name(WorkloadId id);
 Workload build_workload(WorkloadId id, std::uint64_t seed = 0x5eed);
 
 /// Build a workload's structure only — descriptors and metadata, empty
-/// weight tensors. Cheap; the on-disk synthesis cache validates loaded
-/// entries against this so stale caches never survive builder changes.
+/// weight tensors. Cheap: callers that need only layer shapes or names
+/// (design feasibility checks, bench layer lists) skip weight synthesis.
 Workload build_workload_skeleton(WorkloadId id);
 
 /**
- * Shared synthesized instance of one workload (seed 0x5eed): built (or
- * loaded from the optional on-disk synthesis cache) on first request,
- * then held for the process lifetime — one slot per network, never
- * evicted. Each build counts into the `cache.workloads.misses` metric.
+ * Shared synthesized instance of one workload (seed 0x5eed): synthesized
+ * on first request, then held for the process lifetime — one slot per
+ * network, never evicted. Each build counts into the
+ * `cache.workloads.misses` metric.
  */
 std::shared_ptr<const Workload> shared_workload(WorkloadId id);
 

@@ -54,7 +54,7 @@ cached_cycle_stats(const BitPlanes &planes, const LayerDesc &desc,
             column_cycle_stats(planes, desc, group_size, ku));
     }
     static ShardedLruCache<std::uint64_t, ColumnCycleStats> memo(
-        cache_capacity_from_env(4096), 0, "mapping_cycles");
+        4096, 0, "mapping_cycles");
     return memo.get_or_build(
         cycle_stats_key(planes, desc, group_size, ku, content_hash),
         [&] { return column_cycle_stats(planes, desc, group_size, ku); });
@@ -72,7 +72,7 @@ cached_bcs_size(const BitPlanes &planes, int group_size,
         content_hash, static_cast<std::uint64_t>(planes.repr));
     key = hash_combine(key, static_cast<std::uint64_t>(group_size));
     static ShardedLruCache<std::uint64_t, BcsSizeInfo> memo(
-        cache_capacity_from_env(4096), 0, "mapping_bcs");
+        4096, 0, "mapping_bcs");
     return memo.get_or_build(
         key, [&] { return bcs_measure(planes, group_size); });
 }

@@ -95,10 +95,10 @@ struct MappingCost
 
 /**
  * Column-cycle statistics of one weight tensor under one (group, Ku)
- * accounting, served from a process-wide content-hash LRU
- * (BITWAVE_CACHE_ENTRIES). @p content_hash must identify the tensor
- * bytes (WorkloadLayer::weights_hash or a derived flip hash); 0 bypasses
- * the cache and computes directly.
+ * accounting, served from a process-wide content-hash LRU of 4096
+ * entries. @p content_hash must identify the tensor bytes
+ * (WorkloadLayer::weights_hash or a derived flip hash); 0 bypasses the
+ * cache and computes directly.
  */
 std::shared_ptr<const ColumnCycleStats>
 cached_cycle_stats(const BitPlanes &planes, const LayerDesc &desc,

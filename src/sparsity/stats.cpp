@@ -1,11 +1,9 @@
 #include "sparsity/stats.hpp"
 
 #include <array>
-#include <bit>
 #include <limits>
 
 #include "common/bits.hpp"
-#include "common/logging.hpp"
 
 namespace bitwave {
 
@@ -46,37 +44,6 @@ SparsityStats::merge(const SparsityStats &other)
     bits += other.bits;
     zero_bits_2c += other.zero_bits_2c;
     zero_bits_sm += other.zero_bits_sm;
-}
-
-SparsityStats
-compute_sparsity(const BitPlanes &planes_2c, const BitPlanes &planes_sm)
-{
-    if (planes_2c.repr != Representation::kTwosComplement ||
-        planes_sm.repr != Representation::kSignMagnitude ||
-        planes_2c.n != planes_sm.n) {
-        fatal("compute_sparsity: planes must be (2C, SM) of one tensor");
-    }
-    SparsityStats stats;
-    stats.words = planes_2c.n;
-    stats.bits = planes_2c.n * kWordBits;
-
-    std::int64_t set_2c = 0, set_sm = 0, nonzero_words = 0;
-    for (std::int64_t w = 0; w < planes_2c.words; ++w) {
-        std::uint64_t any = 0;
-        for (int b = 0; b < kWordBits; ++b) {
-            const std::uint64_t p2c = planes_2c.plane(b)[w];
-            any |= p2c;
-            set_2c += std::popcount(p2c);
-            set_sm += std::popcount(planes_sm.plane(b)[w]);
-        }
-        // Padding lanes are zero in every plane, so they never count as
-        // set bits and never mark a word non-zero.
-        nonzero_words += std::popcount(any);
-    }
-    stats.zero_words = planes_2c.n - nonzero_words;
-    stats.zero_bits_2c = stats.bits - set_2c;
-    stats.zero_bits_sm = stats.bits - set_sm;
-    return stats;
 }
 
 SparsityStats

@@ -12,7 +12,6 @@
 #include <cstdint>
 
 #include "common/bits.hpp"  // Representation lives with the bit utilities
-#include "tensor/bitplane.hpp"
 #include "tensor/tensor.hpp"
 
 namespace bitwave {
@@ -43,14 +42,5 @@ struct SparsityStats
 
 /// Compute sparsity statistics over all elements of @p tensor.
 SparsityStats compute_sparsity(const Int8Tensor &tensor);
-
-/**
- * Word-parallel sparsity statistics from pre-packed bit planes of the
- * SAME tensor in both representations: zero words fall out of an OR
- * across planes, zero bits out of plane popcounts. Bit-identical to
- * compute_sparsity() on the source tensor.
- */
-SparsityStats compute_sparsity(const BitPlanes &planes_2c,
-                               const BitPlanes &planes_sm);
 
 }  // namespace bitwave

@@ -287,7 +287,7 @@ bitplane_cache()
     // Sharded: concurrent warm lookups from the worker pool take a
     // shard's lock shared and never contend with each other.
     static ShardedLruCache<std::uint64_t, BitPlanes> cache(
-        cache_capacity_from_env(256), 0, "bitplanes");
+        256, 0, "bitplanes");
     return cache;
 }
 

@@ -137,8 +137,8 @@ void scan_zero_column_histogram(const BitPlanes &planes,
  * repeated kernels over the same weights (scenario sweeps, repeated
  * Bit-Flip preparations, stats re-runs) pack once and share the planes.
  * @p content_hash must identify the tensor bytes (pass
- * WorkloadLayer::weights_hash); 0 hashes on the fly. Capacity follows
- * BITWAVE_CACHE_ENTRIES (default 256 entries).
+ * WorkloadLayer::weights_hash); 0 hashes on the fly. Holds 256
+ * entries.
  */
 std::shared_ptr<const BitPlanes>
 shared_bitplanes(const Int8Tensor &tensor, Representation repr,

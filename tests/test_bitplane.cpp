@@ -4,7 +4,7 @@
  * kernels built on it: pack/segment correctness against per-element
  * encoding, and bit-identical results between the packed kernels and
  * their scalar oracles (column statistics, BCS measure/compress, cycle
- * statistics, sparsity) on randomized tensors in both representations.
+ * statistics) on randomized tensors in both representations.
  * Also home of the process-cache tests: ShardedLruCache's exact LRU
  * order on one shard, its derived shard count, and the concurrent-reader
  * paths the CI TSan job checks.
@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -23,7 +22,6 @@
 #include "dataflow/mapping.hpp"
 #include "nn/layer.hpp"
 #include "sparsity/bitcolumn.hpp"
-#include "sparsity/stats.hpp"
 #include "tensor/bitplane.hpp"
 
 namespace bitwave {
@@ -213,22 +211,6 @@ TEST(BitPlanes, ColumnCycleStatsMatchesScalar)
     }
 }
 
-TEST(BitPlanes, ComputeSparsityFromPlanesMatchesScalar)
-{
-    for (const std::int64_t n : {1LL, 64LL, 999LL, 5000LL}) {
-        const Int8Tensor t = random_tensor(n, 71 + n, 0.25);
-        const auto scalar = compute_sparsity(t);
-        const auto packed = compute_sparsity(
-            pack_bitplanes(t, Representation::kTwosComplement),
-            pack_bitplanes(t, Representation::kSignMagnitude));
-        EXPECT_EQ(packed.words, scalar.words);
-        EXPECT_EQ(packed.zero_words, scalar.zero_words);
-        EXPECT_EQ(packed.bits, scalar.bits);
-        EXPECT_EQ(packed.zero_bits_2c, scalar.zero_bits_2c);
-        EXPECT_EQ(packed.zero_bits_sm, scalar.zero_bits_sm);
-    }
-}
-
 // ------------------------------------------------------- shared cache ---
 
 TEST(BitPlanes, SharedPlanesHitTheContentCache)
@@ -279,16 +261,6 @@ TEST(ShardedLruCache, EvictsLeastRecentlyUsedAndRebuilds)
     EXPECT_EQ(builds, 4);
     EXPECT_EQ(cache.hits(), 1);
     EXPECT_EQ(cache.evictions(), 2);
-}
-
-TEST(ShardedLruCache, CapacityEnvOverride)
-{
-    ASSERT_EQ(setenv("BITWAVE_CACHE_ENTRIES", "7", 1), 0);
-    EXPECT_EQ(cache_capacity_from_env(99), 7u);
-    ASSERT_EQ(setenv("BITWAVE_CACHE_ENTRIES", "garbage", 1), 0);
-    EXPECT_EQ(cache_capacity_from_env(99), 99u);
-    ASSERT_EQ(unsetenv("BITWAVE_CACHE_ENTRIES"), 0);
-    EXPECT_EQ(cache_capacity_from_env(99), 99u);
 }
 
 TEST(ShardedLruCache, ShardCountKeepsEveryShardAboveTheFloor)

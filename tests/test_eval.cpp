@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "bitflip/bitflip.hpp"
+#include "common/metrics.hpp"
 #include "core/pipeline.hpp"
 #include "energy/pricing.hpp"
 #include "eval/error.hpp"
@@ -110,14 +111,14 @@ TEST(Scenario, RngSeedIsDeterministicAndPositionDependent)
 
 // A small private workload so eval tests never pay BERT/ResNet synthesis.
 Workload
-tiny_workload()
+tiny_workload(std::uint64_t seed = 7)
 {
     Workload net;
     net.name = "tiny";
     net.metric_name = "top-1";
     net.base_metric = 90.0;
     net.error_sensitivity = 40.0;
-    Rng rng(7);
+    Rng rng(seed);
     auto add = [&](LayerDesc desc, double act_sparsity) {
         WeightProfile profile;
         profile.scale = 6.0;
@@ -563,6 +564,37 @@ TEST(StatsEngine, MatchesDirectSparsityAnalysis)
     }
     EXPECT_EQ(r.engine, "stats");
     EXPECT_EQ(r.total_cycles, 0.0);
+}
+
+TEST(StatsEngine, SparsityOnlyScenarioPacksNoPlanes)
+{
+    // Sparsity comes from the byte histogram: a scenario that asks for
+    // no column, BCS or codec record packs no bit plane. The weights
+    // are fresh (a seed no other test draws), so neither the plane
+    // cache nor the stats memo can already hold them.
+    const auto net = std::make_shared<Workload>(tiny_workload(8191));
+    eval::Scenario s;
+    s.custom_workload = net;
+    s.engine = eval::EngineKind::kStats;
+    s.stats.column_stats = false;
+    s.stats.bcs = false;
+    s.stats.reference_codecs = false;
+
+    const auto &plane_misses = metrics::counter("cache.bitplanes.misses");
+    const std::uint64_t before = plane_misses.value();
+    const auto r = eval::evaluate_scenario(s);
+    EXPECT_EQ(plane_misses.value(), before);
+    ASSERT_EQ(r.layers.size(), net->layers.size());
+    for (std::size_t l = 0; l < r.layers.size(); ++l) {
+        ASSERT_TRUE(r.layers[l].stats != nullptr);
+        const SparsityStats &got = r.layers[l].stats->sparsity;
+        const SparsityStats want = compute_sparsity(net->layers[l].weights);
+        EXPECT_EQ(got.words, want.words);
+        EXPECT_EQ(got.zero_words, want.zero_words);
+        EXPECT_EQ(got.bits, want.bits);
+        EXPECT_EQ(got.zero_bits_2c, want.zero_bits_2c);
+        EXPECT_EQ(got.zero_bits_sm, want.zero_bits_sm);
+    }
 }
 
 TEST(StatsEngine, WarmReRunHitsTheStatsMemo)

@@ -5,23 +5,16 @@
  */
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/fault.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "nn/accuracy.hpp"
 #include "nn/reference.hpp"
 #include "nn/synthesis.hpp"
-#include "nn/workload_io.hpp"
 #include "nn/workloads.hpp"
 #include "sparsity/bitcolumn.hpp"
 #include "sparsity/stats.hpp"
@@ -176,273 +169,6 @@ TEST(Workloads, BuildersAreDeterministic)
         EXPECT_NE(layer.weights_hash, 0u);
         EXPECT_EQ(layer.weights_hash, layer.compute_weights_hash());
     }
-}
-
-TEST(WorkloadIo, SaveLoadRoundTripIsLossless)
-{
-    // Cold-vs-warm equivalence of the on-disk synthesis cache: a load
-    // must reproduce the built workload exactly.
-    const Workload built = build_cnn_lstm(7, /*timesteps=*/4);
-    const std::string path =
-        ::testing::TempDir() + "/bitwave_roundtrip.bwl";
-    ASSERT_TRUE(save_workload(built, path));
-
-    Workload loaded;
-    ASSERT_TRUE(load_workload(path, &loaded));
-    EXPECT_EQ(loaded.name, built.name);
-    EXPECT_EQ(loaded.metric_name, built.metric_name);
-    EXPECT_DOUBLE_EQ(loaded.base_metric, built.base_metric);
-    EXPECT_DOUBLE_EQ(loaded.error_sensitivity, built.error_sensitivity);
-    EXPECT_EQ(loaded.content_hash, built.content_hash);
-    ASSERT_EQ(loaded.layers.size(), built.layers.size());
-    for (std::size_t i = 0; i < built.layers.size(); ++i) {
-        EXPECT_EQ(loaded.layers[i].desc.name, built.layers[i].desc.name);
-        EXPECT_EQ(loaded.layers[i].desc.kind, built.layers[i].desc.kind);
-        EXPECT_EQ(loaded.layers[i].weights, built.layers[i].weights);
-        EXPECT_EQ(loaded.layers[i].weights_hash,
-                  built.layers[i].weights_hash);
-        EXPECT_DOUBLE_EQ(loaded.layers[i].activation_sparsity,
-                         built.layers[i].activation_sparsity);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(WorkloadIo, LoadRejectsMissingAndCorruptFiles)
-{
-    Workload out;
-    EXPECT_FALSE(load_workload("/nonexistent/nowhere.bwl", &out));
-
-    // A truncated file (as a crashed writer without the atomic rename
-    // would have produced) must fail soft, not crash or half-load.
-    const Workload built = build_cnn_lstm(7, /*timesteps=*/4);
-    const std::string path =
-        ::testing::TempDir() + "/bitwave_truncated.bwl";
-    ASSERT_TRUE(save_workload(built, path));
-    std::FILE *f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fclose(f);
-    ASSERT_EQ(std::remove(path.c_str()), 0);
-    f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::vector<char> prefix(static_cast<std::size_t>(size / 2));
-    // Rewrite only the first half of a valid file.
-    {
-        const std::string full =
-            ::testing::TempDir() + "/bitwave_full.bwl";
-        ASSERT_TRUE(save_workload(built, full));
-        std::FILE *src = std::fopen(full.c_str(), "rb");
-        ASSERT_NE(src, nullptr);
-        ASSERT_EQ(std::fread(prefix.data(), 1, prefix.size(), src),
-                  prefix.size());
-        std::fclose(src);
-        std::remove(full.c_str());
-    }
-    ASSERT_EQ(std::fwrite(prefix.data(), 1, prefix.size(), f),
-              prefix.size());
-    std::fclose(f);
-    EXPECT_FALSE(load_workload(path, &out));
-    std::remove(path.c_str());
-}
-
-TEST(WorkloadIo, CachePathIsStable)
-{
-    EXPECT_EQ(workload_cache_path("/tmp/cache", "CNN-LSTM", 0x5eed),
-              "/tmp/cache/CNN-LSTM-seed0000000000005eed-v3.bwl");
-}
-
-TEST(WorkloadIo, CachedLoadRemovesInvalidEntriesAndRecovers)
-{
-    // Regression: a corrupt cache entry (crashed writer predating the
-    // atomic rename, disk corruption) used to stay on disk and fail
-    // every cold start. load_cached_workload() must fail soft, unlink
-    // the entry, and let a rewritten entry load normally.
-    const Workload built = build_cnn_lstm(7, /*timesteps=*/4);
-    const std::string path =
-        ::testing::TempDir() + "/bitwave_cached_entry.bwl";
-    {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        const char garbage[] = "not a workload file";
-        ASSERT_EQ(std::fwrite(garbage, 1, sizeof garbage, f),
-                  sizeof garbage);
-        std::fclose(f);
-    }
-    Workload out;
-    EXPECT_FALSE(load_cached_workload(path, &out));
-    std::FILE *gone = std::fopen(path.c_str(), "rb");
-    EXPECT_EQ(gone, nullptr) << "invalid entry must be unlinked";
-    if (gone != nullptr) {
-        std::fclose(gone);
-    }
-
-    ASSERT_TRUE(save_workload(built, path));
-    EXPECT_TRUE(load_cached_workload(path, &out));
-    EXPECT_EQ(out.content_hash, built.content_hash);
-    std::remove(path.c_str());
-
-    // Missing files fail soft without inventing an unlink.
-    EXPECT_FALSE(load_cached_workload("/nonexistent/nowhere.bwl", &out));
-}
-
-TEST(WorkloadIo, ChecksumDetectsSingleBitCorruption)
-{
-    // v3 seals every entry with a trailing FNV-1a checksum: flipping
-    // any one byte of the image — including deep inside the weight
-    // payload, where v2's field validation could not look — must be
-    // detected, counted as corruption, and evicted.
-    const Workload built = build_cnn_lstm(7, /*timesteps=*/4);
-    const std::string path =
-        ::testing::TempDir() + "/bitwave_bitrot.bwl";
-    ASSERT_TRUE(save_workload(built, path));
-
-    long size = 0;
-    {
-        std::FILE *f = std::fopen(path.c_str(), "r+b");
-        ASSERT_NE(f, nullptr);
-        std::fseek(f, 0, SEEK_END);
-        size = std::ftell(f);
-        // Flip one bit in the middle of the image (weight bytes).
-        std::fseek(f, size / 2, SEEK_SET);
-        const int byte = std::fgetc(f);
-        ASSERT_NE(byte, EOF);
-        std::fseek(f, size / 2, SEEK_SET);
-        std::fputc(byte ^ 0x01, f);
-        std::fclose(f);
-    }
-
-    const WorkloadIoCounters before = workload_io_counters();
-    Workload out;
-    EXPECT_FALSE(load_cached_workload(path, &out));
-    const WorkloadIoCounters after = workload_io_counters();
-    EXPECT_EQ(after.corruption_detected, before.corruption_detected + 1);
-    EXPECT_EQ(after.entries_unlinked, before.entries_unlinked + 1);
-    std::FILE *gone = std::fopen(path.c_str(), "rb");
-    EXPECT_EQ(gone, nullptr) << "corrupt entry must be unlinked";
-    if (gone != nullptr) {
-        std::fclose(gone);
-    }
-
-    // Resynthesis path: a rewritten entry loads normally again.
-    ASSERT_TRUE(save_workload(built, path));
-    EXPECT_TRUE(load_cached_workload(path, &out));
-    EXPECT_EQ(out.content_hash, built.content_hash);
-    std::remove(path.c_str());
-}
-
-TEST(WorkloadIo, ChecksumDetectsTruncation)
-{
-    // A torn write (no atomic rename, power loss mid-copy): any prefix
-    // of a valid image must fail the checksum, not half-parse.
-    const Workload built = build_cnn_lstm(5, /*timesteps=*/2);
-    const std::string path =
-        ::testing::TempDir() + "/bitwave_torn.bwl";
-    ASSERT_TRUE(save_workload(built, path));
-    std::vector<char> image;
-    {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        ASSERT_NE(f, nullptr);
-        std::fseek(f, 0, SEEK_END);
-        image.resize(static_cast<std::size_t>(std::ftell(f)));
-        std::fseek(f, 0, SEEK_SET);
-        ASSERT_EQ(std::fread(image.data(), 1, image.size(), f),
-                  image.size());
-        std::fclose(f);
-    }
-    Workload out;
-    for (const std::size_t keep :
-         {image.size() - 1, image.size() / 2, std::size_t{7}}) {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        ASSERT_EQ(std::fwrite(image.data(), 1, keep, f), keep);
-        std::fclose(f);
-        EXPECT_FALSE(load_workload(path, &out))
-            << "torn prefix of " << keep << " bytes must not load";
-    }
-    std::remove(path.c_str());
-}
-
-TEST(WorkloadIo, TransientReadFaultKeepsEntry)
-{
-    // An injected transient read failure must NOT evict the (perfectly
-    // valid) cache entry: only corruption unlinks. Once the fault
-    // clears, the same entry loads normally.
-    const Workload built = build_cnn_lstm(5, /*timesteps=*/2);
-    const std::string path =
-        ::testing::TempDir() + "/bitwave_transient.bwl";
-    ASSERT_TRUE(save_workload(built, path));
-
-    fault::configure("workload_io.read=1:transient", /*seed=*/1);
-    const WorkloadIoCounters before = workload_io_counters();
-    Workload out;
-    EXPECT_FALSE(load_cached_workload(path, &out));
-    fault::reset();
-    const WorkloadIoCounters after = workload_io_counters();
-    EXPECT_EQ(after.read_faults, before.read_faults + 1);
-    EXPECT_EQ(after.entries_unlinked, before.entries_unlinked);
-
-    EXPECT_TRUE(load_cached_workload(path, &out))
-        << "entry must survive a transient read failure";
-    EXPECT_EQ(out.content_hash, built.content_hash);
-    std::remove(path.c_str());
-}
-
-TEST(WorkloadIo, WriteFaultFailsSoft)
-{
-    // An injected write failure is a cold miss, not an error: save
-    // reports false, counts it, and leaves no file behind.
-    const Workload built = build_cnn_lstm(5, /*timesteps=*/2);
-    const std::string path =
-        ::testing::TempDir() + "/bitwave_failed_save.bwl";
-    fault::configure("workload_io.write=1:transient", /*seed=*/1);
-    const WorkloadIoCounters before = workload_io_counters();
-    EXPECT_FALSE(save_workload(built, path));
-    fault::reset();
-    const WorkloadIoCounters after = workload_io_counters();
-    EXPECT_EQ(after.save_failures, before.save_failures + 1);
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_EQ(f, nullptr);
-    if (f != nullptr) {
-        std::fclose(f);
-    }
-}
-
-TEST(WorkloadIo, StaleTempFileCleanup)
-{
-    // Writers publish via `<path>.tmp.<pid>` + rename; a crashed writer
-    // leaks the temp. The cache cold path sweeps temps older than the
-    // age cutoff and must leave fresh temps (a live concurrent writer)
-    // and real entries alone.
-    const std::string dir = ::testing::TempDir() + "/bitwave_tmp_sweep";
-    ASSERT_EQ(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST, true);
-    const std::string leaked = dir + "/entry.bwl.tmp.12345";
-    const std::string entry = dir + "/entry.bwl";
-    for (const auto &p : {leaked, entry}) {
-        std::FILE *f = std::fopen(p.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        std::fputs("x", f);
-        std::fclose(f);
-    }
-
-    // Generous cutoff: the just-written temp is fresh, nothing goes.
-    EXPECT_EQ(remove_stale_temp_files(dir, /*max_age_seconds=*/3600.0), 0);
-    // Zero cutoff: every temp is stale; the published entry survives.
-    EXPECT_EQ(remove_stale_temp_files(dir, /*max_age_seconds=*/0.0), 1);
-    std::FILE *f = std::fopen(leaked.c_str(), "rb");
-    EXPECT_EQ(f, nullptr);
-    if (f != nullptr) {
-        std::fclose(f);
-    }
-    f = std::fopen(entry.c_str(), "rb");
-    ASSERT_NE(f, nullptr) << "published entries must never be swept";
-    std::fclose(f);
-
-    // Nonexistent directory: soft no-op.
-    EXPECT_EQ(remove_stale_temp_files(dir + "/nope", 0.0), 0);
-
-    std::remove(entry.c_str());
-    ::rmdir(dir.c_str());
 }
 
 TEST(Workloads, LayerIndexLookup)
