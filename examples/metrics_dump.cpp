@@ -2,9 +2,11 @@
  * @file
  * Observability tour: run a small burst of duplicate-heavy requests
  * through the evaluation service with metrics and span tracing armed,
- * then dump the whole registry — every counter the service, runner,
- * caches, workload IO and fault layer maintain, plus the request
- * phase histograms — in Prometheus text format (default) or JSON.
+ * then dump the whole registry — every counter the runner, caches and
+ * fault layer maintain, plus the runner's histograms — in Prometheus
+ * text format (default) or JSON. The service's own counters are per
+ * instance: the stderr footer reads its dedup hits and compute p50
+ * from stats().
  *
  * Run: ./metrics_dump [--json] [--trace out.json]
  *   --json        render the registry as JSON instead of Prometheus
@@ -70,7 +72,7 @@ main(int argc, char **argv)
     for (auto &ticket : tickets) {
         ticket.wait();
     }
-    const auto stats = svc.stats();  // samples the queue-depth gauge
+    const auto stats = svc.stats();
 
     const auto snap = metrics::snapshot();
     std::printf("%s", as_json ? metrics::render_json(snap).c_str()

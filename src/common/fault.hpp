@@ -14,7 +14,7 @@
  *     failure that is *not* retryable.
  *   - `delay`     — sleep the caller for a configured number of
  *     milliseconds, then continue normally: a stalled disk or a
- *     descheduled VM. Feeds the service watchdog.
+ *     descheduled VM. Feeds the runner's stall budget.
  *
  * Configuration comes from `BITWAVE_FAULT_SPEC` (comma-separated
  * `point[@tag]=probability[:kind[:delay_ms]]` entries, `*` matching

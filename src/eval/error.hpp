@@ -6,7 +6,8 @@
  * and service/ layers their named exception type. EvalError is what a
  * failed EvalTicket carries: the kind drives the healing decisions (the
  * runner retries kTransient layer ranges in place; everything else
- * fails its scenario, and the service quarantines the fingerprint).
+ * fails its scenario, and the service keeps a kInvalid failure to
+ * answer identical resubmissions).
  */
 #pragma once
 

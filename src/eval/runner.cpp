@@ -12,6 +12,7 @@
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "common/worksteal.hpp"
+#include "eval/error.hpp"
 
 namespace bitwave::eval {
 
@@ -133,11 +134,14 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
     std::vector<std::atomic<bool>> failed(n);
     std::vector<std::exception_ptr> errors(n);
     std::atomic<std::int64_t> retries{0};
+    std::atomic<bool> stalled{false};
     const std::atomic<bool> *cancel = options_.cancel;
+    const double stall_budget = options_.stall_budget_seconds;
 
     // Run one piece of scenario i's work — its preparation or one layer
     // range — re-running it in place while it throws kTransient and
-    // attempts remain. Skipped once the scenario has ended.
+    // attempts remain. Skipped once the scenario has ended; cancellation
+    // and the stall budget end it before the piece starts.
     const auto attempt = [&](std::size_t i, const auto &body) {
         for (int k = 1;; ++k) {
             if (failed[i].load(std::memory_order_relaxed)) {
@@ -145,18 +149,24 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
             }
             std::exception_ptr error;
             bool transient = false;
-            try {
-                if (cancel != nullptr &&
-                    cancel->load(std::memory_order_relaxed)) {
-                    throw BatchCancelled();
+            if (cancel != nullptr &&
+                cancel->load(std::memory_order_relaxed)) {
+                error = std::make_exception_ptr(BatchCancelled());
+            } else if (stall_budget > 0.0 &&
+                       seconds_since(t0) > stall_budget) {
+                stalled.store(true, std::memory_order_relaxed);
+                error = std::make_exception_ptr(EvalError(
+                    ErrorKind::kTransient, "stall budget exceeded"));
+            } else {
+                try {
+                    body();
+                    return;
+                } catch (const FaultError &e) {
+                    error = std::current_exception();
+                    transient = e.kind() == ErrorKind::kTransient;
+                } catch (...) {
+                    error = std::current_exception();
                 }
-                body();
-                return;
-            } catch (const FaultError &e) {
-                error = std::current_exception();
-                transient = e.kind() == ErrorKind::kTransient;
-            } catch (...) {
-                error = std::current_exception();
             }
             if (!transient || k >= retry.max_attempts) {
                 if (!failed[i].exchange(true, std::memory_order_relaxed)) {
@@ -335,6 +345,7 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
         report->chunks = sched.chunks;
         report->steals = sched.steals;
         report->retries = retries.load(std::memory_order_relaxed);
+        report->stalled = stalled.load(std::memory_order_relaxed);
         report->wall_seconds = wall_seconds;
         report->scenario_seconds_sum = 0.0;
         for (const auto &o : outcomes) {

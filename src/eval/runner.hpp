@@ -27,7 +27,9 @@
  * function of (scenario seed, layer index), the re-run is bit-identical
  * to a fault-free one. Any other error, or the last attempt's, ends
  * that scenario alone: its remaining ranges are skipped and its
- * siblings finish normally.
+ * siblings finish normally. Cancellation and the stall budget end
+ * scenarios at the same points, before a piece starts, and are never
+ * retried.
  */
 #pragma once
 
@@ -79,10 +81,18 @@ struct RunnerOptions
      * scenario that has not finished ends with BatchCancelled; finished
      * ones keep their results. The flag must outlive the run call;
      * nullptr (default) disables cancellation. The evaluation service
-     * sets this per batch to implement request deadlines, client
-     * cancels and its stall watchdog.
+     * sets this per batch to implement request deadlines and client
+     * cancels.
      */
     const std::atomic<bool> *cancel = nullptr;
+    /**
+     * Wall-time budget of one run call, checked where `cancel` is
+     * polled: once the batch has run longer, every scenario that has
+     * not finished ends with EvalError(kTransient, "stall budget
+     * exceeded"), which is not retried in place, and the report says
+     * `stalled`. <= 0 (default) disables it.
+     */
+    double stall_budget_seconds = 0.0;
 };
 
 /**
@@ -115,6 +125,7 @@ struct RunnerReport
     std::int64_t steals = 0;   ///< Cross-worker steals.
     std::int64_t retries = 0;  ///< In-place retries of transient
                                ///< failures (RetryPolicy).
+    bool stalled = false;      ///< The stall budget ended a scenario.
     double wall_seconds = 0.0;          ///< End-to-end batch wall time.
     double scenario_seconds_sum = 0.0;  ///< Sum of per-scenario costs.
 

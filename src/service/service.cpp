@@ -1,8 +1,10 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
+#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -44,18 +46,11 @@ struct TicketState
 /// Cooperative abort shared by the jobs of one runner batch: live_jobs
 /// counts jobs that still have subscribers; when the last one detaches,
 /// `cancel` flips and the runner ends every unfinished job at its next
-/// layer range. The watchdog flips the same flag when the batch outruns
-/// its stall budget (and marks watchdog_fired so the abort classifies
-/// as transient).
+/// layer range.
 struct BatchControl
 {
     std::atomic<bool> cancel{false};
     std::atomic<int> live_jobs{0};
-    std::atomic<bool> watchdog_fired{false};
-    /// Published by `running` (release/acquire): the watchdog only reads
-    /// `started` after observing running == true.
-    Clock::time_point started;
-    std::atomic<bool> running{false};
 };
 
 /// One deduplicated evaluation: the unit the queue and batcher move.
@@ -63,6 +58,8 @@ struct BatchControl
 struct Job
 {
     std::uint64_t fingerprint = 0;
+    /// Read only by the dispatcher that popped the job; a kept failure
+    /// drops it (see finish_job_locked).
     eval::Scenario scenario;
     std::uint64_t seed = 0;  ///< Pinned standalone seed (batch-invariant).
     /// Trace-clock phase stamps. submit_ns is written once at
@@ -77,102 +74,30 @@ struct Job
     bool done GUARDED_BY(mutex) = false;
     /// Non-null while evaluating.
     BatchControl *batch GUARDED_BY(mutex) = nullptr;
-    TicketStatus outcome GUARDED_BY(mutex) = TicketStatus::kDone;
-    /// Valid when done && outcome == kDone.
+    /// The evaluated result, moved in just before a kDone finish.
     eval::ScenarioResult result GUARDED_BY(mutex);
+    /// Set when done; a kept failure answers resubmissions with them.
     std::exception_ptr error GUARDED_BY(mutex);
-};
-
-/// Quarantine record of a terminally failed fingerprint: identical
-/// resubmissions fail fast with the recorded payload until expiry.
-struct QuarantineEntry
-{
-    Clock::time_point expires;
-    std::exception_ptr error;
-    ErrorKind kind = ErrorKind::kInternal;
-};
-
-/// Per-instance counter that mirrors every bump into a process-wide
-/// registry counter: stats() keeps reading the instance-local value
-/// (fresh services start at zero), while metrics::snapshot() sees the
-/// aggregate service.* counters across all instances. Call sites keep
-/// the plain `counter++` / `counter += n` / `counter.load()` shape of
-/// the old raw atomics.
-struct MirroredCounter
-{
-    std::atomic<std::uint64_t> local{0};
-    metrics::Counter *mirror = nullptr;
-
-    void operator++(int)
-    {
-        local.fetch_add(1, std::memory_order_relaxed);
-        if (mirror != nullptr) {
-            mirror->inc();
-        }
-    }
-
-    void operator+=(std::uint64_t n)
-    {
-        local.fetch_add(n, std::memory_order_relaxed);
-        if (mirror != nullptr) {
-            mirror->inc(n);
-        }
-    }
-
-    /// Named value() (not load()) on purpose: this is a plain counter
-    /// read, not a std::atomic access, and the repo lint requires every
-    /// atomic load to spell its memory order.
-    std::uint64_t value() const
-    {
-        return local.load(std::memory_order_relaxed);
-    }
+    ErrorKind error_kind GUARDED_BY(mutex) = ErrorKind::kInternal;
 };
 
 struct ServiceShared
 {
-    explicit ServiceShared(std::size_t capacity) : queue(capacity)
-    {
-        submitted.mirror = &metrics::counter("service.submitted");
-        dedup_hits.mirror = &metrics::counter("service.dedup_hits");
-        completed.mirror = &metrics::counter("service.completed");
-        failed.mirror = &metrics::counter("service.failed");
-        rejected.mirror = &metrics::counter("service.rejected");
-        shed.mirror = &metrics::counter("service.shed");
-        cancelled.mirror = &metrics::counter("service.cancelled");
-        deadline_expired.mirror =
-            &metrics::counter("service.deadline_expired");
-        shutdown_discarded.mirror =
-            &metrics::counter("service.shutdown_discarded");
-        batches.mirror = &metrics::counter("service.batches");
-        batched_jobs.mirror = &metrics::counter("service.batched_jobs");
-        steals.mirror = &metrics::counter("service.steals");
-        chunks.mirror = &metrics::counter("service.chunks");
-        retries.mirror = &metrics::counter("service.retries");
-        quarantined.mirror = &metrics::counter("service.quarantined");
-        quarantine_hits.mirror =
-            &metrics::counter("service.quarantine_hits");
-        watchdog_cancels.mirror =
-            &metrics::counter("service.watchdog_cancels");
-    }
+    explicit ServiceShared(std::size_t capacity) : queue(capacity) {}
 
     MpmcQueue<std::shared_ptr<Job>> queue;
     std::atomic<bool> abort{false};  ///< shutdown(kAbort) in progress.
 
-    MutexCap jobs_mutex;  ///< Guards in_flight/active_batches/quarantine.
-    /// Dedup index: fingerprint -> the Job new submissions attach to.
-    /// Entries leave the map the moment their job completes or is
-    /// abandoned, so a hit is always attachable.
+    MutexCap jobs_mutex;  ///< Guards jobs/kept/active_batches.
+    /// The outcome table: fingerprint -> the Job new submissions attach
+    /// to. A job leaves it when it completes or is abandoned, unless it
+    /// failed kInvalid: then it stays, done, so that resubmissions are
+    /// answered at submit().
     std::unordered_map<std::uint64_t, std::shared_ptr<Job>>
-        in_flight GUARDED_BY(jobs_mutex);
+        jobs GUARDED_BY(jobs_mutex);
+    /// Fingerprints of the kept failures, oldest first.
+    std::deque<std::uint64_t> kept GUARDED_BY(jobs_mutex);
     std::vector<BatchControl *> active_batches GUARDED_BY(jobs_mutex);
-    std::unordered_map<std::uint64_t, QuarantineEntry>
-        quarantine GUARDED_BY(jobs_mutex);
-
-    /// Watchdog parking: the thread sleeps on the cv and wakes to scan
-    /// active_batches; shutdown sets stop and notifies.
-    MutexCap watchdog_mutex;
-    CondVarCap watchdog_cv;
-    bool watchdog_stop GUARDED_BY(watchdog_mutex) = false;
 
     /// Sliding window of the last <= 32 evaluation-attempt outcomes
     /// (bit = failure), the input to the health state.
@@ -181,40 +106,26 @@ struct ServiceShared
     int health_count GUARDED_BY(health_mutex) = 0;
     std::atomic<int> health{static_cast<int>(HealthState::kHealthy)};
 
-    MirroredCounter submitted;
-    MirroredCounter dedup_hits;
-    MirroredCounter completed;
-    MirroredCounter failed;
-    MirroredCounter rejected;
-    MirroredCounter shed;
-    MirroredCounter cancelled;
-    MirroredCounter deadline_expired;
-    MirroredCounter shutdown_discarded;
-    MirroredCounter batches;
-    MirroredCounter batched_jobs;
-    MirroredCounter steals;
-    MirroredCounter chunks;
-    MirroredCounter retries;
-    MirroredCounter quarantined;
-    MirroredCounter quarantine_hits;
-    MirroredCounter watchdog_cancels;
+    /// This instance's counters; stats() reads them.
+    metrics::Counter submitted;
+    metrics::Counter dedup_hits;
+    /// Finished tickets per TicketStatus (the non-terminal slots stay 0).
+    std::array<metrics::Counter,
+               static_cast<std::size_t>(TicketStatus::kShutdown) + 1>
+        finished;
+    metrics::Counter batches;
+    metrics::Counter batched_jobs;
+    metrics::Counter steals;
+    metrics::Counter chunks;
+    metrics::Counter retries;
+    metrics::Counter quarantined;
+    metrics::Counter watchdog_cancels;
 
     /// Per-phase latency histograms (ungated: always recorded so
-    /// stats() is populated without BITWAVE_METRICS), plus gated
-    /// registry mirrors for Prometheus/JSON export.
+    /// stats() is populated without BITWAVE_METRICS).
     metrics::Histogram phase_queue{/*gated=*/false};
     metrics::Histogram phase_batch{/*gated=*/false};
     metrics::Histogram phase_compute{/*gated=*/false};
-    metrics::Histogram &mirror_queue =
-        metrics::histogram("service.queue_wait_ns");
-    metrics::Histogram &mirror_batch =
-        metrics::histogram("service.batch_ns");
-    metrics::Histogram &mirror_compute =
-        metrics::histogram("service.compute_ns");
-    /// Sampled on stats() reads; the handle is resolved here so the
-    /// stats() hot path stays allocation-free.
-    metrics::Gauge &queue_depth_gauge =
-        metrics::gauge("service.queue_depth");
 };
 
 namespace {
@@ -283,8 +194,7 @@ record_attempt(ServiceShared &shared, bool ok)
                         std::memory_order_relaxed);
 }
 
-/// Move @p state to a terminal status (idempotent) and bump the
-/// matching service counter.
+/// Move @p state to a terminal status (idempotent) and count it.
 void
 finish_ticket(ServiceShared &shared, TicketState &state, TicketStatus status,
               const eval::ScenarioResult *result,
@@ -306,26 +216,16 @@ finish_ticket(ServiceShared &shared, TicketState &state, TicketStatus status,
         // Bump before the waiter can observe the terminal status (it
         // holds state.mutex inside wait()), so a stats() snapshot taken
         // right after wait() returns already includes this ticket.
-        switch (status) {
-          case TicketStatus::kDone: shared.completed++; break;
-          case TicketStatus::kFailed: shared.failed++; break;
-          case TicketStatus::kRejected: shared.rejected++; break;
-          case TicketStatus::kShed: shared.shed++; break;
-          case TicketStatus::kCancelled: shared.cancelled++; break;
-          case TicketStatus::kDeadlineExpired:
-            shared.deadline_expired++;
-            break;
-          case TicketStatus::kShutdown: shared.shutdown_discarded++; break;
-          case TicketStatus::kQueued:
-          case TicketStatus::kRunning:
-            panic("finish_ticket with non-terminal status");
-        }
+        shared.finished[static_cast<std::size_t>(status)].inc();
     }
     state.cv.notify_all();
 }
 
-/// Complete a whole job: mark it done, drop it from the dedup index and
-/// resolve every subscriber.
+/// Complete a whole job and resolve every subscriber. The job leaves
+/// the outcome table unless evaluation failed it as kInvalid: that
+/// request can only fail again, so it stays (without its Scenario,
+/// which may pin a custom workload) and the oldest kept failure past
+/// kMaxKeptFailures is evicted.
 void
 finish_job_locked(ServiceShared &shared, Job &job, TicketStatus status,
                   const std::exception_ptr &error,
@@ -333,11 +233,21 @@ finish_job_locked(ServiceShared &shared, Job &job, TicketStatus status,
     REQUIRES(shared.jobs_mutex, job.mutex)
 {
     job.done = true;
-    job.outcome = status;
     job.error = error;
-    auto it = shared.in_flight.find(job.fingerprint);
-    if (it != shared.in_flight.end() && it->second.get() == &job) {
-        shared.in_flight.erase(it);
+    job.error_kind = kind;
+    auto it = shared.jobs.find(job.fingerprint);
+    if (it != shared.jobs.end() && it->second.get() == &job) {
+        if (status == TicketStatus::kFailed && kind == ErrorKind::kInvalid) {
+            job.scenario = eval::Scenario{};
+            shared.kept.push_back(job.fingerprint);
+            shared.quarantined.inc();
+            if (shared.kept.size() > kMaxKeptFailures) {
+                shared.jobs.erase(shared.kept.front());
+                shared.kept.pop_front();
+            }
+        } else {
+            shared.jobs.erase(it);
+        }
     }
     const eval::ScenarioResult *result =
         status == TicketStatus::kDone ? &job.result : nullptr;
@@ -348,16 +258,16 @@ finish_job_locked(ServiceShared &shared, Job &job, TicketStatus status,
 }
 
 /// The last subscriber left @p job before it completed: pull it out of
-/// the dedup index and, if it is evaluating, vote its batch toward
+/// the outcome table and, if it is evaluating, vote its batch toward
 /// abort.
 void
 abandon_job_locked(ServiceShared &shared, Job &job)
     REQUIRES(shared.jobs_mutex, job.mutex)
 {
     job.abandoned = true;
-    auto it = shared.in_flight.find(job.fingerprint);
-    if (it != shared.in_flight.end() && it->second.get() == &job) {
-        shared.in_flight.erase(it);
+    auto it = shared.jobs.find(job.fingerprint);
+    if (it != shared.jobs.end() && it->second.get() == &job) {
+        shared.jobs.erase(it);
     }
     if (job.batch != nullptr &&
         job.batch->live_jobs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -430,6 +340,9 @@ EvalTicket::status() const
 void
 EvalTicket::wait() const
 {
+    if (!valid()) {
+        return;
+    }
     MutexLock lock(state_->mutex);
     while (!ticket_status_terminal(state_->status)) {
         state_->cv.wait(state_->mutex);
@@ -439,6 +352,9 @@ EvalTicket::wait() const
 bool
 EvalTicket::wait_for(double seconds) const
 {
+    if (!valid()) {
+        return true;
+    }
     // A wait beyond the clock's headroom (~292 years) is an unbounded
     // wait: the duration_cast below would overflow on it.
     if (!(seconds < 1e9)) {
@@ -461,6 +377,9 @@ EvalTicket::wait_for(double seconds) const
 const eval::ScenarioResult &
 EvalTicket::result() const
 {
+    if (!valid()) {
+        throw std::runtime_error("evaluation request rejected");
+    }
     wait();
     MutexLock lock(state_->mutex);
     if (state_->status == TicketStatus::kDone) {
@@ -480,7 +399,7 @@ EvalTicket::cancel()
         return false;
     }
     if (!job_) {
-        return false;  // failed fast at submit (quarantine / admission)
+        return false;  // answered at submit by a kept failure
     }
     MutexLock jobs_lock(shared_->jobs_mutex);
     MutexLock job_lock(job_->mutex);
@@ -509,6 +428,9 @@ EvalTicket::deduped() const
 double
 EvalTicket::latency_seconds() const
 {
+    if (!valid()) {
+        return 0.0;
+    }
     MutexLock lock(state_->mutex);
     return std::chrono::duration<double>(state_->completed -
                                          state_->submitted).count();
@@ -541,9 +463,6 @@ EvalService::EvalService(ServiceOptions options)
     for (int i = 0; i < options_.dispatchers; ++i) {
         dispatchers_.emplace_back([this] { dispatcher_loop(); });
     }
-    if (options_.stall_budget_seconds > 0.0) {
-        watchdog_ = std::thread([this] { watchdog_loop(); });
-    }
 }
 
 EvalService::~EvalService()
@@ -562,7 +481,7 @@ EvalService::submit(const eval::Scenario &scenario,
         state->deadline = detail::saturating_deadline(
             state->submitted, submit_options.deadline_seconds);
     }
-    shared_->submitted++;
+    shared_->submitted.inc();
 
     EvalTicket ticket;
     ticket.shared_ = shared_;
@@ -571,37 +490,30 @@ EvalService::submit(const eval::Scenario &scenario,
     const std::uint64_t fingerprint = eval::scenario_fingerprint(scenario);
     {
         MutexLock jobs_lock(shared_->jobs_mutex);
-        auto it = shared_->in_flight.find(fingerprint);
-        if (it != shared_->in_flight.end()) {
+        auto it = shared_->jobs.find(fingerprint);
+        if (it != shared_->jobs.end()) {
             // Identical request already queued or evaluating: attach as
-            // another subscriber — one evaluation, N completions.
+            // another subscriber — one evaluation, N completions. A kept
+            // failure answers right here with its stored error.
             auto job = it->second;
             MutexLock job_lock(job->mutex);
             state->deduped = true;
+            shared_->dedup_hits.inc();
+            trace::instant("service.dedup_hit", "service", "fingerprint",
+                           fingerprint);
+            if (job->done) {
+                detail::finish_ticket(*shared_, *state,
+                                      TicketStatus::kFailed, nullptr,
+                                      job->error, job->error_kind);
+                return ticket;
+            }
             if (job->batch != nullptr) {
                 MutexLock lock(state->mutex);
                 state->status = TicketStatus::kRunning;
             }
             job->subscribers.push_back(state);
-            shared_->dedup_hits++;
-            trace::instant("service.dedup_hit", "service", "fingerprint",
-                           fingerprint);
             ticket.job_ = std::move(job);
             return ticket;
-        }
-        // Quarantine: a fingerprint that just failed terminally fails
-        // fast with the recorded payload instead of re-burning the pool;
-        // an expired entry is readmitted.
-        auto q = shared_->quarantine.find(fingerprint);
-        if (q != shared_->quarantine.end()) {
-            if (state->submitted < q->second.expires) {
-                shared_->quarantine_hits++;
-                detail::finish_ticket(*shared_, *state,
-                                      TicketStatus::kFailed, nullptr,
-                                      q->second.error, q->second.kind);
-                return ticket;  // no job: fail-fast ticket
-            }
-            shared_->quarantine.erase(q);
         }
         auto job = std::make_shared<detail::Job>();
         job->fingerprint = fingerprint;
@@ -617,16 +529,8 @@ EvalService::submit(const eval::Scenario &scenario,
             MutexLock job_lock(job->mutex);
             job->subscribers.push_back(state);
         }
-        shared_->in_flight.emplace(fingerprint, job);
+        shared_->jobs.emplace(fingerprint, job);
         ticket.job_ = std::move(job);
-    }
-
-    // Under kFailing health the service sheds load instead of blocking
-    // or bouncing every submitter behind a storm of failing requests.
-    BackpressurePolicy policy = options_.policy;
-    if (static_cast<HealthState>(shared_->health.load(
-            std::memory_order_relaxed)) == HealthState::kFailing) {
-        policy = BackpressurePolicy::kShedOldest;
     }
 
     // Admission happens outside jobs_mutex: under kBlock this can wait
@@ -640,7 +544,7 @@ EvalService::submit(const eval::Scenario &scenario,
     for (int attempt = 1;; ++attempt) {
         try {
             admission_error = nullptr;
-            switch (policy) {
+            switch (options_.policy) {
               case BackpressurePolicy::kBlock:
                 admitted = shared_->queue.push(ticket.job_);
                 break;
@@ -659,7 +563,7 @@ EvalService::submit(const eval::Scenario &scenario,
                 attempt >= options_.retry.max_attempts) {
                 break;
             }
-            shared_->retries++;
+            shared_->retries.inc();
         }
     }
     if (admission_error) {
@@ -789,8 +693,7 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
 
     // One runner call, one outcome per job: a failing job fails alone,
     // and transient failures were already retried in place per layer
-    // range. Publish the start for the watchdog first (release pairs
-    // with its acquire of `running`).
+    // range.
     std::vector<eval::Scenario> scenarios;
     std::vector<std::uint64_t> seeds;
     scenarios.reserve(live.size());
@@ -802,13 +705,10 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
     eval::RunnerOptions runner_options = options_.runner;
     runner_options.cancel = &control.cancel;
     eval::RunnerReport report;
-    control.started = Clock::now();
-    control.running.store(true, std::memory_order_release);
     const std::uint64_t eval_start_ns = trace::now_ns();
     auto outcomes = eval::ScenarioRunner(runner_options)
                         .run_outcomes(scenarios, seeds, options_.retry,
                                       &report);
-    control.running.store(false, std::memory_order_relaxed);
     const std::uint64_t eval_end_ns = trace::now_ns();
     const auto chunks = static_cast<std::uint64_t>(
         std::max<std::int64_t>(report.chunks, 0));
@@ -822,23 +722,18 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
         return a > b ? a - b : 0;
     };
 
-    // A cancelled job was abandoned by every subscriber, cut short by
-    // shutdown(kAbort), or reclaimed by the watchdog; only the last
-    // counts as evaluated, as a terminal transient failure.
-    const bool stalled =
-        control.watchdog_fired.load(std::memory_order_relaxed);
+    if (report.stalled) {
+        shared_->watchdog_cancels.inc();
+        trace::instant("service.watchdog_cancel", "service");
+    }
+
+    // A cancelled job was abandoned by every subscriber or cut short by
+    // shutdown(kAbort), so it does not count as evaluated. The stall
+    // budget ends a job as kTransient, which does.
     std::vector<ErrorKind> kinds(live.size(), ErrorKind::kInternal);
     for (std::size_t i = 0; i < live.size(); ++i) {
-        auto &out = outcomes[i];
-        if (!out.error) {
-            continue;
-        }
-        kinds[i] = detail::classify(out.error);
-        if (kinds[i] == ErrorKind::kCancelled && stalled) {
-            kinds[i] = ErrorKind::kTransient;
-            out.error = std::make_exception_ptr(eval::EvalError(
-                ErrorKind::kTransient,
-                "cancelled by watchdog: stall budget exceeded"));
+        if (outcomes[i].error) {
+            kinds[i] = detail::classify(outcomes[i].error);
         }
     }
     const auto evaluated = [&](std::size_t i) {
@@ -864,13 +759,13 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
             }
         }
         if (evaluated_jobs > 0) {
-            shared_->batches++;
-            shared_->batched_jobs += evaluated_jobs;
-            shared_->steals += static_cast<std::uint64_t>(
-                std::max<std::int64_t>(report.steals, 0));
-            shared_->chunks += chunks;
-            shared_->retries += static_cast<std::uint64_t>(
-                std::max<std::int64_t>(report.retries, 0));
+            shared_->batches.inc();
+            shared_->batched_jobs.inc(evaluated_jobs);
+            shared_->steals.inc(static_cast<std::uint64_t>(
+                std::max<std::int64_t>(report.steals, 0)));
+            shared_->chunks.inc(chunks);
+            shared_->retries.inc(static_cast<std::uint64_t>(
+                std::max<std::int64_t>(report.retries, 0)));
         }
         for (std::size_t i = 0; i < live.size(); ++i) {
             auto &job = *live[i];
@@ -893,9 +788,6 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
                 shared_->phase_queue.record(queue_ns);
                 shared_->phase_batch.record(batch_ns);
                 shared_->phase_compute.record(compute_ns);
-                shared_->mirror_queue.record(queue_ns);
-                shared_->mirror_batch.record(batch_ns);
-                shared_->mirror_compute.record(compute_ns);
                 if (trace::enabled()) {
                     trace::emit_complete("service.queue_wait", "service",
                                          job.submit_ns, queue_ns,
@@ -928,19 +820,6 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
                 continue;
             }
             detail::record_attempt(*shared_, false);
-            // Terminal failure: quarantine the fingerprint so identical
-            // resubmissions fail fast for a TTL.
-            if (options_.quarantine_ttl_seconds > 0.0) {
-                detail::QuarantineEntry entry;
-                entry.expires = detail::saturating_deadline(
-                    Clock::now(), options_.quarantine_ttl_seconds);
-                entry.error = out.error;
-                entry.kind = kinds[i];
-                shared_->quarantine[job.fingerprint] = entry;
-                shared_->quarantined++;
-                trace::instant("service.quarantine", "service",
-                               "fingerprint", job.fingerprint);
-            }
             detail::finish_job_locked(*shared_, job, TicketStatus::kFailed,
                                       out.error, kinds[i]);
         }
@@ -978,56 +857,6 @@ EvalService::dispatcher_loop()
 }
 
 void
-EvalService::watchdog_loop()
-{
-    const auto budget = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(options_.stall_budget_seconds));
-    const auto poll = std::clamp(
-        budget / 4,
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::milliseconds(1)),
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::milliseconds(50)));
-    for (;;) {
-        {
-            const auto deadline = Clock::now() + poll;
-            MutexLock lock(shared_->watchdog_mutex);
-            while (!shared_->watchdog_stop) {
-                if (shared_->watchdog_cv.wait_until(
-                        shared_->watchdog_mutex, deadline) ==
-                    std::cv_status::timeout) {
-                    break;
-                }
-            }
-            if (shared_->watchdog_stop) {
-                return;
-            }
-        }
-        const auto now = Clock::now();
-        MutexLock jobs_lock(shared_->jobs_mutex);
-        for (detail::BatchControl *batch : shared_->active_batches) {
-            if (!batch->running.load(std::memory_order_acquire)) {
-                continue;
-            }
-            if (batch->watchdog_fired.load(std::memory_order_relaxed)) {
-                continue;
-            }
-            if (now - batch->started < budget) {
-                continue;
-            }
-            batch->watchdog_fired.store(true, std::memory_order_relaxed);
-            batch->cancel.store(true, std::memory_order_relaxed);
-            shared_->watchdog_cancels++;
-            trace::instant("service.watchdog_cancel", "service");
-            warn_once("service-watchdog",
-                      "watchdog cancelled a batch exceeding the %.0f ms "
-                      "stall budget (unfinished jobs fail as transient)",
-                      options_.stall_budget_seconds * 1e3);
-        }
-    }
-}
-
-void
 EvalService::shutdown(ShutdownMode mode)
 {
     if (mode == ShutdownMode::kAbort) {
@@ -1048,44 +877,36 @@ EvalService::shutdown(ShutdownMode mode)
     // Resolve whatever is still queued: dispatchers==0 services, and
     // jobs admitted after the dispatchers drained. Under kAbort
     // process_batch completes them as kShutdown without evaluating.
-    // The closed queue admits nothing new, so this loop terminates. The
-    // watchdog stays alive until the drain finishes — a stalling final
-    // batch must still be reclaimed.
+    // The closed queue admits nothing new, so this loop terminates.
     std::shared_ptr<detail::Job> job;
     while (shared_->queue.try_pop(&job)) {
         process_batch(std::move(job), /*linger=*/false);
         job.reset();
-    }
-    {
-        MutexLock lock(shared_->watchdog_mutex);
-        shared_->watchdog_stop = true;
-    }
-    shared_->watchdog_cv.notify_all();
-    if (watchdog_.joinable()) {
-        watchdog_.join();
     }
 }
 
 ServiceStats
 EvalService::stats() const
 {
+    const auto finished = [&](TicketStatus status) {
+        return shared_->finished[static_cast<std::size_t>(status)].value();
+    };
     ServiceStats s;
     s.submitted = shared_->submitted.value();
     s.dedup_hits = shared_->dedup_hits.value();
-    s.completed = shared_->completed.value();
-    s.failed = shared_->failed.value();
-    s.rejected = shared_->rejected.value();
-    s.shed = shared_->shed.value();
-    s.cancelled = shared_->cancelled.value();
-    s.deadline_expired = shared_->deadline_expired.value();
-    s.shutdown_discarded = shared_->shutdown_discarded.value();
+    s.completed = finished(TicketStatus::kDone);
+    s.failed = finished(TicketStatus::kFailed);
+    s.rejected = finished(TicketStatus::kRejected);
+    s.shed = finished(TicketStatus::kShed);
+    s.cancelled = finished(TicketStatus::kCancelled);
+    s.deadline_expired = finished(TicketStatus::kDeadlineExpired);
+    s.shutdown_discarded = finished(TicketStatus::kShutdown);
     s.batches = shared_->batches.value();
     s.batched_jobs = shared_->batched_jobs.value();
     s.steals = shared_->steals.value();
     s.chunks = shared_->chunks.value();
     s.retries = shared_->retries.value();
     s.quarantined = shared_->quarantined.value();
-    s.quarantine_hits = shared_->quarantine_hits.value();
     s.watchdog_cancels = shared_->watchdog_cancels.value();
     s.queue_depth = shared_->queue.size();
     s.peak_queue_depth = shared_->queue.peak_size();
@@ -1094,8 +915,6 @@ EvalService::stats() const
     s.queue_wait_ns = shared_->phase_queue.snapshot();
     s.batch_ns = shared_->phase_batch.snapshot();
     s.compute_ns = shared_->phase_compute.snapshot();
-    shared_->queue_depth_gauge.set(
-        static_cast<std::int64_t>(s.queue_depth));
     return s;
 }
 

@@ -1,24 +1,24 @@
 /**
  * @file
  * EvalService — the long-running evaluation front end over the
- * work-stealing ScenarioRunner (ROADMAP item 1): clients `submit()`
- * scenarios and get back EvalTickets (futures); dispatcher threads drain
- * a bounded MPMC queue, coalesce compatible requests into shared runner
- * batches, and complete the tickets asynchronously.
+ * work-stealing ScenarioRunner: clients `submit()` scenarios and get
+ * back EvalTickets (futures); dispatcher threads drain a bounded MPMC
+ * queue, coalesce compatible requests into shared runner batches, and
+ * complete the tickets asynchronously.
  *
  * Three mechanisms turn "a batch API" into "a server under load":
  *
- *  - **Dedup by content.** Requests are keyed by scenario_fingerprint();
- *    an arriving request whose fingerprint matches a queued *or
- *    currently evaluating* job attaches to it as an additional
- *    subscriber — one evaluation, N completions. Multi-tenant sweeps
- *    hammering the same design points pay for each point once.
+ *  - **Dedup by content.** Requests are keyed by scenario_fingerprint()
+ *    in one outcome table; an arriving request whose fingerprint matches
+ *    a queued *or currently evaluating* job attaches to it as an
+ *    additional subscriber — one evaluation, N completions. Multi-tenant
+ *    sweeps hammering the same design points pay for each point once.
  *
  *  - **Dynamic batching.** A dispatcher pops one job, then gathers more
  *    (up to `max_batch`, lingering `linger_seconds` for company) into a
  *    single ScenarioRunner batch, so the work-stealing pool and the
- *    content-hash caches (bit-planes, Bit-Flip twins, workload LRU,
- *    mapping memos) see cross-tenant locality instead of singletons.
+ *    content-hash caches (bit-planes, Bit-Flip twins, mapping memos)
+ *    see cross-tenant locality instead of singletons.
  *
  *  - **Admission control.** The queue is bounded; `BackpressurePolicy`
  *    picks what saturation means: block the submitter, reject the new
@@ -52,18 +52,20 @@
  *  - **Retry.** The runner re-runs a layer range that failed kTransient
  *    in place, under ServiceOptions::retry; nothing else is retried.
  *
- *  - **Quarantine.** A fingerprint that failed terminally is
- *    quarantined for a TTL: identical resubmissions fail fast with the
- *    recorded error instead of burning the pool again.
+ *  - **Outcome table.** A job leaves the table when it finishes, unless
+ *    evaluation failed it as kInvalid: that request is unservable, so
+ *    the failure stays (without its Scenario, up to kMaxKeptFailures,
+ *    oldest evicted first) and an identical resubmission completes
+ *    inside submit() with the stored error.
  *
- *  - **Watchdog.** A batch exceeding a stall budget is cancelled via
- *    the cooperative flag: its unfinished jobs fail as kTransient and
- *    its finished ones complete.
+ *  - **Stall budget.** `runner.stall_budget_seconds` bounds a batch's
+ *    wall time inside the runner: scenarios still unfinished past it
+ *    fail as kTransient, finished ones complete, and stats() counts the
+ *    batch in watchdog_cancels.
  *
  *  - **Health.** stats().health summarises the recent attempt window
- *    (kHealthy/kDegraded/kFailing); a failing service degrades
- *    admission to kShedOldest so a failure storm sheds load instead of
- *    blocking every submitter.
+ *    (kHealthy/kDegraded/kFailing). It is reported only; admission
+ *    never reads it.
  */
 #pragma once
 
@@ -99,12 +101,15 @@ enum class HealthState
 {
     kHealthy,   ///< Failures rare or absent.
     kDegraded,  ///< >= 1/8 of recent attempts failed.
-    kFailing,   ///< >= 1/2 of recent attempts failed; admission degrades
-                ///< to kShedOldest until the window recovers.
+    kFailing,   ///< >= 1/2 of recent attempts failed.
 };
 
 /// Display name of a health state ("healthy", ...).
 const char *health_state_name(HealthState state);
+
+/// Most kInvalid failures the outcome table keeps for resubmissions;
+/// the oldest is evicted first.
+inline constexpr std::size_t kMaxKeptFailures = 1024;
 
 /// Service configuration.
 struct ServiceOptions
@@ -129,21 +134,12 @@ struct ServiceOptions
      */
     double linger_seconds = 0.002;
     /// Evaluation core configuration (threads, grain, scheduler,
-    /// chaos_seed). The per-batch cancel flag is service-managed; any
-    /// `cancel` pointer set here is ignored.
+    /// chaos_seed, stall_budget_seconds). The per-batch cancel flag is
+    /// service-managed; any `cancel` pointer set here is ignored.
     eval::RunnerOptions runner;
     /// In-place retry of kTransient failures: layer ranges in the
     /// runner, and queue admission in submit().
     eval::RetryPolicy retry;
-    /**
-     * Watchdog stall budget: a batch evaluating longer than this is
-     * cancelled through the cooperative flag, and its unfinished jobs
-     * fail as kTransient. <= 0 disables the watchdog (default).
-     */
-    double stall_budget_seconds = 0.0;
-    /// How long a terminally failed fingerprint stays quarantined
-    /// (identical resubmissions fail fast).
-    double quarantine_ttl_seconds = 30.0;
 };
 
 /// Per-request submission knobs.
@@ -186,7 +182,8 @@ class EvalService;
 /**
  * Client-side future of one submitted request. Copyable (all copies
  * observe the same request) and safe to wait on from any thread.
- * Tickets must not outlive the EvalService that issued them.
+ * Tickets must not outlive the EvalService that issued them. A
+ * default-constructed ticket acts as a terminal kRejected one.
  */
 class EvalTicket
 {
@@ -227,8 +224,9 @@ class EvalTicket
      */
     bool cancel();
 
-    /// True when this submission attached to an identical in-flight
-    /// request instead of enqueueing a new evaluation.
+    /// True when this submission was answered by an identical request's
+    /// job (pending, or a kept kInvalid failure) instead of enqueueing a
+    /// new evaluation.
     bool deduped() const;
 
     /// Submit-to-terminal latency; meaningful once terminal.
@@ -249,8 +247,9 @@ class EvalTicket
 struct ServiceStats
 {
     std::uint64_t submitted = 0;      ///< submit() calls accepted or not.
-    std::uint64_t dedup_hits = 0;     ///< Submissions attached to an
-                                      ///< existing in-flight job.
+    std::uint64_t dedup_hits = 0;     ///< Submissions answered by an
+                                      ///< existing job (pending, or a
+                                      ///< kept failure).
     std::uint64_t completed = 0;      ///< Tickets finished kDone.
     std::uint64_t failed = 0;
     std::uint64_t rejected = 0;       ///< kReject admission bounces.
@@ -268,11 +267,10 @@ struct ServiceStats
     /// Always 0: the runner reports each job's outcome, so nothing is
     /// bisected. Kept so existing readers of the field still build.
     std::uint64_t bisections = 0;
-    std::uint64_t quarantined = 0;    ///< Fingerprints quarantined.
-    std::uint64_t quarantine_hits = 0;  ///< Submissions failed fast by
-                                        ///< an active quarantine entry.
-    std::uint64_t watchdog_cancels = 0;  ///< Batches cancelled for
-                                         ///< exceeding the stall budget.
+    std::uint64_t quarantined = 0;    ///< kInvalid failures kept in the
+                                      ///< outcome table.
+    std::uint64_t watchdog_cancels = 0;  ///< Batches that ran past the
+                                         ///< runner's stall budget.
     std::size_t queue_depth = 0;      ///< Current queue size.
     std::size_t peak_queue_depth = 0;
     HealthState health = HealthState::kHealthy;
@@ -339,14 +337,12 @@ class EvalService
 
   private:
     void dispatcher_loop();
-    void watchdog_loop();
     /// Evaluate one batch seeded from @p first; true if anything ran.
     bool process_batch(std::shared_ptr<detail::Job> first, bool linger);
 
     ServiceOptions options_;
     std::shared_ptr<detail::ServiceShared> shared_;
     std::vector<std::thread> dispatchers_;
-    std::thread watchdog_;
 };
 
 }  // namespace bitwave::service

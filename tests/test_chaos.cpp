@@ -4,15 +4,17 @@
  * The contract under test is the robustness layer's north star: under
  * injected faults **nothing hangs, every ticket reaches a terminal
  * state, and every successful result is bit-identical to the fault-free
- * golden run**. Individual mechanisms (per-job isolation, quarantine,
- * watchdog, health-based admission) get targeted pump-driven tests; the
- * storm test runs real dispatcher threads under a wildcard transient
- * spec whose seed CI varies via BITWAVE_FAULT_SEED.
+ * golden run**. Individual mechanisms (per-job isolation, the outcome
+ * table's kept failures, the runner's stall budget, health reporting)
+ * get targeted pump-driven tests; the storm test runs real dispatcher
+ * threads under a wildcard transient spec whose seed CI varies via
+ * BITWAVE_FAULT_SEED.
  */
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -180,7 +182,6 @@ TEST(Chaos, SeededTransientStormTerminatesBitIdentical)
     options.retry.max_attempts = 8;
     options.retry.backoff_seconds = 0.001;
     options.retry.max_backoff_seconds = 0.02;
-    options.quarantine_ttl_seconds = 30.0;
     EvalService service(options);
 
     std::vector<EvalTicket> tickets;
@@ -205,12 +206,17 @@ TEST(Chaos, SeededTransientStormTerminatesBitIdentical)
 
 // ------------------------------------------------------------- isolation ---
 
+std::uint64_t
+runner_batches()
+{
+    return metrics::counter("runner.batches").value();
+}
+
 // One poisoned job coalesced with innocent siblings: the single runner
-// batch reports it as its own outcome, the siblings complete
-// bit-identically from that same batch (nothing re-runs), the poison
-// fingerprint is quarantined, and an identical resubmission fails fast
-// without re-evaluating.
-TEST(Chaos, PoisonJobIsIsolatedQuarantinedAndFailsFast)
+// batch reports it as its own outcome and the siblings complete
+// bit-identically from that same batch (nothing re-runs). A transient
+// failure is not kept in the outcome table.
+TEST(Chaos, PoisonJobIsIsolated)
 {
     const auto net = tiny_net();
     auto scenarios = distinct_scenarios(net);
@@ -228,10 +234,8 @@ TEST(Chaos, PoisonJobIsIsolatedQuarantinedAndFailsFast)
     ServiceOptions options = pump_options(16);
     options.retry.max_attempts = 2;
     options.retry.backoff_seconds = 0.0;
-    options.quarantine_ttl_seconds = 60.0;
     EvalService service(options);
-    const std::uint64_t runner_batches_before =
-        metrics::counter("runner.batches").value();
+    const std::uint64_t runner_batches_before = runner_batches();
 
     std::vector<EvalTicket> tickets;
     for (const auto &s : scenarios) {
@@ -248,62 +252,135 @@ TEST(Chaos, PoisonJobIsIsolatedQuarantinedAndFailsFast)
     EXPECT_EQ(tickets.back().status(), TicketStatus::kFailed);
     EXPECT_EQ(tickets.back().error_kind(), eval::ErrorKind::kTransient);
 
-    auto stats = service.stats();
+    const auto stats = service.stats();
     EXPECT_EQ(stats.batches, 1u);
-    EXPECT_EQ(metrics::counter("runner.batches").value() -
-                  runner_batches_before,
-              1u);
+    EXPECT_EQ(runner_batches() - runner_batches_before, 1u);
     EXPECT_GE(stats.retries, 1u);
-    EXPECT_EQ(stats.quarantined, 1u);
-
-    // Fail-fast on the quarantined fingerprint: terminal immediately,
-    // same taxonomy, no pump needed.
-    EvalTicket again = service.submit(poison);
-    EXPECT_EQ(again.status(), TicketStatus::kFailed);
-    EXPECT_EQ(again.error_kind(), eval::ErrorKind::kTransient);
-    EXPECT_EQ(service.stats().quarantine_hits, 1u);
+    EXPECT_EQ(stats.quarantined, 0u);
     service.shutdown();
 }
 
-// Quarantine entries expire: after the TTL the fingerprint is
-// re-admitted and (with the fault gone) completes normally.
-TEST(Chaos, QuarantineExpiresAndReadmits)
+// --------------------------------------------------------- outcome table ---
+
+// A request that evaluation fails as kInvalid (a layer filter naming no
+// layer) can only fail again: the outcome table keeps the failure, an
+// identical resubmission completes inside submit() with the stored
+// error and evaluates nothing, and the kept entry pins no custom
+// workload once the client drops its references.
+TEST(Chaos, InvalidFailureIsKeptAndAnsweredAtSubmit)
+{
+    EvalService service(pump_options(4));
+    std::weak_ptr<Workload> weak_net;
+    {
+        const auto net = tiny_net();
+        weak_net = net;
+        eval::Scenario bad = tiny_scenario(net, make_scnn());
+        bad.layer_filter = {"no_such_layer"};
+
+        EvalTicket first = service.submit(bad);
+        pump_until_terminal(service, {first});
+        ASSERT_EQ(first.status(), TicketStatus::kFailed);
+        ASSERT_EQ(first.error_kind(), eval::ErrorKind::kInvalid);
+        EXPECT_EQ(service.stats().quarantined, 1u);
+
+        const std::uint64_t runner_batches_before = runner_batches();
+        EvalTicket again = service.submit(bad);
+        EXPECT_EQ(again.status(), TicketStatus::kFailed);
+        EXPECT_EQ(again.error_kind(), eval::ErrorKind::kInvalid);
+        EXPECT_TRUE(again.deduped());
+        EXPECT_THROW(again.result(), eval::EvalError);
+        EXPECT_EQ(service.pump(), 0);
+        EXPECT_EQ(runner_batches() - runner_batches_before, 0u);
+        EXPECT_EQ(service.stats().dedup_hits, 1u);
+    }
+    EXPECT_TRUE(weak_net.expired())
+        << "a kept failure keeps its custom workload alive";
+    service.shutdown();
+}
+
+// Only kInvalid failures are kept. A transient failure or an internal
+// error (an injected `error` fault) need not recur, so once the fault
+// is disarmed an identical resubmission evaluates and matches its
+// golden.
+TEST(Chaos, FailureIsNotKeptUnlessInvalid)
 {
     const auto net = tiny_net();
     eval::Scenario poison = tiny_scenario(net, make_scnn());
     poison.label = "poison";
     const auto golden = eval::ScenarioRunner().run({poison}).front();
 
-    ServiceOptions options = pump_options(4);
-    options.retry.max_attempts = 1;
-    options.retry.backoff_seconds = 0.0;
-    options.quarantine_ttl_seconds = 0.05;
-    EvalService service(options);
+    for (const char *kind : {"transient", "error"}) {
+        SCOPED_TRACE(kind);
+        ServiceOptions options = pump_options(4);
+        options.retry.max_attempts = 1;
+        options.retry.backoff_seconds = 0.0;
+        EvalService service(options);
+        {
+            FaultGuard guard(std::string("runner.chunk@poison=1:") + kind,
+                             7);
+            EvalTicket ticket = service.submit(poison);
+            pump_until_terminal(service, {ticket});
+            ASSERT_EQ(ticket.status(), TicketStatus::kFailed);
+        }
 
-    {
-        FaultGuard guard("runner.chunk@poison=1:transient", 7);
-        EvalTicket ticket = service.submit(poison);
-        pump_until_terminal(service, {ticket});
-        ASSERT_EQ(ticket.status(), TicketStatus::kFailed);
+        const std::uint64_t runner_batches_before = runner_batches();
+        EvalTicket retry = service.submit(poison);
+        EXPECT_FALSE(retry.deduped());
+        pump_until_terminal(service, {retry});
+        ASSERT_EQ(retry.status(), TicketStatus::kDone);
+        expect_identical(retry.result(), golden);
+        EXPECT_EQ(runner_batches() - runner_batches_before, 1u);
+        EXPECT_EQ(service.stats().quarantined, 0u);
+        service.shutdown();
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+}
 
-    EvalTicket retry = service.submit(poison);
-    ASSERT_TRUE(retry.valid());
-    pump_until_terminal(service, {retry});
-    ASSERT_EQ(retry.status(), TicketStatus::kDone);
-    expect_identical(retry.result(), golden);
-    EXPECT_EQ(service.stats().quarantine_hits, 0u);
+// The table keeps at most kMaxKeptFailures failures, oldest evicted
+// first: past the cap, the first invalid request evaluates again while
+// the newest is still answered at submit.
+TEST(Chaos, KeptFailuresAreBounded)
+{
+    const auto net = tiny_net();
+    const auto invalid = [&](std::size_t i) {
+        eval::Scenario s = tiny_scenario(net, make_scnn());
+        s.layer_filter = {"no_such_layer"};
+        s.seed = 1000 + i;  // distinct fingerprint per request
+        return s;
+    };
+    constexpr std::size_t kCap = service::kMaxKeptFailures;
+    EvalService service(pump_options(kCap + 1));
+    std::vector<EvalTicket> tickets;
+    for (std::size_t i = 0; i <= kCap; ++i) {
+        tickets.push_back(service.submit(invalid(i)));
+    }
+    pump_until_terminal(service, tickets);
+    for (const auto &ticket : tickets) {
+        ASSERT_EQ(ticket.error_kind(), eval::ErrorKind::kInvalid);
+    }
+    EXPECT_EQ(service.stats().quarantined, kCap + 1);
+
+    std::uint64_t before = runner_batches();
+    EvalTicket first = service.submit(invalid(0));
+    EXPECT_FALSE(first.deduped()) << "the oldest failure was evicted";
+    pump_until_terminal(service, {first});
+    EXPECT_EQ(first.error_kind(), eval::ErrorKind::kInvalid);
+    EXPECT_EQ(runner_batches() - before, 1u);
+
+    before = runner_batches();
+    EvalTicket last = service.submit(invalid(kCap));
+    EXPECT_TRUE(last.deduped());
+    EXPECT_EQ(last.status(), TicketStatus::kFailed);
+    EXPECT_EQ(last.error_kind(), eval::ErrorKind::kInvalid);
+    EXPECT_EQ(runner_batches() - before, 0u);
     service.shutdown();
 }
 
-// -------------------------------------------------------------- watchdog ---
+// ---------------------------------------------------------- stall budget ---
 
-// Delay faults stall every layer range past the stall budget; the
-// watchdog cancels the batch through the cooperative flag and its
-// unfinished jobs end kFailed as transient (nothing hangs); with faults
-// cleared the same scenarios complete bit-identically on a fresh
-// service.
+// Delay faults stall every layer range past the runner's stall budget;
+// the runner ends the unfinished jobs at their next layer range and
+// they end kFailed as transient (nothing hangs); with faults cleared
+// the same scenarios complete bit-identically on a fresh service.
 TEST(Chaos, WatchdogReclaimsStalledBatches)
 {
     const auto net = tiny_net();
@@ -317,15 +394,13 @@ TEST(Chaos, WatchdogReclaimsStalledBatches)
     {
         FaultGuard guard("runner.chunk=1:delay:50", 7);
         ServiceOptions options = pump_options(8);
-        // Per-layer chunks on a real worker pool: the cooperative
-        // cancel flag is polled at chunk boundaries, and the
-        // single-thread path inlines the whole batch as one chunk.
+        // Per-layer chunks on a real worker pool: the budget is checked
+        // before every layer range.
         options.runner.threads = 2;
         options.runner.shard_layers = 1;
+        options.runner.stall_budget_seconds = 0.02;
         options.retry.max_attempts = 2;
         options.retry.backoff_seconds = 0.0;
-        options.stall_budget_seconds = 0.02;
-        options.quarantine_ttl_seconds = 0.0;  // keep fingerprints clean
         EvalService service(options);
 
         std::vector<EvalTicket> tickets;
@@ -342,10 +417,10 @@ TEST(Chaos, WatchdogReclaimsStalledBatches)
         service.shutdown();
     }
 
-    // Faults cleared: same scenarios complete despite the watchdog
-    // staying armed (healthy batches finish inside the budget).
+    // Faults cleared: same scenarios complete despite the budget
+    // staying armed (healthy batches finish inside it).
     ServiceOptions options = pump_options(8);
-    options.stall_budget_seconds = 5.0;
+    options.runner.stall_budget_seconds = 5.0;
     EvalService service(options);
     std::vector<EvalTicket> tickets;
     for (const auto &s : scenarios) {
@@ -362,11 +437,10 @@ TEST(Chaos, WatchdogReclaimsStalledBatches)
 
 // ---------------------------------------------------------------- health ---
 
-// A failure storm drives health to kFailing, which degrades admission
-// to shed-oldest (a blocked submitter under kBlock would otherwise
-// stall the client); once the storm clears, sustained successes heal
-// the window back to kHealthy.
-TEST(Chaos, FailureStormDegradesAdmissionAndRecovers)
+// A failure storm drives the reported health to kFailing, and admission
+// keeps the configured policy regardless; once the storm clears,
+// sustained successes heal the window back to kHealthy.
+TEST(Chaos, FailureStormIsReportedAndHeals)
 {
     const auto net = tiny_net();
     auto scenario = [&](std::uint64_t seed) {
@@ -375,9 +449,8 @@ TEST(Chaos, FailureStormDegradesAdmissionAndRecovers)
         return s;
     };
 
-    ServiceOptions options = pump_options(1, BackpressurePolicy::kBlock);
+    ServiceOptions options = pump_options(1, BackpressurePolicy::kReject);
     options.retry.max_attempts = 1;
-    options.quarantine_ttl_seconds = 0.0;
     EvalService service(options);
 
     {
@@ -390,17 +463,14 @@ TEST(Chaos, FailureStormDegradesAdmissionAndRecovers)
         }
         EXPECT_EQ(service.stats().health, HealthState::kFailing);
 
-        // Admission degraded: with the 1-deep queue full, a second
-        // submission under kBlock sheds the oldest instead of blocking
-        // this thread forever.
-        EvalTicket first = service.submit(scenario(200));
-        EXPECT_EQ(first.status(), TicketStatus::kQueued);
-        EvalTicket second = service.submit(scenario(201));
-        EXPECT_EQ(first.status(), TicketStatus::kShed);
-        EXPECT_EQ(second.status(), TicketStatus::kQueued);
-        EXPECT_GE(service.stats().shed, 1u);
-        // Drain the survivor (still inside the storm: it fails).
-        pump_until_terminal(service, {second});
+        // With the 1-deep queue full, kReject still bounces the
+        // newcomer: health never overrides admission.
+        EvalTicket queued = service.submit(scenario(200));
+        EvalTicket bounced = service.submit(scenario(201));
+        EXPECT_EQ(queued.status(), TicketStatus::kQueued);
+        EXPECT_EQ(bounced.status(), TicketStatus::kRejected);
+        EXPECT_EQ(service.stats().shed, 0u);
+        pump_until_terminal(service, {queued});
     }
 
     // Storm over: successes wash the failure window out.

@@ -225,10 +225,19 @@ TEST(Service, TicketCompletesAndMatchesDirectEvaluation)
     expect_identical(ticket.result(), direct.front());
 }
 
+// A default-constructed ticket acts as a terminal kRejected one: every
+// accessor answers without a service behind it.
 TEST(Service, InvalidDefaultTicket)
 {
     EvalTicket ticket;
     EXPECT_FALSE(ticket.valid());
+    EXPECT_EQ(ticket.status(), TicketStatus::kRejected);
+    ticket.wait();
+    EXPECT_TRUE(ticket.wait_for(0.0));
+    EXPECT_THROW(ticket.result(), std::runtime_error);
+    EXPECT_EQ(ticket.latency_seconds(), 0.0);
+    EXPECT_FALSE(ticket.cancel());
+    EXPECT_FALSE(ticket.deduped());
 }
 
 // A request the runner cannot serve (a layer filter naming no layer)

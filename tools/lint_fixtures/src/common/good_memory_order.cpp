@@ -19,7 +19,7 @@ int bump()
 }
 
 // The rule is textual, so non-atomic accessors avoid the .load() name
-// (the convention behind MirroredCounter::value() in the service).
+// (the convention behind metrics::Counter::value() in the registry).
 struct Plain
 {
     int value() const { return basis_; }
