@@ -253,7 +253,6 @@ main()
         const auto run_with = [&](int threads) {
             eval::RunnerOptions options;
             options.threads = threads;
-            options.shard_layers = 4;
             return eval::ScenarioRunner(options).run(batch);
         };
         const auto golden = run_with(1);  // warm every cache, untimed

@@ -18,10 +18,16 @@
  *    evaluation cost and nothing is served from a previous point's
  *    cache entries.
  *
+ * The 1-thread reference is serial: a runner bounded to one thread
+ * keeps every nested loop (synthesis, Bit-Flip) on the calling thread,
+ * so speedups are against one core. Every point runs at the runner's
+ * default grain.
+ *
  * Emits BENCH_runner_scaling.json; CI validates the row keys and
- * bit-identity always, and gates the 8-thread parallel efficiency when
- * the runner machine actually has that many cores.  `--metrics` arms
- * the registry and prints the Prometheus snapshot after the sweep;
+ * bit-identity always, and gates the parallel efficiency of each
+ * sweep point the runner machine has the cores for: the 4-thread point
+ * on >= 4 hardware threads, the 8-thread point on >= 8.  `--metrics`
+ * arms the registry and prints the Prometheus snapshot after the sweep;
  * `--trace <path>` records runner spans and writes Chrome trace JSON.
  */
 #include <algorithm>
@@ -133,7 +139,6 @@ main(int argc, char **argv)
     const auto run_identity = [&](int threads) {
         eval::RunnerOptions options;
         options.threads = threads;
-        options.shard_layers = 4;
         return eval::ScenarioRunner(options).run(identity_batch);
     };
     // Warms every cache and pins the golden results each sweep point
@@ -154,7 +159,6 @@ main(int argc, char **argv)
         eval::RunnerReport report;
         eval::RunnerOptions options;
         options.threads = 1;
-        options.shard_layers = 4;
         eval::ScenarioRunner(options).run(make_timed_batch(0), &report);
         wall_1t = report.wall_seconds;
     }
@@ -172,7 +176,6 @@ main(int argc, char **argv)
         eval::RunnerReport report;
         eval::RunnerOptions options;
         options.threads = threads;
-        options.shard_layers = 4;
         eval::ScenarioRunner(options).run(make_timed_batch(point++),
                                           &report);
         const double wall = report.wall_seconds;

@@ -36,6 +36,25 @@ detail::parallel_depth()
 
 namespace {
 
+/// Marks this thread's frame for one scope (@p mark) and restores the
+/// previous depth on exit, exceptions included.
+class FrameMark
+{
+  public:
+    explicit FrameMark(bool mark) : saved_(detail::parallel_depth())
+    {
+        if (mark) {
+            detail::parallel_depth() = 1;
+        }
+    }
+    ~FrameMark() { detail::parallel_depth() = saved_; }
+    FrameMark(const FrameMark &) = delete;
+    FrameMark &operator=(const FrameMark &) = delete;
+
+  private:
+    int saved_;
+};
+
 /// A [begin, end) range packed into one lock-free word (32 bits each;
 /// the impl falls back to inline execution before n can overflow).
 std::uint64_t
@@ -295,9 +314,12 @@ detail::worksteal_run_impl(
     // Inline paths: nested frames, a single effective worker
     // (BITWAVE_THREADS=1 lands here), nothing to split, or an index
     // space too large for the packed ranges. No thread, deque, or
-    // allocation is constructed — the caller's thread runs the loop.
+    // allocation is constructed — the caller's thread runs the loop. A
+    // single worker marks its frame as pool workers do, so loops nested
+    // in the body stay on this thread too: one worker is one core.
     if (parallel_depth() > 0 || threads <= 1 || n <= grain ||
         n > 0xFFFFFFFFULL) {
+        const FrameMark frame(threads <= 1);
         body(0, n);
         stats.chunks = 1;
         return stats;
@@ -338,9 +360,8 @@ detail::worksteal_run_impl(
     }
     {
         // The caller is worker 0; restore its frame depth afterwards.
-        const int saved_depth = parallel_depth();
+        const FrameMark frame(true);
         pool.run_worker(0);
-        parallel_depth() = saved_depth;
     }
     for (auto &w : workers) {
         w.join();

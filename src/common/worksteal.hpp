@@ -26,7 +26,10 @@
  *
  * With 1 effective worker (including `BITWAVE_THREADS=1`) or a body
  * already running inside a worker (nesting), the loop runs inline on
- * the caller — no thread, deque, or allocation is constructed.
+ * the caller — no thread, deque, or allocation is constructed. A
+ * single-worker loop marks the caller's frame as a pool marks its
+ * workers', so loops nested in its body run inline too: a loop bounded
+ * to one worker uses one core, however deep its body nests.
  */
 #pragma once
 
@@ -44,7 +47,8 @@ int parallel_threads(std::size_t n);
 /// Scheduling knobs of one worksteal_run() call.
 struct WorkstealOptions
 {
-    /// Worker threads; 0 = parallel_threads(n), 1 = inline on caller.
+    /// Worker threads; 0 = parallel_threads(n), 1 = inline on caller
+    /// (nested loops included).
     int threads = 0;
     /// Maximum items executed per chunk between scheduler checks.
     std::size_t grain = 1;
@@ -70,8 +74,9 @@ struct WorkstealStats
 
 namespace detail {
 
-/// Depth of parallel frames on this thread: workers inherit depth 1 so
-/// nested loops run inline instead of oversubscribing the machine.
+/// Depth of parallel frames on this thread: workers and single-worker
+/// callers hold depth 1 so nested loops run inline instead of
+/// oversubscribing the machine.
 int &parallel_depth();
 
 WorkstealStats

@@ -9,6 +9,7 @@
 #include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/lru.hpp"
+#include "common/trace.hpp"
 #include "compress/bcs.hpp"
 #include "compress/csr.hpp"
 #include "compress/zre.hpp"
@@ -186,19 +187,20 @@ prepare_scenario(const Scenario &scenario)
 {
     ScenarioPrep prep;
 
-    // Workload: the shared cached synthesis, or a private deterministic
-    // one salted with the scenario's own seed.
+    // Workload: the shared cached synthesis, or the skeleton of a private
+    // one drawn from the scenario's own workload seed, layer by layer
+    // in evaluate_layer_range.
     if (scenario.custom_workload) {
         prep.owned = scenario.custom_workload;
-        prep.workload = prep.owned.get();
     } else if (scenario.workload_seed == kCachedWorkloadSeed) {
         prep.owned = shared_workload(scenario.workload);
-        prep.workload = prep.owned.get();
     } else {
-        prep.owned = std::make_shared<Workload>(
-            build_workload(scenario.workload, scenario.workload_seed));
-        prep.workload = prep.owned.get();
+        auto skeleton = std::make_shared<Workload>(build_workload_skeleton(
+            scenario.workload, scenario.workload_seed));
+        prep.skeleton = skeleton.get();
+        prep.owned = std::move(skeleton);
     }
+    prep.workload = prep.owned.get();
 
     // Layer selection: the filter's indices in workload order.
     if (scenario.layer_filter.empty()) {
@@ -234,7 +236,7 @@ prepare_scenario(const Scenario &scenario)
 std::vector<LayerEval>
 evaluate_layer_range(const Scenario &scenario, const ScenarioPrep &prep,
                      std::uint64_t rng_seed, std::size_t begin,
-                     std::size_t end)
+                     std::size_t end, std::size_t scenario_index)
 {
     const Workload &w = *prep.workload;
     std::vector<LayerEval> out;
@@ -242,6 +244,15 @@ evaluate_layer_range(const Scenario &scenario, const ScenarioPrep &prep,
 
     const auto layer_inputs = [&](std::size_t sel) {
         const std::size_t l = prep.layers[sel];
+        // A private skeleton's layer is drawn here, by the one shard
+        // that evaluates it: no other shard reads or writes it.
+        if (prep.skeleton != nullptr &&
+            prep.skeleton->layers[l].weights.numel() == 0) {
+            trace::Span span("workload.synthesize", "workload");
+            span.arg("scenario", scenario_index);
+            span.arg("layer", l);
+            synthesize_layer(*prep.skeleton, l);
+        }
         LayerContext ctx;
         ctx.first_layer = l == 0;
         ctx.last_layer = l + 1 == w.layers.size();

@@ -12,14 +12,18 @@
  * Evaluation is split into three phases so the ScenarioRunner can shard
  * one scenario's layers across its worker pool:
  *
- *   prepare_scenario()     resolve workload + weights + layer selection
- *   evaluate_layer_range() evaluate a contiguous slice of the selection
+ *   prepare_scenario()     resolve workload, layer selection and flip set
+ *                          (a private workload as an unsynthesized
+ *                          skeleton — cheap)
+ *   evaluate_layer_range() synthesize a private workload's layers, then
+ *                          evaluate a contiguous slice of the selection
  *   finalize_scenario()    stitch slices into one ScenarioResult
  *
- * Every layer is evaluated independently from a seed stream derived from
- * (scenario seed, layer index), and finalize accumulates totals in layer
- * order — results are bit-identical no matter how the slices were cut or
- * which threads ran them.
+ * Every layer is synthesized from (workload seed, layer index) and
+ * evaluated from a seed stream derived from (scenario seed, layer index),
+ * and finalize accumulates totals in layer order — results are
+ * bit-identical no matter how the slices were cut or which threads ran
+ * them.
  */
 #pragma once
 
@@ -106,14 +110,20 @@ struct ScenarioResult
 };
 
 /**
- * Fully resolved inputs of one scenario evaluation. Immutable once
- * built; layer shards evaluated on different threads share one prep.
+ * Resolved inputs of one scenario evaluation; layer shards evaluated on
+ * different threads share one prep. Immutable once built, except that
+ * each layer of a private skeleton is written once, by the shard that
+ * evaluates it.
  */
 struct ScenarioPrep
 {
-    /// Keepalive for privately synthesized / custom workloads.
+    /// Keepalive for the shared, custom or private workload.
     std::shared_ptr<const Workload> owned;
     const Workload *workload = nullptr;
+    /// A private `workload_seed`'s skeleton (`owned`, writable): its
+    /// selected layers are synthesized by evaluate_layer_range. Null for
+    /// shared and custom workloads, which arrive synthesized.
+    Workload *skeleton = nullptr;
     /// Per-layer explicit weights (the scenario's weight_override,
     /// aliased not copied); null = the layer's own tensor, possibly
     /// Bit-Flipped per `flip` below.
@@ -127,8 +137,12 @@ struct ScenarioPrep
     std::vector<std::size_t> layers;
 };
 
-/// Resolve a scenario's workload, weight preparation and layer
-/// selection. Thread-safe; hits the synthesis and Bit-Flip caches.
+/**
+ * Resolve a scenario's workload, weight overrides, layer selection and
+ * flip set. Thread-safe. A private `workload_seed` yields a skeleton
+ * (no synthesis here: selection and flip set read only the layer
+ * descriptors); a shared workload's first touch builds it.
+ */
 ScenarioPrep prepare_scenario(const Scenario &scenario);
 
 /// Seed of one layer's evaluation stream within a scenario stream.
@@ -137,15 +151,19 @@ std::uint64_t layer_rng_seed(std::uint64_t scenario_seed,
 
 /**
  * Evaluate the slice [begin, end) of @p prep.layers and return its
- * LayerEval records in selection order. Pure function of
- * (scenario, prep, rng_seed, slice) — safe to call concurrently for
- * disjoint slices of the same prep.
+ * LayerEval records in selection order, first synthesizing each layer of
+ * the slice that a private skeleton still lacks (a `workload.synthesize`
+ * span tagged with @p scenario_index, the scenario's batch position).
+ * Pure function of (scenario, prep, rng_seed, slice) — safe to call
+ * concurrently for disjoint slices of the same prep; a re-run slice
+ * sees identical weights.
  */
 std::vector<LayerEval> evaluate_layer_range(const Scenario &scenario,
                                             const ScenarioPrep &prep,
                                             std::uint64_t rng_seed,
                                             std::size_t begin,
-                                            std::size_t end);
+                                            std::size_t end,
+                                            std::size_t scenario_index = 0);
 
 /**
  * Assemble per-layer records (in selection order, e.g. concatenated
@@ -162,9 +180,9 @@ ScenarioResult finalize_scenario(const Scenario &scenario,
  *
  * The ScenarioRunner shards this pipeline over its worker threads;
  * single evaluations call it directly. @p rng_seed seeds every
- * stochastic component of the evaluation (private workload synthesis
- * salt, the simulator's synthetic activations) so results depend only on
- * the (scenario, seed) pair — never on scheduling.
+ * stochastic component of the evaluation (the simulator's synthetic
+ * activations) so results depend only on the (scenario, seed) pair —
+ * never on scheduling.
  */
 ScenarioResult evaluate_scenario(const Scenario &scenario,
                                  std::uint64_t rng_seed = 0);

@@ -188,39 +188,16 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
         }
     };
 
-    // Resolve shared workloads up front, from this (un-nested) thread:
-    // per-layer synthesis streams only fan out when the build is not
-    // already inside a worker frame, so a cold BERT-Base synthesizes
-    // on all cores here instead of on one worker inside Phase A.
-    {
-        std::vector<WorkloadId> distinct;
-        for (const auto &s : scenarios) {
-            if (!s.custom_workload &&
-                s.workload_seed == kCachedWorkloadSeed &&
-                std::find(distinct.begin(), distinct.end(), s.workload) ==
-                    distinct.end()) {
-                distinct.push_back(s.workload);
-            }
-        }
-        for (WorkloadId id : distinct) {
-            try {
-                shared_workload(id);  // fill the slot; preps re-fetch
-            } catch (...) {
-                // The slot stays empty: each scenario's preparation
-                // re-fetches it and owns (or retries) the failure.
-            }
-        }
-    }
-
-    // Phase A — prepare every scenario (workload resolution, Bit-Flip
-    // preparation, layer selection). Preparation of different scenarios
-    // parallelizes; the synthesis and flip caches deduplicate shared
-    // work across them.
+    // Plan every scenario on this thread: its seed and its preparation
+    // (layer selection, flip set, a private workload's skeleton). Cheap,
+    // except a shared workload's first touch, which builds it here and
+    // fans out over every core — once per network per process. A batch
+    // bounded to one thread plans in a single-worker frame instead, so
+    // that build too stays on this thread.
     std::vector<ScenarioPrep> preps(n);
     std::vector<std::uint64_t> seeds(n);
     std::vector<double> prep_seconds(n, 0.0);
-    const int prep_threads = effective_threads(n);
-    worksteal_for(n, [&](std::size_t i) {
+    const auto plan = [&](std::size_t i) {
         trace::Span span("runner.prepare", "runner");
         span.arg("scenario", i);
         const auto p0 = std::chrono::steady_clock::now();
@@ -229,13 +206,22 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
             : seed_overrides[i];
         attempt(i, [&] { preps[i] = prepare_scenario(scenarios[i]); });
         prep_seconds[i] = seconds_since(p0);
-    }, prep_threads);
+    };
+    if (options_.threads == 1) {
+        worksteal_for(n, plan, 1);
+    } else {
+        for (std::size_t i = 0; i < n; ++i) {
+            plan(i);
+        }
+    }
 
-    // Phase B — drain the flat unit space (one unit = one selected
-    // layer). Each scenario is one coarse splittable task; the grain is
+    // One pool drains the flat unit space: a unit is one selected layer
+    // of one scenario, synthesized (private workloads) and evaluated in
+    // place. Each scenario is one coarse splittable task; the grain is
     // shard_layers. Chunk boundaries only affect scheduling, never
-    // results: every layer evaluates from its own (scenario, layer)
-    // stream. A scenario whose preparation failed has no units.
+    // results: every layer draws its weights from (workload seed, layer
+    // index) and evaluates from its own (scenario, layer) stream. A
+    // scenario whose preparation failed has no units.
     UnitSpace units;
     units.offsets.resize(n + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -267,7 +253,7 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
         const std::uint64_t tr0 = trace::enabled() ? trace::now_ns() : 0;
         const auto s0 = std::chrono::steady_clock::now();
         auto evals = evaluate_layer_range(scenarios[i], preps[i], seeds[i],
-                                          local_begin, local_end);
+                                          local_begin, local_end, i);
         const std::int64_t chunk_nanos =
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - s0).count();
@@ -308,8 +294,8 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
     wopts.chaos_seed = options_.chaos_seed;
     const WorkstealStats sched = worksteal_run(total_units, execute, wopts);
 
-    // Phase C — deterministic reduction: totals accumulate in layer
-    // order inside finalize_scenario, independent of chunk boundaries.
+    // Deterministic reduction: totals accumulate in layer order inside
+    // finalize_scenario, independent of chunk boundaries.
     trace::Span finalize_span("runner.finalize", "runner");
     finalize_span.arg("scenarios", n);
     std::vector<ScenarioOutcome> outcomes(n);

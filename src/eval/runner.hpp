@@ -3,14 +3,26 @@
  * ScenarioRunner — evaluates a batch of Scenarios on work-stealing
  * worker threads and returns results in batch order.
  *
- * Work splits at two levels: across scenarios, and *inside* each
- * scenario by layer ranges. Each scenario enters the pool as one
+ * One phase, one pool. The calling thread first plans every scenario
+ * (seed, layer selection, flip set — a private `workload_seed` as an
+ * unsynthesized skeleton), then one work-stealing pool drains the
+ * batch's units: a unit is one selected layer of one scenario, which
+ * synthesizes that layer if its workload is private, builds its
+ * Bit-Flip twin and evaluates it. Each scenario enters the pool as one
  * coarse splittable task over its selected layers; owners execute
  * `RunnerOptions::shard_layers`-sized chunks LIFO from their own deque
  * and idle workers steal the far end of a task FIFO (halving it per
- * steal), so one BERT-class scenario fans out across the whole pool
- * instead of pinning the batch's wall clock to a single worker — and
- * nothing sits pre-chopped behind a bag of tiny convs.
+ * steal), so one BERT-class scenario — or ResNet18's five heavy last
+ * layers — fans out across the whole pool instead of pinning the
+ * batch's wall clock to a single worker, and no worker waits at a
+ * preparation barrier.
+ *
+ * Thread bound: `threads = 1` uses one core — planning and the pool
+ * run in a single-worker frame, so every nested loop (synthesis,
+ * Bit-Flip) stays on the calling thread. At `threads = k > 1` nested
+ * loops run inline on the k workers; only a shared workload's first
+ * touch, built while planning, fans out over every core, once per
+ * network per process.
  *
  * Determinism contract: every scenario's result is a pure function of
  * (scenario, batch index) — the per-scenario RNG seed is derived from the
@@ -63,11 +75,12 @@ struct RunnerOptions
     int threads = 0;
     /**
      * Intra-scenario splitting: maximum selected layers per executed
-     * chunk (the work-stealing grain). BERT-Base (72 layers) fans out
-     * into 72/shard_layers chunks. <= 0 evaluates each scenario as a
-     * single unsplittable task.
+     * chunk (the work-stealing grain). The default of 1 makes every
+     * (scenario, layer) unit its own chunk, so idle workers can take
+     * any single layer. <= 0 runs the whole batch as one chunk on the
+     * calling thread.
      */
-    int shard_layers = 8;
+    int shard_layers = 1;
     /**
      * Adversarial test scheduler seed (see WorkstealOptions): non-zero
      * forces seeded steal-first scheduling and reverses the initial

@@ -10,6 +10,7 @@
 #include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/lru.hpp"
+#include "common/trace.hpp"
 #include "eval/error.hpp"
 
 namespace bitwave::eval {
@@ -313,6 +314,9 @@ cached_bitflip(const Int8Tensor &weights, std::uint64_t weights_hash,
     static ShardedLruCache<std::uint64_t, Int8Tensor> cache(
         256, 0, "bitflip_twins");
     return cache.get_or_build(key, [&] {
+        trace::Span span("bitflip.build", "bitflip");
+        span.arg("elements", static_cast<std::uint64_t>(weights.numel()));
+        span.arg("zero_columns", static_cast<std::uint64_t>(zero_cols));
         return bitflip_tensor(weights, group, zero_cols);
     });
 }

@@ -8,11 +8,11 @@
  * a sharp peak of small magnitudes (Laplacian), a modest fraction of exact
  * zeros, and occasional large outliers that pin the quantization scale.
  *
- * Profiles are per-network: CNNs quantized per-channel are peaked
- * (high SM bit-column sparsity); BERT-Base weights are closer to Gaussian
- * with larger effective magnitudes, reproducing the paper's observation
- * that the original BERT Int8 model has few zero columns until Bit-Flip
- * is applied.
+ * Profiles (`WeightProfile`, nn/workload.hpp) are per-network: CNNs
+ * quantized per-channel are peaked (high SM bit-column sparsity);
+ * BERT-Base weights are closer to Gaussian with larger effective
+ * magnitudes, reproducing the paper's observation that the original
+ * BERT Int8 model has few zero columns until Bit-Flip is applied.
  */
 #pragma once
 
@@ -22,38 +22,6 @@
 #include "nn/workload.hpp"
 
 namespace bitwave {
-
-/// Shape of the magnitude distribution for synthesized weights.
-enum class WeightDistribution {
-    kLaplacian,  ///< Peaked: typical conv/LSTM layers.
-    kGaussian,   ///< Broader: transformer projections.
-};
-
-/// Per-layer weight statistics controlling synthesis.
-struct WeightProfile
-{
-    WeightDistribution distribution = WeightDistribution::kLaplacian;
-    /// Scale of the distribution in the Int8 code domain (bigger = more
-    /// large-magnitude codes = fewer zero bit columns).
-    double scale = 10.0;
-    /// Probability of an exact zero weight (pruning/dead filters).
-    double zero_probability = 0.05;
-    /**
-     * Probability that a sample rounding to zero is promoted to +-1.
-     * Trained weights rarely sit exactly on the zero code (weight decay
-     * equilibria keep them small but non-zero), which is why real Int8
-     * networks combine LOW value sparsity with HIGH bit-column sparsity —
-     * the gap Fig. 1's SR ratios quantify.
-     */
-    double zero_avoidance = 0.0;
-    /**
-     * Log-normal sigma of a per-output-channel gain: some kernels are
-     * near-dead (uniformly tiny codes), others hot. Groups lie inside one
-     * kernel, so this correlation is what lifts zero-column co-occurrence
-     * to the levels the paper reports for real networks.
-     */
-    double kernel_gain_sigma = 0.9;
-};
 
 /**
  * Generate quantized weights for @p desc according to @p profile.

@@ -19,11 +19,46 @@
 
 namespace bitwave {
 
+/// Shape of the magnitude distribution for synthesized weights.
+enum class WeightDistribution {
+    kLaplacian,  ///< Peaked: typical conv/LSTM layers.
+    kGaussian,   ///< Broader: transformer projections.
+};
+
+/// Per-layer weight statistics controlling synthesis (nn/synthesis.hpp).
+struct WeightProfile
+{
+    WeightDistribution distribution = WeightDistribution::kLaplacian;
+    /// Scale of the distribution in the Int8 code domain (bigger = more
+    /// large-magnitude codes = fewer zero bit columns).
+    double scale = 10.0;
+    /// Probability of an exact zero weight (pruning/dead filters).
+    double zero_probability = 0.05;
+    /**
+     * Probability that a sample rounding to zero is promoted to +-1.
+     * Trained weights rarely sit exactly on the zero code (weight decay
+     * equilibria keep them small but non-zero), which is why real Int8
+     * networks combine LOW value sparsity with HIGH bit-column sparsity —
+     * the gap Fig. 1's SR ratios quantify.
+     */
+    double zero_avoidance = 0.0;
+    /**
+     * Log-normal sigma of a per-output-channel gain: some kernels are
+     * near-dead (uniformly tiny codes), others hot. Groups lie inside one
+     * kernel, so this correlation is what lifts zero-column co-occurrence
+     * to the levels the paper reports for real networks.
+     */
+    double kernel_gain_sigma = 0.9;
+};
+
 /// One layer of a workload: shape plus synthesized Int8 weights.
 struct WorkloadLayer
 {
     LayerDesc desc;
     Int8Tensor weights;       ///< C-innermost layout, see file comment.
+    /// Profile a benchmark network's builder assigns this layer;
+    /// synthesize_layer() (nn/workloads.hpp) draws `weights` from it.
+    WeightProfile profile;
     float weight_scale = 1.f; ///< Dequantization scale of the weights.
     /**
      * Modeled value sparsity of this layer's *input* activations
@@ -66,6 +101,9 @@ struct Workload
      * scenario's fingerprint mixes it in for a custom workload.
      */
     std::uint64_t content_hash = 0;
+    /// Synthesis seed of a benchmark network: layer i draws its weights
+    /// from hash(seed, i), so any layer synthesizes on its own.
+    std::uint64_t seed = 0;
     std::vector<WorkloadLayer> layers;
 
     std::int64_t total_macs() const;

@@ -16,56 +16,18 @@ namespace bitwave {
 
 namespace {
 
-/**
- * Deferred weight synthesis: builders queue (descriptor, profile) pairs
- * and materialize() draws every layer from its own seed stream
- * (hash of the workload seed and the layer index), so layers synthesize
- * in parallel with results identical to a serial materialization.
- */
-struct SynthesisQueue
-{
-    /// When set, materialize() is a no-op: builders then return the
-    /// network *structure* only (descriptors, sparsity metadata, empty
-    /// weights) — the cheap skeleton shape-only callers read.
-    static thread_local bool skeleton_only;
-
-    std::vector<WeightProfile> profiles;
-
-    void materialize(Workload &w, std::uint64_t seed) const
-    {
-        if (skeleton_only) {
-            return;
-        }
-        worksteal_for(w.layers.size(), [&](std::size_t i) {
-            WorkloadLayer &layer = w.layers[i];
-            Rng rng(hash_combine(hash_combine(kFnvBasis, seed),
-                                 static_cast<std::uint64_t>(i)));
-            layer.weights =
-                synthesize_weights(layer.desc, profiles[i], rng);
-            layer.weights_hash = layer.compute_weights_hash();
-        });
-        std::uint64_t h = fnv1a(w.name.data(), w.name.size());
-        h = hash_combine(h, seed);
-        for (const auto &layer : w.layers) {
-            h = hash_combine(h, layer.weights_hash);
-        }
-        w.content_hash = h;
-    }
-};
-
-thread_local bool SynthesisQueue::skeleton_only = false;
-
-/// Append a layer whose weights materialize() will synthesize later.
+/// Append a layer: its shape, its synthesis profile and the activation
+/// sparsity the models read. Weights stay empty until synthesize_layer().
 void
 add_layer(Workload &w, LayerDesc desc, const WeightProfile &profile,
-          double act_sparsity, SynthesisQueue &synth)
+          double act_sparsity)
 {
     WorkloadLayer layer;
     layer.desc = std::move(desc);
+    layer.profile = profile;
     layer.weight_scale = 0.02f;  // representative per-tensor scale
     layer.activation_sparsity = act_sparsity;
     w.layers.push_back(std::move(layer));
-    synth.profiles.push_back(profile);
 }
 
 /**
@@ -86,24 +48,10 @@ cnn_profile(double depth, double zero_prob, double base_scale = 7.0,
     return p;
 }
 
-}  // namespace
-
-const char *
-workload_name(WorkloadId id)
-{
-    switch (id) {
-      case WorkloadId::kResNet18: return "ResNet18";
-      case WorkloadId::kMobileNetV2: return "MobileNetV2";
-      case WorkloadId::kCnnLstm: return "CNN-LSTM";
-      case WorkloadId::kBertBase: return "Bert-Base";
-    }
-    return "?";
-}
-
+/// ResNet18 for 224x224 ImageNet input (paper baseline top-1 69.8 %).
 Workload
-build_resnet18(std::uint64_t seed)
+resnet18()
 {
-    SynthesisQueue synth;
     Workload w;
     w.name = "ResNet18";
     w.metric_name = "top-1";
@@ -112,7 +60,7 @@ build_resnet18(std::uint64_t seed)
 
     // Stem. Input image has no value sparsity.
     add_layer(w, make_conv("conv1", 64, 3, 112, 112, 7, 7, 2),
-              cnn_profile(0.0, 0.03), 0.0, synth);
+              cnn_profile(0.0, 0.03), 0.0);
 
     // Residual stages. Post-ReLU activation sparsity ~0.4 throughout.
     struct Stage { int channels, size, blocks; };
@@ -140,7 +88,7 @@ build_resnet18(std::uint64_t seed)
                       make_conv(strprintf("l%d.%d.conv1", s + 1, b),
                                 st.channels, in_ch, st.size, st.size, 3, 3,
                                 down ? 2 : 1),
-                      prof, 0.4, synth);
+                      prof, 0.4);
             ++conv_idx;
             add_layer(w,
                       make_conv(strprintf("l%d.%d.conv2", s + 1, b),
@@ -148,28 +96,26 @@ build_resnet18(std::uint64_t seed)
                                 3, 3, 1),
                       cnn_profile(static_cast<double>(conv_idx) / total_convs,
                                   0.04),
-                      0.4, synth);
+                      0.4);
             ++conv_idx;
             if (down) {
                 add_layer(w,
                           make_pointwise(strprintf("l%d.%d.down", s + 1, b),
                                          st.channels, prev, st.size, st.size),
-                          cnn_profile(depth, 0.04), 0.4, synth);
+                          cnn_profile(depth, 0.04), 0.4);
             }
         }
         prev = st.channels;
     }
 
-    add_layer(w, make_linear("fc", 1000, 512), cnn_profile(1.0, 0.04), 0.4,
-              synth);
-    synth.materialize(w, seed);
+    add_layer(w, make_linear("fc", 1000, 512), cnn_profile(1.0, 0.04), 0.4);
     return w;
 }
 
+/// MobileNetV2 for 224x224 ImageNet input (top-1 71.9 %).
 Workload
-build_mobilenet_v2(std::uint64_t seed)
+mobilenet_v2()
 {
-    SynthesisQueue synth;
     Workload w;
     w.name = "MobileNetV2";
     w.metric_name = "top-1";
@@ -177,7 +123,7 @@ build_mobilenet_v2(std::uint64_t seed)
     w.error_sensitivity = 6.0;
 
     add_layer(w, make_conv("conv0", 32, 3, 112, 112, 3, 3, 2),
-              cnn_profile(0.0, 0.03, 6.0), 0.0, synth);
+              cnn_profile(0.0, 0.03, 6.0), 0.0);
 
     // Inverted residual settings (t, c, n, s) from the MobileNetV2 paper.
     struct Block { int t, c, n, s; };
@@ -198,20 +144,20 @@ build_mobilenet_v2(std::uint64_t seed)
                 add_layer(w,
                           make_pointwise(strprintf("L.%d.pw_exp", layer_no),
                                          exp_ch, in_ch, size, size),
-                          cnn_profile(depth, 0.03, 6.0), 0.35, synth);
+                          cnn_profile(depth, 0.03, 6.0), 0.35);
                 ++layer_no;
             }
             add_layer(w,
                       make_depthwise(strprintf("L.%d.dw", layer_no), exp_ch,
                                      out_size, out_size, 3, stride),
-                      cnn_profile(depth, 0.03, 6.0), 0.35, synth);
+                      cnn_profile(depth, 0.03, 6.0), 0.35);
             ++layer_no;
             // Projection layer has a linear (no ReLU) output, but its
             // *input* comes from ReLU6.
             add_layer(w,
                       make_pointwise(strprintf("L.%d.pw_proj", layer_no),
                                      blk.c, exp_ch, out_size, out_size),
-                      cnn_profile(depth, 0.03, 6.0), 0.35, synth);
+                      cnn_profile(depth, 0.03, 6.0), 0.35);
             ++layer_no;
             in_ch = blk.c;
             size = out_size;
@@ -219,17 +165,18 @@ build_mobilenet_v2(std::uint64_t seed)
     }
 
     add_layer(w, make_pointwise("L.51.conv_last", 1280, 320, 7, 7),
-              cnn_profile(1.0, 0.03, 6.0), 0.35, synth);
+              cnn_profile(1.0, 0.03, 6.0), 0.35);
     add_layer(w, make_linear("fc", 1000, 1280),
-              cnn_profile(1.0, 0.03, 6.0), 0.35, synth);
-    synth.materialize(w, seed);
+              cnn_profile(1.0, 0.03, 6.0), 0.35);
     return w;
 }
 
+/// CNN-LSTM audio denoiser: conv front-end + 2 LSTM layers + FC (PESQ),
+/// over 100 spectrogram frames.
 Workload
-build_cnn_lstm(std::uint64_t seed, std::int64_t timesteps)
+cnn_lstm()
 {
-    SynthesisQueue synth;
+    const std::int64_t timesteps = 100;
     Workload w;
     w.name = "CNN-LSTM";
     w.metric_name = "PESQ";
@@ -238,28 +185,28 @@ build_cnn_lstm(std::uint64_t seed, std::int64_t timesteps)
 
     // Conv front-end over the spectrogram (257 bins x T frames).
     add_layer(w, make_conv("conv1", 32, 1, 128, timesteps, 5, 5, 2),
-              cnn_profile(0.1, 0.05, 5.0), 0.0, synth);
+              cnn_profile(0.1, 0.05, 5.0), 0.0);
     add_layer(w, make_conv("conv2", 64, 32, 64, timesteps, 3, 3, 2),
-              cnn_profile(0.2, 0.05, 5.0), 0.4, synth);
+              cnn_profile(0.2, 0.05, 5.0), 0.4);
     // Feature projection into the recurrent stack.
     add_layer(w, make_linear("fc_in", 256, 256, timesteps),
-              cnn_profile(0.4, 0.05, 4.0), 0.4, synth);
+              cnn_profile(0.4, 0.05, 4.0), 0.4);
     // LSTM stack: sigmoid/tanh gates yield near-zero activation sparsity,
     // the property that sinks value-sparsity accelerators on this net.
     add_layer(w, make_lstm("LSTM.0", 256, 256, timesteps),
-              cnn_profile(0.7, 0.06, 2.8, 0.0), 0.05, synth);
+              cnn_profile(0.7, 0.06, 2.8, 0.0), 0.05);
     add_layer(w, make_lstm("LSTM.1", 256, 256, timesteps),
-              cnn_profile(0.9, 0.06, 2.8, 0.0), 0.05, synth);
+              cnn_profile(0.9, 0.06, 2.8, 0.0), 0.05);
     add_layer(w, make_linear("fc_out", 257, 256, timesteps),
-              cnn_profile(1.0, 0.05, 3.0), 0.05, synth);
-    synth.materialize(w, seed);
+              cnn_profile(1.0, 0.05, 3.0), 0.05);
     return w;
 }
 
+/// BERT-Base encoder stack, 12 layers, hidden 768, token size 4 (F1).
 Workload
-build_bert_base(std::uint64_t seed, std::int64_t tokens)
+bert_base()
 {
-    SynthesisQueue synth;
+    const std::int64_t tokens = 4;
     Workload w;
     w.name = "Bert-Base";
     w.metric_name = "F1";
@@ -287,47 +234,85 @@ build_bert_base(std::uint64_t seed, std::int64_t tokens)
             layer_attn.scale = 34.0;
         }
         add_layer(w, make_linear(strprintf("layer.%d.q", l), h, h, tokens),
-                  layer_attn, 0.0, synth);
+                  layer_attn, 0.0);
         add_layer(w, make_linear(strprintf("layer.%d.k", l), h, h, tokens),
-                  layer_attn, 0.0, synth);
+                  layer_attn, 0.0);
         add_layer(w, make_linear(strprintf("layer.%d.v", l), h, h, tokens),
-                  layer_attn, 0.0, synth);
+                  layer_attn, 0.0);
         add_layer(w,
                   make_linear(strprintf("layer.%d.attn_out", l), h, h,
                               tokens),
-                  layer_attn, 0.0, synth);
+                  layer_attn, 0.0);
         // GeLU leaves ~10 % exact zeros after quantization.
         add_layer(w,
                   make_linear(strprintf("layer.%d.ffn_in", l), 4 * h, h,
                               tokens),
-                  ffn, 0.0, synth);
+                  ffn, 0.0);
         add_layer(w,
                   make_linear(strprintf("layer.%d.ffn_out", l), h, 4 * h,
                               tokens),
-                  ffn, 0.10, synth);
+                  ffn, 0.10);
     }
-    synth.materialize(w, seed);
     return w;
+}
+
+/// The structure of benchmark network @p id, without its seed.
+Workload
+network_structure(WorkloadId id)
+{
+    switch (id) {
+      case WorkloadId::kResNet18: return resnet18();
+      case WorkloadId::kMobileNetV2: return mobilenet_v2();
+      case WorkloadId::kCnnLstm: return cnn_lstm();
+      case WorkloadId::kBertBase: return bert_base();
+    }
+    fatal("unknown workload id");
+}
+
+}  // namespace
+
+const char *
+workload_name(WorkloadId id)
+{
+    switch (id) {
+      case WorkloadId::kResNet18: return "ResNet18";
+      case WorkloadId::kMobileNetV2: return "MobileNetV2";
+      case WorkloadId::kCnnLstm: return "CNN-LSTM";
+      case WorkloadId::kBertBase: return "Bert-Base";
+    }
+    return "?";
+}
+
+Workload
+build_workload_skeleton(WorkloadId id, std::uint64_t seed)
+{
+    Workload w = network_structure(id);
+    w.seed = seed;
+    return w;
+}
+
+void
+synthesize_layer(Workload &skeleton, std::size_t index)
+{
+    WorkloadLayer &layer = skeleton.layers[index];
+    Rng rng(hash_combine(hash_combine(kFnvBasis, skeleton.seed),
+                         static_cast<std::uint64_t>(index)));
+    layer.weights = synthesize_weights(layer.desc, layer.profile, rng);
+    layer.weights_hash = layer.compute_weights_hash();
 }
 
 Workload
 build_workload(WorkloadId id, std::uint64_t seed)
 {
-    switch (id) {
-      case WorkloadId::kResNet18: return build_resnet18(seed);
-      case WorkloadId::kMobileNetV2: return build_mobilenet_v2(seed);
-      case WorkloadId::kCnnLstm: return build_cnn_lstm(seed);
-      case WorkloadId::kBertBase: return build_bert_base(seed);
+    Workload w = build_workload_skeleton(id, seed);
+    worksteal_for(w.layers.size(),
+                  [&](std::size_t i) { synthesize_layer(w, i); });
+    std::uint64_t h = fnv1a(w.name.data(), w.name.size());
+    h = hash_combine(h, seed);
+    for (const auto &layer : w.layers) {
+        h = hash_combine(h, layer.weights_hash);
     }
-    fatal("unknown workload id");
-}
-
-Workload
-build_workload_skeleton(WorkloadId id)
-{
-    SynthesisQueue::skeleton_only = true;
-    Workload w = build_workload(id);
-    SynthesisQueue::skeleton_only = false;
+    w.content_hash = h;
     return w;
 }
 

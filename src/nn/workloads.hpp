@@ -12,6 +12,7 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -38,13 +39,30 @@ inline constexpr WorkloadId kAllWorkloads[] = {
 /// Display name ("ResNet18", ...).
 const char *workload_name(WorkloadId id);
 
-/// Build a workload with freshly synthesized weights.
+/**
+ * Build a workload with freshly synthesized weights: its skeleton,
+ * synthesize_layer() over every layer (in parallel), then the content
+ * hash.
+ */
 Workload build_workload(WorkloadId id, std::uint64_t seed = 0x5eed);
 
-/// Build a workload's structure only — descriptors and metadata, empty
-/// weight tensors. Cheap: callers that need only layer shapes or names
-/// (design feasibility checks, bench layer lists) skip weight synthesis.
-Workload build_workload_skeleton(WorkloadId id);
+/**
+ * Build a workload's structure only: descriptors, metadata, each layer's
+ * WeightProfile and the seed, with empty weight tensors. Cheap: callers
+ * that need only layer shapes or names (design feasibility checks, bench
+ * layer lists) skip synthesis, and a private scenario synthesizes just
+ * the layers it evaluates. The content hash stays 0.
+ */
+Workload build_workload_skeleton(WorkloadId id,
+                                 std::uint64_t seed = 0x5eed);
+
+/**
+ * Synthesize layer @p index of a skeleton in place (its weights and
+ * weights_hash). A pure function of (skeleton seed, index, the layer's
+ * profile) that touches no other layer: layers fill in any order, on any
+ * thread, and a redraw is bit-identical.
+ */
+void synthesize_layer(Workload &skeleton, std::size_t index);
 
 /**
  * Shared synthesized instance of one workload (seed 0x5eed): synthesized
@@ -57,19 +75,5 @@ std::shared_ptr<const Workload> shared_workload(WorkloadId id);
 /// Reference convenience over shared_workload(); valid for the process
 /// lifetime.
 const Workload &get_workload(WorkloadId id);
-
-/// Individual builders -------------------------------------------------
-
-/// ResNet18 for 224x224 ImageNet input (paper baseline top-1 69.8 %).
-Workload build_resnet18(std::uint64_t seed);
-
-/// MobileNetV2 for 224x224 ImageNet input (top-1 71.9 %).
-Workload build_mobilenet_v2(std::uint64_t seed);
-
-/// CNN-LSTM audio denoiser: conv front-end + 2 LSTM layers + FC (PESQ).
-Workload build_cnn_lstm(std::uint64_t seed, std::int64_t timesteps = 100);
-
-/// BERT-Base encoder stack, 12 layers, hidden 768, token size 4 (F1).
-Workload build_bert_base(std::uint64_t seed, std::int64_t tokens = 4);
 
 }  // namespace bitwave

@@ -376,6 +376,45 @@ TEST(Worksteal, NestedLoopsRunInline)
     }
 }
 
+TEST(Worksteal, SingleWorkerLoopKeepsNestedLoopsOnTheCaller)
+{
+    // A loop bounded to one worker uses one core: a loop nested in its
+    // body — even one asking for four workers — runs inline on the
+    // calling thread, as it would inside a pool worker.
+    const auto caller = std::this_thread::get_id();
+    const std::size_t outer = 4, inner = 64;
+    std::vector<std::atomic<int>> counts(outer * inner);
+    std::atomic<int> off_caller{0};
+    worksteal_for(
+        outer,
+        [&](std::size_t o) {
+            worksteal_for(
+                inner,
+                [&](std::size_t i) {
+                    if (std::this_thread::get_id() != caller) {
+                        off_caller.fetch_add(1, std::memory_order_relaxed);
+                    }
+                    counts[o * inner + i].fetch_add(
+                        1, std::memory_order_relaxed);
+                },
+                /*threads=*/4);
+        },
+        /*threads=*/1);
+    EXPECT_EQ(off_caller.load(), 0);
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        ASSERT_EQ(counts[i].load(), 1) << "index " << i;
+    }
+
+    // The mark ends with the loop, also when its body throws: a loop
+    // started afterwards fans out again.
+    EXPECT_THROW(worksteal_for(
+                     8, [](std::size_t) { throw std::runtime_error("x"); },
+                     /*threads=*/1),
+                 std::runtime_error);
+    const auto after = worksteal_for(64, [](std::size_t) {}, /*threads=*/4);
+    EXPECT_EQ(after.threads_used, 4);
+}
+
 // -------------------------------------------------------------- env ---
 
 TEST(Env, PositiveIntParsesStrictlyAndFallsBack)

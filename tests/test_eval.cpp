@@ -3,17 +3,22 @@
  * Tests for the unified evaluation subsystem: Scenario naming and
  * seeding, the shared energy-pricing/latency core, sim-vs-model
  * agreement through the shared traversal, ScenarioRunner determinism
- * under 1 vs N threads, its per-scenario failure contract (in-place
- * retry, isolation, invalid requests, the stall budget), and the
- * core/pipeline facade that drives it.
+ * under 1 vs N threads, private workload seeds synthesized layer by
+ * layer inside the runner's units, its per-scenario failure contract
+ * (in-place retry, isolation, invalid requests, the stall budget), and
+ * the core/pipeline facade that drives it.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "bitflip/bitflip.hpp"
 #include "common/metrics.hpp"
+#include "common/trace.hpp"
 #include "core/pipeline.hpp"
 #include "energy/pricing.hpp"
 #include "eval/error.hpp"
@@ -459,6 +464,138 @@ TEST(ScenarioRunner, TransientStormRetriesInPlaceBitIdentical)
                                                        &report);
         ASSERT_EQ(outcomes.size(), batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i) {
+            ASSERT_FALSE(outcomes[i].error) << batch[i].name();
+            expect_identical(outcomes[i].result, golden[i]);
+        }
+        EXPECT_GT(report.retries, 0) << "storm never fired";
+    }
+}
+
+// ---------------------------------------------------- private workloads ---
+
+/// CNN-LSTM scenarios on private workload seeds base, base+1, ...:
+/// analytical with and without uniform Bit-Flip, heavy-layer Bit-Flip on
+/// the cycle sim, kStats, and one layer-filtered scenario.
+std::vector<eval::Scenario>
+private_batch(std::uint64_t base)
+{
+    std::vector<eval::Scenario> batch;
+    const auto add = [&](eval::Scenario s) {
+        s.workload = WorkloadId::kCnnLstm;
+        s.workload_seed = base + batch.size();
+        batch.push_back(std::move(s));
+    };
+    eval::Scenario plain;
+    plain.accel = make_bitwave(BitWaveVariant::kDfSm);
+    add(plain);
+    eval::Scenario flipped;
+    flipped.accel = make_bitwave(BitWaveVariant::kDfSmBf);
+    flipped.bitflip.mode = eval::BitflipSpec::Mode::kUniform;
+    add(flipped);
+    eval::Scenario sim;
+    sim.engine = eval::EngineKind::kCycleSim;
+    sim.bitflip.mode = eval::BitflipSpec::Mode::kHeavyLayers;
+    add(sim);
+    eval::Scenario stats;
+    stats.engine = eval::EngineKind::kStats;
+    add(stats);
+    eval::Scenario filtered = plain;
+    filtered.layer_filter = {"LSTM.1", "conv1"};
+    add(filtered);
+    return batch;
+}
+
+/// The same scenarios on their workloads prebuilt by build_workload().
+std::vector<eval::Scenario>
+prebuilt(std::vector<eval::Scenario> batch)
+{
+    for (auto &s : batch) {
+        s.custom_workload = std::make_shared<const Workload>(
+            build_workload(s.workload, s.workload_seed));
+    }
+    return batch;
+}
+
+TEST(ScenarioRunner, PrivateWorkloadSeedsMatchPrebuiltWorkloads)
+{
+    // A private workload_seed is synthesized layer by layer inside the
+    // evaluating units; the results must equal, bit for bit, the same
+    // scenarios on build_workload()'s whole-network synthesis — at any
+    // thread count, grain and steal order.
+    const auto batch = private_batch(0x9000);
+    const auto golden = eval::ScenarioRunner().run(prebuilt(batch));
+
+    std::vector<eval::RunnerOptions> variants;
+    for (const int threads : {1, 4}) {
+        for (const int shard : {0, 1, 2}) {
+            eval::RunnerOptions options;
+            options.threads = threads;
+            options.shard_layers = shard;
+            variants.push_back(options);
+        }
+    }
+    eval::RunnerOptions chaotic;
+    chaotic.threads = 4;
+    chaotic.chaos_seed = 5;
+    variants.push_back(chaotic);
+
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+        SCOPED_TRACE("variant " + std::to_string(v));
+        const auto got = eval::ScenarioRunner(variants[v]).run(batch);
+        ASSERT_EQ(got.size(), golden.size());
+        for (std::size_t i = 0; i < golden.size(); ++i) {
+            expect_identical(got[i], golden[i]);
+        }
+    }
+
+    // Each selected layer is synthesized exactly once, by its unit; the
+    // filtered scenario never draws the layers it skips.
+    trace::clear();
+    trace::start();
+    eval::RunnerOptions options;
+    options.threads = 4;
+    eval::ScenarioRunner(options).run(batch);
+    trace::stop();
+    std::multiset<std::pair<std::uint64_t, std::uint64_t>> drawn;
+    for (const auto &e : trace::snapshot_events()) {
+        if (std::string(e.name) == "workload.synthesize") {
+            drawn.emplace(e.arg0, e.arg1);
+        }
+    }
+    trace::clear();
+    std::multiset<std::pair<std::uint64_t, std::uint64_t>> expected;
+    for (std::uint64_t i = 0; i + 1 < batch.size(); ++i) {
+        for (std::uint64_t l = 0; l < 6; ++l) {
+            expected.emplace(i, l);
+        }
+    }
+    expected.emplace(batch.size() - 1, 0);  // conv1
+    expected.emplace(batch.size() - 1, 4);  // LSTM.1
+    EXPECT_EQ(drawn, expected);
+}
+
+TEST(ScenarioRunner, PrivateWorkloadRetriesInPlaceBitIdentical)
+{
+    // A range that faults before its units synthesize their layers
+    // re-runs in place; the layers are drawn on the attempt that gets
+    // through, from the same (workload seed, layer index), so results
+    // still match the prebuilt workloads. p = 0.5 and 26 attempts: one
+    // range exhausts with probability 1.5e-8, and the batch has at most
+    // 26 ranges.
+    const auto batch = private_batch(0xA000);
+    const auto golden = eval::ScenarioRunner().run(prebuilt(batch));
+
+    eval::RetryPolicy retry;
+    retry.max_attempts = 26;
+    retry.backoff_seconds = 1e-5;
+    retry.max_backoff_seconds = 1e-4;
+    for (const auto &options : failure_variants()) {
+        FaultGuard storm("runner.chunk=0.5:transient", 13);
+        eval::RunnerReport report;
+        const auto outcomes = eval::ScenarioRunner(options).run_outcomes(
+            batch, {}, retry, &report);
+        ASSERT_EQ(outcomes.size(), golden.size());
+        for (std::size_t i = 0; i < golden.size(); ++i) {
             ASSERT_FALSE(outcomes[i].error) << batch[i].name();
             expect_identical(outcomes[i].result, golden[i]);
         }

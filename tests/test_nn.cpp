@@ -154,8 +154,8 @@ TEST(Workloads, WeightShapesMatchDescriptors)
 
 TEST(Workloads, BuildersAreDeterministic)
 {
-    const auto a = build_cnn_lstm(123);
-    const auto b = build_cnn_lstm(123);
+    const auto a = build_workload(WorkloadId::kCnnLstm, 123);
+    const auto b = build_workload(WorkloadId::kCnnLstm, 123);
     ASSERT_EQ(a.layers.size(), b.layers.size());
     for (std::size_t i = 0; i < a.layers.size(); ++i) {
         EXPECT_EQ(a.layers[i].weights, b.layers[i].weights);
@@ -164,10 +164,33 @@ TEST(Workloads, BuildersAreDeterministic)
     // actually matter.
     EXPECT_NE(a.content_hash, 0u);
     EXPECT_EQ(a.content_hash, b.content_hash);
-    EXPECT_NE(a.content_hash, build_cnn_lstm(124).content_hash);
+    EXPECT_NE(a.content_hash,
+              build_workload(WorkloadId::kCnnLstm, 124).content_hash);
     for (const auto &layer : a.layers) {
         EXPECT_NE(layer.weights_hash, 0u);
         EXPECT_EQ(layer.weights_hash, layer.compute_weights_hash());
+    }
+}
+
+TEST(Workloads, SkeletonLayersSynthesizeLikeTheFullBuild)
+{
+    // A layer is a pure function of (seed, layer index): filling a
+    // skeleton one layer at a time, in reverse order, reproduces
+    // build_workload's parallel synthesis byte for byte.
+    const auto full = build_workload(WorkloadId::kCnnLstm, 123);
+    Workload skeleton = build_workload_skeleton(WorkloadId::kCnnLstm, 123);
+    ASSERT_EQ(skeleton.layers.size(), full.layers.size());
+    EXPECT_EQ(skeleton.seed, 123u);
+    EXPECT_EQ(skeleton.content_hash, 0u);
+    for (const auto &layer : skeleton.layers) {
+        EXPECT_EQ(layer.weights.numel(), 0) << layer.desc.name;
+    }
+    for (std::size_t i = skeleton.layers.size(); i-- > 0;) {
+        synthesize_layer(skeleton, i);
+        EXPECT_EQ(skeleton.layers[i].weights, full.layers[i].weights)
+            << full.layers[i].desc.name;
+        EXPECT_EQ(skeleton.layers[i].weights_hash,
+                  full.layers[i].weights_hash);
     }
 }
 

@@ -43,6 +43,18 @@ expect_identical(const eval::ScenarioResult &a, const eval::ScenarioResult &b)
         EXPECT_EQ(a.layers[l].layer_name, b.layers[l].layer_name);
         EXPECT_EQ(a.layers[l].total_cycles, b.layers[l].total_cycles);
         EXPECT_EQ(a.layers[l].energy.total_pj, b.layers[l].energy.total_pj);
+        EXPECT_EQ(a.layers[l].cycles_per_group,
+                  b.layers[l].cycles_per_group);
+        // kStats records carry no cycles: compare their statistics.
+        ASSERT_EQ(a.layers[l].stats == nullptr,
+                  b.layers[l].stats == nullptr);
+        if (a.layers[l].stats) {
+            const auto &x = a.layers[l].stats->sparsity;
+            const auto &y = b.layers[l].stats->sparsity;
+            EXPECT_EQ(x.value_sparsity(), y.value_sparsity());
+            EXPECT_EQ(x.bit_sparsity(Representation::kSignMagnitude),
+                      y.bit_sparsity(Representation::kSignMagnitude));
+        }
     }
 }
 
