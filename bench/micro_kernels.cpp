@@ -8,12 +8,13 @@
  * measure/compress, mapping cycle statistics, Bit-Flip), and
  * verifies bit-identical results in the same run, and closes with a
  * `runner_scaling` row timing the work-stealing runner core serial vs
- * parallel on a warm batch plus `fault_branch` / `metrics_record` rows
- * measuring the cost of a disarmed fault point and a disarmed gated
- * histogram record (the robustness and observability layers'
- * zero-overhead claims). Emits BENCH_micro_kernels.json; CI validates
- * the JSON and
- * the equivalence flags like the other bench reports.
+ * parallel on a warm batch, the serial cost of synthesizing the tensor
+ * (param `synthesis_ns_per_weight`), plus `fault_branch` /
+ * `metrics_record` rows measuring the cost of a disarmed fault point and
+ * a disarmed gated histogram record (the robustness and observability
+ * layers' zero-overhead claims). Emits BENCH_micro_kernels.json; CI
+ * validates the JSON and the equivalence flags like the other bench
+ * reports.
  */
 #include <algorithm>
 #include <chrono>
@@ -26,6 +27,7 @@
 #include "common/fault.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "common/worksteal.hpp"
 #include "compress/bcs.hpp"
 #include "compress/csr.hpp"
 #include "compress/zre.hpp"
@@ -277,6 +279,23 @@ main()
                identical);
     }
 
+    // ---------------------------------------------------- synthesis ---
+    // Serial cost of synthesizing one weight: the ffn_in tensor above
+    // again, best of 3, inside a single-worker frame so its nested
+    // kernel chunks stay on this core. Published, not gated.
+    double synthesis_ns = 0.0;
+    worksteal_for(
+        1,
+        [&](std::size_t) {
+            const double ms = time_ms([&] {
+                Rng synth_rng(0xBEEF);
+                synthesize_weights(desc, profile, synth_rng);
+            });
+            synthesis_ns = ms * 1e6 / static_cast<double>(w.numel());
+        },
+        /*threads=*/1);
+    json.param("synthesis_ns_per_weight", synthesis_ns);
+
     // ------------------------------------------------- fault branch ---
     // Cost of a *disarmed* fault point — the robustness acceptance
     // criterion is that carrying the fault model adds no measurable
@@ -363,6 +382,8 @@ main()
     }
 
     std::printf("%s", table.render().c_str());
+    std::printf("\nSerial weight synthesis: %.1f ns per weight.\n",
+                synthesis_ns);
     std::printf("\nPacked kernels read 64 weights per word; the pack is "
                 "one transpose per tensor, cached by content hash in "
                 "production paths.\n");

@@ -163,7 +163,11 @@ bitflip_group(std::span<std::int8_t> group, int target_zero_columns)
     // every post-re-rounding occupancy is a function of this profile, so
     // the greedy loop never touches the elements again until the final
     // materialization. All sums stay in int64 exactly as the scalar
-    // oracle accumulates them, so selections are bit-identical.
+    // oracle accumulates them, so selections are bit-identical. The
+    // sign and first-sighting tests are integer adds, not branches:
+    // both flip on random data, so a branch mispredicts on about every
+    // other weight. Every magnitude is stored at distinct[n_distinct];
+    // only a first sighting of a non-zero one advances the count.
     int cnt_all[128] = {};
     int cnt_neg[128] = {};
     std::uint8_t distinct[128];
@@ -172,14 +176,14 @@ bitflip_group(std::span<std::int8_t> group, int target_zero_columns)
     std::int64_t neg_sq = 0;
     for (const std::int8_t v : group) {
         const int m = sm_magnitude(v);
-        if (m != 0 && cnt_all[m]++ == 0) {
-            distinct[n_distinct++] = static_cast<std::uint8_t>(m);
-        }
-        if (v < 0) {
-            ++cnt_neg[m];
-            ++n_neg;
-            neg_sq += static_cast<std::int64_t>(m) * m;
-        }
+        const int nonzero = m != 0;
+        const int neg = v < 0;
+        distinct[n_distinct] = static_cast<std::uint8_t>(m);
+        n_distinct += nonzero & (cnt_all[m] == 0);
+        cnt_all[m] += nonzero;
+        cnt_neg[m] += neg;
+        n_neg += neg;
+        neg_sq += neg * m * m;
     }
 
     // Occupancy of the original group (magnitude columns + sign column).

@@ -18,6 +18,7 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -131,6 +132,24 @@ inline constexpr std::array<BitCounts, 256> kBitCounts = [] {
  * Used by diagnostics and the bitgroup visualization bench.
  */
 std::string to_binary_string(std::uint8_t word);
+
+/**
+ * `std::lround(x)` without the libm call: round half away from zero.
+ * For |x| < 2^52 both the truncation and the remainder `x - trunc(x)`
+ * are exact, so comparing the remainder against +-0.5 rounds exactly as
+ * lround does (0.49999999999999994 stays 0, unlike floor(x + 0.5)).
+ * Larger magnitudes, infinities and NaN fall back to std::lround.
+ */
+inline long
+round_half_away(double x)
+{
+    if (!(std::abs(x) < 0x1p52)) {
+        return std::lround(x);
+    }
+    const long t = static_cast<long>(x);
+    const double r = x - static_cast<double>(t);
+    return t + (r >= 0.5) - (r <= -0.5);
+}
 
 /// Integer ceiling division for non-negative operands.
 constexpr std::int64_t ceil_div(std::int64_t a, std::int64_t b)

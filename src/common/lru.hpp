@@ -10,11 +10,12 @@
  * capacity/eviction. With one shard and sequential access it is exact
  * LRU.
  *
- * Entries build exactly once under a per-entry once_flag, so concurrent
- * first requests for the same key never duplicate work and builds of
- * different keys never serialize. Eviction drops the cache's reference
- * only; holders of the returned shared_ptr (including an in-flight
- * builder) keep the value alive.
+ * Entries build once under a per-entry BuildOnce (a mutex-and-flag
+ * once), so concurrent first requests for the same key never duplicate
+ * work and builds of different keys never serialize. A build that
+ * throws leaves its entry unbuilt, and the next request builds it.
+ * Eviction drops the cache's reference only; holders of the returned
+ * shared_ptr (including an in-flight builder) keep the value alive.
  *
  * Every cache fixes its capacity where it is constructed, so
  * long-running batches have bounded residency. The shard count is
@@ -27,7 +28,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -56,6 +56,45 @@ inline constexpr std::size_t kMinShardEntries = 64;
  * cache smaller than that gets one shard.
  */
 std::size_t cache_shard_count(std::size_t capacity, std::size_t requested);
+
+/**
+ * A value built on first use, once: the replacement for
+ * `std::call_once` wherever a build may throw. The fast path is one
+ * acquire load; a caller that finds the value unbuilt takes the slot's
+ * mutex and builds it, so concurrent first callers wait for one build.
+ * A build that throws leaves the flag clear and the next caller builds
+ * again. (gcc 12's ThreadSanitizer runtime leaves a `std::once_flag`
+ * stuck after a throwing callable, and the next call_once on it blocks
+ * forever.)
+ */
+template <typename Value>
+class BuildOnce
+{
+  public:
+    /**
+     * The value, built by `build()` if no call has built it yet.
+     * Unanalyzed: the fast path is a deliberately lock-free read of a
+     * published-once slot. value_ is written once, under mutex_, before
+     * the release store of built_ that the acquire load pairs with.
+     */
+    template <typename Build>
+    std::shared_ptr<const Value> get(Build &&build) NO_THREAD_SAFETY_ANALYSIS
+    {
+        if (!built_.load(std::memory_order_acquire)) {
+            MutexLock lock(mutex_);
+            if (!built_.load(std::memory_order_relaxed)) {
+                value_ = std::make_shared<const Value>(build());
+                built_.store(true, std::memory_order_release);
+            }
+        }
+        return value_;
+    }
+
+  private:
+    MutexCap mutex_;
+    std::atomic<bool> built_{false};
+    std::shared_ptr<const Value> value_ GUARDED_BY(mutex_);
+};
 
 /**
  * Sharded thread-safe LRU map from Key to immutable shared values.
@@ -152,10 +191,7 @@ class ShardedLruCache
         if (was_hit != nullptr) {
             *was_hit = hit;
         }
-        std::call_once(entry->once, [&] {
-            entry->value = std::make_shared<const Value>(build());
-        });
-        return entry->value;
+        return entry->value.get(build);
     }
 
     std::size_t size() const
@@ -189,8 +225,7 @@ class ShardedLruCache
     struct Entry
     {
         Key key{};
-        std::once_flag once;
-        std::shared_ptr<const Value> value;
+        BuildOnce<Value> value;
         std::atomic<std::uint64_t> tick{0};  ///< Last-access recency.
     };
 

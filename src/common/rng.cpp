@@ -1,43 +1,49 @@
 #include "common/rng.hpp"
 
-#include <cmath>
-
 namespace bitwave {
 
-double
-Rng::uniform()
+namespace {
+
+constexpr std::uint64_t kInitMultiplier = 6364136223846793005ULL;  // f
+constexpr std::uint64_t kMatrix = 0xB5026F5AA96619E9ULL;           // a
+constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;      // r = 31
+constexpr std::uint64_t kLowerMask = ~kUpperMask;
+
+/// One twist step: the upper bit of @p word joined to the lower bits of
+/// @p next, shifted and mixed into @p far. The matrix term is selected
+/// by a mask of y's low bit — the branch it replaces mispredicts half
+/// the time.
+constexpr std::uint64_t
+twist(std::uint64_t word, std::uint64_t next, std::uint64_t far)
 {
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+    const std::uint64_t y = (word & kUpperMask) | (next & kLowerMask);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrix);
 }
 
-std::int64_t
-Rng::uniform_int(std::int64_t lo, std::int64_t hi)
+}  // namespace
+
+Mt19937_64::Mt19937_64(std::uint64_t seed)
 {
-    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+    state_[0] = seed;
+    for (std::size_t i = 1; i < kStateWords; ++i) {
+        const std::uint64_t x = state_[i - 1];
+        state_[i] = kInitMultiplier * (x ^ (x >> 62)) + i;
+    }
 }
 
-double
-Rng::gaussian(double sigma)
+void
+Mt19937_64::refill()
 {
-    return std::normal_distribution<double>(0.0, sigma)(engine_);
-}
-
-double
-Rng::laplacian(double b)
-{
-    // Inverse-CDF sampling: u in (-0.5, 0.5), x = -b * sgn(u) * ln(1-2|u|).
-    double u = uniform() - 0.5;
-    const double sign = u < 0 ? -1.0 : 1.0;
-    u = std::abs(u);
-    // Guard against log(0) when uniform() returned exactly 0.5.
-    const double t = std::max(1.0 - 2.0 * u, 1e-300);
-    return -b * sign * std::log(t);
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
+    constexpr std::size_t n = kStateWords, m = kShiftWords;
+    for (std::size_t k = 0; k < n - m; ++k) {
+        state_[k] = twist(state_[k], state_[k + 1], state_[k + m]);
+    }
+    // The second half mixes in words this pass already rewrote.
+    for (std::size_t k = n - m; k < n - 1; ++k) {
+        state_[k] = twist(state_[k], state_[k + 1], state_[k + m - n]);
+    }
+    state_[n - 1] = twist(state_[n - 1], state_[0], state_[m - 1]);
+    next_ = 0;
 }
 
 }  // namespace bitwave

@@ -5,13 +5,75 @@
  * All synthetic data in the repository (weights, activations, calibration
  * inputs) flows through this generator so experiments are reproducible
  * run-to-run and the benches regenerate identical tables.
+ *
+ * Stream contract: `Rng` yields exactly the values that the standard
+ * `mt19937_64` engine plus libstdc++'s uniform real and normal
+ * distributions (a fresh distribution per call) yielded before this
+ * header carried its own engine, bit for bit, so every synthesized
+ * weight, figure and table is unchanged. The oracle test
+ * `Rng.StreamMatchesTheStandardOracle` (test_common) pins this against
+ * the standard engine and distributions, which survive only there. The
+ * in-house engine and draws exist because the standard ones branch on
+ * random data: the libstdc++ refill branches on each state word's low
+ * bit and the uint64 -> double conversion on the sign bit, so about
+ * every other draw mispredicted. Here both are straight-line code.
+ * The same contract is why `gaussian` still discards the first value
+ * of each polar pair: keeping it would halve its draws but change every
+ * Gaussian weight (all of BERT-Base's).
  */
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
 namespace bitwave {
+
+/**
+ * MT19937-64 exactly as [rand.eng.mers] specifies the standard's
+ * `mt19937_64`: the same seeding, twist and tempering, so the same seed
+ * yields the same 64-bit stream. The refill picks the twist's matrix
+ * term with a mask instead of a branch. A UniformRandomBitGenerator, so
+ * std::shuffle and the standard distributions accept it.
+ */
+class Mt19937_64
+{
+  public:
+    using result_type = std::uint64_t;
+
+    /// Seed as the standard engine's `seed(result_type)` does.
+    explicit Mt19937_64(std::uint64_t seed);
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+
+    /// Next tempered output; refills the state every kStateWords draws.
+    result_type operator()()
+    {
+        if (next_ >= kStateWords) {
+            refill();
+        }
+        result_type z = state_[next_++];
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+        z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+        z ^= z >> 43;
+        return z;
+    }
+
+  private:
+    static constexpr std::size_t kStateWords = 312;  ///< n
+    static constexpr std::size_t kShiftWords = 156;  ///< m
+
+    /// Twist all kStateWords words in one pass.
+    void refill();
+
+    std::array<std::uint64_t, kStateWords> state_;
+    std::size_t next_ = kStateWords;
+};
 
 /**
  * A seeded pseudo-random generator with the distribution helpers the
@@ -24,14 +86,49 @@ class Rng
     /// streams.
     explicit Rng(std::uint64_t seed = 0x5eedULL) : engine_(seed) {}
 
-    /// Uniform double in [0, 1).
-    double uniform();
+    /// Uniform double in [0, 1): canonical() of one engine draw.
+    double uniform() { return canonical(engine_()); }
+
+    /**
+     * What libstdc++'s generate_canonical returns for the 64-bit draw
+     * @p v: v * 2^-64, clamped to the largest double below 1. double(v)
+     * is formed from two exact halves whose sum rounds once, to the same
+     * correctly rounded value a uint64 -> double conversion gives,
+     * without its sign-bit branch.
+     */
+    static double canonical(std::uint64_t v)
+    {
+        const double hi =
+            static_cast<double>(static_cast<std::int64_t>(v >> 32));
+        const double lo =
+            static_cast<double>(static_cast<std::uint32_t>(v));
+        return std::min((hi * 0x1p32 + lo) * 0x1p-64, kBelowOne);
+    }
 
     /// Uniform integer in [lo, hi] inclusive.
-    std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
+    std::int64_t uniform_int(std::int64_t lo, std::int64_t hi)
+    {
+        return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+    }
 
-    /// Zero-mean Gaussian sample with standard deviation @p sigma.
-    double gaussian(double sigma);
+    /**
+     * Zero-mean Gaussian sample with standard deviation @p sigma:
+     * Marsaglia's polar method exactly as a freshly built libstdc++
+     * normal distribution evaluates it, trailing `+ mean` included (it
+     * turns a -0.0 product into +0.0). The polar pair's first value
+     * is discarded, as the fresh distribution discarded it.
+     */
+    double gaussian(double sigma)
+    {
+        double x, y, r2;
+        do {
+            x = 2.0 * uniform() - 1.0;
+            y = 2.0 * uniform() - 1.0;
+            r2 = x * x + y * y;
+        } while (r2 > 1.0 || r2 == 0.0);
+        const double mult = std::sqrt(-2 * std::log(r2) / r2);
+        return y * mult * sigma + 0.0;
+    }
 
     /**
      * Zero-mean Laplacian sample with scale @p b.
@@ -41,16 +138,29 @@ class Rng
      * paper's Fig. 4(b) histogram shows and that drives sign-magnitude
      * bit-column sparsity.
      */
-    double laplacian(double b);
+    double laplacian(double b)
+    {
+        // Inverse-CDF sampling: u in (-0.5, 0.5), x = -b * sgn(u) *
+        // ln(1-2|u|).
+        double u = uniform() - 0.5;
+        const double sign = u < 0 ? -1.0 : 1.0;
+        u = std::abs(u);
+        // Guard against log(0) when uniform() returned exactly 0.5.
+        const double t = std::max(1.0 - 2.0 * u, 1e-300);
+        return -b * sign * std::log(t);
+    }
 
     /// Bernoulli trial with probability @p p of returning true.
-    bool bernoulli(double p);
+    bool bernoulli(double p) { return uniform() < p; }
 
     /// Access the underlying engine (e.g. for std::shuffle).
-    std::mt19937_64 &engine() { return engine_; }
+    Mt19937_64 &engine() { return engine_; }
 
   private:
-    std::mt19937_64 engine_;
+    /// The largest double below 1, generate_canonical's clamp.
+    static constexpr double kBelowOne = 0x1.fffffffffffffp-1;
+
+    Mt19937_64 engine_;
 };
 
 }  // namespace bitwave

@@ -34,7 +34,7 @@ synthesize_kernel_range(Int8Tensor &out, const WeightProfile &profile,
             const double x =
                 profile.distribution == WeightDistribution::kLaplacian
                 ? rng.laplacian(scale) : rng.gaussian(scale);
-            int code = static_cast<int>(std::lround(x));
+            int code = static_cast<int>(round_half_away(x));
             if (code == 0 && rng.bernoulli(profile.zero_avoidance)) {
                 code = rng.bernoulli(0.5) ? 1 : -1;
             }
@@ -92,7 +92,7 @@ synthesize_activations(const Shape &shape, double value_sparsity,
             x = std::abs(x);
         }
         out[i] = static_cast<std::int8_t>(std::clamp<int>(
-            static_cast<int>(std::lround(x)), kSignMagMin, kSignMagMax));
+            static_cast<int>(round_half_away(x)), kSignMagMin, kSignMagMax));
     }
     return out;
 }

@@ -3,11 +3,11 @@
 #include <array>
 #include <iterator>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/hash.hpp"
 #include "common/logging.hpp"
+#include "common/lru.hpp"
 #include "common/metrics.hpp"
 #include "common/worksteal.hpp"
 #include "nn/synthesis.hpp"
@@ -321,21 +321,14 @@ shared_workload(WorkloadId id)
 {
     // One build-once slot per network, held for the process lifetime:
     // there are four networks, so a bounded cache over them bounds
-    // nothing. Concurrent first touches of one network wait on its
-    // flag; different networks never serialize. A build that throws
-    // leaves the slot empty and the next call retries.
-    struct Slot
-    {
-        std::once_flag once;
-        std::shared_ptr<const Workload> workload;
-    };
-    static std::array<Slot, std::size(kAllWorkloads)> slots;
-    Slot &slot = slots[static_cast<std::size_t>(id)];
-    std::call_once(slot.once, [&] {
+    // nothing. Concurrent first touches of one network wait for its
+    // build; different networks never serialize. A build that throws
+    // leaves the slot unbuilt and the next call retries.
+    static std::array<BuildOnce<Workload>, std::size(kAllWorkloads)> slots;
+    return slots[static_cast<std::size_t>(id)].get([id] {
         metrics::counter("cache.workloads.misses").inc();
-        slot.workload = std::make_shared<const Workload>(build_workload(id));
+        return build_workload(id);
     });
-    return slot.workload;
 }
 
 const Workload &

@@ -71,8 +71,8 @@ lanes_nonzero(std::uint64_t x, std::uint64_t msb)
 BitPlanes
 pack_bitplanes(const Int8Tensor &tensor, Representation repr)
 {
-    // A throwing pack never poisons the shared cache: get_or_build's
-    // once_flag stays unset on exception, so the next hit rebuilds.
+    // A throwing pack never poisons the shared cache: get_or_build
+    // leaves the entry unbuilt on exception, so the next hit rebuilds.
     BITWAVE_FAULT_INJECT("bitplane.pack");
     BitPlanes out;
     out.repr = repr;

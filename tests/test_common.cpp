@@ -1,19 +1,23 @@
 /**
  * @file
  * Unit tests for the common utilities: sign-magnitude codec, bit helpers,
- * RNG distributions, the table renderer, and the work-stealing
- * execution core (coverage, cancellation, inline bypass, adversarial
- * steal scheduling).
+ * RNG distributions and their standard-library oracle, build-once cache
+ * entries, the table renderer, and the work-stealing execution core
+ * (coverage, cancellation, inline bypass, adversarial steal scheduling).
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <numeric>
+#include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -27,6 +31,7 @@
 #include "common/env.hpp"
 #include "common/fault.hpp"
 #include "common/logging.hpp"
+#include "common/lru.hpp"
 #include "common/metrics.hpp"
 #include "common/mpmc_queue.hpp"
 #include "common/rng.hpp"
@@ -157,11 +162,165 @@ TEST(Bits, CeilDiv)
     EXPECT_EQ(ceil_div(9, 8), 2);
 }
 
+TEST(Bits, RoundHalfAwayMatchesLround)
+{
+    // Each edge is checked with both signs (0.0 yields -0.0).
+    const double edges[] = {0.5, 1.5, 2.5, 0.49999999999999994, 0x1p52 - 0.5,
+                            0x1p52, 0x1p62, 0.0};
+    for (const double x : edges) {
+        EXPECT_EQ(round_half_away(x), std::lround(x)) << x;
+        EXPECT_EQ(round_half_away(-x), std::lround(-x)) << -x;
+    }
+    for (int k = -300; k <= 300; ++k) {
+        const double x = k + 0.5;
+        ASSERT_EQ(round_half_away(x), std::lround(x)) << x;
+    }
+    Rng rng(3);
+    for (int i = 0; i < 1'000'000; ++i) {
+        const double x = (rng.uniform() - 0.5) * 600.0;
+        ASSERT_EQ(round_half_away(x), std::lround(x)) << x;
+    }
+}
+
+/// The exact bits of @p x: stream comparisons must not forgive an ULP.
+std::uint64_t
+bits_of(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
 TEST(Rng, IsDeterministicAcrossInstances)
 {
     Rng a(42), b(42);
     for (int i = 0; i < 100; ++i) {
-        EXPECT_DOUBLE_EQ(a.uniform(), b.uniform());
+        EXPECT_EQ(bits_of(a.uniform()), bits_of(b.uniform()));
+    }
+}
+
+// The oracle tests pin Rng to the stream it had when it wrapped the
+// standard engine and built a fresh standard distribution per call:
+// every synthesized weight depends on it, bit for bit.
+
+TEST(Rng, EngineMatchesTheStandardMt19937_64)
+{
+    for (const std::uint64_t seed : {0ULL, 1ULL, 0x5eedULL, ~0ULL}) {
+        Mt19937_64 ours(seed);
+        std::mt19937_64 oracle(seed);
+        for (int i = 0; i < 1'000'000; ++i) {
+            ASSERT_EQ(ours(), oracle()) << "seed " << seed << " draw " << i;
+        }
+    }
+}
+
+TEST(Rng, CanonicalMatchesGenerateCanonical)
+{
+    // A scripted generator feeds generate_canonical the edge draws: the
+    // extremes, values that round up to 1.0 (the clamp), round-to-even
+    // ties below and above the sign bit, and their neighbours.
+    struct Scripted
+    {
+        using result_type = std::uint64_t;
+        static constexpr result_type min() { return 0; }
+        static constexpr result_type max() { return ~result_type{0}; }
+        result_type value = 0;
+        result_type operator()() { return value; }
+    };
+    constexpr std::size_t kDigits = std::numeric_limits<double>::digits;
+    Scripted scripted;
+    const auto expect_canonical = [&](std::uint64_t v) {
+        scripted.value = v;
+        const double oracle =
+            std::generate_canonical<double, kDigits>(scripted);
+        EXPECT_EQ(bits_of(Rng::canonical(v)), bits_of(oracle)) << v;
+    };
+    const std::uint64_t bases[] = {0, 1ULL << 53, 1ULL << 62, 1ULL << 63,
+                                   ~0ULL - 0xFFF};
+    for (const std::uint64_t base : bases) {
+        for (std::uint64_t d = 0; d < 0x1000; ++d) {
+            expect_canonical(base + d);
+        }
+    }
+    Rng rng(9);
+    for (int i = 0; i < 100'000; ++i) {
+        expect_canonical(rng.engine()());
+    }
+}
+
+TEST(Rng, StreamMatchesTheStandardOracle)
+{
+    // Rng's definitions before it carried its own engine, over the
+    // standard engine: a fresh distribution per call.
+    std::mt19937_64 engine(0x5eed);
+    const auto uniform = [&] {
+        return std::uniform_real_distribution<double>(0.0, 1.0)(engine);
+    };
+    const auto gaussian = [&](double sigma) {
+        return std::normal_distribution<double>(0.0, sigma)(engine);
+    };
+    const auto laplacian = [&](double b) {
+        double u = uniform() - 0.5;
+        const double sign = u < 0 ? -1.0 : 1.0;
+        u = std::abs(u);
+        const double t = std::max(1.0 - 2.0 * u, 1e-300);
+        return -b * sign * std::log(t);
+    };
+    const auto uniform_int = [&](std::int64_t lo, std::int64_t hi) {
+        return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine);
+    };
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t kLo[] = {-3, 0, -128, 0, kMin};
+    constexpr std::int64_t kHi[] = {3, 63, 127, std::int64_t{1} << 40, kMax};
+
+    // >= 10^6 calls cycling through every method, parameters varying.
+    Rng rng(0x5eed);
+    for (int i = 0; i < 1'200'000; ++i) {
+        const double scale = 0.25 + (i % 97) * 0.5;
+        const double p = (i % 101) / 100.0;
+        const std::size_t r = static_cast<std::size_t>(i / 6) % 5;
+        std::uint64_t ours = 0, want = 0;
+        switch (i % 6) {
+            case 0:
+                ours = bits_of(rng.uniform());
+                want = bits_of(uniform());
+                break;
+            case 1:
+                ours = bits_of(rng.gaussian(scale));
+                want = bits_of(gaussian(scale));
+                break;
+            case 2:
+                ours = bits_of(rng.laplacian(scale));
+                want = bits_of(laplacian(scale));
+                break;
+            case 3:
+                ours = rng.bernoulli(p);
+                want = uniform() < p;
+                break;
+            case 4:
+                ours = static_cast<std::uint64_t>(
+                    rng.uniform_int(kLo[r], kHi[r]));
+                want = static_cast<std::uint64_t>(uniform_int(kLo[r], kHi[r]));
+                break;
+            default:
+                ours = rng.engine()();
+                want = engine();
+                break;
+        }
+        ASSERT_EQ(ours, want) << "call " << i;
+    }
+}
+
+TEST(Rng, ShuffleMatchesTheStandardEngine)
+{
+    std::vector<int> ours(1000), oracle(1000);
+    std::iota(ours.begin(), ours.end(), 0);
+    std::iota(oracle.begin(), oracle.end(), 0);
+    Rng rng(7);
+    std::mt19937_64 engine(7);
+    for (int round = 0; round < 20; ++round) {
+        std::shuffle(ours.begin(), ours.end(), rng.engine());
+        std::shuffle(oracle.begin(), oracle.end(), engine);
+        ASSERT_EQ(ours, oracle) << "round " << round;
     }
 }
 
@@ -204,6 +363,71 @@ TEST(Rng, GaussianMeanAndSigma)
     }
     EXPECT_NEAR(sum / n, 0.0, 0.1);
     EXPECT_NEAR(std::sqrt(sum2 / n), 2.0, 0.1);
+}
+
+// ---------------------------------------------------------- build once ---
+
+TEST(BuildOnce, ThrowingCacheBuildRetriesOnTheNextRequest)
+{
+    // A throwing build leaves its entry resident but unbuilt: the next
+    // request for the key builds it, and later ones hit the value.
+    ShardedLruCache<int, int> cache(4, /*shards=*/1);
+    int builds = 0;
+    const auto failing = [&]() -> int {
+        ++builds;
+        throw std::runtime_error("build");
+    };
+    const auto eleven = [&] {
+        ++builds;
+        return 11;
+    };
+    EXPECT_THROW(cache.get_or_build(1, failing), std::runtime_error);
+    bool hit = false;
+    EXPECT_EQ(*cache.get_or_build(1, eleven, &hit), 11);
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(*cache.get_or_build(1, eleven), 11);
+    EXPECT_EQ(builds, 2);
+}
+
+TEST(BuildOnce, RacingCallersSurviveAThrowingFirstBuild)
+{
+    // Two threads race on a key whose first build throws. The thread
+    // that sees the throw asks again; either it or its rival builds the
+    // value, exactly once more, and both end up holding it.
+    for (int round = 0; round < 50; ++round) {
+        ShardedLruCache<int, int> cache(4, /*shards=*/1);
+        std::atomic<int> builds{0};
+        const auto build = [&] {
+            if (builds.fetch_add(1, std::memory_order_relaxed) == 0) {
+                throw std::runtime_error("first build");
+            }
+            return 7;
+        };
+        std::atomic<int> arrived{0};
+        int got[2] = {};
+        int throws[2] = {};
+        const auto racer = [&](int t) {
+            arrived.fetch_add(1, std::memory_order_relaxed);
+            while (arrived.load(std::memory_order_relaxed) < 2) {
+                std::this_thread::yield();
+            }
+            for (;;) {
+                try {
+                    got[t] = *cache.get_or_build(1, build);
+                    return;
+                } catch (const std::runtime_error &) {
+                    ++throws[t];
+                }
+            }
+        };
+        std::thread a(racer, 0), b(racer, 1);
+        a.join();
+        b.join();
+        EXPECT_EQ(got[0], 7);
+        EXPECT_EQ(got[1], 7);
+        EXPECT_EQ(builds.load(), 2);
+        EXPECT_EQ(throws[0] + throws[1], 1);
+    }
 }
 
 TEST(Table, RendersAlignedColumns)

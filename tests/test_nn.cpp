@@ -172,6 +172,25 @@ TEST(Workloads, BuildersAreDeterministic)
     }
 }
 
+TEST(Workloads, SynthesisIsPinned)
+{
+    // Every figure anchor has a +-20 % band, so a change that shifts
+    // every synthesized weight would pass them all. These content
+    // hashes pin the bytes themselves. They depend on the libm's
+    // log/exp under the default flags (no -march); if another libm
+    // disagrees, that is a finding to report, not a value to re-pin.
+    EXPECT_EQ(get_workload(WorkloadId::kResNet18).content_hash,
+              0xad2c2edad42f75f9ULL);
+    EXPECT_EQ(get_workload(WorkloadId::kMobileNetV2).content_hash,
+              0x3bba38854a37a7acULL);
+    EXPECT_EQ(get_workload(WorkloadId::kCnnLstm).content_hash,
+              0x7e6cdfc7dbff1f75ULL);
+    EXPECT_EQ(get_workload(WorkloadId::kBertBase).content_hash,
+              0x19f29978f8316ebcULL);
+    EXPECT_EQ(build_workload(WorkloadId::kCnnLstm, 20261016).content_hash,
+              0xa17ee8e40b573217ULL);
+}
+
 TEST(Workloads, SkeletonLayersSynthesizeLikeTheFullBuild)
 {
     // A layer is a pure function of (seed, layer index): filling a
