@@ -177,9 +177,9 @@ struct ExecutionProfile
  * Share of a feature map of @p elements 8b words that cannot stay
  * resident in @p mem's activation SRAM — the fraction a
  * layer-sequential schedule spills to DRAM (0 when the map fits).
- * The single definition of the residency rule both
- * AcceleratorModel::model_layer and search's mapping_cost apply, so
- * the Eq. (4)/(5) mirror cannot drift.
+ * The single definition of the residency rule: the baseline branch of
+ * AcceleratorModel::model_layer and search's mapping_cost, which
+ * prices every bit-column machine, both apply it.
  */
 double activation_spill_fraction(std::int64_t elements,
                                  const MemoryHierarchy &mem);

@@ -6,6 +6,7 @@
 #include <tuple>
 #include <utility>
 
+#include "common/bits.hpp"
 #include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/lru.hpp"
@@ -13,8 +14,8 @@
 #include "compress/bcs.hpp"
 #include "compress/csr.hpp"
 #include "compress/zre.hpp"
+#include "eval/error.hpp"
 #include "model/performance.hpp"
-#include "nn/traverse.hpp"
 #include "sim/npu.hpp"
 
 namespace bitwave::eval {
@@ -173,6 +174,45 @@ layer_stats(const Scenario &scenario, const WorkloadLayer &layer,
     return e;
 }
 
+/**
+ * Why no engine can serve @p scenario, or empty: each field an engine
+ * would otherwise fatal() on. (An override's arity and sizes need the
+ * workload; prepare_scenario checks them.)
+ */
+std::string
+scenario_error(const Scenario &scenario)
+{
+    const NpuConfig &npu = scenario.npu;
+    const StatsSpec &stats = scenario.stats;
+    const BitflipSpec &flip = scenario.bitflip;
+    std::string why;
+    switch (scenario.engine) {
+      case EngineKind::kAnalytical:
+        why = model_config_error(scenario.accel);
+        break;
+      case EngineKind::kCycleSim:
+        if (npu.dataflows.empty() || npu.act_sram_bytes < 1 ||
+            npu.act_sram_banks < 1 || npu.sram_word_bits < 1) {
+            why = "NPU without dataflows or activation SRAM";
+        }
+        break;
+      case EngineKind::kStats:
+        if (((stats.column_stats || stats.bcs) && stats.group_size < 1) ||
+            (stats.bcs && stats.group_size > 64)) {
+            why = strprintf("stats group_size %d", stats.group_size);
+        }
+        break;
+    }
+    if (why.empty() && flip.mode != BitflipSpec::Mode::kNone &&
+        !scenario.weight_override &&
+        (flip.group_size < 1 || flip.zero_columns < 0 ||
+         flip.zero_columns > kWordBits)) {
+        why = strprintf("Bit-Flip group_size %d, zero_columns %d",
+                        flip.group_size, flip.zero_columns);
+    }
+    return why;
+}
+
 }  // namespace
 
 std::uint64_t
@@ -185,6 +225,14 @@ layer_rng_seed(std::uint64_t scenario_seed, std::size_t layer_index)
 ScenarioPrep
 prepare_scenario(const Scenario &scenario)
 {
+    const auto invalid = [&](const std::string &why) {
+        return EvalError(ErrorKind::kInvalid,
+                         strprintf("Scenario %s: %s",
+                                   scenario.name().c_str(), why.c_str()));
+    };
+    if (const std::string why = scenario_error(scenario); !why.empty()) {
+        throw invalid(why);
+    }
     ScenarioPrep prep;
 
     // Workload: the shared cached synthesis, or the skeleton of a private
@@ -201,10 +249,11 @@ prepare_scenario(const Scenario &scenario)
         prep.owned = std::move(skeleton);
     }
     prep.workload = prep.owned.get();
+    const std::vector<WorkloadLayer> &layers = prep.workload->layers;
 
     // Layer selection: the filter's indices in workload order.
     if (scenario.layer_filter.empty()) {
-        prep.layers.resize(prep.workload->layers.size());
+        prep.layers.resize(layers.size());
         for (std::size_t i = 0; i < prep.layers.size(); ++i) {
             prep.layers[i] = i;
         }
@@ -219,15 +268,30 @@ prepare_scenario(const Scenario &scenario)
             prep.layers.end());
     }
 
-    prep.weights = alias_weight_override(scenario, *prep.workload);
-    prep.weights.resize(prep.workload->layers.size());
-    prep.flip.assign(prep.workload->layers.size(), 0);
-    if (!scenario.weight_override) {
+    prep.weights.resize(layers.size());
+    prep.flip.assign(layers.size(), 0);
+    if (const auto &tensors = scenario.weight_override) {
+        bool fits = tensors->size() == layers.size();
+        for (std::size_t i = 0; fits && i < layers.size(); ++i) {
+            fits = (*tensors)[i].numel() == layers[i].desc.weight_count();
+        }
+        if (!fits) {
+            throw invalid(strprintf("weight_override needs %zu tensors, "
+                                    "one per layer, of the layer's size",
+                                    layers.size()));
+        }
+        for (std::size_t i = 0; i < layers.size(); ++i) {
+            // Alias into the override vector: shared ownership, no copy.
+            prep.weights[i] =
+                std::shared_ptr<const Int8Tensor>(tensors, &(*tensors)[i]);
+        }
+    } else {
         // Record which selected layers flip; the tensors themselves are
         // resolved per layer during evaluation so the work shards.
-        for (std::size_t i : selected_bitflip_layers(
-                 *prep.workload, scenario.bitflip, &prep.layers)) {
-            prep.flip[i] = 1;
+        for (std::size_t i :
+             bitflip_layer_set(*prep.workload, scenario.bitflip)) {
+            prep.flip[i] = std::binary_search(prep.layers.begin(),
+                                              prep.layers.end(), i);
         }
     }
     return prep;

@@ -1,19 +1,22 @@
 /**
  * @file
- * The shared scenario-evaluation core: the evaluation engines — the
- * analytical accelerator model, the cycle-level NPU simulator, and the
- * weight-statistics engine — plug into one workload traversal
- * (nn/traverse.hpp) and one energy/latency pricing scheme
- * (energy/pricing.hpp) and produce the same unified per-layer /
- * per-workload records, so results from either engine are directly
- * comparable (the Section V-B validation) and every consumer (benches,
- * examples, the deployment pipeline) reads one result type.
+ * The shared scenario-evaluation core, and the only loop that walks a
+ * whole network: the evaluation engines — the analytical accelerator
+ * model, the cycle-level NPU simulator, and the weight-statistics
+ * engine — are fed layer by layer from here (first/last-layer DRAM
+ * context, Bit-Flip twins, weight overrides), price through one
+ * energy/latency scheme (energy/pricing.hpp) and produce the same
+ * unified per-layer / per-workload records, so results from either
+ * engine are directly comparable (the Section V-B validation) and every
+ * consumer (benches, examples, the deployment pipeline) reads one
+ * result type.
  *
  * Evaluation is split into three phases so the ScenarioRunner can shard
  * one scenario's layers across its worker pool:
  *
- *   prepare_scenario()     resolve workload, layer selection and flip set
- *                          (a private workload as an unsynthesized
+ *   prepare_scenario()     reject an unservable scenario, then resolve
+ *                          workload, layer selection and flip set (a
+ *                          private workload as an unsynthesized
  *                          skeleton — cheap)
  *   evaluate_layer_range() synthesize a private workload's layers, then
  *                          evaluate a contiguous slice of the selection
@@ -141,7 +144,12 @@ struct ScenarioPrep
  * Resolve a scenario's workload, weight overrides, layer selection and
  * flip set. Thread-safe. A private `workload_seed` yields a skeleton
  * (no synthesis here: selection and flip set read only the layer
- * descriptors); a shared workload's first touch builds it.
+ * descriptors); a shared workload's first touch builds it. A scenario
+ * with a field an engine cannot serve — a config model_config_error()
+ * rejects, an empty NPU dataflow set or SRAM, a stats or Bit-Flip
+ * group or zero-column target out of range, an unknown layer name, an
+ * override of the wrong size — throws EvalError(kInvalid) before any
+ * work starts.
  */
 ScenarioPrep prepare_scenario(const Scenario &scenario);
 

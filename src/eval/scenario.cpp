@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -11,7 +10,6 @@
 #include "common/logging.hpp"
 #include "common/lru.hpp"
 #include "common/trace.hpp"
-#include "eval/error.hpp"
 
 namespace bitwave::eval {
 
@@ -265,20 +263,6 @@ bitflip_layer_set(const Workload &workload, const BitflipSpec &spec)
     return {};
 }
 
-std::vector<Int8Tensor>
-flip_heavy_layers(const Workload &w, double weight_share, int group,
-                  int zero_cols)
-{
-    const auto cached =
-        cached_flip_heavy_layers(w, weight_share, group, zero_cols);
-    std::vector<Int8Tensor> out;
-    out.reserve(w.layers.size());
-    for (std::size_t i = 0; i < w.layers.size(); ++i) {
-        out.push_back(cached[i] ? *cached[i] : w.layers[i].weights);
-    }
-    return out;
-}
-
 std::uint64_t
 flipped_weights_hash(std::uint64_t weights_hash, int group, int zero_cols,
                      std::int64_t numel)
@@ -335,64 +319,6 @@ cached_flip_heavy_layers(const Workload &w, double weight_share, int group,
     for (std::size_t i : bitflip_layer_set(w, spec)) {
         out[i] = cached_bitflip(w.layers[i].weights,
                                 w.layers[i].weights_hash, group, zero_cols);
-    }
-    return out;
-}
-
-std::vector<std::size_t>
-selected_bitflip_layers(const Workload &workload, const BitflipSpec &spec,
-                        const std::vector<std::size_t> *selection)
-{
-    std::vector<std::size_t> flip_set = bitflip_layer_set(workload, spec);
-    if (selection == nullptr) {
-        return flip_set;
-    }
-    std::vector<std::size_t> kept;
-    std::set_intersection(flip_set.begin(), flip_set.end(),
-                          selection->begin(), selection->end(),
-                          std::back_inserter(kept));
-    return kept;
-}
-
-std::vector<std::shared_ptr<const Int8Tensor>>
-alias_weight_override(const Scenario &scenario, const Workload &workload)
-{
-    if (!scenario.weight_override) {
-        return {};
-    }
-    if (scenario.weight_override->size() != workload.layers.size()) {
-        throw EvalError(ErrorKind::kInvalid,
-                        strprintf("Scenario %s: %zu override tensors for "
-                                  "%zu layers",
-                                  scenario.name().c_str(),
-                                  scenario.weight_override->size(),
-                                  workload.layers.size()));
-    }
-    std::vector<std::shared_ptr<const Int8Tensor>> out(
-        workload.layers.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        // Alias into the override vector: shared ownership, no copy.
-        out[i] = std::shared_ptr<const Int8Tensor>(
-            scenario.weight_override, &(*scenario.weight_override)[i]);
-    }
-    return out;
-}
-
-std::vector<std::shared_ptr<const Int8Tensor>>
-prepare_weights(const Scenario &scenario, const Workload &workload,
-                const std::vector<std::size_t> *selection)
-{
-    if (scenario.weight_override) {
-        return alias_weight_override(scenario, workload);
-    }
-    std::vector<std::shared_ptr<const Int8Tensor>> out(
-        workload.layers.size());
-    for (std::size_t i :
-         selected_bitflip_layers(workload, scenario.bitflip, selection)) {
-        out[i] = cached_bitflip(workload.layers[i].weights,
-                                workload.layers[i].weights_hash,
-                                scenario.bitflip.group_size,
-                                scenario.bitflip.zero_columns);
     }
     return out;
 }

@@ -133,12 +133,6 @@ std::uint64_t scenario_rng_seed(const Scenario &scenario,
  */
 std::uint64_t scenario_fingerprint(const Scenario &scenario);
 
-/// Bit-Flip only the weight-heaviest layers covering @p weight_share of
-/// the parameters (the paper's Fig. 6(e)-(h) protocol).
-std::vector<Int8Tensor> flip_heavy_layers(const Workload &w,
-                                          double weight_share, int group,
-                                          int zero_cols);
-
 /**
  * Layer indices a Bit-Flip spec would rewrite: every layer for kUniform,
  * the weight-heaviest layers covering `weight_share` of the parameters
@@ -146,20 +140,6 @@ std::vector<Int8Tensor> flip_heavy_layers(const Workload &w,
  */
 std::vector<std::size_t> bitflip_layer_set(const Workload &workload,
                                            const BitflipSpec &spec);
-
-/// bitflip_layer_set() intersected with an optional ascending layer
-/// selection — the layers a (possibly filtered) scenario actually flips.
-std::vector<std::size_t>
-selected_bitflip_layers(const Workload &workload, const BitflipSpec &spec,
-                        const std::vector<std::size_t> *selection);
-
-/**
- * Validate a scenario's explicit weight_override arity (EvalError of
- * kind kInvalid on mismatch) and alias its tensors per layer,
- * copy-free. Empty when the scenario has no override.
- */
-std::vector<std::shared_ptr<const Int8Tensor>>
-alias_weight_override(const Scenario &scenario, const Workload &workload);
 
 /**
  * Deterministic content identity of the Bit-Flipped twin of a tensor
@@ -196,17 +176,5 @@ cached_bitflip(const Int8Tensor &weights, std::uint64_t weights_hash,
 std::vector<std::shared_ptr<const Int8Tensor>>
 cached_flip_heavy_layers(const Workload &w, double weight_share, int group,
                          int zero_cols);
-
-/**
- * Weights a scenario evaluates, one entry per workload layer: the
- * explicit override, Bit-Flipped tensors per the spec (shared through
- * the process-wide preparation cache), or null entries meaning "use the
- * workload's own weights" with no copy made. When @p selection is
- * non-null, only the listed layer indices are prepared — filtered
- * scenarios never pay for flipping layers they skip.
- */
-std::vector<std::shared_ptr<const Int8Tensor>>
-prepare_weights(const Scenario &scenario, const Workload &workload,
-                const std::vector<std::size_t> *selection = nullptr);
 
 }  // namespace bitwave::eval

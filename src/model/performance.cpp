@@ -9,7 +9,6 @@
 #include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/lru.hpp"
-#include "compress/bcs.hpp"
 #include "compress/zre.hpp"
 #include "search/cost.hpp"
 #include "sparsity/stats.hpp"
@@ -98,25 +97,41 @@ zre_compression_ratio(const Int8Tensor &w, std::uint64_t content_hash)
 
 }  // namespace
 
-double
-WorkloadResult::runtime_ms(const TechParams &tech) const
+std::string
+model_config_error(const AcceleratorConfig &config)
 {
-    return total_cycles / tech.frequency_hz * 1e3;
-}
-
-double
-WorkloadResult::gops(const TechParams &tech) const
-{
-    const double seconds = total_cycles / tech.frequency_hz;
-    return seconds > 0
-        ? static_cast<double>(nominal_macs) * 2.0 / seconds / 1e9 : 0.0;
-}
-
-double
-WorkloadResult::tops_per_watt() const
-{
-    return energy.total_pj > 0
-        ? static_cast<double>(nominal_macs) * 2.0 / energy.total_pj : 0.0;
+    const SparsityMode mode = config.sparsity;
+    const bool serial = config.style == ComputeStyle::kBitSerial;
+    const bool columns = config.style == ComputeStyle::kBitColumnSerial;
+    if (config.dataflows.empty()) {
+        return "no dataflows";
+    }
+    if (serial && ((mode == SparsityMode::kWeightBit && config.sync_lanes < 1)
+                   || (mode == SparsityMode::kWeightBitInterleaved &&
+                       config.interleave_window < 1))) {
+        return "sync_lanes or interleave_window < 1";
+    }
+    if (mode != SparsityMode::kNone &&
+        (mode == SparsityMode::kWeightBitColumn) != columns) {
+        return "sparsity mode the compute style cannot skip";
+    }
+    if (!columns) {
+        return {};
+    }
+    // search::mapping_cost prices bit-column machines and reads none of
+    // the baseline-only knobs.
+    if (config.compress_acts || config.accumulator_banks ||
+        config.planar_crossbar || config.matmul_penalty != 1.0 ||
+        config.e_lane_overhead_pj != 0.0) {
+        return "baseline-only knob on a bit-column machine";
+    }
+    for (const auto &su : config.dataflows) {
+        if ((mode != SparsityMode::kNone || config.compress_weights) &&
+            (su.group_size() < 1 || su.group_size() > 64)) {
+            return su.name + ": BCS group size out of [1, 64]";
+        }
+    }
+    return {};
 }
 
 AcceleratorModel::AcceleratorModel(AcceleratorConfig config,
@@ -124,9 +139,9 @@ AcceleratorModel::AcceleratorModel(AcceleratorConfig config,
                                    const DramModel &dram)
     : config_(std::move(config)), tech_(tech), dram_(dram)
 {
-    if (config_.dataflows.empty()) {
-        fatal("AcceleratorModel: %s has no dataflows",
-              config_.name.c_str());
+    if (const std::string why = model_config_error(config_); !why.empty()) {
+        fatal("AcceleratorModel: %s: %s", config_.name.c_str(),
+              why.c_str());
     }
 }
 
@@ -151,26 +166,9 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
     const std::uint64_t content_hash =
         weights == nullptr ? layer.weights_hash : weights_hash;
 
-    // Shared packed bit planes for the bit-column kernels, fetched (or
-    // packed once) from the content-hash cache so scenario sweeps over
-    // the same weights never re-pack. Lazy: baseline machines that never
-    // touch bit columns never pay for packing.
-    std::shared_ptr<const BitPlanes> planes;
-    const auto weight_planes = [&]() -> const BitPlanes & {
-        if (!planes) {
-            planes = shared_bitplanes(w, config_.weight_repr,
-                                      content_hash);
-        }
-        return *planes;
-    };
-
-    // ---- STEP1: dataflow selection & dense activity ----------------------
-    const SpatialUnrolling *selected = nullptr;
-    if (config_.mapping_policy == search::MappingPolicy::kCostAware &&
-        config_.style == ComputeStyle::kBitColumnSerial) {
-        // ZigZag-style cost-aware selection: rank candidates by the
-        // mapping cost model's Eq. (5) latency instead of bare spatial
-        // utilization (fetch-bound layers pick leaner streams).
+    if (config_.style == ComputeStyle::kBitColumnSerial) {
+        // STEP1-STEP4 of a bit-column machine are the mapping cost
+        // model's, the same pricing cost-aware selection ranks by.
         search::MappingCostConfig mcfg;
         mcfg.repr = config_.weight_repr;
         mcfg.memory = config_.memory;
@@ -178,43 +176,56 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
             config_.sparsity == SparsityMode::kWeightBitColumn;
         mcfg.compress_weights = config_.compress_weights;
         mcfg.layer_sequential_dram = config_.layer_sequential_dram;
-        const BitPlanes *pp =
-            mcfg.skip_zero_columns || mcfg.compress_weights
-                ? &weight_planes() : nullptr;
-        selected = &search::select_su_cost_aware(
-            desc, config_.dataflows, pp, content_hash, mcfg, tech_,
-            dram_);
-    } else {
-        selected = &select_su(desc, config_.dataflows);
+        // Shared packed bit planes from the content-hash cache, so
+        // sweeps over the same weights never re-pack; dense pricing
+        // reads none.
+        std::shared_ptr<const BitPlanes> planes;
+        if (mcfg.skip_zero_columns || mcfg.compress_weights) {
+            planes = shared_bitplanes(w, config_.weight_repr, content_hash);
+        }
+        // Selection prices every candidate as an interior layer, so the
+        // chosen SU is a property of (layer, machine).
+        const SpatialUnrolling &su =
+            config_.mapping_policy == search::MappingPolicy::kCostAware
+            ? search::select_su_cost_aware(desc, config_.dataflows,
+                                           planes.get(), content_hash,
+                                           mcfg, tech_, dram_)
+            : select_su(desc, config_.dataflows);
+        mcfg.input_from_dram = ctx.first_layer;
+        mcfg.output_to_dram = ctx.last_layer;
+        const search::MappingCost c = search::mapping_cost(
+            desc, su, planes.get(), content_hash, mcfg, tech_, dram_);
+        r.su_name = su.name;
+        r.utilization = c.utilization;
+        r.effective_macs = static_cast<double>(desc.macs());
+        r.compute_cycles = c.compute_cycles;
+        r.dram_cycles = c.dram_cycles;
+        r.total_cycles = c.total_cycles;
+        r.energy = c.energy;
+        r.weight_fetch_ratio = c.weight_fetch_ratio;
+        r.cycles_per_group = c.cycles_per_group;
+        return r;
     }
-    const SpatialUnrolling &su = *selected;
+
+    // ---- STEP1: dataflow selection & dense activity ----------------------
+    const SpatialUnrolling &su = select_su(desc, config_.dataflows);
     r.su_name = su.name;
     r.utilization = spatial_utilization(desc, su);
     const double macs = static_cast<double>(desc.macs());
     const std::int64_t iterations = temporal_iterations(desc, su);
 
-    // ---- STEP2: sparsity statistics --------------------------------------
-    // Only the value/bit-sparsity machines read them (memoized by
-    // content); the bit-column machines derive everything from the
-    // packed planes.
+    // ---- STEP2: sparsity statistics (memoized by content) ----------------
     const double sw = config_.sparsity == SparsityMode::kValue
         ? weight_sparsity(w, content_hash).value_sparsity() : 0.0;
     const double sa = layer.activation_sparsity;
 
     // ---- STEP3: effective compute ----------------------------------------
-    // Cycles each spatial tile occupies the array, by compute style.
-    double cycles_per_pass = 1.0;     // bit-parallel default
+    // Cycles each spatial tile occupies the array: one on bit-parallel
+    // machines, the serialized weight bits on bit-serial ones.
+    double cycles_per_pass = 1.0;
     double mac_energy_scale = 1.0;    // fraction of bit work actually done
     double e_mac_pj = tech_.e_mac_bit_parallel_pj;
-    // Mean streamed columns per weight group (BCS machines only; 0
-    // selects the port-based weight-traffic accounting).
-    double mean_columns_per_group = 0.0;
-
-    switch (config_.style) {
-      case ComputeStyle::kBitParallel:
-        cycles_per_pass = 1.0;
-        break;
-      case ComputeStyle::kBitSerial:
+    if (config_.style == ComputeStyle::kBitSerial) {
         e_mac_pj = tech_.e_mac_bit_serial_pj;
         if (config_.sparsity == SparsityMode::kWeightBit) {
             cycles_per_pass = sync_cycles(w, config_.sync_lanes,
@@ -236,27 +247,6 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
         } else {
             cycles_per_pass = 8.0;  // Stripes: all bits, every time.
         }
-        break;
-      case ComputeStyle::kBitColumnSerial:
-        e_mac_pj = tech_.e_mac_bit_column_pj;
-        if (config_.sparsity == SparsityMode::kWeightBitColumn) {
-            // Compressed columns stream directly into the array; the
-            // fetcher's double buffering decouples group boundaries, so
-            // throughput follows the MEAN occupancy (the sync-limited
-            // variant is exercised by the ablation bench).
-            const auto cc = search::cached_cycle_stats(
-                weight_planes(), desc, static_cast<int>(su.group_size()),
-                su.factor(Dim::kK), content_hash);
-            cycles_per_pass = cc->mean_ceil_cycles(su.bit_columns);
-            mac_energy_scale = cc->mean_cycles_per_group / 8.0;
-            mean_columns_per_group = cc->mean_cycles_per_group;
-        } else {
-            // Dense mode: all 8 columns, bit_columns per cycle.
-            cycles_per_pass =
-                8.0 / static_cast<double>(su.bit_columns);
-            mean_columns_per_group = 8.0;
-        }
-        break;
     }
 
     double compute_cycles =
@@ -309,24 +299,11 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
 
     // ---- Compression factors ---------------------------------------------
     CompressionFactors cf;
-    if (config_.compress_weights) {
-        if (config_.sparsity == SparsityMode::kWeightBitColumn) {
-            const auto compressed = search::cached_bcs_size(
-                weight_planes(), static_cast<int>(su.group_size()),
-                content_hash);
-            cf.weight_fetch_ratio = 1.0 / compressed->compression_ratio();
-            // BCS fetch savings come from skipped column cycles; the
-            // remaining on-chip overhead is the 8b index per group.
-            cf.weight_sram_overhead = 1.0 +
-                static_cast<double>(kWordBits) /
-                    (cycles_per_pass *
-                     static_cast<double>(su.group_size()));
-        } else if (config_.sparsity == SparsityMode::kValue) {
-            cf.weight_fetch_ratio =
-                1.0 / zre_compression_ratio(w, content_hash);
-            // 12-bit ZRE entries for the (1 - Sw) surviving weights.
-            cf.weight_sram_overhead = (1.0 - sw) * 12.0 / 8.0;
-        }
+    if (config_.compress_weights &&
+        config_.sparsity == SparsityMode::kValue) {
+        cf.weight_fetch_ratio = 1.0 / zre_compression_ratio(w, content_hash);
+        // 12-bit ZRE entries for the (1 - Sw) surviving weights.
+        cf.weight_sram_overhead = (1.0 - sw) * 12.0 / 8.0;
     }
     if (config_.compress_acts) {
         // Analytic ZRE on activations: (1 - Sa) entries of 12 bits each,
@@ -342,43 +319,11 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
     ExecutionProfile exec;
     exec.utilization = r.utilization;
     exec.compute_cycles = r.compute_cycles;
-    // Active fetch rate is bounded by the physical weight port (Table I:
-    // every BitWave SU keeps W BW <= 1024 bits/cycle).
+    // Active fetch rate is bounded by the physical weight port.
     exec.weight_port_active_bits = std::min(
         static_cast<double>(su.weight_bandwidth_bits()) *
             static_cast<double>(su.bit_columns),
         static_cast<double>(config_.memory.weight_port_bits));
-    if (mean_columns_per_group > 0.0) {
-        // Bit-column machines stream exactly the (compressed) column
-        // payload plus the 8-bit ZCIP index per weight group, ONCE per
-        // layer sweep — the fetcher's double buffer holds the active
-        // tile across spatial revisits. The identical accounting runs
-        // in BitWaveNpu::run_layer, which is what keeps sim-vs-model
-        // agreement on fetch-bound layers.
-        std::int64_t rows = 0, row_len = 1;
-        switch (layer.desc.kind) {
-          case LayerKind::kConv:
-          case LayerKind::kPointwiseConv:
-            rows = layer.desc.k * layer.desc.fy * layer.desc.fx;
-            row_len = layer.desc.c;
-            break;
-          case LayerKind::kDepthwiseConv:
-            rows = layer.desc.k;
-            row_len = layer.desc.fy * layer.desc.fx;
-            break;
-          case LayerKind::kLinear:
-          case LayerKind::kLstm:
-            rows = layer.desc.k;
-            row_len = layer.desc.c;
-            break;
-        }
-        const double groups = static_cast<double>(
-            rows * ceil_div(row_len, su.group_size()));
-        exec.weight_stream_bits = groups *
-            (mean_columns_per_group *
-                 static_cast<double>(su.group_size()) +
-             kWordBits);
-    }
     exec.weight_stationary = config_.style == ComputeStyle::kBitParallel;
     exec.c_tiles = ceil_div(desc.c, su.factor(Dim::kC));
     exec.psum_in_accumulators = config_.accumulator_banks;
@@ -427,7 +372,7 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
     // Static/clock-tree energy accrues with runtime: slow mappings pay.
     act.cycles = r.total_cycles;
 
-    // ---- Baseline-machine activity (all zero for BitWave configs) -------
+    // ---- Baseline-machine activity ---------------------------------------
     if (config_.accumulator_banks) {
         // Every Cartesian product performs a 32b read-modify-write in
         // the crossbar-fed accumulator banks (conflict replays are
@@ -458,28 +403,6 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
     }
     r.energy = price_energy(act, tech_, dram_);
     return r;
-}
-
-WorkloadResult
-AcceleratorModel::model_workload(const Workload &workload,
-                                 const std::vector<Int8Tensor> *weights)
-    const
-{
-    validated_weight_override(workload, weights, "model_workload");
-    WorkloadResult out;
-    out.accelerator = config_.name;
-    out.workload = workload.name;
-    out.nominal_macs = workload.total_macs();
-    for_each_layer(
-        workload, weights,
-        [&](std::size_t, const WorkloadLayer &layer, const Int8Tensor *w,
-            const LayerContext &ctx) {
-            LayerResult lr = model_layer(layer, w, ctx);
-            out.total_cycles += lr.total_cycles;
-            out.energy += lr.energy;
-            out.layers.push_back(std::move(lr));
-        });
-    return out;
 }
 
 }  // namespace bitwave

@@ -14,18 +14,21 @@
  *          (Eqs. 1-2) and effective memory accesses (Eq. 3);
  *   STEP4  prices the activity with the 16 nm technology parameters and
  *          the DDR3 model (Eq. 4) and assembles latency per Eq. (5).
+ *
+ * Bit-column-serial machines (BitWave) run all four steps through
+ * search::mapping_cost, the function cost-aware SU selection ranks
+ * candidates with, so a layer is priced the way its SU was chosen.
+ * Whole networks are walked by the scenario engine (eval/engine.hpp).
  */
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "energy/dram.hpp"
 #include "energy/pricing.hpp"
 #include "energy/tech.hpp"
 #include "model/accelerator.hpp"
-#include "nn/traverse.hpp"
-#include "nn/workloads.hpp"
+#include "nn/workload.hpp"
 
 namespace bitwave {
 
@@ -48,28 +51,19 @@ struct LayerResult
     double cycles_per_group = 8.0;     ///< Effective bit cycles per pass.
 };
 
-/// Modeled execution of a whole workload.
-struct WorkloadResult
-{
-    std::string accelerator;
-    std::string workload;
-    std::vector<LayerResult> layers;
-
-    double total_cycles = 0.0;
-    /// Accumulated Eq. (4) energy of all layers.
-    EnergyBreakdown energy;
-    std::int64_t nominal_macs = 0;  ///< Dense MAC count of the workload.
-
-    /// Wall-clock at the tech frequency, in ms.
-    double runtime_ms(const TechParams &tech = default_tech()) const;
-    /// Effective throughput in GOPS (2 ops per MAC).
-    double gops(const TechParams &tech = default_tech()) const;
-    /// Energy efficiency in TOPS/W over nominal (useful) operations.
-    double tops_per_watt() const;
-};
+/**
+ * Why the model cannot price @p config, or empty when it can. It cannot
+ * price a config without dataflows, a bit-serial machine whose lockstep
+ * width (sync_lanes) or interleaving window is below 1, bit-column
+ * sparsity on a machine without bit columns, BCS groups outside
+ * [1, 64], or a bit-column machine that sets a knob only the baseline
+ * pricing reads: search::mapping_cost would price it without the knob.
+ */
+std::string model_config_error(const AcceleratorConfig &config);
 
 /**
- * The analytical model for one accelerator configuration.
+ * The analytical model for one accelerator configuration; fatal on a
+ * config model_config_error() rejects.
  */
 class AcceleratorModel
 {
@@ -99,14 +93,6 @@ class AcceleratorModel
                             const Int8Tensor *weights = nullptr,
                             LayerContext ctx = {},
                             std::uint64_t weights_hash = 0) const;
-
-    /**
-     * Model a workload; @p weights optionally overrides every layer's
-     * tensor (must then match the layer count).
-     */
-    WorkloadResult model_workload(const Workload &workload,
-                                  const std::vector<Int8Tensor> *weights =
-                                      nullptr) const;
 
     const AcceleratorConfig &config() const { return config_; }
 

@@ -82,6 +82,16 @@ struct WorkloadLayer
     std::uint64_t compute_weights_hash() const;
 };
 
+/// Position flags controlling off-chip activation traffic: only the
+/// network input and output cross DRAM (intermediate feature maps are
+/// kept or halo-tiled on chip, the assumption behind Fig. 16's
+/// "DRAM energy is dominated by weight loading").
+struct LayerContext
+{
+    bool first_layer = false;
+    bool last_layer = false;
+};
+
 /// A complete benchmark network.
 struct Workload
 {

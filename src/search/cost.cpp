@@ -94,8 +94,7 @@ mapping_cost(const LayerDesc &desc, const SpatialUnrolling &su,
     const std::int64_t iterations = temporal_iterations(desc, su);
     const int group = static_cast<int>(su.group_size());
 
-    // Bit-column occupancy — the term-for-term mirror of model_layer's
-    // ComputeStyle::kBitColumnSerial branch.
+    // Bit-column occupancy: mean streamed columns per group pass.
     double cycles_per_pass = 0.0;
     double mac_energy_scale = 1.0;
     double mean_columns_per_group = 8.0;
@@ -142,9 +141,9 @@ mapping_cost(const LayerDesc &desc, const SpatialUnrolling &su,
     exec.weight_stationary = false;
     exec.c_tiles = ceil_div(desc.c, su.factor(Dim::kC));
     exec.psum_in_accumulators = false;
-    // Same residency rule as model_layer: layer-sequential machines
-    // spill the non-resident excess of maps that overflow the
-    // activation SRAM (shared activation_spill_fraction definition).
+    // Layer-sequential machines spill the non-resident excess of maps
+    // that overflow the activation SRAM (activation_spill_fraction, the
+    // rule the baseline machines share).
     const auto spill_fraction = [&](std::int64_t elements) {
         return cfg.layer_sequential_dram
             ? activation_spill_fraction(elements, cfg.memory) : 0.0;

@@ -9,11 +9,12 @@
  * compressed weight-stream occupancy of the SRAM weight port (fetch-bound
  * layers), and the bit-column occupancy implied by the SU's BCS group
  * size (smaller groups expose more zero columns). The mapping cost model
- * here scores every legal SpatialUnrolling candidate with the model's
- * actual Eq. (5) latency (compute + weight-port stream + DRAM) and
- * Eq. (4) energy, mirroring AcceleratorModel::model_layer's
- * bit-column-serial accounting term for term; `select_su_cost_aware`
- * then picks the candidate with the lowest modeled latency.
+ * here scores a SpatialUnrolling candidate with the analytical model's
+ * Eq. (5) latency (compute + weight-port stream + DRAM) and Eq. (4)
+ * energy: it IS the model's bit-column-serial pricing, which
+ * AcceleratorModel::model_layer calls for the SU it selects.
+ * `select_su_cost_aware` ranks every legal candidate by it and picks the
+ * one with the lowest modeled latency.
  *
  * Both the analytical model and the cycle-level simulator consume the
  * selection behind a `MappingPolicy` knob whose default, `kUtilization`,
@@ -68,13 +69,14 @@ struct MappingCostConfig
     /// (layer, machine), not of network position.
     bool input_from_dram = false;
     bool output_to_dram = false;
-    /// Mirror of AcceleratorConfig::layer_sequential_dram: feature maps
-    /// exceeding the activation SRAM spill to DRAM. Off for every
-    /// BitWave configuration (halo tiling); mirrored so a hypothetical
-    /// bit-column machine with a layer-sequential schedule still prices
-    /// term-for-term against model_layer. (The other energy-side knobs —
-    /// accumulator banks, planar crossbar, lane overhead — cannot occur
-    /// on a bit-column-serial machine, so they have no mirror here.)
+    /// AcceleratorConfig::layer_sequential_dram: feature maps exceeding
+    /// the activation SRAM spill to DRAM. Off for every BitWave
+    /// configuration (halo tiling), but priced, so a bit-column machine
+    /// with a layer-sequential schedule models correctly. The other
+    /// baseline-only knobs (accumulator banks, planar crossbar, lane
+    /// overhead, matmul penalty, activation compression) have no field
+    /// here: model_config_error() rejects a bit-column machine that
+    /// sets one.
     bool layer_sequential_dram = false;
 };
 
@@ -125,8 +127,9 @@ cached_bcs_size(const BitPlanes &planes, int group_size,
  * @param content_hash Content identity of the weights for the memo
  *                     caches (0 = uncached).
  *
- * Mirrors AcceleratorModel::model_layer's kBitColumnSerial accounting
- * exactly; tests/test_search.cpp pins the agreement per probe layer.
+ * AcceleratorModel::model_layer prices every kBitColumnSerial layer
+ * through this function; tests/test_search.cpp pins the two bit for bit
+ * per probe layer, candidate and network position.
  */
 MappingCost mapping_cost(const LayerDesc &desc, const SpatialUnrolling &su,
                          const BitPlanes *planes,

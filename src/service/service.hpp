@@ -309,9 +309,11 @@ class EvalService
                       const SubmitOptions &submit_options = {});
 
     /**
-     * Drive dispatch inline on the calling thread: pop and evaluate up
-     * to @p max_batches batches (without lingering), returning how many
-     * ran. The test-facing engine for `dispatchers = 0` services —
+     * Drive dispatch inline on the calling thread: pop and evaluate
+     * batches (without lingering) until @p max_batches of them have
+     * completed a job or the queue is empty, and return that count — a
+     * batch whose jobs all failed or expired does not count. The
+     * test-facing engine for `dispatchers = 0` services —
      * deterministic, no background timing.
      */
     int pump(int max_batches = 1);

@@ -30,7 +30,6 @@
 #include "energy/dram.hpp"
 #include "energy/pricing.hpp"
 #include "energy/tech.hpp"
-#include "nn/traverse.hpp"
 #include "nn/workload.hpp"
 #include "sim/bce.hpp"
 #include "sim/sram.hpp"

@@ -2,7 +2,7 @@
  * @file
  * Tests for the unified evaluation subsystem: Scenario naming and
  * seeding, the shared energy-pricing/latency core, sim-vs-model
- * agreement through the shared traversal, ScenarioRunner determinism
+ * agreement through the scenario engine, ScenarioRunner determinism
  * under 1 vs N threads, private workload seeds synthesized layer by
  * layer inside the runner's units, its per-scenario failure contract
  * (in-place retry, isolation, invalid requests, the stall budget), and
@@ -643,21 +643,16 @@ TEST(ScenarioRunner, StallBudgetEndsUnfinishedScenariosAsTransient)
 TEST(ScenarioRunner, InvalidScenarioThrowsInvalidEvalError)
 {
     // Unservable requests are errors of kind kInvalid, not process
-    // exits: an unknown layer name, and an override of the wrong arity.
+    // exits: every field an engine would fatal() on, and every
+    // baseline-only knob a bit-column machine cannot be priced with.
     const auto net = std::make_shared<Workload>(tiny_workload());
-    eval::Scenario typo;
-    typo.custom_workload = net;
-    typo.layer_filter = {"no_such_layer"};
-    eval::Scenario arity;
-    arity.custom_workload = net;
-    arity.weight_override = std::make_shared<const std::vector<Int8Tensor>>(
-        std::vector<Int8Tensor>{net->layers.front().weights});
-    for (const auto &s : {typo, arity}) {
+    for (const auto &[what, s] : unservable_scenarios(net)) {
         try {
             eval::ScenarioRunner().run({s});
-            ADD_FAILURE() << "no error for " << s.name();
+            ADD_FAILURE() << "no error for " << what;
         } catch (const eval::EvalError &e) {
-            EXPECT_EQ(e.kind(), eval::ErrorKind::kInvalid) << e.what();
+            EXPECT_EQ(e.kind(), eval::ErrorKind::kInvalid)
+                << what << ": " << e.what();
         }
     }
 }
@@ -685,16 +680,16 @@ TEST(PrepCache, CachedBitflipSharesOnePreparedTensor)
 
 TEST(PrepCache, PrepareWeightsOnlyFlipsSelectedLayers)
 {
+    // A filtered scenario marks only its selected layers for flipping,
+    // so it never pays for flipping layers it skips.
     const auto net = std::make_shared<Workload>(tiny_workload());
     eval::Scenario s;
     s.custom_workload = net;
     s.bitflip.mode = eval::BitflipSpec::Mode::kUniform;
-    const std::vector<std::size_t> selection = {1};
-    const auto prepared = eval::prepare_weights(s, *net, &selection);
-    ASSERT_EQ(prepared.size(), net->layers.size());
-    EXPECT_EQ(prepared[0], nullptr);
-    EXPECT_NE(prepared[1], nullptr);
-    EXPECT_EQ(prepared[2], nullptr);
+    s.layer_filter = {"pw"};
+    const eval::ScenarioPrep prep = eval::prepare_scenario(s);
+    EXPECT_EQ(prep.layers, std::vector<std::size_t>{1});
+    EXPECT_EQ(prep.flip, (std::vector<std::uint8_t>{0, 1, 0}));
 }
 
 TEST(PrepCache, HeavyLayerSetCoversTheWeightShare)

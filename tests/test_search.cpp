@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hpp"
 #include "model/performance.hpp"
 #include "nn/synthesis.hpp"
@@ -35,59 +37,69 @@ struct Probe
     }
 };
 
-search::MappingCostConfig
-bitwave_cost_config()
-{
-    search::MappingCostConfig cfg;
-    cfg.repr = Representation::kSignMagnitude;
-    cfg.skip_zero_columns = true;
-    cfg.compress_weights = true;
-    return cfg;
-}
-
 // ------------------------------------------------------- cost model ---
 
 TEST(MappingCost, AgreesWithAnalyticalModelPerCandidate)
 {
-    // The cost model must mirror model_layer's bit-column accounting
-    // term for term: forcing the model onto each single candidate SU
-    // must reproduce the candidate's mapping_cost exactly.
+    // model_layer prices a bit-column machine through mapping_cost:
+    // forcing the model onto each single candidate SU must reproduce
+    // that candidate's mapping_cost bit for bit, for the dense and the
+    // column-skipping variants, at every network position (first and
+    // last layers move activations across DRAM).
     const LayerDesc probes[] = {
         make_conv("late", 512, 512, 7, 7, 3, 3),
         make_linear("ffn_out", 768, 3072, 4),
         make_pointwise("pw", 96, 16, 112, 112),
     };
-    for (const auto &desc : probes) {
-        const Probe probe(desc);
-        const LayerDesc mapped = normalized_for_mapping(desc);
-        const auto planes =
-            shared_bitplanes(probe.layer.weights,
-                             Representation::kSignMagnitude,
-                             probe.layer.weights_hash);
-        for (const auto &su : bitwave_sus()) {
-            if (su.depthwise_only) {
-                continue;
+    LayerContext first, last;
+    first.first_layer = true;
+    last.last_layer = true;
+    for (const auto variant :
+         {BitWaveVariant::kDenseSu, BitWaveVariant::kDynamicDf,
+          BitWaveVariant::kDfSm}) {
+        const auto machine = make_bitwave(variant);
+        search::MappingCostConfig cfg;
+        cfg.repr = machine.weight_repr;
+        cfg.memory = machine.memory;
+        cfg.skip_zero_columns =
+            machine.sparsity == SparsityMode::kWeightBitColumn;
+        cfg.compress_weights = machine.compress_weights;
+        ASSERT_EQ(cfg.skip_zero_columns, cfg.compress_weights);
+        for (const auto &desc : probes) {
+            const Probe probe(desc);
+            const LayerDesc mapped = normalized_for_mapping(desc);
+            const auto planes =
+                shared_bitplanes(probe.layer.weights, cfg.repr,
+                                 probe.layer.weights_hash);
+            for (const auto &su : machine.dataflows) {
+                if (su.depthwise_only) {
+                    continue;
+                }
+                auto config = machine;
+                config.dataflows = {su};
+                const AcceleratorModel model(config);
+                for (const LayerContext ctx : {LayerContext{}, first, last}) {
+                    const LayerResult r =
+                        model.model_layer(probe.layer, nullptr, ctx);
+                    cfg.input_from_dram = ctx.first_layer;
+                    cfg.output_to_dram = ctx.last_layer;
+                    const search::MappingCost c = search::mapping_cost(
+                        mapped, su,
+                        cfg.skip_zero_columns ? planes.get() : nullptr,
+                        probe.layer.weights_hash, cfg);
+                    const std::string what = machine.name + " / " +
+                        desc.name + " / " + su.name + " / first " +
+                        std::to_string(ctx.first_layer) + " last " +
+                        std::to_string(ctx.last_layer);
+                    EXPECT_EQ(c.total_cycles, r.total_cycles) << what;
+                    EXPECT_EQ(c.compute_cycles, r.compute_cycles) << what;
+                    EXPECT_EQ(c.energy.total_pj, r.energy.total_pj)
+                        << what;
+                    EXPECT_EQ(c.energy.dram_pj, r.energy.dram_pj) << what;
+                    EXPECT_EQ(c.weight_fetch_ratio, r.weight_fetch_ratio)
+                        << what;
+                }
             }
-            auto config = make_bitwave(BitWaveVariant::kDfSm);
-            config.dataflows = {su};
-            const AcceleratorModel model(config);
-            const LayerResult r = model.model_layer(probe.layer);
-            const search::MappingCost c = search::mapping_cost(
-                mapped, su, planes.get(), probe.layer.weights_hash,
-                bitwave_cost_config());
-            EXPECT_NEAR(c.total_cycles, r.total_cycles,
-                        1e-6 * r.total_cycles)
-                << desc.name << " / " << su.name;
-            EXPECT_NEAR(c.compute_cycles, r.compute_cycles,
-                        1e-6 * r.compute_cycles)
-                << desc.name << " / " << su.name;
-            EXPECT_NEAR(c.energy.total_pj, r.energy.total_pj,
-                        1e-6 * r.energy.total_pj)
-                << desc.name << " / " << su.name;
-            // DRAM bits must price identically through both Eq. (4)
-            // paths — same bits, same DramModel, same picojoules.
-            EXPECT_DOUBLE_EQ(c.energy.dram_pj, r.energy.dram_pj)
-                << desc.name << " / " << su.name;
         }
     }
 }

@@ -281,6 +281,34 @@ TEST(Service, InvalidRequestFailsAloneInItsBatch)
     }
 }
 
+// Every request an engine would once have fatal()ed on fails alone as
+// kInvalid, and the next valid request is served.
+TEST(Service, UnservableRequestsFailAndServiceKeepsServing)
+{
+    const auto net = tiny_net();
+    const auto bad = unservable_scenarios(net);
+    EvalService svc(pump_options(bad.size()));
+    std::vector<EvalTicket> tickets;
+    for (const auto &[what, s] : bad) {
+        tickets.push_back(svc.submit(s));
+    }
+    svc.pump();  // Counts batches that complete a job: none here.
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        EXPECT_EQ(tickets[i].status(), TicketStatus::kFailed)
+            << bad[i].first;
+        EXPECT_EQ(tickets[i].error_kind(), eval::ErrorKind::kInvalid)
+            << bad[i].first;
+    }
+
+    const eval::Scenario good =
+        tiny_scenario(net, make_bitwave(BitWaveVariant::kDfSm));
+    EvalTicket served = svc.submit(good);
+    EXPECT_EQ(svc.pump(), 1);
+    ASSERT_EQ(served.status(), TicketStatus::kDone);
+    expect_identical(served.result(),
+                     eval::ScenarioRunner().run({good}).front());
+}
+
 // ----------------------------------------------------------------- dedup ---
 
 TEST(Service, IdenticalInFlightRequestsCoalesce)

@@ -1,14 +1,18 @@
 /**
  * @file
  * Helpers shared by the eval, service and chaos tests: a scoped fault
- * spec and the field-by-field bit-identity check of two results.
+ * spec, the catalogue of unservable scenarios, and the field-by-field
+ * bit-identity check of two results.
  */
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/fault.hpp"
 #include "eval/engine.hpp"
@@ -28,6 +32,98 @@ class FaultGuard
     FaultGuard(const FaultGuard &) = delete;
     FaultGuard &operator=(const FaultGuard &) = delete;
 };
+
+/**
+ * Scenarios no engine can serve over @p net, each named by its defect:
+ * every field an engine would otherwise fatal() on, and every
+ * baseline-only knob a bit-column machine cannot be priced with.
+ */
+inline std::vector<std::pair<std::string, eval::Scenario>>
+unservable_scenarios(const std::shared_ptr<const Workload> &net)
+{
+    std::vector<std::pair<std::string, eval::Scenario>> cases;
+    const auto add = [&](std::string what, auto &&edit) {
+        eval::Scenario s;
+        s.custom_workload = net;
+        edit(s);
+        cases.emplace_back(std::move(what), std::move(s));
+    };
+    add("unknown layer", [](eval::Scenario &s) {
+        s.layer_filter = {"no_such_layer"};
+    });
+    add("override arity", [&](eval::Scenario &s) {
+        s.weight_override = std::make_shared<const std::vector<Int8Tensor>>(
+            std::vector<Int8Tensor>{net->layers.front().weights});
+    });
+    add("override size", [&](eval::Scenario &s) {
+        s.weight_override = std::make_shared<const std::vector<Int8Tensor>>(
+            std::vector<Int8Tensor>(net->layers.size(),
+                                    net->layers.back().weights));
+    });
+    add("no model dataflows",
+        [](eval::Scenario &s) { s.accel.dataflows.clear(); });
+    add("no NPU dataflows", [](eval::Scenario &s) {
+        s.engine = eval::EngineKind::kCycleSim;
+        s.npu.dataflows.clear();
+    });
+    add("no NPU activation banks", [](eval::Scenario &s) {
+        s.engine = eval::EngineKind::kCycleSim;
+        s.npu.act_sram_banks = 0;
+    });
+    add("bitflip group 0", [](eval::Scenario &s) {
+        s.bitflip.mode = eval::BitflipSpec::Mode::kUniform;
+        s.bitflip.group_size = 0;
+    });
+    for (const int zero_cols : {9, -1}) {
+        add("bitflip zero columns " + std::to_string(zero_cols),
+            [&](eval::Scenario &s) {
+                s.bitflip.mode = eval::BitflipSpec::Mode::kUniform;
+                s.bitflip.zero_columns = zero_cols;
+            });
+    }
+    add("stats group 0", [](eval::Scenario &s) {
+        s.engine = eval::EngineKind::kStats;
+        s.stats.group_size = 0;
+    });
+    add("stats bcs group 65", [](eval::Scenario &s) {
+        s.engine = eval::EngineKind::kStats;
+        s.stats.bcs = true;
+        s.stats.group_size = 65;
+    });
+    add("pragmatic sync lanes 0", [](eval::Scenario &s) {
+        s.accel = make_pragmatic();
+        s.accel.sync_lanes = 0;
+    });
+    add("bitlet window 0", [](eval::Scenario &s) {
+        s.accel = make_bitlet();
+        s.accel.interleave_window = 0;
+    });
+    add("bit-column sparsity on HUAA", [](eval::Scenario &s) {
+        s.accel = make_huaa();
+        s.accel.sparsity = SparsityMode::kWeightBitColumn;
+    });
+    add("BCS group 128", [](eval::Scenario &s) {
+        s.accel.dataflows.front().factors[Dim::kC] = 128;
+    });
+    for (const auto mode :
+         {SparsityMode::kValue, SparsityMode::kWeightBit,
+          SparsityMode::kWeightBitInterleaved}) {
+        add("bit-column machine, sparsity " +
+                std::to_string(static_cast<int>(mode)),
+            [&](eval::Scenario &s) { s.accel.sparsity = mode; });
+    }
+    add("bit-column compress_acts",
+        [](eval::Scenario &s) { s.accel.compress_acts = true; });
+    add("bit-column accumulator_banks",
+        [](eval::Scenario &s) { s.accel.accumulator_banks = true; });
+    add("bit-column planar_crossbar",
+        [](eval::Scenario &s) { s.accel.planar_crossbar = true; });
+    add("bit-column matmul_penalty",
+        [](eval::Scenario &s) { s.accel.matmul_penalty = 2.0; });
+    add("bit-column e_lane_overhead_pj",
+        [](eval::Scenario &s) { s.accel.e_lane_overhead_pj = 0.01; });
+    return cases;
+}
 
 /// Bit-identical, not approximately equal: the determinism contract.
 inline void
