@@ -4,8 +4,8 @@
  * BERT-scale tensor (3072 x 768 ffn projection, ~2.4M weights).
  *
  * Times the element-at-a-time oracles against the word-parallel kernels
- * that replaced them on every hot path (bit-column statistics, BCS
- * measure/compress, mapping cycle statistics, Bit-Flip), and
+ * that replaced them on every hot path (flat and row-aligned bit-column
+ * statistics, BCS measure/compress, Bit-Flip), and
  * verifies bit-identical results in the same run, and closes with a
  * `runner_scaling` row timing the work-stealing runner core serial vs
  * parallel on a warm batch, the serial cost of synthesizing the tensor
@@ -31,7 +31,6 @@
 #include "compress/bcs.hpp"
 #include "compress/csr.hpp"
 #include "compress/zre.hpp"
-#include "dataflow/mapping.hpp"
 #include "nn/layer.hpp"
 #include "nn/synthesis.hpp"
 #include "sparsity/bitcolumn.hpp"
@@ -131,8 +130,9 @@ main()
 
     {  // Bit-column statistics.
         BitColumnStats s, p;
-        const double scalar_ms = time_ms(
-            [&] { s = analyze_bit_columns_scalar(w, group, repr); });
+        const double scalar_ms = time_ms([&] {
+            s = analyze_bit_columns_scalar(w, group, w.numel(), repr);
+        });
         const double packed_ms =
             time_ms([&] { p = analyze_bit_columns(planes, group); });
         report(json, table, "analyze_bit_columns", scalar_ms, packed_ms,
@@ -165,16 +165,17 @@ main()
                identical);
     }
 
-    {  // Mapping cycle statistics (the analytical model's inner loop).
-        ColumnCycleStats s, p;
-        const double scalar_ms = time_ms(
-            [&] { s = column_cycle_stats_scalar(w, desc, group, 32, repr); });
+    {  // Row-aligned bit-column statistics (the analytical model's
+       // occupancy histogram, at the tensor's row length).
+        const std::int64_t row_len = weight_row_geometry(desc).row_len;
+        BitColumnStats s, p;
+        const double scalar_ms = time_ms([&] {
+            s = analyze_bit_columns_scalar(w, group, row_len, repr);
+        });
         const double packed_ms = time_ms(
-            [&] { p = column_cycle_stats(planes, desc, group, 32); });
-        report(json, table, "column_cycle_stats", scalar_ms, packed_ms,
-               s.groups == p.groups &&
-                   s.mean_cycles_per_group == p.mean_cycles_per_group &&
-                   s.sync_cycles_per_group == p.sync_cycles_per_group);
+            [&] { p = analyze_bit_columns(planes, group, row_len); });
+        report(json, table, "analyze_bit_columns_rows", scalar_ms,
+               packed_ms, same_stats(s, p));
     }
 
     {  // ZRE encoding (SWAR non-zero mask scan vs per-element walk).

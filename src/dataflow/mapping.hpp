@@ -1,9 +1,15 @@
 /**
  * @file
- * ZigZag-lite mapping analysis: per-layer compute-cycle and memory-access
- * counts (the Table II quantities) for a layer mapped onto an accelerator
- * dataflow. This is the analytical substrate both the SotA models
- * (Section V-B) and the BitWave performance model build on.
+ * ZigZag-lite mapping analysis: per-layer memory-access counts (the
+ * Table II quantities) for a layer mapped onto an accelerator dataflow,
+ * and the bit-serial baselines' cycle statistics. This is the analytical
+ * substrate both the SotA models (Section V-B) and the BitWave
+ * performance model build on. BitWave's own cycle count needs only the
+ * per-group histogram of non-zero bit columns (Eq. 2): the row-aligned
+ * BitColumnStats of sparsity/bitcolumn.hpp, memoized by
+ * search::cached_cycle_stats. The lockstep penalty of Ku kernels waiting
+ * on their slowest group is counted by the cycle-level simulator
+ * (LayerSimResult::cycles_lockstep).
  */
 #pragma once
 
@@ -12,60 +18,9 @@
 #include "dataflow/su.hpp"
 #include "nn/workload.hpp"
 #include "sparsity/stats.hpp"
-#include "tensor/bitplane.hpp"
 #include "tensor/tensor.hpp"
 
 namespace bitwave {
-
-/**
- * Bit-column execution statistics of one layer's weights.
- *
- * `mean_cycles_per_group` is the average number of non-zero columns per
- * weight group (the cycles an isolated BCE needs per 8b weight pass).
- * `sync_cycles_per_group` accounts for lane synchronization: the Ku
- * kernels advancing in lockstep must all wait for the slowest group, so
- * the effective cycle count is the mean of per-tile maxima. Bit-Flip
- * equalizes group occupancy, closing the gap between the two.
- */
-struct ColumnCycleStats
-{
-    double mean_cycles_per_group = 8.0;
-    double sync_cycles_per_group = 8.0;
-    std::int64_t groups = 0;
-    /// Count of groups with exactly nz non-zero columns, nz in 0..8.
-    std::int64_t occupancy_hist[9] = {};
-
-    /**
-     * Mean cycles per group when @p bit_columns columns are consumed per
-     * cycle with whole-cycle granularity: E[max(1, ceil(nz / bc))]. This
-     * is what the SU4-SU6 four-column datapath actually achieves and what
-     * the cycle-level simulator counts.
-     */
-    double mean_ceil_cycles(int bit_columns) const;
-};
-
-/**
- * Analyze @p weights (C-innermost layout) for group size @p group_size
- * with @p ku kernels synchronized in lockstep.
- *
- * @param repr Representation whose zero columns are skippable.
- *
- * The tensor overload packs bit planes internally; pass pre-packed
- * planes (e.g. the shared content-hash cache) to amortize the pack
- * across scenarios sweeping the same weights.
- */
-ColumnCycleStats column_cycle_stats(const Int8Tensor &weights,
-                                    const LayerDesc &desc, int group_size,
-                                    std::int64_t ku, Representation repr);
-ColumnCycleStats column_cycle_stats(const BitPlanes &planes,
-                                    const LayerDesc &desc, int group_size,
-                                    std::int64_t ku);
-
-/// Element-at-a-time oracle for the packed analysis (tests / bench).
-ColumnCycleStats column_cycle_stats_scalar(const Int8Tensor &weights,
-                                           const LayerDesc &desc,
-                                           int group_size, std::int64_t ku,
-                                           Representation repr);
 
 /**
  * Per-weight-word bit-serial statistics for accelerators that skip zero
@@ -92,7 +47,6 @@ struct MemoryHierarchy
     std::int64_t act_sram_bytes = 256 * 1024;
     std::int64_t weight_port_bits = 1024;  ///< SRAM->PE weight bandwidth.
     std::int64_t act_port_bits = 1024;     ///< SRAM->PE activation bandwidth.
-    std::int64_t dram_bits_per_cycle = 64; ///< DDR channel width.
 };
 
 /**

@@ -79,6 +79,25 @@ SpatialUnrolling::group_size() const
     return factor(Dim::kC);
 }
 
+std::string
+dataflows_error(const std::vector<SpatialUnrolling> &sus)
+{
+    if (sus.empty()) {
+        return "no dataflows";
+    }
+    for (const auto &su : sus) {
+        if (su.bit_columns < 1) {
+            return su.name + ": bit_columns < 1";
+        }
+        for (const auto &[dim, f] : su.factors) {
+            if (f < 1) {
+                return su.name + ": " + dim_name(dim) + " factor < 1";
+            }
+        }
+    }
+    return {};
+}
+
 const std::vector<SpatialUnrolling> &
 bitwave_sus()
 {

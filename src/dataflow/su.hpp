@@ -74,6 +74,13 @@ struct SpatialUnrolling
  */
 const std::vector<SpatialUnrolling> &bitwave_sus();
 
+/**
+ * Why @p sus cannot be mapped, or empty when they can: an empty list, a
+ * factor below 1, or bit_columns below 1 (cycle counts divide by both).
+ * The model's and the simulator's config checks both call it.
+ */
+std::string dataflows_error(const std::vector<SpatialUnrolling> &sus);
+
 /// Fixed single-SU baselines used by Fig. 9 for a given PE lane budget.
 /// @p lanes must be 4096 (bit-serial array) or 512 (bit-parallel array).
 std::vector<SpatialUnrolling> fixed_su_baselines(std::int64_t lanes);

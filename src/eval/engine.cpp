@@ -191,9 +191,12 @@ scenario_error(const Scenario &scenario)
         why = model_config_error(scenario.accel);
         break;
       case EngineKind::kCycleSim:
-        if (npu.dataflows.empty() || npu.act_sram_bytes < 1 ||
-            npu.act_sram_banks < 1 || npu.sram_word_bits < 1) {
-            why = "NPU without dataflows or activation SRAM";
+        why = dataflows_error(npu.dataflows);
+        if (why.empty() &&
+            (npu.weight_sram_bytes < 1 || npu.weight_port_bits < 1 ||
+             npu.act_sram_bytes < 1 || npu.act_sram_banks < 1 ||
+             npu.sram_word_bits < 1)) {
+            why = "NPU SRAM size, port width, banks or word bits < 1";
         }
         break;
       case EngineKind::kStats:

@@ -123,8 +123,6 @@ mix_accel(std::uint64_t h, const AcceleratorConfig &a)
     h = hash_combine(h, static_cast<std::uint64_t>(a.memory.act_sram_bytes));
     h = hash_combine(h, static_cast<std::uint64_t>(a.memory.weight_port_bits));
     h = hash_combine(h, static_cast<std::uint64_t>(a.memory.act_port_bits));
-    h = hash_combine(h,
-                     static_cast<std::uint64_t>(a.memory.dram_bits_per_cycle));
     h = hash_combine(h, static_cast<std::uint64_t>(a.sync_lanes));
     h = hash_combine(h, static_cast<std::uint64_t>(a.interleave_window));
     h = mix_double(h, a.interleave_overhead);

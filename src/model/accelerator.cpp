@@ -150,7 +150,6 @@ make_bitwave(BitWaveVariant variant)
     AcceleratorConfig c;
     c.style = ComputeStyle::kBitColumnSerial;
     c.weight_repr = Representation::kSignMagnitude;
-    c.sync_lanes = 32;  // Ku kernels in lockstep per Table I SUs.
     switch (variant) {
       case BitWaveVariant::kDenseSu:
         c.name = "BitWave";

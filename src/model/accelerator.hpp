@@ -68,7 +68,7 @@ struct AcceleratorConfig
         search::MappingPolicy::kUtilization;
     MemoryHierarchy memory;
 
-    /// Lanes that advance in lockstep (Pragmatic sync, BitWave Ku).
+    /// Lanes that advance in lockstep (Pragmatic sync).
     std::int64_t sync_lanes = 16;
     /// Bitlet interleaving window in weights.
     std::int64_t interleave_window = 64;

@@ -103,8 +103,13 @@ model_config_error(const AcceleratorConfig &config)
     const SparsityMode mode = config.sparsity;
     const bool serial = config.style == ComputeStyle::kBitSerial;
     const bool columns = config.style == ComputeStyle::kBitColumnSerial;
-    if (config.dataflows.empty()) {
-        return "no dataflows";
+    if (std::string why = dataflows_error(config.dataflows); !why.empty()) {
+        return why;
+    }
+    const MemoryHierarchy &mem = config.memory;
+    if (mem.weight_sram_bytes < 1 || mem.act_sram_bytes < 1 ||
+        mem.weight_port_bits < 1 || mem.act_port_bits < 1) {
+        return "SRAM size or port width < 1";
     }
     if (serial && ((mode == SparsityMode::kWeightBit && config.sync_lanes < 1)
                    || (mode == SparsityMode::kWeightBitInterleaved &&

@@ -53,8 +53,9 @@ struct LayerResult
 
 /**
  * Why the model cannot price @p config, or empty when it can. It cannot
- * price a config without dataflows, a bit-serial machine whose lockstep
- * width (sync_lanes) or interleaving window is below 1, bit-column
+ * price a config whose dataflows dataflows_error() rejects, an SRAM size
+ * or port width below 1, a bit-serial machine whose lockstep width
+ * (sync_lanes) or interleaving window is below 1, bit-column
  * sparsity on a machine without bit columns, BCS groups outside
  * [1, 64], or a bit-column machine that sets a knob only the baseline
  * pricing reads: search::mapping_cost would price it without the knob.

@@ -20,44 +20,27 @@ mapping_policy_name(MappingPolicy policy)
     return "?";
 }
 
-namespace {
-
-/// Identity of one column-cycle analysis: tensor content + representation
-/// + every descriptor field the analysis reads (group tiling, lockstep
-/// tile, row geometry).
-std::uint64_t
-cycle_stats_key(const BitPlanes &planes, const LayerDesc &desc,
-                int group_size, std::int64_t ku,
-                std::uint64_t content_hash)
+std::shared_ptr<const BitColumnStats>
+cached_cycle_stats(const BitPlanes &planes, const LayerDesc &desc,
+                   int group_size, std::uint64_t content_hash)
 {
+    // Depthwise weights stay one flat row, not the per-channel rows of
+    // weight_row_geometry().
+    const std::int64_t row_len = desc.kind == LayerKind::kDepthwiseConv
+        ? planes.n : weight_row_geometry(desc).row_len;
+    const auto build = [&] {
+        return analyze_bit_columns(planes, group_size, row_len);
+    };
+    if (content_hash == 0) {
+        return std::make_shared<const BitColumnStats>(build());
+    }
     std::uint64_t key = hash_combine(
         content_hash, static_cast<std::uint64_t>(planes.repr));
     key = hash_combine(key, static_cast<std::uint64_t>(group_size));
-    key = hash_combine(key, static_cast<std::uint64_t>(ku));
-    const bool depthwise = desc.kind == LayerKind::kDepthwiseConv;
-    key = hash_combine(key, depthwise ? 1 : 0);
-    key = hash_combine(key, static_cast<std::uint64_t>(desc.k));
-    key = hash_combine(key, static_cast<std::uint64_t>(desc.c));
-    return hash_combine(key,
-                        static_cast<std::uint64_t>(desc.fy * desc.fx));
-}
-
-}  // namespace
-
-std::shared_ptr<const ColumnCycleStats>
-cached_cycle_stats(const BitPlanes &planes, const LayerDesc &desc,
-                   int group_size, std::int64_t ku,
-                   std::uint64_t content_hash)
-{
-    if (content_hash == 0) {
-        return std::make_shared<const ColumnCycleStats>(
-            column_cycle_stats(planes, desc, group_size, ku));
-    }
-    static ShardedLruCache<std::uint64_t, ColumnCycleStats> memo(
+    key = hash_combine(key, static_cast<std::uint64_t>(row_len));
+    static ShardedLruCache<std::uint64_t, BitColumnStats> memo(
         4096, 0, "mapping_cycles");
-    return memo.get_or_build(
-        cycle_stats_key(planes, desc, group_size, ku, content_hash),
-        [&] { return column_cycle_stats(planes, desc, group_size, ku); });
+    return memo.get_or_build(key, build);
 }
 
 std::shared_ptr<const BcsSizeInfo>
@@ -99,12 +82,11 @@ mapping_cost(const LayerDesc &desc, const SpatialUnrolling &su,
     double mac_energy_scale = 1.0;
     double mean_columns_per_group = 8.0;
     if (cfg.skip_zero_columns) {
-        const auto cc = cached_cycle_stats(*planes, desc, group,
-                                           su.factor(Dim::kK),
-                                           content_hash);
+        const auto cc =
+            cached_cycle_stats(*planes, desc, group, content_hash);
         cycles_per_pass = cc->mean_ceil_cycles(su.bit_columns);
-        mac_energy_scale = cc->mean_cycles_per_group / 8.0;
-        mean_columns_per_group = cc->mean_cycles_per_group;
+        mean_columns_per_group = cc->mean_nonzero_columns();
+        mac_energy_scale = mean_columns_per_group / 8.0;
     } else {
         cycles_per_pass = 8.0 / static_cast<double>(su.bit_columns);
     }

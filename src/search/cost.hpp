@@ -20,11 +20,11 @@
  * selection behind a `MappingPolicy` knob whose default, `kUtilization`,
  * reproduces the historic `select_su` choice bit for bit.
  *
- * The per-candidate statistics (column-cycle occupancy, BCS size) are
+ * The per-candidate statistics (bit-column occupancy, BCS size) are
  * memoized process-wide by tensor content so sweeps that revisit the
  * same weights — the design-space explorer scores hundreds of hardware
- * configs against one workload set — pay each (tensor, group, Ku) scan
- * exactly once.
+ * configs against one workload set — pay each (tensor, group size, row
+ * length) scan exactly once, shared by every Ku.
  */
 #pragma once
 
@@ -38,6 +38,7 @@
 #include "energy/dram.hpp"
 #include "energy/pricing.hpp"
 #include "energy/tech.hpp"
+#include "sparsity/bitcolumn.hpp"
 #include "tensor/bitplane.hpp"
 
 namespace bitwave::search {
@@ -96,16 +97,19 @@ struct MappingCost
 };
 
 /**
- * Column-cycle statistics of one weight tensor under one (group, Ku)
- * accounting, served from a process-wide content-hash LRU of 4096
- * entries. @p content_hash must identify the tensor bytes
+ * Bit-column occupancy of one weight tensor at one group size, served
+ * from a process-wide content-hash LRU of 4096 entries
+ * (cache.mapping_cycles). Groups tile weight_row_geometry(desc)'s rows,
+ * except that a depthwise layer is scanned as one flat row of all its
+ * K*FY*FX weights. The key is (content, representation, group size, row
+ * length): every SU with the same group size shares one scan, whatever
+ * its Ku. @p content_hash must identify the tensor bytes
  * (WorkloadLayer::weights_hash or a derived flip hash); 0 bypasses the
  * cache and computes directly.
  */
-std::shared_ptr<const ColumnCycleStats>
+std::shared_ptr<const BitColumnStats>
 cached_cycle_stats(const BitPlanes &planes, const LayerDesc &desc,
-                   int group_size, std::int64_t ku,
-                   std::uint64_t content_hash);
+                   int group_size, std::uint64_t content_hash);
 
 /// BCS size accounting of one tensor at one group size, memoized like
 /// cached_cycle_stats().

@@ -1,5 +1,8 @@
 #include "sparsity/bitcolumn.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/bits.hpp"
 
 namespace bitwave {
@@ -48,6 +51,23 @@ BitColumnStats::mean_nonzero_columns() const
         : 0.0;
 }
 
+double
+BitColumnStats::mean_ceil_cycles(int bit_columns) const
+{
+    if (groups == 0 || bit_columns < 1) {
+        return mean_nonzero_columns();
+    }
+    double total = 0.0;
+    for (int nz = 0; nz <= kWordBits; ++nz) {
+        const double cycles = std::max(
+            1.0, std::ceil(static_cast<double>(nz) /
+                           static_cast<double>(bit_columns)));
+        total += cycles *
+            static_cast<double>(zero_column_hist[kWordBits - nz]);
+    }
+    return total / static_cast<double>(groups);
+}
+
 void
 BitColumnStats::merge(const BitColumnStats &other)
 {
@@ -61,32 +81,67 @@ BitColumnStats::merge(const BitColumnStats &other)
 
 BitColumnStats
 analyze_bit_columns_scalar(const Int8Tensor &tensor, int group_size,
-                           Representation repr)
+                           std::int64_t row_len, Representation repr)
 {
-    if (group_size < 1) {
-        fatal("analyze_bit_columns: group_size must be >= 1, got %d",
-              group_size);
+    const std::int64_t n = tensor.numel();
+    if (group_size < 1 || (n > 0 && (row_len < 1 || n % row_len != 0))) {
+        fatal("analyze_bit_columns: group_size %d, row_len %lld for %lld "
+              "elements", group_size, static_cast<long long>(row_len),
+              static_cast<long long>(n));
     }
     BitColumnStats stats;
     stats.group_size = group_size;
     stats.repr = repr;
 
-    const std::int64_t n = tensor.numel();
-    for (std::int64_t start = 0; start < n; start += group_size) {
-        const std::int64_t len = std::min<std::int64_t>(group_size, n - start);
-        // The tail group is implicitly zero-padded: padding contributes no
-        // 1 bits, so the index over the real elements is already correct.
-        const std::uint8_t idx = column_index(
-            std::span<const std::int8_t>(tensor.data() + start,
-                                         static_cast<std::size_t>(len)),
-            repr);
-        const int zeros = kWordBits - popcount8(idx);
-        ++stats.groups;
-        stats.columns += kWordBits;
-        stats.zero_columns += zeros;
-        ++stats.zero_column_hist[zeros];
+    for (std::int64_t row = 0; row < n; row += row_len) {
+        for (std::int64_t c = 0; c < row_len; c += group_size) {
+            const std::int64_t len =
+                std::min<std::int64_t>(group_size, row_len - c);
+            // A row's tail group is implicitly zero-padded: padding
+            // contributes no 1 bits, so the index over the real
+            // elements is already correct.
+            const std::uint8_t idx = column_index(
+                std::span<const std::int8_t>(tensor.data() + row + c,
+                                             static_cast<std::size_t>(len)),
+                repr);
+            const int zeros = kWordBits - popcount8(idx);
+            ++stats.groups;
+            stats.columns += kWordBits;
+            stats.zero_columns += zeros;
+            ++stats.zero_column_hist[zeros];
+        }
     }
     return stats;
+}
+
+namespace {
+
+/// Group, column and zero-column totals of a filled histogram.
+BitColumnStats
+with_totals(BitColumnStats stats)
+{
+    for (int zeros = 0; zeros <= kWordBits; ++zeros) {
+        const std::int64_t groups = stats.zero_column_hist[zeros];
+        stats.groups += groups;
+        stats.columns += groups * kWordBits;
+        stats.zero_columns += groups * zeros;
+    }
+    return stats;
+}
+
+}  // namespace
+
+BitColumnStats
+analyze_bit_columns(const BitPlanes &planes, int group_size,
+                    std::int64_t row_len)
+{
+    BitColumnStats stats;
+    stats.group_size = group_size;
+    stats.repr = planes.repr;
+    // Fused word-parallel histogram: no intermediate mask buffer.
+    scan_zero_column_histogram(planes, row_len, group_size,
+                               stats.zero_column_hist);
+    return with_totals(stats);
 }
 
 BitColumnStats
@@ -96,39 +151,26 @@ analyze_bit_columns(const BitPlanes &planes, int group_size)
         fatal("analyze_bit_columns: group_size must be >= 1, got %d",
               group_size);
     }
+    if (group_size <= 64) {
+        return analyze_bit_columns(planes, group_size, planes.n);
+    }
+    // Oversized groups (> one word): OR the word-level masks of the
+    // covered range. Rare (the hardware set tops out at 64).
     BitColumnStats stats;
     stats.group_size = group_size;
     stats.repr = planes.repr;
-    if (planes.n == 0) {
-        return stats;
-    }
-    if (group_size <= 64) {
-        // Fused word-parallel histogram — no intermediate mask buffer.
-        scan_zero_column_histogram(planes, planes.n, group_size,
-                                   stats.zero_column_hist);
-    } else {
-        // Oversized groups (> one word): OR the word-level masks of the
-        // covered range. Rare (the hardware set tops out at 64).
-        for (std::int64_t start = 0; start < planes.n;
-             start += group_size) {
-            const std::int64_t len =
-                std::min<std::int64_t>(group_size, planes.n - start);
-            std::uint8_t mask = 0;
-            for (std::int64_t c = 0; c < len; c += 64) {
-                mask |= planes.group_index(
-                    start + c,
-                    static_cast<int>(std::min<std::int64_t>(64, len - c)));
-            }
-            ++stats.zero_column_hist[kWordBits - popcount8(mask)];
+    for (std::int64_t start = 0; start < planes.n; start += group_size) {
+        const std::int64_t len =
+            std::min<std::int64_t>(group_size, planes.n - start);
+        std::uint8_t mask = 0;
+        for (std::int64_t c = 0; c < len; c += 64) {
+            mask |= planes.group_index(
+                start + c,
+                static_cast<int>(std::min<std::int64_t>(64, len - c)));
         }
+        ++stats.zero_column_hist[kWordBits - popcount8(mask)];
     }
-    for (int zeros = 0; zeros <= kWordBits; ++zeros) {
-        const std::int64_t groups = stats.zero_column_hist[zeros];
-        stats.groups += groups;
-        stats.columns += groups * kWordBits;
-        stats.zero_columns += groups * zeros;
-    }
-    return stats;
+    return with_totals(stats);
 }
 
 BitColumnStats

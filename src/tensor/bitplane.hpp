@@ -101,10 +101,10 @@ BitPlanes pack_bitplanes(const Int8Tensor &tensor, Representation repr);
  * for flat whole-tensor grouping. @p out must hold
  * rows * ceil(row_len / group_size) bytes.
  *
- * This is the shared hot loop under the bit-column statistics, the BCS
- * measure/compressor, the analytical model's cycle stats and the
- * simulator's row compression; 64-aligned layouts take a whole-word SWAR
- * path that emits up to 8 group masks per plane load.
+ * This is the shared hot loop under the column-index stream, the BCS
+ * compressor and the simulator's row compression; 64-aligned layouts
+ * take a whole-word SWAR path that emits up to 8 group masks per plane
+ * load.
  */
 void scan_group_indexes(const BitPlanes &planes, std::int64_t row_len,
                         int group_size, std::uint8_t *out);
@@ -125,7 +125,8 @@ std::int64_t scan_nonzero_column_total(const BitPlanes &planes,
 /**
  * Fused scan: histogram of per-group ZERO-column counts (hist[z] +=
  * groups with exactly z zero columns, z in 0..8) without materializing
- * the masks — the bit-column statistics in one pass. @p hist is
+ * the masks — the bit-column statistics, flat or row-aligned (the
+ * analytical model's per-group occupancy), in one pass. @p hist is
  * accumulated into, not cleared.
  */
 void scan_zero_column_histogram(const BitPlanes &planes,

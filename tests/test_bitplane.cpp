@@ -3,8 +3,8 @@
  * Tests for the packed bit-plane representation and the word-parallel
  * kernels built on it: pack/segment correctness against per-element
  * encoding, and bit-identical results between the packed kernels and
- * their scalar oracles (column statistics, BCS measure/compress, cycle
- * statistics) on randomized tensors in both representations.
+ * their scalar oracles (flat and row-aligned column statistics, BCS
+ * measure/compress) on randomized tensors in both representations.
  * Also home of the process-cache tests: ShardedLruCache's exact LRU
  * order on one shard, its derived shard count, and the concurrent-reader
  * paths the CI TSan job checks.
@@ -19,7 +19,6 @@
 #include "common/lru.hpp"
 #include "common/rng.hpp"
 #include "compress/bcs.hpp"
-#include "dataflow/mapping.hpp"
 #include "nn/layer.hpp"
 #include "sparsity/bitcolumn.hpp"
 #include "tensor/bitplane.hpp"
@@ -113,7 +112,7 @@ TEST(BitPlanes, AnalyzeBitColumnsMatchesScalar)
         for (const auto repr : kBothReprs) {
             for (const int g : group_sizes) {
                 const auto scalar =
-                    analyze_bit_columns_scalar(t, g, repr);
+                    analyze_bit_columns_scalar(t, g, t.numel(), repr);
                 const auto packed = analyze_bit_columns(t, g, repr);
                 EXPECT_EQ(packed.groups, scalar.groups);
                 EXPECT_EQ(packed.columns, scalar.columns);
@@ -176,35 +175,35 @@ TEST(BitPlanes, BcsMeasureAndCompressMatchScalar)
     }
 }
 
-TEST(BitPlanes, ColumnCycleStatsMatchesScalar)
+TEST(BitPlanes, RowAlignedBitColumnsMatchScalar)
 {
     // Conv rows (row_len = C, both 64-aligned and not), linear rows and
-    // the depthwise flat layout all agree with the scalar walk.
-    struct Case
-    {
-        LayerDesc desc;
-        std::int64_t ku;
+    // the depthwise flat layout, at the row length the model prices
+    // them with, all agree with the scalar walk.
+    const LayerDesc descs[] = {
+        make_conv("c", 8, 96, 5, 5, 3, 3),
+        make_conv("c64", 4, 64, 4, 4, 3, 3),
+        make_linear("fc", 24, 100, 2),
+        make_depthwise("dw", 12, 5, 5, 3),
     };
-    const Case cases[] = {
-        {make_conv("c", 8, 96, 5, 5, 3, 3), 4},
-        {make_conv("c64", 4, 64, 4, 4, 3, 3), 32},
-        {make_linear("fc", 24, 100, 2), 8},
-        {make_depthwise("dw", 12, 5, 5, 3), 64},
-    };
-    for (const auto &[desc, ku] : cases) {
+    for (const auto &desc : descs) {
         const Int8Tensor w = random_tensor(desc.weight_count(), 59, 0.35);
+        const std::int64_t row_len =
+            desc.kind == LayerKind::kDepthwiseConv
+            ? w.numel() : weight_row_geometry(desc).row_len;
         for (const auto repr : kBothReprs) {
+            const BitPlanes planes = pack_bitplanes(w, repr);
             for (const int g : {8, 16, 64}) {
-                const auto s =
-                    column_cycle_stats_scalar(w, desc, g, ku, repr);
-                const auto p = column_cycle_stats(w, desc, g, ku, repr);
-                EXPECT_EQ(p.groups, s.groups) << desc.name;
-                EXPECT_DOUBLE_EQ(p.mean_cycles_per_group,
-                                 s.mean_cycles_per_group);
-                EXPECT_DOUBLE_EQ(p.sync_cycles_per_group,
-                                 s.sync_cycles_per_group);
-                for (int nz = 0; nz <= 8; ++nz) {
-                    EXPECT_EQ(p.occupancy_hist[nz], s.occupancy_hist[nz]);
+                const auto s = analyze_bit_columns_scalar(w, g, row_len, repr);
+                const auto p = analyze_bit_columns(planes, g, row_len);
+                EXPECT_EQ(s.groups, scan_group_count(w.numel(), row_len, g))
+                    << desc.name << " g=" << g;
+                EXPECT_EQ(p.groups, s.groups) << desc.name << " g=" << g;
+                EXPECT_EQ(p.columns, s.columns);
+                EXPECT_EQ(p.zero_columns, s.zero_columns);
+                for (int z = 0; z <= 8; ++z) {
+                    EXPECT_EQ(p.zero_column_hist[z], s.zero_column_hist[z])
+                        << desc.name << " g=" << g << " z=" << z;
                 }
             }
         }

@@ -8,8 +8,8 @@
 #include "common/rng.hpp"
 #include "dataflow/mapping.hpp"
 #include "dataflow/su.hpp"
-#include "nn/synthesis.hpp"
 #include "nn/workloads.hpp"
+#include "search/cost.hpp"
 
 namespace bitwave {
 namespace {
@@ -165,38 +165,11 @@ TEST(ColumnCycles, DenseWeightsTakeEightCycles)
         w[i] = static_cast<std::int8_t>((i % 2) ? 127 : -127);
     }
     const auto d = make_conv("c", 16, 8, 4, 4, 1, 1);
-    const auto cc =
-        column_cycle_stats(w, d, 8, 4, Representation::kSignMagnitude);
-    EXPECT_DOUBLE_EQ(cc.mean_cycles_per_group, 8.0);
-    EXPECT_DOUBLE_EQ(cc.sync_cycles_per_group, 8.0);
-}
-
-TEST(ColumnCycles, SyncAtLeastMean)
-{
-    Rng rng(4);
-    WeightProfile p;
-    p.scale = 6.0;
-    const auto d = make_conv("c", 32, 32, 4, 4, 3, 3);
-    const auto w = synthesize_weights(d, p, rng);
-    const auto cc =
-        column_cycle_stats(w, d, 16, 32, Representation::kSignMagnitude);
-    EXPECT_GE(cc.sync_cycles_per_group, cc.mean_cycles_per_group);
-    EXPECT_LE(cc.sync_cycles_per_group, 8.0);
-    EXPECT_GT(cc.mean_cycles_per_group, 0.0);
-}
-
-TEST(ColumnCycles, SmallerSyncGroupsReduceWorstCase)
-{
-    Rng rng(4);
-    WeightProfile p;
-    p.scale = 5.0;
-    const auto d = make_conv("c", 64, 32, 4, 4, 1, 1);
-    const auto w = synthesize_weights(d, p, rng);
-    const auto cc8 =
-        column_cycle_stats(w, d, 16, 8, Representation::kSignMagnitude);
-    const auto cc64 =
-        column_cycle_stats(w, d, 16, 64, Representation::kSignMagnitude);
-    EXPECT_LE(cc8.sync_cycles_per_group, cc64.sync_cycles_per_group + 1e-9);
+    const auto cc = search::cached_cycle_stats(
+        pack_bitplanes(w, Representation::kSignMagnitude), d, 8, 0);
+    EXPECT_DOUBLE_EQ(cc->mean_nonzero_columns(), 8.0);
+    // Four columns per cycle: every dense group takes two cycles.
+    EXPECT_DOUBLE_EQ(cc->mean_ceil_cycles(4), 2.0);
 }
 
 TEST(BitSerialCycles, DenseIsEight)

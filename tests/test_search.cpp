@@ -9,6 +9,7 @@
 
 #include <string>
 
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "model/performance.hpp"
 #include "nn/synthesis.hpp"
@@ -102,6 +103,33 @@ TEST(MappingCost, AgreesWithAnalyticalModelPerCandidate)
             }
         }
     }
+}
+
+TEST(MappingCost, OneCycleStatScanPerGroupSize)
+{
+    // The occupancy histogram depends on the group size and the row
+    // length, never on Ku: SU1 and SU4 (both Cu = 8, Ku = 32 and 128)
+    // price one conv layer from one scan. The seed draws weights no
+    // other test does, so the scan cannot already be cached.
+    const Probe probe(make_conv("conv", 128, 64, 14, 14, 3, 3), 20261017);
+    const auto &sus = bitwave_sus();
+    const SpatialUnrolling &su1 = sus[0];
+    const SpatialUnrolling &su4 = sus[3];
+    ASSERT_EQ(su1.group_size(), 8);
+    ASSERT_EQ(su4.group_size(), 8);
+    ASSERT_EQ(su1.factor(Dim::kK), 32);
+    ASSERT_EQ(su4.factor(Dim::kK), 128);
+
+    const search::MappingCostConfig cfg;
+    const auto planes = shared_bitplanes(probe.layer.weights, cfg.repr,
+                                         probe.layer.weights_hash);
+    const auto &misses = metrics::counter("cache.mapping_cycles.misses");
+    const std::uint64_t before = misses.value();
+    for (const SpatialUnrolling *su : {&su1, &su4}) {
+        search::mapping_cost(probe.layer.desc, *su, planes.get(),
+                             probe.layer.weights_hash, cfg);
+    }
+    EXPECT_EQ(misses.value(), before + 1);
 }
 
 TEST(MappingCost, CostAwareNeverWorseThanUtilizationOnProbes)

@@ -70,6 +70,38 @@ unservable_scenarios(const std::shared_ptr<const Workload> &net)
         s.engine = eval::EngineKind::kCycleSim;
         s.npu.act_sram_banks = 0;
     });
+    add("HUAA K factor 0", [](eval::Scenario &s) {
+        s.accel = make_huaa();
+        s.accel.dataflows.front().factors[Dim::kK] = 0;
+    });
+    add("NPU K factor 0", [](eval::Scenario &s) {
+        s.engine = eval::EngineKind::kCycleSim;
+        s.npu.dataflows.front().factors[Dim::kK] = 0;
+    });
+    add("dense SU bit_columns 0", [](eval::Scenario &s) {
+        s.accel = make_bitwave(BitWaveVariant::kDenseSu);
+        s.accel.dataflows.front().bit_columns = 0;
+    });
+    add("NPU bit_columns 0", [](eval::Scenario &s) {
+        s.engine = eval::EngineKind::kCycleSim;
+        s.npu.dataflows.front().bit_columns = 0;
+    });
+    add("weight SRAM 0",
+        [](eval::Scenario &s) { s.accel.memory.weight_sram_bytes = 0; });
+    add("activation SRAM -1",
+        [](eval::Scenario &s) { s.accel.memory.act_sram_bytes = -1; });
+    add("weight port 0",
+        [](eval::Scenario &s) { s.accel.memory.weight_port_bits = 0; });
+    add("activation port 0",
+        [](eval::Scenario &s) { s.accel.memory.act_port_bits = 0; });
+    add("NPU weight SRAM 0", [](eval::Scenario &s) {
+        s.engine = eval::EngineKind::kCycleSim;
+        s.npu.weight_sram_bytes = 0;
+    });
+    add("NPU weight port 0", [](eval::Scenario &s) {
+        s.engine = eval::EngineKind::kCycleSim;
+        s.npu.weight_port_bits = 0;
+    });
     add("bitflip group 0", [](eval::Scenario &s) {
         s.bitflip.mode = eval::BitflipSpec::Mode::kUniform;
         s.bitflip.group_size = 0;
