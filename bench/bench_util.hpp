@@ -38,9 +38,10 @@ banner(const std::string &artifact, const std::string &caption)
 inline void
 print_runner_report(const eval::RunnerReport &report)
 {
-    std::printf("[runner: %d threads, %d shards, %.2fs wall, %.2fx "
-                "parallel speedup]\n", report.threads_used, report.shards,
-                report.wall_seconds, report.speedup());
+    std::printf("[runner: %d threads, %lld chunks, %.2fs wall, %.2fx "
+                "parallel speedup]\n", report.threads_used,
+                static_cast<long long>(report.chunks), report.wall_seconds,
+                report.speedup());
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@
  * that replaced them on every hot path (flat and row-aligned bit-column
  * statistics, BCS measure/compress, Bit-Flip), and
  * verifies bit-identical results in the same run, and closes with a
- * `runner_scaling` row timing the work-stealing runner core serial vs
+ * `runner_scaling` row timing the runner's chunk-cursor pool serial vs
  * parallel on a warm batch, the serial cost of synthesizing the tensor
  * (param `synthesis_ns_per_weight`), plus `fault_branch` /
  * `metrics_record` rows measuring the cost of a disarmed fault point and
@@ -239,7 +239,7 @@ main()
     }
 
     // ------------------------------------------------ runner scaling ---
-    // Not a bit-plane kernel: the work-stealing runner core, timed as
+    // Not a bit-plane kernel: the runner's chunk-cursor pool, timed as
     // 1-thread vs N-thread wall on a small warm analytical batch so the
     // kernel report also tracks the scheduler. "scalar" is the serial
     // run, "packed" the parallel one; `identical` asserts the N-thread

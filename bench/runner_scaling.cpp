@@ -1,7 +1,7 @@
 /**
  * @file
  * Runner scaling bench — strong-scaling sweep of the ScenarioRunner's
- * work-stealing core.
+ * chunk-cursor pool.
  *
  * Two sweeps share one thread grid (1/2/4/8/hw):
  *
@@ -47,7 +47,7 @@ using bench::identical_results;
 
 /// Warm identity batch: long analytical scenarios (BERT-Base dominates),
 /// a bag of short ones, one stats scenario and one cycle-sim probe —
-/// an imbalanced shape only stealing spreads evenly.
+/// an imbalanced shape only layer-grain chunks spread evenly.
 std::vector<eval::Scenario>
 make_identity_batch()
 {
@@ -131,7 +131,7 @@ main(int argc, char **argv)
         trace::start();
     }
     bench::banner("Runner scaling",
-                  "work-stealing strong scaling, bit-identity across "
+                  "chunk-cursor strong scaling, bit-identity across "
                   "thread counts");
     bench::JsonReport json("runner_scaling");
 
@@ -163,10 +163,8 @@ main(int argc, char **argv)
         wall_1t = report.wall_seconds;
     }
 
-    Table t({"threads", "wall", "speedup", "efficiency", "steals",
-             "identical"});
+    Table t({"threads", "wall", "speedup", "efficiency", "identical"});
     double efficiency_at_max = 1.0;
-    std::int64_t steals_at_max = 0;
     bool all_identical = true;
     std::uint64_t point = 1;
     for (const int threads : sweep) {
@@ -183,18 +181,15 @@ main(int argc, char **argv)
         const double efficiency = speedup / threads;
         if (threads == sweep.back()) {
             efficiency_at_max = efficiency;
-            steals_at_max = report.steals;
         }
         all_identical = all_identical && identical;
         t.add_row({strprintf("%d", threads), strprintf("%.3fs", wall),
                    fmt_ratio(speedup), fmt_percent(efficiency, 1),
-                   strprintf("%lld", static_cast<long long>(report.steals)),
                    identical ? "yes" : "NO"});
         json.add_row({{"threads", threads},
                       {"wall_s", wall},
                       {"speedup_vs_1t", speedup},
                       {"efficiency", efficiency},
-                      {"steals", report.steals},
                       {"identical", identical}});
     }
 
@@ -204,7 +199,6 @@ main(int argc, char **argv)
     json.param("serial_wall_s", wall_1t);
     json.param("max_threads", sweep.back());
     json.param("scaling_efficiency", efficiency_at_max);
-    json.param("steals_at_max", steals_at_max);
     json.param("bit_identical", all_identical);
 
     std::printf("%s", t.render().c_str());

@@ -14,7 +14,7 @@
  * compared field-for-field against the service's answer: the
  * `bit_identical` flag in BENCH_service_throughput.json is CI's hard
  * gate on the service determinism contract (dedup, dynamic batching and
- * steal order are pure scheduling).
+ * chunk order are pure scheduling).
  *
  * A third replay runs the trace with the observability layer fully
  * armed (metrics + request-span tracing) through another fresh
@@ -264,7 +264,6 @@ main(int argc, char **argv)
     json.param("bitplane_cache_hit_rate", bitplane_hit_rate);
     json.param("batches", stats.batches);
     json.param("batched_jobs", stats.batched_jobs);
-    json.param("steals", stats.steals);
     json.param("peak_queue_depth", stats.peak_queue_depth);
     json.param("bit_identical", bit_identical);
     // Latency decomposition from the warm service's always-on phase

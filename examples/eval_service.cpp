@@ -110,7 +110,7 @@ main(int argc, char **argv)
     const auto stats = svc.stats();
     std::printf("submitted=%llu dedup_hits=%llu completed=%llu "
                 "rejected=%llu shed=%llu batches=%llu "
-                "batched_jobs=%llu steals=%llu peak_queue=%zu\n",
+                "batched_jobs=%llu peak_queue=%zu\n",
                 static_cast<unsigned long long>(stats.submitted),
                 static_cast<unsigned long long>(stats.dedup_hits),
                 static_cast<unsigned long long>(stats.completed),
@@ -118,7 +118,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(stats.shed),
                 static_cast<unsigned long long>(stats.batches),
                 static_cast<unsigned long long>(stats.batched_jobs),
-                static_cast<unsigned long long>(stats.steals),
                 stats.peak_queue_depth);
     return 0;
 }

@@ -5,8 +5,8 @@
  * EvalService::submit(); consumers are the dispatcher threads draining
  * jobs into ScenarioRunner batches.
  *
- * Unlike the work-stealing deques (per-worker, lock-free, nanosecond
- * items), this queue sits in front of millisecond-to-second evaluation
+ * Unlike the runner's chunk cursor (one lock-free counter, nanosecond
+ * claims), this queue sits in front of millisecond-to-second evaluation
  * jobs, and its interesting operations are *multi-step admission
  * transitions* — "evict the oldest entry and admit mine atomically"
  * (shed-oldest backpressure), "block until space or the queue closes" —

@@ -1,35 +1,35 @@
 /**
  * @file
- * Work-stealing execution core: per-worker Chase–Lev range deques with
- * steal-on-empty and split-on-steal, the engine under every
- * data-parallel loop in the tree (`worksteal_for`) and the
- * ScenarioRunner's splittable scenario × layer-range tasks.
+ * Chunk-cursor execution core: the engine under every data-parallel
+ * loop in the tree (`worksteal_for`) and the ScenarioRunner's
+ * (scenario, layer) units.
  *
  * The unit of work is an index range [begin, end) over a flat item
- * space. Owners pop ranges LIFO from the bottom of their own deque and
- * execute them one `grain`-sized chunk at a time (re-pushing the tail),
- * so a worker stays on its own cache-warm items; idle workers steal
- * FIFO from the top of a victim's deque and split the stolen range in
- * half, so one coarse task (a BERT ffn behind a bag of tiny convs)
- * spreads across the machine in O(log n) steals instead of pinning the
- * batch tail to a single worker.
+ * space, cut into `grain`-sized chunks. Every worker, the caller
+ * included, claims the next chunk with one relaxed `fetch_add` on a
+ * shared cursor and returns once the cursor passes the last chunk: an
+ * idle worker joins instead of spinning, and a worker that draws a
+ * slow chunk simply claims fewer. Callers size their chunks so one is
+ * worth far more than the atomic it costs (the runner's is a layer
+ * evaluation).
  *
  * Determinism contract: the core only decides *which worker* runs a
  * chunk and in *what order* — callers must make every item's result a
  * pure function of its index (the repo-wide seeds-from-position rule),
  * and then an N-worker run is bit-identical to an inline one under any
- * steal order (pinned by the adversarial-scheduler tests).
+ * chunk order (pinned by the chaos-scheduler tests, which hand the
+ * chunks out in a seeded permutation).
  *
  * The first exception thrown wins and flips a relaxed cancel flag that
- * every worker checks per chunk, so siblings stop at the next chunk
- * boundary instead of draining their remaining ranges.
+ * every worker checks before each chunk, so siblings stop at their
+ * next chunk boundary instead of draining the cursor.
  *
  * With 1 effective worker (including `BITWAVE_THREADS=1`) or a body
  * already running inside a worker (nesting), the loop runs inline on
- * the caller — no thread, deque, or allocation is constructed. A
- * single-worker loop marks the caller's frame as a pool marks its
- * workers', so loops nested in its body run inline too: a loop bounded
- * to one worker uses one core, however deep its body nests.
+ * the caller — no thread or allocation is constructed. A single-worker
+ * loop marks the caller's frame as a pool marks its workers', so loops
+ * nested in its body run inline too: a loop bounded to one worker uses
+ * one core, however deep its body nests.
  */
 #pragma once
 
@@ -53,13 +53,12 @@ struct WorkstealOptions
     /// Maximum items executed per chunk between scheduler checks.
     std::size_t grain = 1;
     /**
-     * Adversarial test scheduler: when non-zero, every worker draws
-     * from a deterministic (seed, worker) stream and randomly steals
-     * *before* emptying its own deque and visits victims in seeded
-     * order, forcing steal/split paths that a quiet machine would
-     * rarely take. Results must be bit-identical for any seed — that
-     * is the determinism contract the tests pin. Never set outside
-     * tests.
+     * Chaos test scheduler: when non-zero, the cursor hands the chunks
+     * out in a Fisher–Yates permutation drawn from Rng(chaos_seed)
+     * instead of index order, so each worker runs its chunks out of
+     * order, beside chunks it would not otherwise meet. Results must be
+     * bit-identical for any seed — that is the determinism contract the
+     * tests pin. Never set outside tests.
      */
     std::uint64_t chaos_seed = 0;
 };
@@ -67,9 +66,9 @@ struct WorkstealOptions
 /// Scheduling diagnostics of one worksteal_run() call.
 struct WorkstealStats
 {
-    int threads_used = 1;
-    std::int64_t chunks = 0;  ///< Body invocations (grain-sized).
-    std::int64_t steals = 0;  ///< Successful cross-worker steals.
+    int threads_used = 1;     ///< Workers started, the caller included.
+    /// Body invocations: ceil(n / grain) on a pool, 1 inline.
+    std::int64_t chunks = 0;
 };
 
 namespace detail {
@@ -88,10 +87,11 @@ worksteal_run_impl(std::size_t n,
 
 /**
  * Execute `body(begin, end)` over disjoint chunks covering [0, n), each
- * at most `options.grain` items, on a work-stealing pool of
- * `options.threads` workers. Chunk boundaries and execution order are
- * scheduling details; the body must make results independent of both.
- * The first exception is rethrown on the caller after all workers stop.
+ * at most `options.grain` items, on up to `options.threads` workers
+ * that claim chunks from one shared cursor. Chunk boundaries and
+ * execution order are scheduling details; the body must make results
+ * independent of both. The first exception is rethrown on the caller
+ * after all workers stop.
  */
 template <typename Body>
 WorkstealStats

@@ -32,7 +32,6 @@ struct RunnerMetrics
 {
     metrics::Counter &batches = metrics::counter("runner.batches");
     metrics::Counter &chunks = metrics::counter("runner.chunks");
-    metrics::Counter &steals = metrics::counter("runner.steals");
     metrics::Counter &retries = metrics::counter("runner.retries");
     metrics::Histogram &chunk_ns = metrics::histogram("runner.chunk_ns");
     metrics::Histogram &batch_wall_ns =
@@ -217,11 +216,11 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
 
     // One pool drains the flat unit space: a unit is one selected layer
     // of one scenario, synthesized (private workloads) and evaluated in
-    // place. Each scenario is one coarse splittable task; the grain is
-    // shard_layers. Chunk boundaries only affect scheduling, never
-    // results: every layer draws its weights from (workload seed, layer
-    // index) and evaluates from its own (scenario, layer) stream. A
-    // scenario whose preparation failed has no units.
+    // place. Workers claim shard_layers-sized chunks from one cursor.
+    // Chunk boundaries only affect scheduling, never results: every
+    // layer draws its weights from (workload seed, layer index) and
+    // evaluates from its own (scenario, layer) stream. A scenario whose
+    // preparation failed has no units.
     UnitSpace units;
     units.offsets.resize(n + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -287,9 +286,8 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
         }
     };
 
-    const int threads = effective_threads(total_units);
     WorkstealOptions wopts;
-    wopts.threads = threads;
+    wopts.threads = effective_threads(total_units);
     wopts.grain = grain;
     wopts.chaos_seed = options_.chaos_seed;
     const WorkstealStats sched = worksteal_run(total_units, execute, wopts);
@@ -299,10 +297,7 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
     trace::Span finalize_span("runner.finalize", "runner");
     finalize_span.arg("scenarios", n);
     std::vector<ScenarioOutcome> outcomes(n);
-    int chunk_count = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        chunk_count += static_cast<int>(
-            (preps[i].layers.size() + grain - 1) / grain);
         if (errors[i]) {
             outcomes[i].error = errors[i];
             continue;
@@ -320,16 +315,12 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
     rm.batches.inc();
     rm.chunks.inc(static_cast<std::uint64_t>(std::max<std::int64_t>(
         sched.chunks, 0)));
-    rm.steals.inc(static_cast<std::uint64_t>(std::max<std::int64_t>(
-        sched.steals, 0)));
     rm.batch_wall_ns.record(
         static_cast<std::uint64_t>(wall_seconds * 1e9));
 
     if (report != nullptr) {
-        report->threads_used = threads;
-        report->shards = chunk_count;
+        report->threads_used = sched.threads_used;
         report->chunks = sched.chunks;
-        report->steals = sched.steals;
         report->retries = retries.load(std::memory_order_relaxed);
         report->stalled = stalled.load(std::memory_order_relaxed);
         report->wall_seconds = wall_seconds;

@@ -1,21 +1,18 @@
 /**
  * @file
- * ScenarioRunner — evaluates a batch of Scenarios on work-stealing
- * worker threads and returns results in batch order.
+ * ScenarioRunner — evaluates a batch of Scenarios on worker threads and
+ * returns results in batch order.
  *
  * One phase, one pool. The calling thread first plans every scenario
  * (seed, layer selection, flip set — a private `workload_seed` as an
- * unsynthesized skeleton), then one work-stealing pool drains the
- * batch's units: a unit is one selected layer of one scenario, which
- * synthesizes that layer if its workload is private, builds its
- * Bit-Flip twin and evaluates it. Each scenario enters the pool as one
- * coarse splittable task over its selected layers; owners execute
- * `RunnerOptions::shard_layers`-sized chunks LIFO from their own deque
- * and idle workers steal the far end of a task FIFO (halving it per
- * steal), so one BERT-class scenario — or ResNet18's five heavy last
- * layers — fans out across the whole pool instead of pinning the
- * batch's wall clock to a single worker, and no worker waits at a
- * preparation barrier.
+ * unsynthesized skeleton), then one pool drains the batch's units: a
+ * unit is one selected layer of one scenario, which synthesizes that
+ * layer if its workload is private, builds its Bit-Flip twin and
+ * evaluates it. Workers claim `RunnerOptions::shard_layers`-sized
+ * chunks of the flat unit space from one shared cursor, so one
+ * BERT-class scenario — or ResNet18's five heavy last layers — fans
+ * out across the whole pool instead of pinning the batch's wall clock
+ * to a single worker, and no worker waits at a preparation barrier.
  *
  * Thread bound: `threads = 1` uses one core — planning and the pool
  * run in a single-worker frame, so every nested loop (synthesis,
@@ -28,20 +25,19 @@
  * (scenario, batch index) — the per-scenario RNG seed is derived from the
  * batch position and per-layer streams from (seed, layer index), never
  * from thread identity or chunk boundaries — so an N-thread run is
- * bit-identical to a 1-thread run, under any steal order (modulo the
- * `wall_seconds` diagnostics). The adversarial-scheduler tests pin this
- * with forced steals (`RunnerOptions::chaos_seed`).
+ * bit-identical to a 1-thread run, under any chunk order (modulo the
+ * `wall_seconds` diagnostics). The chaos-scheduler tests pin this with
+ * seeded chunk permutations (`RunnerOptions::chaos_seed`).
  *
  * Failure contract: every scenario ends with its own outcome — its
  * result, or the exception that ended it. A layer range (one scenario's
- * slice of a work-stealing chunk) that throws kTransient is re-run in
- * place under the caller's RetryPolicy; because a layer is a pure
- * function of (scenario seed, layer index), the re-run is bit-identical
- * to a fault-free one. Any other error, or the last attempt's, ends
- * that scenario alone: its remaining ranges are skipped and its
- * siblings finish normally. Cancellation and the stall budget end
- * scenarios at the same points, before a piece starts, and are never
- * retried.
+ * slice of a chunk) that throws kTransient is re-run in place under the
+ * caller's RetryPolicy; because a layer is a pure function of (scenario
+ * seed, layer index), the re-run is bit-identical to a fault-free one.
+ * Any other error, or the last attempt's, ends that scenario alone: its
+ * remaining ranges are skipped and its siblings finish normally.
+ * Cancellation and the stall budget end scenarios at the same points,
+ * before a piece starts, and are never retried.
  */
 #pragma once
 
@@ -75,17 +71,16 @@ struct RunnerOptions
     int threads = 0;
     /**
      * Intra-scenario splitting: maximum selected layers per executed
-     * chunk (the work-stealing grain). The default of 1 makes every
-     * (scenario, layer) unit its own chunk, so idle workers can take
-     * any single layer. <= 0 runs the whole batch as one chunk on the
-     * calling thread.
+     * chunk (the pool's grain). The default of 1 makes every
+     * (scenario, layer) unit its own chunk, so any idle worker can
+     * claim any single layer. <= 0 runs the whole batch as one chunk
+     * on the calling thread.
      */
     int shard_layers = 1;
     /**
-     * Adversarial test scheduler seed (see WorkstealOptions): non-zero
-     * forces seeded steal-first scheduling and reverses the initial
-     * task order. Results must stay bit-identical — never needed
-     * outside tests.
+     * Chaos test scheduler seed (see WorkstealOptions): non-zero hands
+     * the chunks out in a seeded permutation instead of unit order.
+     * Results must stay bit-identical — never needed outside tests.
      */
     std::uint64_t chaos_seed = 0;
     /**
@@ -131,11 +126,13 @@ struct ScenarioOutcome
 /// Aggregate diagnostics of one run() call.
 struct RunnerReport
 {
-    int threads_used = 0;
-    int shards = 0;            ///< Evaluation chunks (grain-sized).
-    std::int64_t chunks = 0;   ///< Executed body chunks (scheduler view:
-                               ///< includes split-on-steal fragments).
-    std::int64_t steals = 0;   ///< Cross-worker steals.
+    int threads_used = 0;  ///< Workers started, the caller included.
+    /// Executed chunks: ceil(units / shard_layers) on a pool, 1 when
+    /// the batch runs inline.
+    std::int64_t chunks = 0;
+    /// Always 0: workers claim chunks from one cursor, so nothing is
+    /// stolen. Kept so existing readers of the field still build.
+    std::int64_t steals = 0;
     std::int64_t retries = 0;  ///< In-place retries of transient
                                ///< failures (RetryPolicy).
     bool stalled = false;      ///< The stall budget ended a scenario.
@@ -150,7 +147,7 @@ struct RunnerReport
     }
 };
 
-/// Work-stealing evaluator for scenario batches.
+/// Parallel evaluator for scenario batches.
 class ScenarioRunner
 {
   public:

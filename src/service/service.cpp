@@ -115,7 +115,6 @@ struct ServiceShared
         finished;
     metrics::Counter batches;
     metrics::Counter batched_jobs;
-    metrics::Counter steals;
     metrics::Counter chunks;
     metrics::Counter retries;
     metrics::Counter quarantined;
@@ -761,8 +760,6 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
         if (evaluated_jobs > 0) {
             shared_->batches.inc();
             shared_->batched_jobs.inc(evaluated_jobs);
-            shared_->steals.inc(static_cast<std::uint64_t>(
-                std::max<std::int64_t>(report.steals, 0)));
             shared_->chunks.inc(chunks);
             shared_->retries.inc(static_cast<std::uint64_t>(
                 std::max<std::int64_t>(report.retries, 0)));
@@ -903,7 +900,6 @@ EvalService::stats() const
     s.shutdown_discarded = finished(TicketStatus::kShutdown);
     s.batches = shared_->batches.value();
     s.batched_jobs = shared_->batched_jobs.value();
-    s.steals = shared_->steals.value();
     s.chunks = shared_->chunks.value();
     s.retries = shared_->retries.value();
     s.quarantined = shared_->quarantined.value();

@@ -1,10 +1,10 @@
 /**
  * @file
  * EvalService — the long-running evaluation front end over the
- * work-stealing ScenarioRunner: clients `submit()` scenarios and get
- * back EvalTickets (futures); dispatcher threads drain a bounded MPMC
- * queue, coalesce compatible requests into shared runner batches, and
- * complete the tickets asynchronously.
+ * ScenarioRunner: clients `submit()` scenarios and get back EvalTickets
+ * (futures); dispatcher threads drain a bounded MPMC queue, coalesce
+ * compatible requests into shared runner batches, and complete the
+ * tickets asynchronously.
  *
  * Three mechanisms turn "a batch API" into "a server under load":
  *
@@ -16,7 +16,7 @@
  *
  *  - **Dynamic batching.** A dispatcher pops one job, then gathers more
  *    (up to `max_batch`, lingering `linger_seconds` for company) into a
- *    single ScenarioRunner batch, so the work-stealing pool and the
+ *    single ScenarioRunner batch, so the runner's pool and the
  *    content-hash caches (bit-planes, Bit-Flip twins, mapping memos)
  *    see cross-tenant locality instead of singletons.
  *
@@ -28,10 +28,10 @@
  * Determinism contract: every completed result is **bit-identical** to a
  * direct `ScenarioRunner::run({scenario})` of the same request, no
  * matter how the batcher composed batches, what the admission order was,
- * or how the deque scheduler stole. The service pins each job's RNG
- * seed to its standalone value (`scenario_rng_seed(s, 0)`) and evaluates
- * through `run_outcomes()` with those seeds, so batch position is pure
- * scheduling.
+ * or in what order the runner's pool ran its chunks. The service pins
+ * each job's RNG seed to its standalone value
+ * (`scenario_rng_seed(s, 0)`) and evaluates through `run_outcomes()`
+ * with those seeds, so batch position is pure scheduling.
  *
  * Deadlines and cancellation ride the runner's cooperative cancel flag:
  * an expired or cancelled request detaches from its job; a batch with
@@ -259,7 +259,6 @@ struct ServiceStats
     std::uint64_t shutdown_discarded = 0;
     std::uint64_t batches = 0;        ///< Runner batches executed.
     std::uint64_t batched_jobs = 0;   ///< Jobs evaluated across them.
-    std::uint64_t steals = 0;         ///< Work-steal events (aggregate).
     std::uint64_t chunks = 0;         ///< Executed chunks (aggregate).
     std::uint64_t retries = 0;        ///< Transient failures retried in
                                       ///< place: layer ranges in the

@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the common utilities: sign-magnitude codec, bit helpers,
  * RNG distributions and their standard-library oracle, build-once cache
- * entries, the table renderer, and the work-stealing execution core
- * (coverage, cancellation, inline bypass, adversarial steal scheduling).
+ * entries, the table renderer, and the chunk-cursor execution core
+ * (coverage, cancellation, inline bypass, idle workers, chaos chunk
+ * order).
  */
 #include <gtest/gtest.h>
 
@@ -14,8 +15,11 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <numeric>
 #include <random>
 #include <set>
@@ -448,7 +452,7 @@ TEST(Table, Formatters)
     EXPECT_EQ(fmt_ratio(2.5, 2), "2.50x");
 }
 
-// ------------------------------------------------- work-stealing core ---
+// --------------------------------------------------- chunk-cursor core ---
 
 TEST(Worksteal, EveryIndexRunsExactlyOnce)
 {
@@ -482,7 +486,7 @@ TEST(Worksteal, RangeBodyCoversDisjointGrainChunks)
             }
         },
         options);
-    EXPECT_GE(stats.chunks, static_cast<std::int64_t>(n / options.grain));
+    EXPECT_EQ(stats.chunks, 63);  // ceil(1003 / 16)
     for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(counts[i].load(), 1) << "index " << i;
     }
@@ -490,9 +494,8 @@ TEST(Worksteal, RangeBodyCoversDisjointGrainChunks)
 
 TEST(Worksteal, SingleThreadRunsInlineOnTheCaller)
 {
-    // BITWAVE_THREADS=1 (here: explicit threads=1) must bypass pool and
-    // deque construction entirely: every iteration runs on the calling
-    // thread.
+    // BITWAVE_THREADS=1 (here: explicit threads=1) must bypass pool
+    // construction entirely: every iteration runs on the calling thread.
     const auto caller = std::this_thread::get_id();
     int calls = 0;
     const auto stats = worksteal_for(
@@ -504,7 +507,6 @@ TEST(Worksteal, SingleThreadRunsInlineOnTheCaller)
         /*threads=*/1);
     EXPECT_EQ(calls, 64);
     EXPECT_EQ(stats.threads_used, 1);
-    EXPECT_EQ(stats.steals, 0);
 }
 
 TEST(Worksteal, ThreadsEnvOverrideOfOneRunsInline)
@@ -547,7 +549,7 @@ TEST(Worksteal, FirstExceptionWinsAndCancelsSiblings)
         EXPECT_STREQ(e.what(), "boom");
     }
     // Cancellation is checked per chunk: siblings stop at their next
-    // boundary instead of running their full slices (~n/threads each).
+    // boundary instead of draining the cursor.
     EXPECT_LT(executed.load(), static_cast<std::int64_t>(n) / 2)
         << "siblings kept draining after the failure";
 }
@@ -574,6 +576,62 @@ TEST(Worksteal, AdversarialSchedulerStillCoversEverything)
                 << "seed " << seed << " index " << i;
         }
         EXPECT_GE(stats.chunks, static_cast<std::int64_t>(n / 8));
+    }
+}
+
+TEST(Worksteal, IdleWorkersDoNotSpin)
+{
+    // Four one-item chunks on four workers, and index 0 sleeps 200 ms.
+    // A worker that finds the cursor past the last chunk returns and
+    // waits in join; three workers spinning until the sleeper ends
+    // would cost ~0.6 s of process CPU time.
+    const std::clock_t cpu0 = std::clock();
+    worksteal_for(
+        4,
+        [](std::size_t i) {
+            if (i == 0) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(200));
+            }
+        },
+        /*threads=*/4);
+    const double cpu_seconds =
+        static_cast<double>(std::clock() - cpu0) / CLOCKS_PER_SEC;
+    EXPECT_LT(cpu_seconds, 0.1);
+}
+
+TEST(Worksteal, ChaosSeedPermutesChunkOrder)
+{
+    // Two workers record the chunks they run, in the order they run
+    // them. Each worker claims in cursor order, so without a chaos seed
+    // its sequence ascends; a chaos seed hands the cursor positions a
+    // seeded permutation of the chunks, and the sequences run out of
+    // order.
+    const auto descents = [](std::uint64_t seed) {
+        std::mutex mutex;
+        std::map<std::thread::id, std::vector<std::size_t>> runs;
+        WorkstealOptions options;
+        options.threads = 2;
+        options.chaos_seed = seed;
+        worksteal_run(
+            256,
+            [&](std::size_t begin, std::size_t) {
+                const std::lock_guard<std::mutex> lock(mutex);
+                runs[std::this_thread::get_id()].push_back(begin);
+            },
+            options);
+        std::size_t chunks = 0, count = 0;
+        for (const auto &[worker, begins] : runs) {
+            chunks += begins.size();
+            for (std::size_t k = 1; k < begins.size(); ++k) {
+                count += begins[k] < begins[k - 1] ? 1 : 0;
+            }
+        }
+        EXPECT_EQ(chunks, 256u) << "seed " << seed;
+        return count;
+    };
+    EXPECT_EQ(descents(0), 0u);
+    for (const std::uint64_t seed : {1ull, 42ull, 0xD15EA5Eull}) {
+        EXPECT_GE(descents(seed), 32u) << "seed " << seed;
     }
 }
 

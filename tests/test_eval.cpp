@@ -261,7 +261,7 @@ TEST(ScenarioRunner, IntraScenarioSplittingIsBitIdentical)
         eval::RunnerReport report;
         const auto a = eval::ScenarioRunner(unsplit).run({s});
         const auto b = eval::ScenarioRunner(split).run({s}, &report);
-        EXPECT_EQ(report.shards, 3);
+        EXPECT_EQ(report.chunks, 3);
         ASSERT_EQ(a.size(), 1u);
         ASSERT_EQ(b.size(), 1u);
         EXPECT_EQ(a[0].total_cycles, b[0].total_cycles);
@@ -280,11 +280,10 @@ TEST(ScenarioRunner, IntraScenarioSplittingIsBitIdentical)
 
 TEST(ScenarioRunner, AdversarialStealOrderIsBitIdentical)
 {
-    // The work-stealing contract: scheduling — thread count, chunk
-    // grain, steal order, initial task order — must never show up in
-    // results. Run the same batch under a seeded adversarial scheduler
-    // (forced steals in seeded victim order, reversed initial task
-    // assignment), several chaos seeds, and 1 vs N threads, and require
+    // The scheduling contract: thread count, chunk grain and chunk
+    // order must never show up in results. Run the same batch under the
+    // chaos scheduler (chunks handed out in a seeded permutation),
+    // several chaos seeds, and 1 vs N threads, and require
     // bit-identical ScenarioResults throughout.
     const auto scenarios = determinism_batch();
 
@@ -296,7 +295,7 @@ TEST(ScenarioRunner, AdversarialStealOrderIsBitIdentical)
     for (const std::uint64_t seed : {1ull, 99ull, 0xD15EA5Eull}) {
         eval::RunnerOptions chaotic;
         chaotic.threads = 4;
-        chaotic.shard_layers = 1;  // max splitting: every layer steals
+        chaotic.shard_layers = 1;  // max splitting: one chunk per layer
         chaotic.chaos_seed = seed;
         variants.push_back(chaotic);
     }
@@ -334,16 +333,15 @@ TEST(ScenarioRunner, AdversarialStealOrderIsBitIdentical)
 TEST(ScenarioRunner, ReportsConsistentDiagnostics)
 {
     const auto scenarios = determinism_batch();
-    eval::RunnerOptions steal;
-    steal.threads = 4;
-    steal.shard_layers = 1;
-    steal.chaos_seed = 3;  // force cross-worker traffic
+    eval::RunnerOptions chaotic;
+    chaotic.threads = 4;
+    chaotic.shard_layers = 1;
+    chaotic.chaos_seed = 3;  // chunks in a seeded order
     eval::RunnerReport report;
-    eval::ScenarioRunner(steal).run(scenarios, &report);
+    eval::ScenarioRunner(chaotic).run(scenarios, &report);
     EXPECT_EQ(report.threads_used, 4);
     // 7 scenarios x 3 layers at grain 1.
-    EXPECT_EQ(report.shards, 21);
-    EXPECT_GE(report.steals, 1) << "adversarial run must actually steal";
+    EXPECT_EQ(report.chunks, 21);
 }
 
 TEST(ScenarioRunner, ShardedEvaluationMatchesEvaluateScenario)
@@ -380,7 +378,7 @@ error_kind_of(const std::exception_ptr &error)
 }
 
 /// Runner configurations the failure tests sweep: inline, split across
-/// a real pool, and the same under adversarial stealing.
+/// a real pool, and the same under the chaos scheduler.
 std::vector<eval::RunnerOptions>
 failure_variants()
 {
@@ -521,7 +519,7 @@ TEST(ScenarioRunner, PrivateWorkloadSeedsMatchPrebuiltWorkloads)
     // A private workload_seed is synthesized layer by layer inside the
     // evaluating units; the results must equal, bit for bit, the same
     // scenarios on build_workload()'s whole-network synthesis — at any
-    // thread count, grain and steal order.
+    // thread count, grain and chunk order.
     const auto batch = private_batch(0x9000);
     const auto golden = eval::ScenarioRunner().run(prebuilt(batch));
 

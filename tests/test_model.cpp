@@ -375,10 +375,13 @@ TEST(Model, BitWaveGridIsPinned)
 {
     // The figure anchors have +-20 % bands and the DSE front a 1e-9
     // tolerance, so neither sees a moved ULP. This pins the bit patterns
-    // of every BitWave variant's network totals. Past synthesis (pinned
+    // of every BitWave variant's network totals, and of the five paper
+    // baselines' (the rest of the fig14 grid). Past synthesis (pinned
     // by test_nn's Workloads.SynthesisIsPinned) the BitWave path calls
-    // only exact functions such as std::ceil, so the pin holds on any
-    // runner.
+    // only exact functions such as std::ceil. The baselines' energy
+    // sums are where a contracted a*b + c first moves a bit: an FMA
+    // build (-march=native) fails this pin unless the build passes
+    // -ffp-contract=off, as CMakeLists.txt does.
     std::vector<eval::Scenario> batch;
     for (auto id : kAllWorkloads) {
         for (auto variant :
@@ -393,10 +396,22 @@ TEST(Model, BitWaveGridIsPinned)
             batch.push_back(s);
         }
     }
+    const std::size_t bitwave_count = batch.size();
+    for (auto id : kAllWorkloads) {
+        for (const auto &cfg : {make_scnn(), make_stripes(),
+                                make_pragmatic(), make_bitlet(),
+                                make_huaa()}) {
+            eval::Scenario s;
+            s.accel = cfg;
+            s.workload = id;
+            batch.push_back(s);
+        }
+    }
     const auto results = eval::ScenarioRunner().run(batch);
-    std::map<WorkloadId, std::uint64_t> pins;
+    std::map<WorkloadId, std::uint64_t> pins, baseline_pins;
     for (std::size_t i = 0; i < batch.size(); ++i) {
-        std::uint64_t &h = pins[batch[i].workload];
+        auto &table = i < bitwave_count ? pins : baseline_pins;
+        std::uint64_t &h = table[batch[i].workload];
         h = hash_combine(
             h, std::bit_cast<std::uint64_t>(results[i].total_cycles));
         h = hash_combine(
@@ -406,6 +421,10 @@ TEST(Model, BitWaveGridIsPinned)
     EXPECT_EQ(pins[WorkloadId::kMobileNetV2], 0xd28606c16ee01946ULL);
     EXPECT_EQ(pins[WorkloadId::kCnnLstm], 0xe0b76b7f39996677ULL);
     EXPECT_EQ(pins[WorkloadId::kBertBase], 0x2da86320fb3627edULL);
+    EXPECT_EQ(baseline_pins[WorkloadId::kResNet18], 0xe62825b58a5373b1ULL);
+    EXPECT_EQ(baseline_pins[WorkloadId::kMobileNetV2], 0x163b9309788aa01eULL);
+    EXPECT_EQ(baseline_pins[WorkloadId::kCnnLstm], 0x6f1b696a8e3f6972ULL);
+    EXPECT_EQ(baseline_pins[WorkloadId::kBertBase], 0x3a842da4e6d02eeeULL);
 }
 
 // ----- Process caches -----------------------------------------------------

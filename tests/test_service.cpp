@@ -339,8 +339,8 @@ TEST(Service, IdenticalInFlightRequestsCoalesce)
 TEST(Service, BatchedDedupedChaoticServiceIsBitIdenticalToSerial)
 {
     // The tentpole contract: admission order, batch composition, dedup
-    // and steal order are pure scheduling. A service with concurrent
-    // dispatchers, adversarial (chaos-seeded) stealing and duplicated
+    // and chunk order are pure scheduling. A service with concurrent
+    // dispatchers, a chaos-seeded chunk order and duplicated
     // submissions must complete every ticket bit-identically to a
     // one-shot serial runner evaluating that scenario alone.
     const auto net = tiny_net();
@@ -357,7 +357,7 @@ TEST(Service, BatchedDedupedChaoticServiceIsBitIdenticalToSerial)
     options.max_batch = 3;  // force multiple batches
     options.linger_seconds = 0.0005;
     options.runner.threads = 4;
-    options.runner.shard_layers = 1;  // max splitting: every layer steals
+    options.runner.shard_layers = 1;  // max splitting: one chunk per layer
     options.runner.chaos_seed = 0xD15EA5E;
     EvalService svc(options);
 
