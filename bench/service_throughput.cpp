@@ -100,11 +100,15 @@ main(int argc, char **argv)
     // Warm pass: the measured steady state, through a fresh service so
     // queue/batch dynamics replay fully — only the process-wide content
     // caches persist, as they would across requests in a real server.
-    const auto bitplanes_before = bitplane_cache_counters();
+    const auto bitplane_counts = [] {
+        return std::pair(metrics::counter_value("cache.bitplanes.hits"),
+                         metrics::counter_value("cache.bitplanes.misses"));
+    };
+    const auto bitplanes_before = bitplane_counts();
     service::EvalService svc(bench_service_options());
     const auto replay = bench::replay_trace(svc, trace);
     const auto stats = svc.stats();
-    const auto bitplanes_after = bitplane_cache_counters();
+    const auto bitplanes_after = bitplane_counts();
 
     std::vector<double> latencies_ms;
     std::size_t done = 0;
@@ -124,10 +128,10 @@ main(int argc, char **argv)
             static_cast<double>(stats.submitted)
         : 0.0;
     const double warm_bitplane_hits = static_cast<double>(
-        bitplanes_after.hits - bitplanes_before.hits);
+        bitplanes_after.first - bitplanes_before.first);
     const double warm_bitplane_total = warm_bitplane_hits +
-        static_cast<double>(bitplanes_after.misses -
-                            bitplanes_before.misses);
+        static_cast<double>(bitplanes_after.second -
+                            bitplanes_before.second);
     const double bitplane_hit_rate = warm_bitplane_total > 0.0
         ? warm_bitplane_hits / warm_bitplane_total
         : 0.0;

@@ -16,12 +16,11 @@
  * not see through `std::lock_guard`'s constructor, so annotated code
  * uses
  *
- *  - `MutexCap` / `SharedMutexCap` — capability-annotated mutexes.
- *    They satisfy Lockable/SharedLockable, so `std::lock_guard`,
- *    `std::unique_lock` and `std::shared_lock` still work on them in
- *    un-analyzed code;
- *  - `MutexLock` / `SharedLock` / `ExclusiveLock` — SCOPED_CAPABILITY
- *    RAII guards the analysis tracks exactly;
+ *  - `MutexCap` — a capability-annotated mutex. It satisfies
+ *    Lockable, so `std::lock_guard` and `std::unique_lock` still work
+ *    on it in un-analyzed code;
+ *  - `MutexLock` — the SCOPED_CAPABILITY RAII guard the analysis
+ *    tracks exactly;
  *  - `CondVarCap` — a condition variable whose waits are annotated
  *    `REQUIRES(m)`. Predicate waits become explicit while-loops in the
  *    caller (which holds the capability), the one place the std
@@ -34,7 +33,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__)
 #define BITWAVE_TSA(x) __attribute__((x))
@@ -42,7 +40,7 @@
 #define BITWAVE_TSA(x)  // no-op off Clang
 #endif
 
-/// Marks a class as a lockable capability ("mutex", "shared_mutex").
+/// Marks a class as a lockable capability ("mutex").
 #define CAPABILITY(x) BITWAVE_TSA(capability(x))
 
 /// Marks an RAII class whose ctor acquires and dtor releases a
@@ -58,23 +56,11 @@
 /// Function requires the capability held (exclusive) on entry and exit.
 #define REQUIRES(...) BITWAVE_TSA(requires_capability(__VA_ARGS__))
 
-/// Function requires at least shared access on entry and exit.
-#define REQUIRES_SHARED(...) \
-    BITWAVE_TSA(requires_shared_capability(__VA_ARGS__))
-
 /// Function acquires the capability (exclusive) and does not release it.
 #define ACQUIRE(...) BITWAVE_TSA(acquire_capability(__VA_ARGS__))
 
-/// Function acquires shared access and does not release it.
-#define ACQUIRE_SHARED(...) \
-    BITWAVE_TSA(acquire_shared_capability(__VA_ARGS__))
-
 /// Function releases the capability (exclusive).
 #define RELEASE(...) BITWAVE_TSA(release_capability(__VA_ARGS__))
-
-/// Function releases shared access.
-#define RELEASE_SHARED(...) \
-    BITWAVE_TSA(release_shared_capability(__VA_ARGS__))
 
 /// Function releases the capability whether held shared or exclusive
 /// (the right annotation for a scoped guard's destructor).
@@ -83,10 +69,6 @@
 
 /// Function tries to acquire; first argument is the success value.
 #define TRY_ACQUIRE(...) BITWAVE_TSA(try_acquire_capability(__VA_ARGS__))
-
-/// Shared-access variant of TRY_ACQUIRE.
-#define TRY_ACQUIRE_SHARED(...) \
-    BITWAVE_TSA(try_acquire_shared_capability(__VA_ARGS__))
 
 /// Function must NOT be called while holding the capability
 /// (non-reentrancy / deadlock documentation).
@@ -129,31 +111,6 @@ class CAPABILITY("mutex") MutexCap
     std::mutex mutex_;
 };
 
-/**
- * `std::shared_mutex` with the capability annotation: exclusive writers
- * via lock()/unlock(), shared readers via lock_shared()/unlock_shared().
- */
-class CAPABILITY("shared_mutex") SharedMutexCap
-{
-  public:
-    SharedMutexCap() = default;
-    SharedMutexCap(const SharedMutexCap &) = delete;
-    SharedMutexCap &operator=(const SharedMutexCap &) = delete;
-
-    void lock() ACQUIRE() { mutex_.lock(); }
-    void unlock() RELEASE() { mutex_.unlock(); }
-    bool try_lock() TRY_ACQUIRE(true) { return mutex_.try_lock(); }
-    void lock_shared() ACQUIRE_SHARED() { mutex_.lock_shared(); }
-    void unlock_shared() RELEASE_SHARED() { mutex_.unlock_shared(); }
-    bool try_lock_shared() TRY_ACQUIRE_SHARED(true)
-    {
-        return mutex_.try_lock_shared();
-    }
-
-  private:
-    std::shared_mutex mutex_;
-};
-
 /// RAII exclusive lock on a MutexCap (the annotated std::lock_guard).
 class SCOPED_CAPABILITY MutexLock
 {
@@ -169,42 +126,6 @@ class SCOPED_CAPABILITY MutexLock
 
   private:
     MutexCap &mutex_;
-};
-
-/// RAII shared (reader) lock on a SharedMutexCap.
-class SCOPED_CAPABILITY SharedLock
-{
-  public:
-    explicit SharedLock(SharedMutexCap &mutex) ACQUIRE_SHARED(mutex)
-        : mutex_(mutex)
-    {
-        mutex_.lock_shared();
-    }
-    ~SharedLock() RELEASE_GENERIC() { mutex_.unlock_shared(); }
-
-    SharedLock(const SharedLock &) = delete;
-    SharedLock &operator=(const SharedLock &) = delete;
-
-  private:
-    SharedMutexCap &mutex_;
-};
-
-/// RAII exclusive (writer) lock on a SharedMutexCap.
-class SCOPED_CAPABILITY ExclusiveLock
-{
-  public:
-    explicit ExclusiveLock(SharedMutexCap &mutex) ACQUIRE(mutex)
-        : mutex_(mutex)
-    {
-        mutex_.lock();
-    }
-    ~ExclusiveLock() RELEASE_GENERIC() { mutex_.unlock(); }
-
-    ExclusiveLock(const ExclusiveLock &) = delete;
-    ExclusiveLock &operator=(const ExclusiveLock &) = delete;
-
-  private:
-    SharedMutexCap &mutex_;
 };
 
 /**

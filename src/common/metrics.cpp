@@ -9,18 +9,18 @@
 
 #include "common/annotations.hpp"
 #include "common/env.hpp"
-#include "common/hash.hpp"
 
 namespace bitwave::metrics {
 
 namespace {
 
-/// Lock-striped registry.  Each shard owns a mutex and three name →
-/// unique_ptr maps; metrics are never erased, so the pointers handed
-/// out by counter()/gauge()/histogram() stay valid for the process
-/// lifetime.  Leaked on purpose: worker threads may still bump
+/// The registry: one mutex and three name → unique_ptr maps.  Call
+/// sites look a metric up once and keep the reference, so the lock is
+/// off every hot path.  Metrics are never erased, so the pointers
+/// handed out by counter()/gauge()/histogram() stay valid for the
+/// process lifetime.  Leaked on purpose: worker threads may still bump
 /// metrics while static destructors run.
-struct Shard
+struct Registry
 {
     MutexCap mutex;
     std::unordered_map<std::string, std::unique_ptr<Counter>>
@@ -31,19 +31,11 @@ struct Shard
         histograms GUARDED_BY(mutex);
 };
 
-constexpr std::size_t kShards = 16;
-
-Shard *
-shards()
+Registry &
+registry()
 {
-    static Shard *const table = new Shard[kShards];
-    return table;
-}
-
-Shard &
-shard_for(std::string_view name)
-{
-    return shards()[fnv1a(name.data(), name.size()) & (kShards - 1)];
+    static Registry *const reg = new Registry;
+    return *reg;
 }
 
 template <typename T, typename Map>
@@ -208,50 +200,50 @@ Histogram::snapshot() const
 Counter &
 counter(std::string_view name)
 {
-    Shard &shard = shard_for(name);
-    MutexLock lock(shard.mutex);
-    return lookup<Counter>(shard.counters, name);
+    Registry &reg = registry();
+    MutexLock lock(reg.mutex);
+    return lookup<Counter>(reg.counters, name);
 }
 
 Gauge &
 gauge(std::string_view name)
 {
-    Shard &shard = shard_for(name);
-    MutexLock lock(shard.mutex);
-    return lookup<Gauge>(shard.gauges, name);
+    Registry &reg = registry();
+    MutexLock lock(reg.mutex);
+    return lookup<Gauge>(reg.gauges, name);
 }
 
 Histogram &
 histogram(std::string_view name)
 {
-    Shard &shard = shard_for(name);
-    MutexLock lock(shard.mutex);
-    return lookup<Histogram>(shard.histograms, name);
+    Registry &reg = registry();
+    MutexLock lock(reg.mutex);
+    return lookup<Histogram>(reg.histograms, name);
 }
 
 std::uint64_t
 counter_value(std::string_view name)
 {
-    Shard &shard = shard_for(name);
-    MutexLock lock(shard.mutex);
-    const auto it = shard.counters.find(std::string(name));
-    return it == shard.counters.end() ? 0 : it->second->value();
+    Registry &reg = registry();
+    MutexLock lock(reg.mutex);
+    const auto it = reg.counters.find(std::string(name));
+    return it == reg.counters.end() ? 0 : it->second->value();
 }
 
 Snapshot
 snapshot()
 {
     Snapshot out;
-    for (std::size_t s = 0; s < kShards; ++s) {
-        Shard &shard = shards()[s];
-        MutexLock lock(shard.mutex);
-        for (const auto &[name, c] : shard.counters) {
+    {
+        Registry &reg = registry();
+        MutexLock lock(reg.mutex);
+        for (const auto &[name, c] : reg.counters) {
             out.counters.emplace_back(name, c->value());
         }
-        for (const auto &[name, g] : shard.gauges) {
+        for (const auto &[name, g] : reg.gauges) {
             out.gauges.emplace_back(name, g->value());
         }
-        for (const auto &[name, h] : shard.histograms) {
+        for (const auto &[name, h] : reg.histograms) {
             out.histograms.emplace_back(name, h->snapshot());
         }
     }
@@ -364,22 +356,20 @@ render_json(const Snapshot &snap)
 void
 zero_all_for_tests()
 {
-    for (std::size_t s = 0; s < kShards; ++s) {
-        Shard &shard = shards()[s];
-        MutexLock lock(shard.mutex);
-        for (auto &[name, c] : shard.counters) {
-            c->~Counter();
-            new (c.get()) Counter();
-        }
-        for (auto &[name, g] : shard.gauges) {
-            g->set(0);
-        }
-        for (auto &[name, h] : shard.histograms) {
-            // Registry histograms are always gated; rebuild in place
-            // to zero the atomics.
-            h->~Histogram();
-            new (h.get()) Histogram(true);
-        }
+    Registry &reg = registry();
+    MutexLock lock(reg.mutex);
+    for (auto &[name, c] : reg.counters) {
+        c->~Counter();
+        new (c.get()) Counter();
+    }
+    for (auto &[name, g] : reg.gauges) {
+        g->set(0);
+    }
+    for (auto &[name, h] : reg.histograms) {
+        // Registry histograms are always gated; rebuild in place to
+        // zero the atomics.
+        h->~Histogram();
+        new (h.get()) Histogram(true);
     }
 }
 

@@ -141,15 +141,13 @@ class Histogram
 };
 
 /// Look up (or register) a metric by dotted name.  The returned
-/// reference is valid forever; lookups take one shard mutex, so cache
-/// the reference on hot paths.
+/// reference is valid forever; lookups take the registry mutex, so
+/// cache the reference on hot paths.
 Counter &counter(std::string_view name);
 Gauge &gauge(std::string_view name);
 Histogram &histogram(std::string_view name);
 
 /// Value of a registered counter, or 0 when no such counter exists.
-/// Legacy accessors (bitplane_cache_counters() and friends) are thin
-/// views built on this.
 std::uint64_t counter_value(std::string_view name);
 
 /// Point-in-time copy of the whole registry, sorted by name.

@@ -159,8 +159,7 @@ layer_stats(const Scenario &scenario, const WorkloadLayer &layer,
         key = hash_combine(key, static_cast<std::uint64_t>(d));
     }
 
-    static ShardedLruCache<std::uint64_t, LayerStatsEval> memo(
-        256, 0, "stats_memo");
+    static LruCache<std::uint64_t, LayerStatsEval> memo(256, "stats_memo");
     bool was_hit = false;
     auto stats = memo.get_or_build(
         key, [&] { return build_layer_stats(spec, w, weights_hash); },

@@ -288,13 +288,11 @@ cached_bitflip(const Int8Tensor &weights, std::uint64_t weights_hash,
     const std::uint64_t key = flipped_weights_hash(
         weights_hash, group, zero_cols, weights.numel());
 
-    // Bounded sharded LRU (256 prepared tensors): concurrent first
-    // requests build exactly once, warm lookups take a shard lock
-    // shared, and a long-running batch can no longer grow the prepared
-    // set without limit — in-flight holders keep an evicted tensor
-    // alive until they drop it.
-    static ShardedLruCache<std::uint64_t, Int8Tensor> cache(
-        256, 0, "bitflip_twins");
+    // Bounded LRU (256 prepared tensors): concurrent first requests
+    // build exactly once, and a long-running batch can no longer grow
+    // the prepared set without limit — in-flight holders keep an
+    // evicted tensor alive until they drop it.
+    static LruCache<std::uint64_t, Int8Tensor> cache(256, "bitflip_twins");
     return cache.get_or_build(key, [&] {
         trace::Span span("bitflip.build", "bitflip");
         span.arg("elements", static_cast<std::uint64_t>(weights.numel()));

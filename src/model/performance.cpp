@@ -24,11 +24,11 @@ enum class WeightStat { kSparsity, kSyncCycles, kInterleaveCycles, kZreRatio };
 using WeightStatValue = std::variant<SparsityStats, double>;
 
 /// One cache for every statistic: scalars only (never a ZRE stream).
-ShardedLruCache<std::uint64_t, WeightStatValue> &
+LruCache<std::uint64_t, WeightStatValue> &
 weight_stat_memo()
 {
-    static ShardedLruCache<std::uint64_t, WeightStatValue> memo(
-        4096, 0, "baseline_stats");
+    static LruCache<std::uint64_t, WeightStatValue> memo(4096,
+                                                         "baseline_stats");
     return memo;
 }
 

@@ -1,7 +1,5 @@
 #include "search/cost.hpp"
 
-#include <algorithm>
-
 #include "common/bits.hpp"
 #include "common/hash.hpp"
 #include "common/logging.hpp"
@@ -38,8 +36,8 @@ cached_cycle_stats(const BitPlanes &planes, const LayerDesc &desc,
         content_hash, static_cast<std::uint64_t>(planes.repr));
     key = hash_combine(key, static_cast<std::uint64_t>(group_size));
     key = hash_combine(key, static_cast<std::uint64_t>(row_len));
-    static ShardedLruCache<std::uint64_t, BitColumnStats> memo(
-        4096, 0, "mapping_cycles");
+    static LruCache<std::uint64_t, BitColumnStats> memo(4096,
+                                                        "mapping_cycles");
     return memo.get_or_build(key, build);
 }
 
@@ -54,8 +52,7 @@ cached_bcs_size(const BitPlanes &planes, int group_size,
     std::uint64_t key = hash_combine(
         content_hash, static_cast<std::uint64_t>(planes.repr));
     key = hash_combine(key, static_cast<std::uint64_t>(group_size));
-    static ShardedLruCache<std::uint64_t, BcsSizeInfo> memo(
-        4096, 0, "mapping_bcs");
+    static LruCache<std::uint64_t, BcsSizeInfo> memo(4096, "mapping_bcs");
     return memo.get_or_build(
         key, [&] { return bcs_measure(planes, group_size); });
 }
@@ -98,31 +95,22 @@ mapping_cost(const LayerDesc &desc, const SpatialUnrolling &su,
         const auto compressed =
             cached_bcs_size(*planes, group, content_hash);
         cf.weight_fetch_ratio = 1.0 / compressed->compression_ratio();
-        cf.weight_sram_overhead = 1.0 +
-            static_cast<double>(kWordBits) /
-                (cycles_per_pass * static_cast<double>(group));
     }
     r.weight_fetch_ratio = cf.weight_fetch_ratio;
 
     ExecutionProfile exec;
     exec.utilization = r.utilization;
-    exec.compute_cycles = r.compute_cycles;
-    exec.weight_port_active_bits = std::min(
-        static_cast<double>(su.weight_bandwidth_bits()) *
-            static_cast<double>(su.bit_columns),
-        static_cast<double>(cfg.memory.weight_port_bits));
     // Compressed stream (payload columns + ZCIP index) crosses the
     // weight port once per layer sweep — the fetcher's double buffer
-    // holds the active tile across spatial revisits.
+    // holds the active tile across spatial revisits. Every group
+    // carries an index byte, so the stream is never empty and prices
+    // the weight SRAM reads on its own.
     const WeightRowGeometry geom = weight_row_geometry(desc);
     const double groups = static_cast<double>(
         geom.rows * ceil_div(geom.row_len, su.group_size()));
     exec.weight_stream_bits = groups *
         (mean_columns_per_group * static_cast<double>(su.group_size()) +
          kWordBits);
-    exec.weight_stationary = false;
-    exec.c_tiles = ceil_div(desc.c, su.factor(Dim::kC));
-    exec.psum_in_accumulators = false;
     // Layer-sequential machines spill the non-resident excess of maps
     // that overflow the activation SRAM (activation_spill_fraction, the
     // rule the baseline machines share).

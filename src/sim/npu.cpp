@@ -241,17 +241,22 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
     activity.mac_units =
         static_cast<double>(result.nonzero_columns_streamed) *
         static_cast<double>(group_size) / 8.0 *
-        static_cast<double>(su.factor(Dim::kOX)) / 8.0;
+        static_cast<double>(su.factor(Dim::kOX));
     activity.e_mac_pj = tech_.e_mac_bit_column_pj;
     activity.sram_read_bits =
         static_cast<double>(result.weight_bits_fetched +
                             result.act_bits_fetched);
-    // Input streamed from DRAM lands in the activation SRAM first, the
-    // same spill the model charges via its sram_write_act composition.
+    // Writes: the output map; input streamed from DRAM, which lands in
+    // the activation SRAM first; and the compressed weight stream's
+    // DRAM -> SRAM refill. The model charges the same three.
     activity.sram_write_bits =
         static_cast<double>(result.output_words) * kWordBits +
         (ctx.first_layer
-             ? static_cast<double>(desc.input_count()) * kWordBits : 0.0);
+             ? static_cast<double>(desc.input_count()) * kWordBits : 0.0) +
+        static_cast<double>(result.weight_bits_dram);
+    // Registers: two operand reads and one accumulator write per MAC,
+    // skipped bit columns or not.
+    activity.reg_words = 3.0 * static_cast<double>(desc.macs());
     activity.dram_bits = static_cast<double>(result.weight_bits_dram +
                                              result.act_bits_dram);
     activity.cycles = result.total_cycles;

@@ -8,7 +8,6 @@
 #include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/lru.hpp"
-#include "common/metrics.hpp"
 
 namespace bitwave {
 
@@ -281,13 +280,10 @@ scan_zero_column_histogram(const BitPlanes &planes, std::int64_t row_len,
 
 namespace {
 
-ShardedLruCache<std::uint64_t, BitPlanes> &
+LruCache<std::uint64_t, BitPlanes> &
 bitplane_cache()
 {
-    // Sharded: concurrent warm lookups from the worker pool take a
-    // shard's lock shared and never contend with each other.
-    static ShardedLruCache<std::uint64_t, BitPlanes> cache(
-        256, 0, "bitplanes");
+    static LruCache<std::uint64_t, BitPlanes> cache(256, "bitplanes");
     return cache;
 }
 
@@ -306,18 +302,6 @@ shared_bitplanes(const Int8Tensor &tensor, Representation repr,
     key = hash_combine(key, static_cast<std::uint64_t>(tensor.numel()));
     return bitplane_cache().get_or_build(
         key, [&] { return pack_bitplanes(tensor, repr); });
-}
-
-CacheCounters
-bitplane_cache_counters()
-{
-    // Thin view over the metrics registry: the cache itself counts
-    // straight into cache.bitplanes.* (see bitplane_cache()).
-    return CacheCounters{
-        static_cast<std::int64_t>(
-            metrics::counter_value("cache.bitplanes.hits")),
-        static_cast<std::int64_t>(
-            metrics::counter_value("cache.bitplanes.misses"))};
 }
 
 }  // namespace bitwave

@@ -145,24 +145,4 @@ std::shared_ptr<const BitPlanes>
 shared_bitplanes(const Int8Tensor &tensor, Representation repr,
                  std::uint64_t content_hash = 0);
 
-/// Cumulative hit/miss counters of one process-wide cache.
-struct CacheCounters
-{
-    std::int64_t hits = 0;
-    std::int64_t misses = 0;
-
-    /// hits / (hits + misses); 0 when the cache was never touched.
-    double hit_rate() const
-    {
-        const std::int64_t total = hits + misses;
-        return total > 0 ? static_cast<double>(hits) /
-                static_cast<double>(total)
-                         : 0.0;
-    }
-};
-
-/// Lifetime counters of the shared_bitplanes() cache — the service
-/// throughput bench reports these as its cross-request reuse signal.
-CacheCounters bitplane_cache_counters();
-
 }  // namespace bitwave

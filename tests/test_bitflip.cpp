@@ -1,18 +1,23 @@
 /**
  * @file
  * Tests for the Bit-Flip group transform and the Algorithm 1 greedy
- * search, including the paper's Fig. 4(c) worked example.
+ * search, including the paper's Fig. 4(c) worked example, and the bit
+ * pin over the Fig. 6 metrics.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
 
 #include "bitflip/bitflip.hpp"
 #include "bitflip/strategy.hpp"
 #include "common/bits.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "eval/scenario.hpp"
 #include "nn/workloads.hpp"
 #include "sparsity/bitcolumn.hpp"
+#include "tensor/quantize.hpp"
 
 namespace bitwave {
 namespace {
@@ -292,6 +297,76 @@ TEST(FlipSearch, AppliedStrategyMatchesConfiguredTargets)
     }
     // Untouched layers are bit-identical.
     EXPECT_EQ(weights[0], w.layers[0].weights);
+}
+
+// --------------------------------------------------------- Fig. 6 pin ---
+
+TEST(Fig06, MetricsArePinned)
+{
+    // Pins the bit patterns of the metrics Fig. 6 reports, computed as
+    // bench/fig06_bitflip.cpp computes them: the layer-wise flip
+    // sensitivity of panels (a-d) and the PTQ and heavy-layer Bit-Flip
+    // points of (e-h). Their weighted error sums are where a contracted
+    // a*b + c moves a bit: a -march=native build without
+    // -ffp-contract=off moves six fig06 metrics by 1-2 ULP, four of
+    // them pinned here, and the anchors' +-20 % bands cannot see that.
+    // ResNet18 and Bert-Base (one Bit-Flip point each moves too, by the
+    // same arithmetic) are left out for cost: their flips and error
+    // sums would add over 6 s to this suite.
+    struct Probe
+    {
+        WorkloadId id;
+        std::vector<const char *> layers;
+        std::uint64_t pin;
+    };
+    const Probe probes[] = {
+        {WorkloadId::kMobileNetV2,
+         {"L.2.pw_proj", "L.27.pw_exp", "fc"},
+         0xc712ff7e7b80e445ULL},
+        {WorkloadId::kCnnLstm,
+         {"conv2", "LSTM.0", "LSTM.1"},
+         0xe8279b27e8ed13e7ULL},
+    };
+    for (const auto &probe : probes) {
+        const auto &w = get_workload(probe.id);
+        AccuracyProxy proxy(w);
+        std::uint64_t h = 0;
+        const auto pin = [&h](double metric) {
+            h = hash_combine(h, std::bit_cast<std::uint64_t>(metric));
+        };
+        for (const char *name : probe.layers) {
+            const std::size_t idx = w.layer_index(name);
+            for (const int z : {2, 4, 6, 7}) {
+                const auto flipped = eval::cached_bitflip(
+                    w.layers[idx].weights, w.layers[idx].weights_hash, 16,
+                    z);
+                pin(proxy.metric_with_layer(idx, *flipped));
+            }
+        }
+        for (const int bits : {6, 5, 4}) {
+            double weighted = 0.0;
+            for (std::size_t l = 0; l < w.layers.size(); ++l) {
+                weighted += proxy.depth_weight(l) *
+                    proxy.layer_rel_error(
+                        l, requantize_to_bits(w.layers[l].weights, bits));
+            }
+            pin(w.base_metric - w.error_sensitivity * weighted);
+        }
+        for (const int z : {4, 5, 6}) {
+            const auto flipped =
+                eval::cached_flip_heavy_layers(w, 0.75, 16, z);
+            double weighted = 0.0;
+            for (std::size_t l = 0; l < w.layers.size(); ++l) {
+                if (flipped[l]) {
+                    weighted += proxy.depth_weight(l) *
+                        proxy.layer_rel_error(l, *flipped[l]);
+                }
+            }
+            pin(w.base_metric - w.error_sensitivity * weighted);
+        }
+        EXPECT_EQ(h, probe.pin)
+            << workload_name(probe.id) << ": 0x" << std::hex << h;
+    }
 }
 
 }  // namespace

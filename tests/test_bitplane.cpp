@@ -5,9 +5,9 @@
  * encoding, and bit-identical results between the packed kernels and
  * their scalar oracles (flat and row-aligned column statistics, BCS
  * measure/compress) on randomized tensors in both representations.
- * Also home of the process-cache tests: ShardedLruCache's exact LRU
- * order on one shard, its derived shard count, and the concurrent-reader
- * paths the CI TSan job checks.
+ * Also home of the process-cache tests: LruCache's exact LRU order,
+ * holders outliving eviction, and the concurrent-reader paths the CI
+ * TSan job checks.
  */
 #include <gtest/gtest.h>
 
@@ -232,11 +232,11 @@ TEST(BitPlanes, SharedPlanesHitTheContentCache)
     EXPECT_EQ(a.get(), d.get());
 }
 
-// --------------------------------------------------------- sharded LRU ---
+// ----------------------------------------------------------------- LRU ---
 
-TEST(ShardedLruCache, EvictsLeastRecentlyUsedAndRebuilds)
+TEST(LruCache, EvictsLeastRecentlyUsedAndRebuilds)
 {
-    ShardedLruCache<int, int> cache(2, /*shards=*/1);
+    LruCache<int, int> cache(2);
     int builds = 0;
     const auto build = [&](int v) {
         return [&builds, v] {
@@ -262,55 +262,13 @@ TEST(ShardedLruCache, EvictsLeastRecentlyUsedAndRebuilds)
     EXPECT_EQ(cache.evictions(), 2);
 }
 
-TEST(ShardedLruCache, ShardCountKeepsEveryShardAboveTheFloor)
+TEST(LruCache, IsExactLru)
 {
-    for (const std::size_t capacity :
-         {1u, 4u, 63u, 64u, 127u, 128u, 256u, 4096u, 1u << 20}) {
-        for (const std::size_t requested : {0u, 1u, 3u, 5u, 8u, 1000u}) {
-            const std::size_t shards =
-                cache_shard_count(capacity, requested);
-            EXPECT_GE(shards, 1u);
-            EXPECT_LE(shards, 64u);
-            EXPECT_EQ(shards & (shards - 1), 0u) << "power of two";
-            EXPECT_GE(capacity / shards,
-                      std::min(capacity, kMinShardEntries))
-                << capacity << " entries, " << requested << " requested";
-            if (requested > 0 && capacity >= 64 * kMinShardEntries) {
-                EXPECT_GE(shards, std::min<std::size_t>(requested, 64));
-            }
-            ShardedLruCache<int, int> cache(capacity, requested);
-            EXPECT_EQ(cache.shards(), shards);
-            EXPECT_GE(cache.capacity(), capacity);
-        }
-    }
-    EXPECT_EQ(cache_shard_count(1u << 20, 5), 8u) << "rounds up";
-    EXPECT_EQ(cache_shard_count(4, 8), 1u);
-    EXPECT_EQ(cache_shard_count(256, 8), 4u);
-}
-
-TEST(ShardedLruCache, FewHotKeysNeverEvictEachOther)
-{
-    // Four keys in a four-entry cache, requested over eight shards:
-    // split one slot per shard, hash placement would land two keys on
-    // one shard and every alternating request would rebuild.
-    ShardedLruCache<int, int> cache(4, /*shards=*/8);
-    for (int round = 0; round < 50; ++round) {
-        for (int key : {0, 3, 1, 2}) {
-            cache.get_or_build(key, [key] { return key; });
-        }
-    }
-    EXPECT_EQ(cache.misses(), 4);
-    EXPECT_EQ(cache.evictions(), 0);
-}
-
-TEST(ShardedLruCache, SingleShardIsExactLru)
-{
-    // Over a seeded mixed access pattern, every hit/miss of a one-shard
-    // cache must match an exact LRU of the same capacity: a key hits
-    // iff it is among the kCapacity most recently used distinct keys.
+    // Over a seeded mixed access pattern, every hit/miss must match an
+    // exact LRU of the same capacity: a key hits iff it is among the
+    // kCapacity most recently used distinct keys.
     constexpr std::size_t kCapacity = 8;
-    ShardedLruCache<int, int> cache(kCapacity, /*shards=*/1);
-    ASSERT_EQ(cache.shards(), 1u);
+    LruCache<int, int> cache(kCapacity);
     ASSERT_EQ(cache.capacity(), kCapacity);
 
     std::vector<int> recent;  // Distinct keys, most recent last.
@@ -338,33 +296,9 @@ TEST(ShardedLruCache, SingleShardIsExactLru)
               cache.misses() - static_cast<std::int64_t>(cache.size()));
 }
 
-TEST(ShardedLruCache, ShardingPreservesHitMissCountsWithoutEviction)
+TEST(LruCache, EvictedValueStaysAliveThroughHolders)
 {
-    // Below capacity, hits and misses are per-key properties and must
-    // not depend on how keys spread over the shards.
-    const auto replay = [](ShardedLruCache<int, int> &cache) {
-        Rng rng(42);
-        for (int step = 0; step < 500; ++step) {
-            const int key = static_cast<int>(rng.uniform_int(0, 63));
-            cache.get_or_build(key, [&] { return key; });
-        }
-    };
-    ShardedLruCache<int, int> one(1024, /*shards=*/1);
-    replay(one);
-    for (const std::size_t shards : {4u, 8u}) {
-        ShardedLruCache<int, int> cache(1024, shards);
-        ASSERT_EQ(cache.shards(), shards);
-        replay(cache);
-        EXPECT_EQ(cache.hits(), one.hits()) << shards << " shards";
-        EXPECT_EQ(cache.misses(), one.misses());
-        EXPECT_EQ(cache.size(), one.size());
-        EXPECT_EQ(cache.evictions(), 0);
-    }
-}
-
-TEST(ShardedLruCache, EvictedValueStaysAliveThroughHolders)
-{
-    ShardedLruCache<int, std::vector<int>> cache(1, /*shards=*/1);
+    LruCache<int, std::vector<int>> cache(1);
     const auto held =
         cache.get_or_build(1, [] { return std::vector<int>{1, 2, 3}; });
     cache.get_or_build(2, [] { return std::vector<int>{9}; });  // evicts 1
@@ -372,44 +306,50 @@ TEST(ShardedLruCache, EvictedValueStaysAliveThroughHolders)
     EXPECT_EQ(held->size(), 3u) << "holder must outlive eviction";
 }
 
-TEST(ShardedLruCache, ConcurrentReadersAndBuildersStayConsistent)
+TEST(LruCache, ConcurrentReadersAndBuildersStayConsistent)
 {
-    // The TSan CI job race-checks this: many workers hammering a
-    // sharded cache with overlapping hot keys must build each resident
-    // key exactly once, return the right value every time, and account
-    // every access as a hit or a miss.
-    ShardedLruCache<int, int> cache(8 * kMinShardEntries, /*shards=*/8);
-    ASSERT_EQ(cache.shards(), 8u);
-    std::atomic<std::int64_t> builds{0};
+    // The TSan CI job race-checks this: many workers hammering one
+    // cache with overlapping hot keys must build each entry exactly
+    // once, return the right value every time, and account every
+    // access as a hit or a miss. Once with room for every key, once
+    // with four keys per slot, where requests also splice and evict
+    // under contention.
     constexpr int kThreads = 8, kOps = 400, kKeys = 64;
-    std::vector<std::thread> workers;
-    workers.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        workers.emplace_back([&, t] {
-            Rng rng(static_cast<std::uint64_t>(t) + 1);
-            for (int op = 0; op < kOps; ++op) {
-                const int key =
-                    static_cast<int>(rng.uniform_int(0, kKeys - 1));
-                const auto v = cache.get_or_build(key, [&] {
-                    builds.fetch_add(1, std::memory_order_relaxed);
-                    return key * 7;
-                });
-                if (*v != key * 7) {
-                    ADD_FAILURE() << "wrong value for " << key;
-                    return;
+    for (const std::size_t capacity : {512u, 16u}) {
+        LruCache<int, int> cache(capacity);
+        std::atomic<std::int64_t> builds{0};
+        std::vector<std::thread> workers;
+        workers.reserve(kThreads);
+        for (int t = 0; t < kThreads; ++t) {
+            workers.emplace_back([&, t] {
+                Rng rng(static_cast<std::uint64_t>(t) + 1);
+                for (int op = 0; op < kOps; ++op) {
+                    const int key =
+                        static_cast<int>(rng.uniform_int(0, kKeys - 1));
+                    const auto v = cache.get_or_build(key, [&] {
+                        builds.fetch_add(1, std::memory_order_relaxed);
+                        return key * 7;
+                    });
+                    if (*v != key * 7) {
+                        ADD_FAILURE() << "wrong value for " << key;
+                        return;
+                    }
                 }
-            }
-        });
+            });
+        }
+        for (auto &w : workers) {
+            w.join();
+        }
+        // Each miss inserts one entry, which builds once even under
+        // concurrent first requests.
+        EXPECT_EQ(builds.load(), cache.misses()) << capacity;
+        EXPECT_EQ(cache.size(),
+                  std::min(capacity, static_cast<std::size_t>(kKeys)));
+        EXPECT_EQ(cache.evictions(),
+                  cache.misses() - static_cast<std::int64_t>(cache.size()));
+        EXPECT_EQ(cache.hits() + cache.misses(),
+                  static_cast<std::int64_t>(kThreads) * kOps);
     }
-    for (auto &w : workers) {
-        w.join();
-    }
-    // Capacity exceeds the key space: every key builds exactly once
-    // even under concurrent first requests.
-    EXPECT_EQ(builds.load(), static_cast<std::int64_t>(cache.size()));
-    EXPECT_LE(cache.size(), static_cast<std::size_t>(kKeys));
-    EXPECT_EQ(cache.hits() + cache.misses(),
-              static_cast<std::int64_t>(kThreads) * kOps);
 }
 
 }  // namespace

@@ -375,7 +375,7 @@ TEST(BuildOnce, ThrowingCacheBuildRetriesOnTheNextRequest)
 {
     // A throwing build leaves its entry resident but unbuilt: the next
     // request for the key builds it, and later ones hit the value.
-    ShardedLruCache<int, int> cache(4, /*shards=*/1);
+    LruCache<int, int> cache(4);
     int builds = 0;
     const auto failing = [&]() -> int {
         ++builds;
@@ -399,7 +399,7 @@ TEST(BuildOnce, RacingCallersSurviveAThrowingFirstBuild)
     // that sees the throw asks again; either it or its rival builds the
     // value, exactly once more, and both end up holding it.
     for (int round = 0; round < 50; ++round) {
-        ShardedLruCache<int, int> cache(4, /*shards=*/1);
+        LruCache<int, int> cache(4);
         std::atomic<int> builds{0};
         const auto build = [&] {
             if (builds.fetch_add(1, std::memory_order_relaxed) == 0) {

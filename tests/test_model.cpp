@@ -486,8 +486,8 @@ TEST(Caches, WarmBatchEvictsNothingAtAnyThreadCount)
     // bit planes, mapping statistics) and the five paper baselines
     // (baseline weight statistics), plus a stats scenario — re-run
     // warm must be served from resident entries only, whatever the
-    // thread count. A cache whose shards are too small for their share
-    // of the working set evicts here on every pass.
+    // thread count. A cache too small for the batch's working set
+    // evicts here on every pass.
     std::vector<eval::Scenario> batch;
     for (auto id : kAllWorkloads) {
         eval::Scenario s;

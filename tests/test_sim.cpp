@@ -9,6 +9,7 @@
 
 #include "common/bits.hpp"
 #include "common/rng.hpp"
+#include "eval/runner.hpp"
 #include "model/performance.hpp"
 #include "nn/reference.hpp"
 #include "nn/synthesis.hpp"
@@ -455,6 +456,59 @@ TEST(SimValidation, SimWithinTenPercentOfAnalyticalModel)
         const double ratio = sim.cycles_decoupled / mod.compute_cycles;
         EXPECT_GT(ratio, 0.85) << name;
         EXPECT_LT(ratio, 1.15) << name;
+    }
+}
+
+TEST(SimValidation, EnergyComponentsMatchAnalyticalModelPerLayer)
+{
+    // Both engines price Eq. 4 through energy/pricing.hpp, so they can
+    // differ only in the activity they count: MAC-equivalents, register
+    // words, SRAM reads and writes (the DRAM -> SRAM weight refill
+    // included), DRAM bits and cycles. Each Eq. 4 component must agree
+    // per layer up to summation order. Left out: MobileNetV2, whose
+    // depthwise groups the engines still lay out differently, and the
+    // conv1 layers, whose C is not a multiple of the BCS group so the
+    // model's flat-group DRAM stream differs from the sim's row-aligned
+    // one (ROADMAP items 1 and 2). Bert-Base is probed on its first and
+    // last blocks, which cover the network-boundary DRAM traffic. A
+    // private workload seed with a layer filter synthesizes only the
+    // probed layers.
+    for (const WorkloadId id : {WorkloadId::kResNet18, WorkloadId::kCnnLstm,
+                                WorkloadId::kBertBase}) {
+        eval::Scenario model;
+        model.workload = id;
+        model.workload_seed = 0xE4E4;
+        for (const auto &layer :
+             build_workload_skeleton(id, model.workload_seed).layers) {
+            const std::string &name = layer.desc.name;
+            const bool probed = id != WorkloadId::kBertBase ||
+                name.starts_with("layer.0.") ||
+                name.starts_with("layer.11.");
+            if (name != "conv1" && probed) {
+                model.layer_filter.push_back(name);
+            }
+        }
+        eval::Scenario sim = model;
+        sim.engine = eval::EngineKind::kCycleSim;
+        const auto results = eval::ScenarioRunner().run({model, sim});
+        const auto &m = results[0].layers;
+        const auto &s = results[1].layers;
+        ASSERT_EQ(m.size(), model.layer_filter.size());
+        ASSERT_EQ(s.size(), m.size());
+        for (std::size_t i = 0; i < m.size(); ++i) {
+            const auto agree = [&](const char *what, double sim_pj,
+                                   double model_pj) {
+                EXPECT_NEAR(sim_pj / model_pj, 1.0, 1e-9)
+                    << workload_name(id) << " " << m[i].layer_name << " "
+                    << what << ": sim " << sim_pj << " pJ, model "
+                    << model_pj << " pJ";
+            };
+            agree("mac", s[i].energy.mac_pj, m[i].energy.mac_pj);
+            agree("sram", s[i].energy.sram_pj, m[i].energy.sram_pj);
+            agree("reg", s[i].energy.reg_pj, m[i].energy.reg_pj);
+            agree("dram", s[i].energy.dram_pj, m[i].energy.dram_pj);
+            agree("static", s[i].energy.static_pj, m[i].energy.static_pj);
+        }
     }
 }
 
