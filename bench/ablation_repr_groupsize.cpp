@@ -28,7 +28,6 @@ main()
             s.engine = eval::EngineKind::kStats;
             s.workload = id;
             s.stats.group_size = g;
-            s.stats.bcs = true;
             scenarios.push_back(std::move(s));
         }
     }
@@ -49,8 +48,8 @@ main()
             s2c.merge(l.stats->columns_2c);
             ssm.merge(l.stats->columns_sm);
             orig += static_cast<double>(l.stats->weight_bits);
-            c2c += static_cast<double>(l.stats->bcs_2c_bits);
-            csm += static_cast<double>(l.stats->bcs_sm_bits);
+            c2c += static_cast<double>(l.stats->columns_2c.bcs_bits());
+            csm += static_cast<double>(l.stats->columns_sm.bcs_bits());
         }
         t.add_row({r.workload, fmt_percent(s2c.column_sparsity()),
                    fmt_percent(ssm.column_sparsity()),
@@ -75,8 +74,8 @@ main()
         for (std::size_t l = 0; l < layers; ++l) {
             double layer_best = 0.0;
             for (std::size_t i = 0; i < per_workload; ++i) {
-                const auto bits =
-                    static_cast<double>(r[i].layers[l].stats->bcs_sm_bits);
+                const auto bits = static_cast<double>(
+                    r[i].layers[l].stats->columns_sm.bcs_bits());
                 comp[i] += bits;
                 layer_best =
                     layer_best == 0.0 ? bits : std::min(layer_best, bits);

@@ -57,7 +57,6 @@ main()
         s.workload = WorkloadId::kResNet18;
         s.layer_filter = layers;
         s.stats.group_size = g;
-        s.stats.bcs = true;
         // ZRE/CSR are group-size independent; measure them once.
         s.stats.reference_codecs = scenarios.empty();
         scenarios.push_back(std::move(s));
@@ -84,7 +83,8 @@ main()
     for (std::size_t i = 0; i < results.size(); ++i) {
         CodecBits bcs;
         for (const auto &l : results[i].layers) {
-            bcs.add(l.stats->bcs_sm_bits, l.stats->bcs_sm_ideal_bits,
+            bcs.add(l.stats->columns_sm.bcs_bits(),
+                    l.stats->columns_sm.bcs_payload_bits(),
                     l.stats->weight_bits);
         }
         t.add_row({strprintf("BCS G=%d", group_sizes[i]),

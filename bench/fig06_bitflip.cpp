@@ -75,7 +75,6 @@ main()
             eval::Scenario s;
             s.engine = eval::EngineKind::kStats;
             s.workload = id;
-            s.stats.bcs = true;
             if (z > 0) {
                 s.bitflip.mode = eval::BitflipSpec::Mode::kHeavyLayers;
                 s.bitflip.weight_share = kHeavyShare;
@@ -92,7 +91,7 @@ main()
         double orig = 0.0, comp = 0.0;
         for (const auto &l : r.layers) {
             orig += static_cast<double>(l.stats->weight_bits);
-            comp += static_cast<double>(l.stats->bcs_sm_bits);
+            comp += static_cast<double>(l.stats->columns_sm.bcs_bits());
         }
         return orig / comp;
     };

@@ -5,7 +5,7 @@
  *
  * Times the element-at-a-time oracles against the word-parallel kernels
  * that replaced them on every hot path (flat and row-aligned bit-column
- * statistics, BCS measure/compress, Bit-Flip), and
+ * statistics, BCS compress, Bit-Flip), and
  * verifies bit-identical results in the same run, and closes with a
  * `runner_scaling` row timing the runner's chunk-cursor pool serial vs
  * parallel on a warm batch, the serial cost of synthesizing the tensor
@@ -128,35 +128,27 @@ main()
     table.add_row({"pack_bitplanes (one-time)", "-",
                    strprintf("%.2f", pack_ms), "-", "yes"});
 
-    {  // Bit-column statistics.
-        BitColumnStats s, p;
+    // Bit-column statistics over flat groups (which carry the BCS sizes).
+    BitColumnStats flat;
+    {
+        BitColumnStats s;
         const double scalar_ms = time_ms([&] {
             s = analyze_bit_columns_scalar(w, group, w.numel(), repr);
         });
-        const double packed_ms =
-            time_ms([&] { p = analyze_bit_columns(planes, group); });
+        const double packed_ms = time_ms(
+            [&] { flat = analyze_bit_columns(planes, group, planes.n); });
         report(json, table, "analyze_bit_columns", scalar_ms, packed_ms,
-               same_stats(s, p));
+               same_stats(s, flat));
     }
 
-    {  // BCS size accounting.
-        BcsSizeInfo s, p;
-        const double scalar_ms =
-            time_ms([&] { s = bcs_measure_scalar(w, group, repr); });
-        const double packed_ms =
-            time_ms([&] { p = bcs_measure(planes, group); });
-        report(json, table, "bcs_measure", scalar_ms, packed_ms,
-               s.groups == p.groups &&
-                   s.nonzero_columns == p.nonzero_columns);
-    }
-
-    {  // BCS stream materialization.
+    {  // BCS stream materialization; its size must be the histogram's.
         BcsCompressed s, p;
         const double scalar_ms =
             time_ms([&] { s = bcs_compress_scalar(w, group, repr); });
         const double packed_ms = time_ms(
             [&] { p = bcs_compress(planes, w.shape(), group); });
-        bool identical = s.groups.size() == p.groups.size();
+        bool identical = s.groups.size() == p.groups.size() &&
+            flat.bcs_bits() == p.compressed_bits();
         for (std::size_t i = 0; identical && i < s.groups.size(); ++i) {
             identical = s.groups[i].index == p.groups[i].index &&
                 s.groups[i].columns == p.groups[i].columns;

@@ -4,7 +4,7 @@
 
 #include "bitflip/bitflip.hpp"
 #include "common/logging.hpp"
-#include "compress/bcs.hpp"
+#include "sparsity/bitcolumn.hpp"
 
 namespace bitwave {
 
@@ -62,14 +62,14 @@ FlipSearch::strategy_compression_ratio(const FlipStrategy &strategy)
         const Key key{l, cfg.group_size, cfg.zero_columns};
         auto it = ratios_.find(key);
         if (it == ratios_.end()) {
-            // Size accounting only — bit-identical to materializing the
-            // compression, at a fraction of the cost.
-            const auto measured = bcs_measure(
+            // Sizes from the column histogram — bit-identical to
+            // materializing the compression, at a fraction of the cost.
+            const auto columns = analyze_bit_columns(
                 flipped_layer(l, cfg), cfg.group_size,
                 Representation::kSignMagnitude);
             it = ratios_
-                     .emplace(key, static_cast<double>(
-                                       measured.compressed_bits()))
+                     .emplace(key,
+                              static_cast<double>(columns.bcs_bits()))
                      .first;
         }
         original_bits += workload_.layers[l].weights.numel() * 8;

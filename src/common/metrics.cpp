@@ -14,10 +14,10 @@ namespace bitwave::metrics {
 
 namespace {
 
-/// The registry: one mutex and three name → unique_ptr maps.  Call
+/// The registry: one mutex and two name → unique_ptr maps.  Call
 /// sites look a metric up once and keep the reference, so the lock is
 /// off every hot path.  Metrics are never erased, so the pointers
-/// handed out by counter()/gauge()/histogram() stay valid for the
+/// handed out by counter()/histogram() stay valid for the
 /// process lifetime.  Leaked on purpose: worker threads may still bump
 /// metrics while static destructors run.
 struct Registry
@@ -25,8 +25,6 @@ struct Registry
     MutexCap mutex;
     std::unordered_map<std::string, std::unique_ptr<Counter>>
         counters GUARDED_BY(mutex);
-    std::unordered_map<std::string, std::unique_ptr<Gauge>>
-        gauges GUARDED_BY(mutex);
     std::unordered_map<std::string, std::unique_ptr<Histogram>>
         histograms GUARDED_BY(mutex);
 };
@@ -98,14 +96,6 @@ append_u64(std::string &out, std::uint64_t v)
     char buf[32];
     std::snprintf(buf, sizeof buf, "%llu",
                   static_cast<unsigned long long>(v));
-    out += buf;
-}
-
-void
-append_i64(std::string &out, std::int64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
     out += buf;
 }
 
@@ -205,14 +195,6 @@ counter(std::string_view name)
     return lookup<Counter>(reg.counters, name);
 }
 
-Gauge &
-gauge(std::string_view name)
-{
-    Registry &reg = registry();
-    MutexLock lock(reg.mutex);
-    return lookup<Gauge>(reg.gauges, name);
-}
-
 Histogram &
 histogram(std::string_view name)
 {
@@ -240,9 +222,6 @@ snapshot()
         for (const auto &[name, c] : reg.counters) {
             out.counters.emplace_back(name, c->value());
         }
-        for (const auto &[name, g] : reg.gauges) {
-            out.gauges.emplace_back(name, g->value());
-        }
         for (const auto &[name, h] : reg.histograms) {
             out.histograms.emplace_back(name, h->snapshot());
         }
@@ -251,7 +230,6 @@ snapshot()
         return a.first < b.first;
     };
     std::sort(out.counters.begin(), out.counters.end(), by_name);
-    std::sort(out.gauges.begin(), out.gauges.end(), by_name);
     std::sort(out.histograms.begin(), out.histograms.end(), by_name);
     return out;
 }
@@ -265,13 +243,6 @@ render_prometheus(const Snapshot &snap)
         out += "# TYPE " + prom + " counter\n";
         out += prom + " ";
         append_u64(out, value);
-        out.push_back('\n');
-    }
-    for (const auto &[name, value] : snap.gauges) {
-        const std::string prom = sanitize_prometheus(name);
-        out += "# TYPE " + prom + " gauge\n";
-        out += prom + " ";
-        append_i64(out, value);
         out.push_back('\n');
     }
     for (const auto &[name, hist] : snap.histograms) {
@@ -316,17 +287,6 @@ render_json(const Snapshot &snap)
         out.push_back(':');
         append_u64(out, value);
     }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto &[name, value] : snap.gauges) {
-        if (!first) {
-            out.push_back(',');
-        }
-        first = false;
-        append_json_escaped(out, name);
-        out.push_back(':');
-        append_i64(out, value);
-    }
     out += "},\"histograms\":{";
     first = true;
     for (const auto &[name, hist] : snap.histograms) {
@@ -361,9 +321,6 @@ zero_all_for_tests()
     for (auto &[name, c] : reg.counters) {
         c->~Counter();
         new (c.get()) Counter();
-    }
-    for (auto &[name, g] : reg.gauges) {
-        g->set(0);
     }
     for (auto &[name, h] : reg.histograms) {
         // Registry histograms are always gated; rebuild in place to

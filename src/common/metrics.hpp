@@ -1,17 +1,17 @@
 #pragma once
 
-// Process-wide metrics registry: named counters, gauges, and
-// log-bucketed histograms with a wait-free relaxed-atomic hot path.
+// Process-wide metrics registry: named counters and log-bucketed
+// histograms with a wait-free relaxed-atomic hot path.
 //
-// Handles returned by counter()/gauge()/histogram() have stable
-// addresses for the life of the process — call sites look a metric up
-// once (usually into a function-local static) and then bump a plain
-// relaxed atomic.  Registry histograms are gated on a global arm flag
+// Handles returned by counter()/histogram() have stable addresses for
+// the life of the process — call sites look a metric up once (usually
+// into a function-local static) and then bump a plain relaxed atomic.
+// Registry histograms are gated on a global arm flag
 // (BITWAVE_METRICS=1 or metrics::set_enabled(true)); a disarmed
 // record() costs one relaxed load plus a never-taken branch, the same
-// budget as a disarmed fault point.  Counters and gauges are always
-// live: they replace the ad-hoc telemetry structs that previous PRs
-// scattered across the service, runner, caches, and fault registry.
+// budget as a disarmed fault point.  Counters are always live: they
+// replace the ad-hoc telemetry structs that previous PRs scattered
+// across the service, runner, caches, and fault registry.
 //
 // snapshot() collects every registered metric into a name-sorted
 // Snapshot that render_prometheus()/render_json() turn into the two
@@ -27,7 +27,7 @@
 namespace bitwave::metrics {
 
 /// True when histogram recording is armed (BITWAVE_METRICS=1 or
-/// set_enabled(true)).  Counters and gauges ignore this flag.
+/// set_enabled(true)).  Counters ignore this flag.
 inline std::atomic<bool> g_enabled{false};
 
 inline bool
@@ -54,25 +54,6 @@ class Counter
 
   private:
     std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-write-wins signed gauge.
-class Gauge
-{
-  public:
-    void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-    void add(std::int64_t n)
-    {
-        value_.fetch_add(n, std::memory_order_relaxed);
-    }
-
-    std::int64_t value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::int64_t> value_{0};
 };
 
 /// Bucket count for the log-scaled histogram: values 0..15 get a
@@ -144,7 +125,6 @@ class Histogram
 /// reference is valid forever; lookups take the registry mutex, so
 /// cache the reference on hot paths.
 Counter &counter(std::string_view name);
-Gauge &gauge(std::string_view name);
 Histogram &histogram(std::string_view name);
 
 /// Value of a registered counter, or 0 when no such counter exists.
@@ -154,7 +134,6 @@ std::uint64_t counter_value(std::string_view name);
 struct Snapshot
 {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
-    std::vector<std::pair<std::string, std::int64_t>> gauges;
     std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
 };
 
@@ -165,11 +144,11 @@ Snapshot snapshot();
 /// emitted cumulatively with nanosecond `le` bounds).
 std::string render_prometheus(const Snapshot &snap);
 
-/// Compact JSON object: {"counters":{...},"gauges":{...},
+/// Compact JSON object: {"counters":{...},
 /// "histograms":{name:{count,sum,mean,p50,p90,p99}}}.
 std::string render_json(const Snapshot &snap);
 
-/// Reset every registered counter/gauge/histogram to zero.  Handles
+/// Reset every registered counter/histogram to zero.  Handles
 /// stay valid.  Tests only — racing writers may leave a torn view.
 void zero_all_for_tests();
 

@@ -16,13 +16,18 @@ namespace {
 
 constexpr std::size_t kDefaultRingEvents = 32768;
 
+/// One thread's ring. It grows by push_back as the thread records, up
+/// to `capacity` events, then wraps: a thread pays only for the events
+/// it keeps, not for the full capacity on its first event.
 struct ThreadBuffer
 {
     MutexCap mutex;
     std::vector<Event> ring GUARDED_BY(mutex);
     /// Total events ever written.
     std::uint64_t head GUARDED_BY(mutex) = 0;
-    std::uint32_t tid = 0;  ///< Immutable once the buffer is published.
+    // Immutable once the buffer is published.
+    std::size_t capacity = 1;
+    std::uint32_t tid = 0;
 };
 
 /// Global buffer registry.  Leaked on purpose: worker threads and the
@@ -63,12 +68,7 @@ local_buffer()
         auto fresh = std::make_shared<ThreadBuffer>();
         Global &g = global();
         MutexLock lock(g.mutex);
-        {
-            // Uncontended (the buffer is not yet published); taken so
-            // the guarded ring/head writes satisfy the analysis.
-            MutexLock init(fresh->mutex);
-            fresh->ring.resize(std::max<std::size_t>(1, g.ring_capacity));
-        }
+        fresh->capacity = g.ring_capacity;
         fresh->tid = static_cast<std::uint32_t>(thread_ordinal());
         g.buffers.push_back(fresh);
         return fresh;
@@ -81,10 +81,12 @@ push_event(const Event &event)
 {
     ThreadBuffer &buf = local_buffer();
     MutexLock lock(buf.mutex);
-    if (buf.head >= buf.ring.size()) {
+    if (buf.ring.size() < buf.capacity) {
+        buf.ring.push_back(event);
+    } else {
         global().dropped.fetch_add(1, std::memory_order_relaxed);
+        buf.ring[buf.head % buf.capacity] = event;
     }
-    buf.ring[buf.head % buf.ring.size()] = event;
     buf.head++;
 }
 
@@ -195,6 +197,7 @@ clear()
     }
     for (const auto &buf : buffers) {
         MutexLock lock(buf->mutex);
+        buf->ring = {};
         buf->head = 0;
     }
     g.dropped.store(0, std::memory_order_relaxed);
@@ -253,7 +256,7 @@ snapshot_events()
     std::vector<Event> out;
     for (const auto &buf : buffers) {
         MutexLock lock(buf->mutex);
-        const std::uint64_t capacity = buf->ring.size();
+        const std::uint64_t capacity = buf->capacity;
         const std::uint64_t kept = std::min(buf->head, capacity);
         for (std::uint64_t i = buf->head - kept; i < buf->head; ++i) {
             Event event = buf->ring[i % capacity];

@@ -54,54 +54,6 @@ BcsCompressed::ideal_compression_ratio() const
     return static_cast<double>(original_bits()) / static_cast<double>(p);
 }
 
-BcsSizeInfo
-bcs_measure_scalar(const Int8Tensor &tensor, int group_size,
-                   Representation repr)
-{
-    if (group_size < 1 || group_size > 64) {
-        fatal("bcs_measure: group_size must be in [1, 64], got %d",
-              group_size);
-    }
-    BcsSizeInfo info;
-    info.group_size = group_size;
-    info.element_count = tensor.numel();
-    const std::int64_t n = tensor.numel();
-    for (std::int64_t start = 0; start < n; start += group_size) {
-        const std::int64_t len =
-            std::min<std::int64_t>(group_size, n - start);
-        const std::span<const std::int8_t> grp(
-            tensor.data() + start, static_cast<std::size_t>(len));
-        ++info.groups;
-        info.nonzero_columns += popcount8(column_index(grp, repr));
-    }
-    return info;
-}
-
-BcsSizeInfo
-bcs_measure(const BitPlanes &planes, int group_size)
-{
-    if (group_size < 1 || group_size > 64) {
-        fatal("bcs_measure: group_size must be in [1, 64], got %d",
-              group_size);
-    }
-    BcsSizeInfo info;
-    info.group_size = group_size;
-    info.element_count = planes.n;
-    if (planes.n == 0) {
-        return info;
-    }
-    info.groups = scan_group_count(planes.n, planes.n, group_size);
-    info.nonzero_columns =
-        scan_nonzero_column_total(planes, planes.n, group_size);
-    return info;
-}
-
-BcsSizeInfo
-bcs_measure(const Int8Tensor &tensor, int group_size, Representation repr)
-{
-    return bcs_measure(pack_bitplanes(tensor, repr), group_size);
-}
-
 BcsCompressed
 bcs_compress_scalar(const Int8Tensor &tensor, int group_size,
                     Representation repr)
@@ -230,13 +182,14 @@ bcs_decompress(const BcsCompressed &compressed)
 int
 best_hardware_group_size(const Int8Tensor &tensor, Representation repr)
 {
-    // One pack serves all candidate group sizes; the size accounting is
-    // bit-identical to materializing each compression.
+    // One pack serves all candidate group sizes; the column histogram's
+    // sizes are bit-identical to materializing each compression.
     const BitPlanes planes = pack_bitplanes(tensor, repr);
     int best_g = kHardwareGroupSizes[0];
     double best_cr = -1.0;
     for (int g : kHardwareGroupSizes) {
-        const double cr = bcs_measure(planes, g).compression_ratio();
+        const double cr =
+            analyze_bit_columns(planes, g, planes.n).bcs_compression_ratio();
         if (cr > best_cr) {
             best_cr = cr;
             best_g = g;

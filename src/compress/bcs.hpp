@@ -10,6 +10,11 @@
  * The format is lossless, decodable without preprocessing (the index
  * directly drives the ZCIP/BCE pipeline), and keeps memory accesses
  * regular: payload columns are fixed-size G-bit words.
+ *
+ * A group's size follows from its non-zero column count alone, so every
+ * caller that needs only sizes reads them from BitColumnStats
+ * (bcs_bits(), bcs_payload_bits(), bcs_compression_ratio()); the stream
+ * below is built only when the columns themselves are needed.
  */
 #pragma once
 
@@ -52,59 +57,6 @@ struct BcsCompressed
     /// CR ignoring index overhead (the paper's "ideal CR").
     double ideal_compression_ratio() const;
 };
-
-/**
- * Size accounting of a BCS compression without materializing the column
- * stream. Bit-for-bit identical to bcs_compress(...).compressed_bits()
- * and friends, at a fraction of the cost — the analytical models call
- * this on every layer of every scenario, where allocating millions of
- * per-group payload vectors used to dominate the evaluation time.
- */
-struct BcsSizeInfo
-{
-    int group_size = 0;
-    std::int64_t element_count = 0;
-    std::int64_t groups = 0;
-    std::int64_t nonzero_columns = 0;  ///< Payload columns stored.
-
-    std::int64_t index_bits() const { return groups * 8; }
-    std::int64_t payload_bits() const
-    {
-        return nonzero_columns * group_size;
-    }
-    std::int64_t compressed_bits() const
-    {
-        return index_bits() + payload_bits();
-    }
-    std::int64_t original_bits() const { return element_count * 8; }
-    double compression_ratio() const
-    {
-        const std::int64_t c = compressed_bits();
-        return c > 0 ? static_cast<double>(original_bits()) /
-                           static_cast<double>(c)
-                     : 0.0;
-    }
-    double ideal_compression_ratio() const
-    {
-        const std::int64_t p = payload_bits();
-        if (p == 0) {
-            return static_cast<double>(original_bits());
-        }
-        return static_cast<double>(original_bits()) /
-            static_cast<double>(p);
-    }
-};
-
-/// Measure the BCS storage of @p tensor without building the stream.
-/// The tensor overload packs bit planes and runs the word-parallel
-/// kernel; pass pre-packed planes to amortize the pack across kernels.
-BcsSizeInfo bcs_measure(const Int8Tensor &tensor, int group_size,
-                        Representation repr);
-BcsSizeInfo bcs_measure(const BitPlanes &planes, int group_size);
-
-/// Element-at-a-time oracle for the packed measure (tests / bench).
-BcsSizeInfo bcs_measure_scalar(const Int8Tensor &tensor, int group_size,
-                               Representation repr);
 
 /**
  * Compress @p tensor with group size @p group_size in representation

@@ -94,7 +94,7 @@ deploy(const Workload &workload, const PipelineOptions &options)
     double compressed_bits = 0.0;
     for (std::size_t l = 0; l < workload.layers.size(); ++l) {
         const auto &layer = workload.layers[l];
-        const auto compressed = bcs_compress(
+        const auto columns = analyze_bit_columns(
             (*weights)[l], best_hardware_group_size(
                                (*weights)[l],
                                Representation::kSignMagnitude),
@@ -103,13 +103,13 @@ deploy(const Workload &workload, const PipelineOptions &options)
         lr.name = layer.desc.name;
         lr.su = bw.layers[l].su_name;
         lr.utilization = bw.layers[l].utilization;
-        lr.compression_ratio = compressed.compression_ratio();
+        lr.compression_ratio = columns.bcs_compression_ratio();
         lr.mean_nonzero_columns = bw.layers[l].cycles_per_group;
         lr.speedup_vs_dense =
             dense.layers[l].total_cycles / bw.layers[l].total_cycles;
         report.layers.push_back(std::move(lr));
-        original_bits += compressed.original_bits();
-        compressed_bits += static_cast<double>(compressed.compressed_bits());
+        original_bits += columns.elements * kWordBits;
+        compressed_bits += static_cast<double>(columns.bcs_bits());
     }
     report.weight_compression_ratio =
         compressed_bits > 0

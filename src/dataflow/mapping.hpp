@@ -7,7 +7,8 @@
  * performance model build on. BitWave's own cycle count needs only the
  * per-group histogram of non-zero bit columns (Eq. 2): the row-aligned
  * BitColumnStats of sparsity/bitcolumn.hpp, memoized by
- * search::cached_cycle_stats. The lockstep penalty of Ku kernels waiting
+ * search::cached_cycle_stats, whose flat form also sizes the
+ * BCS-compressed weight stream. The lockstep penalty of Ku kernels waiting
  * on their slowest group is counted by the cycle-level simulator
  * (LayerSimResult::cycles_lockstep).
  */

@@ -11,7 +11,6 @@
 #include "common/logging.hpp"
 #include "common/lru.hpp"
 #include "common/trace.hpp"
-#include "compress/bcs.hpp"
 #include "compress/csr.hpp"
 #include "compress/zre.hpp"
 #include "eval/error.hpp"
@@ -86,9 +85,9 @@ from_sim(const LayerSimResult &r)
 }
 
 /// Build one layer's statistics record. Sparsity comes from the byte
-/// histogram; the column, BCS and CSR records read packed bit planes
-/// (both representations share the content-hash plane cache), fetched
-/// only when one of them is requested.
+/// histogram; the column records (BCS sizes included) and CSR read
+/// packed bit planes (both representations share the content-hash plane
+/// cache), fetched only when one of them is requested.
 LayerStatsEval
 build_layer_stats(const StatsSpec &spec, const Int8Tensor &w,
                   std::uint64_t weights_hash)
@@ -97,7 +96,7 @@ build_layer_stats(const StatsSpec &spec, const Int8Tensor &w,
     LayerStatsEval stats;
     stats.sparsity = compute_sparsity(w);
     stats.weight_bits = w.numel() * 8;
-    if (!spec.column_stats && !spec.bcs && !spec.reference_codecs) {
+    if (!spec.column_stats && !spec.reference_codecs) {
         return stats;
     }
     const auto p2c = shared_bitplanes(
@@ -105,8 +104,8 @@ build_layer_stats(const StatsSpec &spec, const Int8Tensor &w,
     const auto psm = shared_bitplanes(
         w, Representation::kSignMagnitude, weights_hash);
     if (spec.column_stats) {
-        stats.columns_2c = analyze_bit_columns(*p2c, group);
-        stats.columns_sm = analyze_bit_columns(*psm, group);
+        stats.columns_2c = analyze_bit_columns(*p2c, group, p2c->n);
+        stats.columns_sm = analyze_bit_columns(*psm, group, psm->n);
     }
     if (spec.reference_codecs) {
         const auto zre = zre_compress(w);
@@ -116,14 +115,6 @@ build_layer_stats(const StatsSpec &spec, const Int8Tensor &w,
         const auto csr = csr_compress(*p2c, w, w.dim(0));
         stats.csr_bits = csr.compressed_bits();
         stats.csr_ideal_bits = csr.payload_bits();
-    }
-    if (spec.bcs) {
-        const auto bcs_sm = bcs_measure(*psm, group);
-        stats.bcs_sm_bits = bcs_sm.compressed_bits();
-        stats.bcs_sm_ideal_bits = bcs_sm.payload_bits();
-        const auto bcs_2c = bcs_measure(*p2c, group);
-        stats.bcs_2c_bits = bcs_2c.compressed_bits();
-        stats.bcs_2c_ideal_bits = bcs_2c.payload_bits();
     }
     return stats;
 }
@@ -150,8 +141,7 @@ layer_stats(const Scenario &scenario, const WorkloadLayer &layer,
     key = hash_combine(
         key,
         static_cast<std::uint64_t>((spec.column_stats ? 1 : 0) |
-                                   (spec.bcs ? 2 : 0) |
-                                   (spec.reference_codecs ? 4 : 0)));
+                                   (spec.reference_codecs ? 2 : 0)));
     // The CSR record depends on the leading dimension, so the full
     // shape is part of the identity, not just the byte content.
     key = hash_combine(key, static_cast<std::uint64_t>(w.rank()));
@@ -199,8 +189,8 @@ scenario_error(const Scenario &scenario)
         }
         break;
       case EngineKind::kStats:
-        if (((stats.column_stats || stats.bcs) && stats.group_size < 1) ||
-            (stats.bcs && stats.group_size > 64)) {
+        if (stats.column_stats &&
+            (stats.group_size < 1 || stats.group_size > 64)) {
             why = strprintf("stats group_size %d", stats.group_size);
         }
         break;

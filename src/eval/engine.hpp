@@ -48,16 +48,18 @@ namespace bitwave::eval {
 struct LayerStatsEval
 {
     SparsityStats sparsity;     ///< Value/bit sparsity, both reprs.
-    BitColumnStats columns_2c;  ///< Column stats, two's complement.
-    BitColumnStats columns_sm;  ///< Column stats, sign-magnitude.
+    /// Column stats over flat groups, two's complement and
+    /// sign-magnitude; their bcs_bits() / bcs_payload_bits() are the
+    /// BCS sizes.
+    BitColumnStats columns_2c;
+    BitColumnStats columns_sm;
     std::int64_t weight_bits = 0;  ///< Uncompressed weight volume.
 
-    // Codec results (per the StatsSpec codec flags; 0 when disabled).
-    // "Ideal" is the payload without index/bookkeeping overhead.
+    // Reference codec results (StatsSpec::reference_codecs; 0 when
+    // disabled). "Ideal" is the payload without index/bookkeeping
+    // overhead.
     std::int64_t zre_bits = 0, zre_ideal_bits = 0;
     std::int64_t csr_bits = 0, csr_ideal_bits = 0;
-    std::int64_t bcs_sm_bits = 0, bcs_sm_ideal_bits = 0;
-    std::int64_t bcs_2c_bits = 0, bcs_2c_ideal_bits = 0;
 };
 
 /// Unified per-layer record produced by the engines.

@@ -178,7 +178,6 @@ scenario_fingerprint(const Scenario &scenario)
                          static_cast<std::uint64_t>(scenario.stats.group_size));
         h = hash_combine(
             h, static_cast<std::uint64_t>(scenario.stats.column_stats));
-        h = hash_combine(h, static_cast<std::uint64_t>(scenario.stats.bcs));
         h = hash_combine(
             h, static_cast<std::uint64_t>(scenario.stats.reference_codecs));
         break;

@@ -55,14 +55,13 @@ struct BitflipSpec
 /// what they read).
 struct StatsSpec
 {
-    /// BCS group size the column statistics and compressor use.
+    /// BCS group size of the column statistics, in [1, 64].
     int group_size = 16;
-    /// Bit-column statistics (both representations) at `group_size`.
-    /// Scenarios that only read value/bit sparsity turn this off and
-    /// skip two full tensor scans per layer.
+    /// Bit-column statistics (both representations) at `group_size`,
+    /// which carry the BCS storage sizes too. Scenarios that only read
+    /// value/bit sparsity turn this off and skip two full tensor scans
+    /// per layer.
     bool column_stats = true;
-    /// Measure BCS storage (both representations) at `group_size`.
-    bool bcs = false;
     /// Run the reference ZRE / CSR codecs and record their bit counts.
     bool reference_codecs = false;
 };

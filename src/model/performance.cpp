@@ -166,8 +166,8 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
     r.layer_name = desc.name;
 
     // Content identity of the evaluated tensor for the shared
-    // content-hash caches (bit planes, cycle stats, BCS sizes, baseline
-    // weight statistics).
+    // content-hash caches (bit planes, column statistics, baseline weight
+    // statistics).
     const std::uint64_t content_hash =
         weights == nullptr ? layer.weights_hash : weights_hash;
 

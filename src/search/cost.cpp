@@ -19,13 +19,13 @@ mapping_policy_name(MappingPolicy policy)
 }
 
 std::shared_ptr<const BitColumnStats>
-cached_cycle_stats(const BitPlanes &planes, const LayerDesc &desc,
-                   int group_size, std::uint64_t content_hash)
+cached_cycle_stats(const BitPlanes &planes, int group_size,
+                   std::int64_t row_len, std::uint64_t content_hash)
 {
-    // Depthwise weights stay one flat row, not the per-channel rows of
-    // weight_row_geometry().
-    const std::int64_t row_len = desc.kind == LayerKind::kDepthwiseConv
-        ? planes.n : weight_row_geometry(desc).row_len;
+    // A row of whole groups cuts the flat groups: share the flat entry.
+    if (group_size > 0 && row_len % group_size == 0) {
+        row_len = planes.n;
+    }
     const auto build = [&] {
         return analyze_bit_columns(planes, group_size, row_len);
     };
@@ -39,22 +39,6 @@ cached_cycle_stats(const BitPlanes &planes, const LayerDesc &desc,
     static LruCache<std::uint64_t, BitColumnStats> memo(4096,
                                                         "mapping_cycles");
     return memo.get_or_build(key, build);
-}
-
-std::shared_ptr<const BcsSizeInfo>
-cached_bcs_size(const BitPlanes &planes, int group_size,
-                std::uint64_t content_hash)
-{
-    if (content_hash == 0) {
-        return std::make_shared<const BcsSizeInfo>(
-            bcs_measure(planes, group_size));
-    }
-    std::uint64_t key = hash_combine(
-        content_hash, static_cast<std::uint64_t>(planes.repr));
-    key = hash_combine(key, static_cast<std::uint64_t>(group_size));
-    static LruCache<std::uint64_t, BcsSizeInfo> memo(4096, "mapping_bcs");
-    return memo.get_or_build(
-        key, [&] { return bcs_measure(planes, group_size); });
 }
 
 MappingCost
@@ -74,13 +58,20 @@ mapping_cost(const LayerDesc &desc, const SpatialUnrolling &su,
     const std::int64_t iterations = temporal_iterations(desc, su);
     const int group = static_cast<int>(su.group_size());
 
-    // Bit-column occupancy: mean streamed columns per group pass.
+    // Bit-column occupancy: mean streamed columns per group pass, over
+    // the groups of weight_row_geometry()'s rows. A depthwise layer is
+    // scanned as one flat row of all its K*FY*FX weights instead (ROADMAP
+    // item 1).
+    const WeightRowGeometry geom = weight_row_geometry(desc);
     double cycles_per_pass = 0.0;
     double mac_energy_scale = 1.0;
     double mean_columns_per_group = 8.0;
     if (cfg.skip_zero_columns) {
+        const std::int64_t row_len =
+            desc.kind == LayerKind::kDepthwiseConv ? planes->n
+                                                   : geom.row_len;
         const auto cc =
-            cached_cycle_stats(*planes, desc, group, content_hash);
+            cached_cycle_stats(*planes, group, row_len, content_hash);
         cycles_per_pass = cc->mean_ceil_cycles(su.bit_columns);
         mean_columns_per_group = cc->mean_nonzero_columns();
         mac_energy_scale = mean_columns_per_group / 8.0;
@@ -90,11 +81,13 @@ mapping_cost(const LayerDesc &desc, const SpatialUnrolling &su,
     r.compute_cycles = static_cast<double>(iterations) * cycles_per_pass;
     r.cycles_per_group = cycles_per_pass;
 
+    // DRAM: the BCS stream of flat groups, which run across kernel rows
+    // (ROADMAP item 2).
     CompressionFactors cf;
     if (cfg.compress_weights && cfg.skip_zero_columns) {
-        const auto compressed =
-            cached_bcs_size(*planes, group, content_hash);
-        cf.weight_fetch_ratio = 1.0 / compressed->compression_ratio();
+        const auto flat =
+            cached_cycle_stats(*planes, group, planes->n, content_hash);
+        cf.weight_fetch_ratio = 1.0 / flat->bcs_compression_ratio();
     }
     r.weight_fetch_ratio = cf.weight_fetch_ratio;
 
@@ -105,7 +98,6 @@ mapping_cost(const LayerDesc &desc, const SpatialUnrolling &su,
     // holds the active tile across spatial revisits. Every group
     // carries an index byte, so the stream is never empty and prices
     // the weight SRAM reads on its own.
-    const WeightRowGeometry geom = weight_row_geometry(desc);
     const double groups = static_cast<double>(
         geom.rows * ceil_div(geom.row_len, su.group_size()));
     exec.weight_stream_bits = groups *

@@ -20,11 +20,16 @@
  * selection behind a `MappingPolicy` knob whose default, `kUtilization`,
  * reproduces the historic `select_su` choice bit for bit.
  *
- * The per-candidate statistics (bit-column occupancy, BCS size) are
- * memoized process-wide by tensor content so sweeps that revisit the
- * same weights — the design-space explorer scores hundreds of hardware
- * configs against one workload set — pay each (tensor, group size, row
- * length) scan exactly once, shared by every Ku.
+ * The per-candidate statistics come from one column histogram
+ * (BitColumnStats): its row-aligned form sets the bit-column occupancy,
+ * its flat form the BCS-compressed DRAM stream. Both are memoized
+ * process-wide by tensor content in one cache, so sweeps that revisit
+ * the same weights — the design-space explorer scores hundreds of
+ * hardware configs against one workload set — pay each (tensor, group
+ * size, row length) scan exactly once, shared by every Ku. A row that is
+ * a whole number of groups long cuts the flat groups, so it shares the
+ * flat entry: only layers whose row length is not a multiple of the
+ * group size scan twice.
  */
 #pragma once
 
@@ -32,7 +37,6 @@
 #include <memory>
 #include <vector>
 
-#include "compress/bcs.hpp"
 #include "dataflow/mapping.hpp"
 #include "dataflow/su.hpp"
 #include "energy/dram.hpp"
@@ -97,25 +101,20 @@ struct MappingCost
 };
 
 /**
- * Bit-column occupancy of one weight tensor at one group size, served
- * from a process-wide content-hash LRU of 4096 entries
- * (cache.mapping_cycles). Groups tile weight_row_geometry(desc)'s rows,
- * except that a depthwise layer is scanned as one flat row of all its
- * K*FY*FX weights. The key is (content, representation, group size, row
- * length): every SU with the same group size shares one scan, whatever
- * its Ku. @p content_hash must identify the tensor bytes
+ * Bit-column statistics of one weight tensor at one group size over
+ * rows of @p row_len weights (analyze_bit_columns' row-aligned
+ * geometry; row_len = planes.n is flat), served from a process-wide
+ * content-hash LRU of 4096 entries (cache.mapping_cycles). The key is
+ * (content, representation, group size, row length), with a row length
+ * that is a multiple of the group size keyed as flat, since it cuts the
+ * same groups: every SU with the same group size shares one scan,
+ * whatever its Ku. @p content_hash must identify the tensor bytes
  * (WorkloadLayer::weights_hash or a derived flip hash); 0 bypasses the
  * cache and computes directly.
  */
 std::shared_ptr<const BitColumnStats>
-cached_cycle_stats(const BitPlanes &planes, const LayerDesc &desc,
-                   int group_size, std::uint64_t content_hash);
-
-/// BCS size accounting of one tensor at one group size, memoized like
-/// cached_cycle_stats().
-std::shared_ptr<const BcsSizeInfo>
-cached_bcs_size(const BitPlanes &planes, int group_size,
-                std::uint64_t content_hash);
+cached_cycle_stats(const BitPlanes &planes, int group_size,
+                   std::int64_t row_len, std::uint64_t content_hash);
 
 /**
  * Price one (layer, SU) candidate on a bit-column-serial machine.

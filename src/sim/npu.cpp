@@ -146,6 +146,9 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
     std::int64_t group_passes_once = 0;     // per single revisit
     std::int64_t nz_streamed_once = 0;
     std::int64_t weight_bits_once = 0;
+    // Streamed columns times the weights each covers: a row's tail group
+    // holds fewer than group_size weights when C is not a multiple of G.
+    std::int64_t column_weights_once = 0;
 
     for (std::int64_t k0 = 0; k0 < k_total; k0 += ku) {
         const std::int64_t k1 = std::min<std::int64_t>(k0 + ku, k_total);
@@ -156,6 +159,9 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
             rows.empty() ? 0 : rows.front().decodes.size();
         for (std::int64_t f = 0; f < geom.rows_per_kernel; ++f) {
             for (std::size_t g = 0; g < groups_per_row; ++g) {
+                const std::int64_t len = std::min<std::int64_t>(
+                    group_size,
+                    geom.row_len - static_cast<std::int64_t>(g) * group_size);
                 double worst = 0.0;
                 for (std::int64_t k = k0; k < k1; ++k) {
                     const auto &row = rows[static_cast<std::size_t>(
@@ -167,6 +173,7 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
                     worst = std::max(worst, cycles);
                     ++group_passes_once;
                     nz_streamed_once += nz;
+                    column_weights_once += nz * len;
                     weight_bits_once += kWordBits +
                         static_cast<std::int64_t>(nz) * group_size;
                 }
@@ -235,12 +242,11 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
 
     // ---- Energy (shared Eq. 4 pricing) -----------------------------------
     EnergyActivity activity;
-    // MAC-equivalents: each streamed column covers group_size weights'
+    // MAC-equivalents: each streamed column covers its group's weights'
     // worth of 1b work across OXu output positions; 8 columns = one full
     // 8b MAC per weight.
     activity.mac_units =
-        static_cast<double>(result.nonzero_columns_streamed) *
-        static_cast<double>(group_size) / 8.0 *
+        static_cast<double>(column_weights_once * revisits) / 8.0 *
         static_cast<double>(su.factor(Dim::kOX));
     activity.e_mac_pj = tech_.e_mac_bit_column_pj;
     activity.sram_read_bits =

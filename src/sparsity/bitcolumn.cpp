@@ -68,9 +68,31 @@ BitColumnStats::mean_ceil_cycles(int bit_columns) const
     return total / static_cast<double>(groups);
 }
 
+std::int64_t
+BitColumnStats::bcs_payload_bits() const
+{
+    return (columns - zero_columns) * group_size;
+}
+
+std::int64_t
+BitColumnStats::bcs_bits() const
+{
+    return groups * kWordBits + bcs_payload_bits();
+}
+
+double
+BitColumnStats::bcs_compression_ratio() const
+{
+    const std::int64_t bits = bcs_bits();
+    return bits > 0 ? static_cast<double>(elements * kWordBits) /
+                          static_cast<double>(bits)
+                    : 0.0;
+}
+
 void
 BitColumnStats::merge(const BitColumnStats &other)
 {
+    elements += other.elements;
     groups += other.groups;
     columns += other.columns;
     zero_columns += other.zero_columns;
@@ -92,6 +114,7 @@ analyze_bit_columns_scalar(const Int8Tensor &tensor, int group_size,
     BitColumnStats stats;
     stats.group_size = group_size;
     stats.repr = repr;
+    stats.elements = n;
 
     for (std::int64_t row = 0; row < n; row += row_len) {
         for (std::int64_t c = 0; c < row_len; c += group_size) {
@@ -138,6 +161,7 @@ analyze_bit_columns(const BitPlanes &planes, int group_size,
     BitColumnStats stats;
     stats.group_size = group_size;
     stats.repr = planes.repr;
+    stats.elements = planes.n;
     // Fused word-parallel histogram: no intermediate mask buffer.
     scan_zero_column_histogram(planes, row_len, group_size,
                                stats.zero_column_hist);
@@ -145,79 +169,11 @@ analyze_bit_columns(const BitPlanes &planes, int group_size,
 }
 
 BitColumnStats
-analyze_bit_columns(const BitPlanes &planes, int group_size)
-{
-    if (group_size < 1) {
-        fatal("analyze_bit_columns: group_size must be >= 1, got %d",
-              group_size);
-    }
-    if (group_size <= 64) {
-        return analyze_bit_columns(planes, group_size, planes.n);
-    }
-    // Oversized groups (> one word): OR the word-level masks of the
-    // covered range. Rare (the hardware set tops out at 64).
-    BitColumnStats stats;
-    stats.group_size = group_size;
-    stats.repr = planes.repr;
-    for (std::int64_t start = 0; start < planes.n; start += group_size) {
-        const std::int64_t len =
-            std::min<std::int64_t>(group_size, planes.n - start);
-        std::uint8_t mask = 0;
-        for (std::int64_t c = 0; c < len; c += 64) {
-            mask |= planes.group_index(
-                start + c,
-                static_cast<int>(std::min<std::int64_t>(64, len - c)));
-        }
-        ++stats.zero_column_hist[kWordBits - popcount8(mask)];
-    }
-    return with_totals(stats);
-}
-
-BitColumnStats
 analyze_bit_columns(const Int8Tensor &tensor, int group_size,
                     Representation repr)
 {
-    return analyze_bit_columns(pack_bitplanes(tensor, repr), group_size);
-}
-
-std::vector<std::uint8_t>
-column_indexes(const BitPlanes &planes, int group_size)
-{
-    if (group_size < 1 || group_size > 64) {
-        fatal("column_indexes: group_size must be in [1, 64], got %d",
-              group_size);
-    }
-    std::vector<std::uint8_t> out(static_cast<std::size_t>(
-        scan_group_count(planes.n, std::max<std::int64_t>(planes.n, 1),
-                         group_size)));
-    scan_group_indexes(planes, std::max<std::int64_t>(planes.n, 1),
-                       group_size, out.data());
-    return out;
-}
-
-std::vector<std::uint8_t>
-column_indexes(const Int8Tensor &tensor, int group_size, Representation repr)
-{
-    if (group_size < 1) {
-        fatal("column_indexes: group_size must be >= 1, got %d", group_size);
-    }
-    if (group_size > 64) {
-        // Wide groups fall back to the scalar walk (no hardware uses
-        // them; kept for API completeness).
-        std::vector<std::uint8_t> out;
-        const std::int64_t n = tensor.numel();
-        out.reserve(static_cast<std::size_t>(ceil_div(n, group_size)));
-        for (std::int64_t start = 0; start < n; start += group_size) {
-            const std::int64_t len =
-                std::min<std::int64_t>(group_size, n - start);
-            out.push_back(column_index(
-                std::span<const std::int8_t>(tensor.data() + start,
-                                             static_cast<std::size_t>(len)),
-                repr));
-        }
-        return out;
-    }
-    return column_indexes(pack_bitplanes(tensor, repr), group_size);
+    return analyze_bit_columns(pack_bitplanes(tensor, repr), group_size,
+                               tensor.numel());
 }
 
 std::uint64_t

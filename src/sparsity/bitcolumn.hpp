@@ -11,12 +11,16 @@
  * The column index of a group is an 8-bit mask with bit b set when column
  * b is NON-zero (the convention of the Zero-Column Index Parser, Fig. 7:
  * "1" columns must be streamed, "0" columns are skipped).
+ *
+ * One histogram of per-group zero-column counts (BitColumnStats) is the
+ * only count of a tensor's columns: it sets the compute cycles (Eq. 2)
+ * and, because a BCS group is stored as its index byte plus one G-bit
+ * word per non-zero column, the BCS storage size too.
  */
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "sparsity/stats.hpp"
 #include "tensor/bitplane.hpp"
@@ -46,6 +50,7 @@ struct BitColumnStats
 {
     int group_size = 0;
     Representation repr = Representation::kSignMagnitude;
+    std::int64_t elements = 0;      ///< Weights scanned.
     std::int64_t groups = 0;        ///< Number of groups analyzed.
     std::int64_t columns = 0;       ///< Total columns (= 8 * groups).
     std::int64_t zero_columns = 0;  ///< Columns that are all-zero.
@@ -63,13 +68,23 @@ struct BitColumnStats
      * and what the cycle-level simulator counts.
      */
     double mean_ceil_cycles(int bit_columns) const;
+    /// BCS payload bits: one group_size-bit word per non-zero column
+    /// (the "ideal CR" numerator of Fig. 5).
+    std::int64_t bcs_payload_bits() const;
+    /// BCS storage bits: an 8-bit index per group plus the payload.
+    std::int64_t bcs_bits() const;
+    /// BCS compression ratio, index included (the paper's "real CR"):
+    /// elements * 8 / bcs_bits(), or 0 when nothing was scanned. Over
+    /// flat groups these three equal bcs_compress()'s payload_bits(),
+    /// compressed_bits() and compression_ratio().
+    double bcs_compression_ratio() const;
     /// Merge the counts of @p other into this.
     void merge(const BitColumnStats &other);
 };
 
 /**
  * Analyze bit-column sparsity of @p tensor with groups of @p group_size
- * consecutive elements in memory order.
+ * (in [1, 64]) consecutive elements in memory order.
  *
  * For weight tensors in [K, C, FY, FX] layout this groups along the
  * innermost dims; the BitWave dataflow groups along C, which callers
@@ -77,20 +92,20 @@ struct BitColumnStats
  * A final partial group is padded with zeros (padding cannot destroy a
  * zero column, and the hardware pads the same way).
  *
- * The tensor overload packs bit planes internally and runs the
- * word-parallel kernel; pass pre-packed planes to amortize the pack
- * across kernels ("pack once, popcount everywhere").
+ * This overload packs bit planes internally and runs the word-parallel
+ * kernel; pass pre-packed planes to the row-aligned overload (row_len =
+ * planes.n) to amortize the pack across kernels.
  */
 BitColumnStats analyze_bit_columns(const Int8Tensor &tensor, int group_size,
                                    Representation repr);
-BitColumnStats analyze_bit_columns(const BitPlanes &planes, int group_size);
 
 /**
  * Row-aligned analysis: every row of @p row_len consecutive elements
  * splits into ceil(row_len / group_size) groups, the last one truncated
  * (scan_group_indexes' geometry; row_len = planes.n is the flat
- * grouping). @p group_size must be in [1, 64]. This is the per-group
- * occupancy the analytical model prices a bit-column layer from.
+ * grouping). @p group_size must be in [1, 64]. Row-aligned, this is the
+ * per-group occupancy the analytical model prices a bit-column layer
+ * from; flat, it is the BCS storage of the tensor.
  */
 BitColumnStats analyze_bit_columns(const BitPlanes &planes, int group_size,
                                    std::int64_t row_len);
@@ -103,15 +118,6 @@ BitColumnStats analyze_bit_columns_scalar(const Int8Tensor &tensor,
                                           int group_size,
                                           std::int64_t row_len,
                                           Representation repr);
-
-/**
- * Per-group column indexes for @p tensor (one uint8 per group, in order).
- * This is exactly the index stream the ZCIP consumes.
- */
-std::vector<std::uint8_t> column_indexes(const Int8Tensor &tensor,
-                                         int group_size, Representation repr);
-std::vector<std::uint8_t> column_indexes(const BitPlanes &planes,
-                                         int group_size);
 
 /**
  * Bit-plane view of a group: column b (0..7) as a G-bit vector packed into

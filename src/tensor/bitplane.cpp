@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 
 #include "common/fault.hpp"
 #include "common/hash.hpp"
@@ -121,61 +120,64 @@ pack_bitplanes(const Int8Tensor &tensor, Representation repr)
 
 namespace {
 
-/// Shared validation of a scan geometry; returns true when the tensor is
-/// empty (nothing to scan).
-bool
-scan_is_empty(const char *what, const BitPlanes &planes,
-              std::int64_t row_len, int group_size)
+/**
+ * The one per-group walk under every scan below: validate the geometry,
+ * then hand @p fn each group's column-index mask in group order. Rows of
+ * @p row_len elements split into ceil(row_len / group_size) groups, the
+ * last one truncated.
+ *
+ * Power-of-two groups of >= 8 never straddle words when rows are
+ * 64-aligned (or the scan is flat), so those take the word-parallel
+ * path: per plane word, the 64/G lane-nonzero flags of all 8 planes
+ * interleave into one word `y` (group l's mask at bits [l*G, l*G+8)).
+ * Padding lanes are zero in every plane, so their mask bits never fire.
+ * Any other geometry reads group_index() group by group.
+ */
+template <typename Fn>
+void
+for_each_group_mask(const char *what, const BitPlanes &planes,
+                    std::int64_t row_len, int group_size, Fn &&fn)
 {
     if (group_size < 1 || group_size > 64) {
         fatal("%s: group_size %d out of [1, 64]", what, group_size);
     }
     if (planes.n == 0) {
-        return true;
+        return;
     }
     if (row_len < 1 || planes.n % row_len != 0) {
         fatal("%s: row_len %lld does not tile %lld elements", what,
               static_cast<long long>(row_len),
               static_cast<long long>(planes.n));
     }
-    return false;
-}
-
-/// Does the word-parallel path apply? Power-of-two groups of >= 8 never
-/// straddle words when rows are 64-aligned (or the scan is flat).
-bool
-scan_is_word_parallel(const BitPlanes &planes, std::int64_t row_len,
-                      int group_size)
-{
-    return (group_size & (group_size - 1)) == 0 && group_size >= 8 &&
-        (row_len % 64 == 0 || row_len == planes.n);
-}
-
-/**
- * Word-parallel core: for every plane word, interleave the 64/G
- * lane-nonzero flags of all 8 planes into one word `y` (group l's
- * column-index mask at bits [l*G, l*G+8)) and hand it to @p fn along
- * with the number of real groups in the word. Padding lanes are zero in
- * every plane, so their mask bits never fire.
- */
-template <typename Fn>
-void
-scan_words(const BitPlanes &planes, int group_size, Fn &&fn)
-{
-    const std::uint64_t msb = lane_msb_mask(group_size);
-    const std::uint64_t *plane[kWordBits];
-    for (int b = 0; b < kWordBits; ++b) {
-        plane[b] = planes.plane(b);
-    }
-    for (std::int64_t w = 0; w < planes.words; ++w) {
-        std::uint64_t y = 0;
+    if ((group_size & (group_size - 1)) == 0 && group_size >= 8 &&
+        (row_len % 64 == 0 || row_len == planes.n)) {
+        const std::uint64_t msb = lane_msb_mask(group_size);
+        const std::uint64_t *plane[kWordBits];
         for (int b = 0; b < kWordBits; ++b) {
-            y |= (lanes_nonzero(plane[b][w], msb) >> (group_size - 1))
-                << b;
+            plane[b] = planes.plane(b);
         }
-        const std::int64_t valid =
-            std::min<std::int64_t>(64, planes.n - (w << 6));
-        fn(y, static_cast<int>(ceil_div(valid, group_size)));
+        for (std::int64_t w = 0; w < planes.words; ++w) {
+            std::uint64_t y = 0;
+            for (int b = 0; b < kWordBits; ++b) {
+                y |= (lanes_nonzero(plane[b][w], msb) >> (group_size - 1))
+                    << b;
+            }
+            const std::int64_t valid =
+                std::min<std::int64_t>(64, planes.n - (w << 6));
+            const int groups = static_cast<int>(ceil_div(valid, group_size));
+            for (int l = 0; l < groups; ++l) {
+                fn(static_cast<std::uint8_t>((y >> (l * group_size)) &
+                                             0xFF));
+            }
+        }
+        return;
+    }
+    for (std::int64_t r0 = 0; r0 < planes.n; r0 += row_len) {
+        for (std::int64_t c = 0; c < row_len; c += group_size) {
+            const int len = static_cast<int>(
+                std::min<std::int64_t>(group_size, row_len - c));
+            fn(planes.group_index(r0 + c, len));
+        }
     }
 }
 
@@ -198,84 +200,18 @@ void
 scan_group_indexes(const BitPlanes &planes, std::int64_t row_len,
                    int group_size, std::uint8_t *out)
 {
-    if (scan_is_empty("scan_group_indexes", planes, row_len, group_size)) {
-        return;
-    }
-    if (scan_is_word_parallel(planes, row_len, group_size)) {
-        std::int64_t emitted = 0;
-        scan_words(planes, group_size, [&](std::uint64_t y, int cnt) {
-            for (int l = 0; l < cnt; ++l) {
-                out[emitted++] = static_cast<std::uint8_t>(
-                    (y >> (l * group_size)) & 0xFF);
-            }
-        });
-        return;
-    }
-
-    std::int64_t emitted = 0;
-    for (std::int64_t r0 = 0; r0 < planes.n; r0 += row_len) {
-        for (std::int64_t c = 0; c < row_len; c += group_size) {
-            const int len = static_cast<int>(
-                std::min<std::int64_t>(group_size, row_len - c));
-            out[emitted++] = planes.group_index(r0 + c, len);
-        }
-    }
-}
-
-std::int64_t
-scan_nonzero_column_total(const BitPlanes &planes, std::int64_t row_len,
-                          int group_size)
-{
-    if (scan_is_empty("scan_nonzero_column_total", planes, row_len,
-                      group_size)) {
-        return 0;
-    }
-    std::int64_t total = 0;
-    if (scan_is_word_parallel(planes, row_len, group_size)) {
-        // Every set bit of y is one (group, non-zero column) pair, so
-        // the word's contribution is a single popcount.
-        scan_words(planes, group_size, [&](std::uint64_t y, int) {
-            total += std::popcount(y);
-        });
-        return total;
-    }
-    for (std::int64_t r0 = 0; r0 < planes.n; r0 += row_len) {
-        for (std::int64_t c = 0; c < row_len; c += group_size) {
-            const int len = static_cast<int>(
-                std::min<std::int64_t>(group_size, row_len - c));
-            total += std::popcount(
-                static_cast<unsigned>(planes.group_index(r0 + c, len)));
-        }
-    }
-    return total;
+    for_each_group_mask("scan_group_indexes", planes, row_len, group_size,
+                        [&](std::uint8_t mask) { *out++ = mask; });
 }
 
 void
 scan_zero_column_histogram(const BitPlanes &planes, std::int64_t row_len,
                            int group_size, std::int64_t hist[9])
 {
-    if (scan_is_empty("scan_zero_column_histogram", planes, row_len,
-                      group_size)) {
-        return;
-    }
-    if (scan_is_word_parallel(planes, row_len, group_size)) {
-        scan_words(planes, group_size, [&](std::uint64_t y, int cnt) {
-            for (int l = 0; l < cnt; ++l) {
-                const auto mask = static_cast<unsigned>(
-                    (y >> (l * group_size)) & 0xFF);
-                ++hist[8 - std::popcount(mask)];
-            }
-        });
-        return;
-    }
-    for (std::int64_t r0 = 0; r0 < planes.n; r0 += row_len) {
-        for (std::int64_t c = 0; c < row_len; c += group_size) {
-            const int len = static_cast<int>(
-                std::min<std::int64_t>(group_size, row_len - c));
-            ++hist[8 - std::popcount(static_cast<unsigned>(
-                       planes.group_index(r0 + c, len)))];
-        }
-    }
+    for_each_group_mask("scan_zero_column_histogram", planes, row_len,
+                        group_size, [&](std::uint8_t mask) {
+                            ++hist[kWordBits - popcount8(mask)];
+                        });
 }
 
 namespace {

@@ -101,10 +101,11 @@ BitPlanes pack_bitplanes(const Int8Tensor &tensor, Representation repr);
  * for flat whole-tensor grouping. @p out must hold
  * rows * ceil(row_len / group_size) bytes.
  *
- * This is the shared hot loop under the column-index stream, the BCS
- * compressor and the simulator's row compression; 64-aligned layouts
- * take a whole-word SWAR path that emits up to 8 group masks per plane
- * load.
+ * This is the column-index stream the BCS compressor and the
+ * simulator's row compression read; it shares one per-group walk with
+ * scan_zero_column_histogram(). 64-aligned layouts take a whole-word
+ * SWAR path that emits up to 8 group masks per plane load. Both scans
+ * require 1 <= group_size <= 64.
  */
 void scan_group_indexes(const BitPlanes &planes, std::int64_t row_len,
                         int group_size, std::uint8_t *out);
@@ -114,20 +115,12 @@ std::int64_t scan_group_count(std::int64_t n, std::int64_t row_len,
                               int group_size);
 
 /**
- * Fused scan: total non-zero columns over all groups of the geometry
- * (= the popcount sum of every group's column index) without
- * materializing the masks — the BCS size accounting in one pass.
- */
-std::int64_t scan_nonzero_column_total(const BitPlanes &planes,
-                                       std::int64_t row_len,
-                                       int group_size);
-
-/**
  * Fused scan: histogram of per-group ZERO-column counts (hist[z] +=
  * groups with exactly z zero columns, z in 0..8) without materializing
- * the masks — the bit-column statistics, flat or row-aligned (the
- * analytical model's per-group occupancy), in one pass. @p hist is
- * accumulated into, not cleared.
+ * the masks — the bit-column statistics, flat or row-aligned, in one
+ * pass. The same histogram gives the analytical model's per-group
+ * occupancy and the BCS storage size. @p hist is accumulated into, not
+ * cleared.
  */
 void scan_zero_column_histogram(const BitPlanes &planes,
                                 std::int64_t row_len, int group_size,

@@ -1068,12 +1068,6 @@ TEST(Metrics, RegistryHandlesAreStableAndShared)
               a.value());
     EXPECT_EQ(metrics::counter_value("test.metrics.no_such_counter"),
               0u);
-
-    metrics::Gauge &g = metrics::gauge("test.metrics.gauge_a");
-    g.set(-7);
-    EXPECT_EQ(g.value(), -7);
-    g.add(10);
-    EXPECT_EQ(g.value(), 3);
 }
 
 TEST(Metrics, HistogramBucketsPartitionTheValueRange)
@@ -1245,15 +1239,12 @@ TEST(Metrics, RendersPrometheusAndJson)
     const bool was_enabled = metrics::enabled();
     metrics::set_enabled(true);
     metrics::counter("test.render.requests").inc(3);
-    metrics::gauge("test.render.depth").set(-2);
     metrics::histogram("test.render.lat_ns").record(1000);
     metrics::set_enabled(was_enabled);
 
     const auto snap = metrics::snapshot();
     const std::string prom = metrics::render_prometheus(snap);
     EXPECT_NE(prom.find("# TYPE bitwave_test_render_requests counter"),
-              std::string::npos);
-    EXPECT_NE(prom.find("bitwave_test_render_depth -2"),
               std::string::npos);
     EXPECT_NE(prom.find("# TYPE bitwave_test_render_lat_ns histogram"),
               std::string::npos);
@@ -1265,11 +1256,9 @@ TEST(Metrics, RendersPrometheusAndJson)
     const std::string json = metrics::render_json(snap);
     EXPECT_TRUE(balanced_json_delimiters(json)) << json;
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
-    EXPECT_NE(json.find("\"gauges\""), std::string::npos);
     EXPECT_NE(json.find("\"histograms\""), std::string::npos);
     EXPECT_NE(json.find("\"test.render.requests\":3"),
               std::string::npos);
-    EXPECT_NE(json.find("\"test.render.depth\":-2"), std::string::npos);
     EXPECT_NE(json.find("\"count\":1"), std::string::npos);
 }
 
@@ -1361,6 +1350,52 @@ TEST(Trace, RingWrapsKeepNewestEventsAndCountDrops)
     for (std::size_t i = 0; i < kept.size(); ++i) {
         EXPECT_EQ(kept[i], 12u + i);
     }
+    trace::clear();
+}
+
+namespace {
+
+/// Resident set size of this process in kB (VmRSS of /proc/self/status),
+/// or -1 when it cannot be read.
+long
+resident_kb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.starts_with("VmRSS:")) {
+            return std::stol(line.substr(6));
+        }
+    }
+    return -1;
+}
+
+}  // namespace
+
+TEST(Trace, FreshThreadRingsGrowOnDemand)
+{
+    // A thread's ring grows with the events it records, up to the
+    // capacity. Eight fresh threads that record one event each into
+    // 1 Mi-event rings (72 MiB each if sized up front) stay small.
+    trace::stop();
+    trace::clear();
+    const long before = resident_kb();
+    ASSERT_GE(before, 0);
+    trace::set_ring_capacity(1 << 20);
+    trace::start();
+    for (int t = 0; t < 8; ++t) {
+        std::thread([] { trace::instant("test.grow", "test"); }).join();
+    }
+    trace::stop();
+    trace::set_ring_capacity(32768);
+
+    const long grown_kb = resident_kb() - before;
+    EXPECT_LT(grown_kb, 64 * 1024) << "VmRSS grew by " << grown_kb << " kB";
+    std::size_t recorded = 0;
+    for (const auto &event : trace::snapshot_events()) {
+        recorded += std::string(event.name) == "test.grow" ? 1 : 0;
+    }
+    EXPECT_EQ(recorded, 8u);
     trace::clear();
 }
 

@@ -166,7 +166,8 @@ TEST(ColumnCycles, DenseWeightsTakeEightCycles)
     }
     const auto d = make_conv("c", 16, 8, 4, 4, 1, 1);
     const auto cc = search::cached_cycle_stats(
-        pack_bitplanes(w, Representation::kSignMagnitude), d, 8, 0);
+        pack_bitplanes(w, Representation::kSignMagnitude), 8,
+        weight_row_geometry(d).row_len, 0);
     EXPECT_DOUBLE_EQ(cc->mean_nonzero_columns(), 8.0);
     // Four columns per cycle: every dense group takes two cycles.
     EXPECT_DOUBLE_EQ(cc->mean_ceil_cycles(4), 2.0);

@@ -714,7 +714,6 @@ TEST(StatsEngine, MatchesDirectSparsityAnalysis)
     eval::Scenario s;
     s.custom_workload = net;
     s.engine = eval::EngineKind::kStats;
-    s.stats.bcs = true;
     const auto r = eval::evaluate_scenario(s);
     ASSERT_EQ(r.layers.size(), net->layers.size());
     for (std::size_t l = 0; l < r.layers.size(); ++l) {
@@ -724,8 +723,10 @@ TEST(StatsEngine, MatchesDirectSparsityAnalysis)
                   direct.zero_words);
         EXPECT_EQ(r.layers[l].stats->sparsity.zero_bits_sm,
                   direct.zero_bits_sm);
-        EXPECT_GT(r.layers[l].stats->bcs_sm_bits, 0);
-        EXPECT_LE(r.layers[l].stats->bcs_sm_bits,
+        const std::int64_t bcs_bits =
+            r.layers[l].stats->columns_sm.bcs_bits();
+        EXPECT_GT(bcs_bits, 0);
+        EXPECT_LE(bcs_bits,
                   r.layers[l].stats->weight_bits +
                       r.layers[l].stats->weight_bits / 8);
     }
@@ -744,7 +745,6 @@ TEST(StatsEngine, SparsityOnlyScenarioPacksNoPlanes)
     s.custom_workload = net;
     s.engine = eval::EngineKind::kStats;
     s.stats.column_stats = false;
-    s.stats.bcs = false;
     s.stats.reference_codecs = false;
 
     const auto &plane_misses = metrics::counter("cache.bitplanes.misses");
@@ -773,7 +773,6 @@ TEST(StatsEngine, WarmReRunHitsTheStatsMemo)
     s.custom_workload = net;
     s.engine = eval::EngineKind::kStats;
     s.stats.group_size = 24;  // spec unique to this test => cold start
-    s.stats.bcs = true;
 
     const auto cold = eval::evaluate_scenario(s);
     EXPECT_EQ(cold.stats_memo_hits, 0);

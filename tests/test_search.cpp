@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
@@ -130,6 +131,45 @@ TEST(MappingCost, OneCycleStatScanPerGroupSize)
                              probe.layer.weights_hash, cfg);
     }
     EXPECT_EQ(misses.value(), before + 1);
+}
+
+TEST(MappingCost, OneScanServesOccupancyAndDram)
+{
+    // The compressed, column-skipping flagship prices a layer's occupancy
+    // and its BCS DRAM stream from one column histogram. When C is a
+    // multiple of the group size the row-aligned groups are the flat
+    // ones, so one scan serves both; C = 3 scans rows and flat groups
+    // once each. The misses are summed over every mapping cache, so the
+    // count holds however many caches there are. Seeds draw weights no
+    // other test does.
+    const auto machine = make_bitwave(BitWaveVariant::kDfSm);
+    search::MappingCostConfig cfg;
+    cfg.repr = machine.weight_repr;
+    cfg.memory = machine.memory;
+    ASSERT_EQ(machine.sparsity, SparsityMode::kWeightBitColumn);
+    ASSERT_TRUE(machine.compress_weights);
+    const SpatialUnrolling &su = machine.dataflows.front();
+    ASSERT_EQ(su.group_size(), 8);
+    const auto mapping_misses = [] {
+        std::uint64_t total = 0;
+        for (const auto &[name, value] : metrics::snapshot().counters) {
+            if (name.starts_with("cache.mapping") &&
+                name.ends_with(".misses")) {
+                total += value;
+            }
+        }
+        return total;
+    };
+    for (const auto &[c, scans] : {std::pair{64, 1}, std::pair{3, 2}}) {
+        const Probe probe(make_conv("conv", 32, c, 14, 14, 3, 3),
+                          20261018 + static_cast<std::uint64_t>(c));
+        const auto planes = shared_bitplanes(
+            probe.layer.weights, cfg.repr, probe.layer.weights_hash);
+        const std::uint64_t before = mapping_misses();
+        search::mapping_cost(probe.layer.desc, su, planes.get(),
+                             probe.layer.weights_hash, cfg);
+        EXPECT_EQ(mapping_misses(), before + scans) << "C = " << c;
+    }
 }
 
 TEST(MappingCost, CostAwareNeverWorseThanUtilizationOnProbes)

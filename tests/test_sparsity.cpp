@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "sparsity/bitcolumn.hpp"
@@ -181,8 +183,10 @@ TEST(BitColumn, SignMagnitudeBeatsTwosComplementOnWeights)
 TEST(BitColumn, ColumnIndexesMatchAnalyze)
 {
     const auto t = random_laplacian_tensor(1000, 9.0, 17);
-    const auto idxs =
-        column_indexes(t, 8, Representation::kSignMagnitude);
+    std::vector<std::uint8_t> idxs(
+        static_cast<std::size_t>(scan_group_count(t.numel(), t.numel(), 8)));
+    scan_group_indexes(pack_bitplanes(t, Representation::kSignMagnitude),
+                       t.numel(), 8, idxs.data());
     const auto stats =
         analyze_bit_columns(t, 8, Representation::kSignMagnitude);
     ASSERT_EQ(static_cast<std::int64_t>(idxs.size()), stats.groups);

@@ -117,9 +117,8 @@ unservable_scenarios(const std::shared_ptr<const Workload> &net)
         s.engine = eval::EngineKind::kStats;
         s.stats.group_size = 0;
     });
-    add("stats bcs group 65", [](eval::Scenario &s) {
+    add("stats group 65", [](eval::Scenario &s) {
         s.engine = eval::EngineKind::kStats;
-        s.stats.bcs = true;
         s.stats.group_size = 65;
     });
     add("pragmatic sync lanes 0", [](eval::Scenario &s) {
