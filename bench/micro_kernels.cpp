@@ -9,7 +9,8 @@
  * verifies bit-identical results in the same run, and closes with a
  * `runner_scaling` row timing the runner's chunk-cursor pool serial vs
  * parallel on a warm batch, the serial cost of synthesizing the tensor
- * (param `synthesis_ns_per_weight`), plus `fault_branch` /
+ * (param `synthesis_ns_per_weight`) and of flipping a CNN-profile one
+ * (param `bitflip_ns_per_weight`), plus `fault_branch` /
  * `metrics_record` rows measuring the cost of a disarmed fault point and
  * a disarmed gated histogram record (the robustness and observability
  * layers' zero-overhead claims). Emits BENCH_micro_kernels.json; CI
@@ -199,7 +200,7 @@ main()
                    s.row_ptr == p.row_ptr);
     }
 
-    {  // Bit-Flip (profile-scored greedy vs per-element scoring).
+    {  // Bit-Flip (all-candidate greedy vs per-element scoring).
         const int target = 5;
         Int8Tensor fast = w, scalar = w;
         const auto flip_with =
@@ -289,6 +290,31 @@ main()
         /*threads=*/1);
     json.param("synthesis_ns_per_weight", synthesis_ns);
 
+    // ----------------------------------------------------- Bit-Flip ---
+    // Serial cost of flipping one weight at g16/z4, on a ResNet-scale
+    // conv tensor drawn from a CNN (Laplacian) profile, best of 3 in a
+    // single-worker frame like the synthesis row. Published, not gated.
+    double bitflip_ns = 0.0;
+    {
+        const LayerDesc conv = make_conv("conv", 256, 256, 14, 14, 3, 3);
+        WeightProfile cnn;  // Laplacian, as cnn_profile() draws
+        cnn.scale = 5.0;
+        cnn.zero_probability = 0.05;
+        cnn.zero_avoidance = 0.8;
+        Rng cnn_rng(0xBEEF);
+        const Int8Tensor cw = synthesize_weights(conv, cnn, cnn_rng);
+        Int8Tensor flipped;
+        worksteal_for(
+            1,
+            [&](std::size_t) {
+                const double ms =
+                    time_ms([&] { flipped = bitflip_tensor(cw, 16, 4); });
+                bitflip_ns = ms * 1e6 / static_cast<double>(cw.numel());
+            },
+            /*threads=*/1);
+    }
+    json.param("bitflip_ns_per_weight", bitflip_ns);
+
     // ------------------------------------------------- fault branch ---
     // Cost of a *disarmed* fault point — the robustness acceptance
     // criterion is that carrying the fault model adds no measurable
@@ -377,6 +403,9 @@ main()
     std::printf("%s", table.render().c_str());
     std::printf("\nSerial weight synthesis: %.1f ns per weight.\n",
                 synthesis_ns);
+    std::printf("Serial Bit-Flip (g16/z4, CNN profile): %.1f ns per "
+                "weight.\n",
+                bitflip_ns);
     std::printf("\nPacked kernels read 64 weights per word; the pack is "
                 "one transpose per tensor, cached by content hash in "
                 "production paths.\n");

@@ -49,12 +49,8 @@ nearest_table()
     return table;
 }
 
-/**
- * err2_table[mask][m] = squared re-rounding error of magnitude m under
- * mask. The greedy search scores every candidate column drop against the
- * original weights, so this lookup is the innermost operation of
- * bitflip_tensor — one table read per weight per candidate.
- */
+/// err2_table[mask][m] = squared re-rounding error of magnitude m under
+/// mask.
 const std::array<std::array<std::uint16_t, 128>, 128> &
 err2_table()
 {
@@ -138,6 +134,105 @@ materialize(std::span<std::int8_t> group,
     }
 }
 
+/**
+ * drop_table[mask][m][c] = squared re-rounding error of magnitude m once
+ * greedy candidate c leaves the allowed columns @p mask: magnitude
+ * column c for c < 7, the sign column for c = 7 (which leaves a
+ * non-negative weight's error at err2[mask][m]). One 16-byte row per
+ * weight prices all eight candidates.
+ */
+const std::array<std::array<std::array<std::uint16_t, kWordBits>, 128>,
+                 128> &
+drop_table()
+{
+    static const auto table = [] {
+        std::array<std::array<std::array<std::uint16_t, kWordBits>, 128>,
+                   128> t{};
+        const auto &err2 = err2_table();
+        for (std::size_t mask = 0; mask < 128; ++mask) {
+            for (std::size_t m = 0; m < 128; ++m) {
+                for (std::size_t c = 0; c < kWordBits; ++c) {
+                    const std::size_t cand = c < kMagnitudeBits
+                        ? mask & ~(std::size_t{1} << c) : mask;
+                    t[mask][m][c] = err2[cand][m];
+                }
+            }
+        }
+        return t;
+    }();
+    return table;
+}
+
+/**
+ * Cost of each greedy candidate under (mask, sign_allowed): the squared
+ * re-rounding error of @p group once column c (c < 7) or the sign column
+ * (c = 7) is dropped, exactly config_cost() of that configuration. Each
+ * weight adds its table row to all eight lanes; a negative weight that
+ * has lost its sign column adds the zero row (magnitude 0) instead. The
+ * m^2 a negative weight pays without its sign column goes to one scalar,
+ * net of its row's lane 7, and joins the lanes whose candidate leaves no
+ * sign column. Branch-free: a block's rows are copied out (a gather gcc
+ * cannot vectorize) and then summed lane-wise (which it can), in 32-bit
+ * lanes widened to int64 per block, so costs stay exact at any size.
+ */
+std::array<std::int64_t, kWordBits>
+drop_costs(std::span<const std::int8_t> group, int mask, bool sign_allowed)
+{
+    constexpr std::size_t kBlock = 64;
+    const auto &rows = drop_table()[static_cast<std::size_t>(mask)];
+    const std::uint32_t sign_dropped = sign_allowed ? 0U : ~0U;
+    std::array<std::int64_t, kWordBits> cost{};
+    std::int64_t unsigned_cost = 0;
+    std::array<std::uint16_t, kWordBits> block[kBlock];
+    for (std::size_t b0 = 0; b0 < group.size(); b0 += kBlock) {
+        const std::size_t len = std::min(group.size() - b0, kBlock);
+        std::uint32_t neg_sq = 0;
+        for (std::size_t i = 0; i < len; ++i) {
+            const std::int8_t v = group[b0 + i];
+            const auto m = static_cast<std::uint32_t>(sm_magnitude(v));
+            const std::uint32_t neg = v < 0 ? ~0U : 0U;
+            block[i] = rows[m & ~(neg & sign_dropped)];
+            neg_sq += (m * m - block[i][kMagnitudeBits]) & neg;
+        }
+        std::uint32_t acc[kWordBits] = {};
+        for (std::size_t i = 0; i < len; ++i) {
+            for (std::size_t c = 0; c < kWordBits; ++c) {
+                acc[c] += block[i][c];
+            }
+        }
+        for (std::size_t c = 0; c < kWordBits; ++c) {
+            cost[c] += acc[c];
+        }
+        unsigned_cost += neg_sq;
+    }
+    for (std::size_t c = 0; c < kWordBits; ++c) {
+        if (c == kMagnitudeBits || !sign_allowed) {
+            cost[c] += unsigned_cost;
+        }
+    }
+    return cost;
+}
+
+/// occupancy(materialize(group, mask, sign_allowed)), without writing.
+std::uint8_t
+reround_occupancy(std::span<const std::int8_t> group, int mask,
+                  bool sign_allowed)
+{
+    const auto &nearest = nearest_table()[static_cast<std::size_t>(mask)];
+    const std::uint8_t keep_neg = sign_allowed ? 0xFF : 0x00;
+    std::uint8_t occ = 0;
+    std::uint8_t neg_occ = 0;
+    for (const std::int8_t v : group) {
+        const std::uint8_t nm =
+            nearest[static_cast<std::size_t>(sm_magnitude(v))];
+        const std::uint8_t neg = v < 0 ? 0xFF : 0x00;
+        occ |= nm & static_cast<std::uint8_t>(~neg | keep_neg);
+        neg_occ |= nm & neg;
+    }
+    return static_cast<std::uint8_t>(
+        occ | ((keep_neg & neg_occ) != 0 ? 0x80 : 0x00));
+}
+
 }  // namespace
 
 int
@@ -158,160 +253,52 @@ bitflip_group(std::span<std::int8_t> group, int target_zero_columns)
         fatal("bitflip_group: target %d out of [0, 8]", target_zero_columns);
     }
 
-    // Group profile: counts per distinct magnitude (split by sign) plus
-    // the negatives' squared-magnitude sum. Every candidate cost and
-    // every post-re-rounding occupancy is a function of this profile, so
-    // the greedy loop never touches the elements again until the final
-    // materialization. All sums stay in int64 exactly as the scalar
-    // oracle accumulates them, so selections are bit-identical. The
-    // sign and first-sighting tests are integer adds, not branches:
-    // both flip on random data, so a branch mispredicts on about every
-    // other weight. Every magnitude is stored at distinct[n_distinct];
-    // only a first sighting of a non-zero one advances the count.
-    int cnt_all[128] = {};
-    int cnt_neg[128] = {};
-    std::uint8_t distinct[128];
-    int n_distinct = 0;
-    int n_neg = 0;
-    std::int64_t neg_sq = 0;
-    for (const std::int8_t v : group) {
-        const int m = sm_magnitude(v);
-        const int nonzero = m != 0;
-        const int neg = v < 0;
-        distinct[n_distinct] = static_cast<std::uint8_t>(m);
-        n_distinct += nonzero & (cnt_all[m] == 0);
-        cnt_all[m] += nonzero;
-        cnt_neg[m] += neg;
-        n_neg += neg;
-        neg_sq += neg * m * m;
-    }
+    std::uint8_t occ = occupancy(group);
+    int mask = occ & 0x7F;
+    bool sign_allowed = (occ & 0x80) != 0;
 
-    // Occupancy of the original group (magnitude columns + sign column).
-    std::uint8_t occ_cur = n_neg > 0 ? 0x80 : 0x00;
-    for (int i = 0; i < n_distinct; ++i) {
-        occ_cur |= distinct[i];
-    }
-
-    int mask = occ_cur & 0x7F;
-    bool sign_allowed = (occ_cur & 0x80) != 0;
-
-    // Squared re-rounding error of the ORIGINAL weights under a config.
-    const auto cost_of = [&](int cand_mask, bool sign) {
-        const auto &err2 =
-            err2_table()[static_cast<std::size_t>(cand_mask)];
-        std::int64_t cost = 0;
-        for (int i = 0; i < n_distinct; ++i) {
-            const int m = distinct[i];
-            const int count =
-                sign ? cnt_all[m] : cnt_all[m] - cnt_neg[m];
-            cost += static_cast<std::int64_t>(count) *
-                err2[static_cast<std::size_t>(m)];
+    while (kWordBits - popcount8(occ) < target_zero_columns) {
+        // The scalar oracle's candidates are the occupied columns, bits
+        // 0..6 then the sign (bit 7 of occ implies sign_allowed), taken
+        // under a strict <. Costs are exact integers, so comparing them
+        // as int64 selects what the oracle's doubles select.
+        const auto cost = drop_costs(group, mask, sign_allowed);
+        int best = -1;
+        std::int64_t best_cost = std::numeric_limits<std::int64_t>::max();
+        for (int c = 0; c < kWordBits; ++c) {
+            const bool take = ((occ >> c) & 1) != 0 && cost[c] < best_cost;
+            best_cost = take ? cost[c] : best_cost;
+            best = take ? c : best;
         }
-        if (!sign) {
-            cost += neg_sq;  // negatives re-round to 0 at distance m
-        }
-        return static_cast<double>(cost);
-    };
-
-    // Occupancy the group WOULD have after re-rounding under a config —
-    // exactly occupancy(materialize(originals, mask, sign)).
-    const auto occ_of = [&](int cand_mask, bool sign) {
-        const auto &nearest =
-            nearest_table()[static_cast<std::size_t>(cand_mask)];
-        std::uint8_t occ = 0;
-        bool sign_used = false;
-        for (int i = 0; i < n_distinct; ++i) {
-            const int m = distinct[i];
-            const std::uint8_t nm = nearest[static_cast<std::size_t>(m)];
-            if (cnt_all[m] - cnt_neg[m] > 0) {
-                occ |= nm;
-            }
-            if (cnt_neg[m] > 0 && sign) {
-                occ |= nm;
-                sign_used = sign_used || nm != 0;
-            }
-        }
-        return static_cast<std::uint8_t>(occ | (sign_used ? 0x80 : 0x00));
-    };
-
-    // Lazy greedy: a candidate's cost can only GROW as columns drop
-    // (fewer allowed bits move every magnitude's nearest representable
-    // value farther; revoking the sign column re-rounds negatives to 0
-    // at distance >= their masked error), so the cost computed for a
-    // candidate in an earlier iteration is a valid lower bound now.
-    // Candidates whose bound already matches or exceeds the running
-    // minimum are skipped without re-evaluating cost_of — the strict-<
-    // comparison means they could never have replaced the minimum —
-    // which keeps the selection (and thus the output) bit-identical to
-    // the eager scalar oracle while eliminating most per-candidate err2
-    // re-evaluations after the first iteration.
-    double bound[kMagnitudeBits];
-    bool bounded[kMagnitudeBits] = {};
-    double sign_bound = 0.0;
-    bool sign_bounded = false;
-
-    while (kWordBits - popcount8(occ_cur) < target_zero_columns) {
-        double best_cost = std::numeric_limits<double>::infinity();
-        int best_mask = mask;
-        bool best_sign = sign_allowed;
-
-        for (int b = 0; b < kMagnitudeBits; ++b) {
-            if (!((occ_cur >> b) & 1)) {
-                continue;
-            }
-            if (bounded[b] && bound[b] >= best_cost) {
-                continue;  // cannot beat the strict minimum
-            }
-            const int cand_mask = mask & ~(1 << b);
-            const double cost = cost_of(cand_mask, sign_allowed);
-            bound[b] = cost;
-            bounded[b] = true;
-            if (cost < best_cost) {
-                best_cost = cost;
-                best_mask = cand_mask;
-                best_sign = sign_allowed;
-            }
-        }
-        if (sign_allowed && (occ_cur & 0x80) != 0 &&
-            !(sign_bounded && sign_bound >= best_cost)) {
-            const double cost = cost_of(mask, false);
-            sign_bound = cost;
-            sign_bounded = true;
-            if (cost < best_cost) {
-                best_cost = cost;
-                best_mask = mask;
-                best_sign = false;
-            }
-        }
-        if (best_mask == mask && best_sign == sign_allowed) {
+        if (best < 0) {
             panic("bitflip_group: no clearable column but target unmet");
         }
-        mask = best_mask;
-        sign_allowed = best_sign;
-        occ_cur = occ_of(mask, sign_allowed);
+        if (best < kMagnitudeBits) {
+            mask &= ~(1 << best);
+        } else {
+            sign_allowed = false;
+        }
+        occ = reround_occupancy(group, mask, sign_allowed);
     }
 
-    // Materialize once and account the distance in element order (the
-    // same double accumulation order as the scalar oracle).
+    // Materialize once. Every d^2 is an integer and every partial sum
+    // stays below 2^53, so the int64 total converts to the oracle's
+    // element-order double sum bit for bit.
     GroupFlipResult result;
-    result.zero_columns = kWordBits - popcount8(occ_cur);
-    result.squared_error = 0.0;
+    result.zero_columns = kWordBits - popcount8(occ);
     const auto &nearest = nearest_table()[static_cast<std::size_t>(mask)];
-    for (std::size_t i = 0; i < group.size(); ++i) {
-        const std::int8_t v = group[i];
-        const std::int8_t flipped = [&] {
-            if (v < 0 && !sign_allowed) {
-                return static_cast<std::int8_t>(0);
-            }
-            const int nm = nearest[static_cast<std::size_t>(
-                sm_magnitude(v))];
-            return static_cast<std::int8_t>(v < 0 ? -nm : nm);
-        }();
-        const double d = static_cast<double>(v) -
-            static_cast<double>(flipped);
-        result.squared_error += d * d;
-        group[i] = flipped;
+    const int keep_neg = sign_allowed ? -1 : 0;
+    std::int64_t err = 0;
+    for (std::int8_t &w : group) {
+        const int v = w;
+        const int neg = v >> 31;  // 0 or -1
+        const int nm = nearest[static_cast<std::size_t>(sm_magnitude(w))] &
+            (~neg | keep_neg);
+        const int flipped = (nm ^ neg) - neg;
+        err += (v - flipped) * (v - flipped);
+        w = static_cast<std::int8_t>(flipped);
     }
+    result.squared_error = static_cast<double>(err);
     return result;
 }
 
@@ -435,19 +422,18 @@ bitflip_tensor(const Int8Tensor &tensor, int group_size,
     Int8Tensor out = tensor;
     const std::int64_t n = out.numel();
     const std::int64_t groups = (n + group_size - 1) / group_size;
-    // Groups are independent; large tensors (the LSTM/BERT projections
-    // Bit-Flip spends its time on) fan out across cores. Small tensors
-    // stay serial — thread startup would dominate.
-    const int threads =
-        n >= (1 << 18) ? parallel_threads(static_cast<std::size_t>(groups))
-                       : 1;
+    // Groups are independent and fan out in chunks of about 2^16
+    // weights, the synthesis chunk size: one chunk is worth far more
+    // than its cursor claim, and a tensor of one chunk runs inline.
+    const auto grain = static_cast<std::size_t>(
+        std::max<std::int64_t>(1, (std::int64_t{1} << 16) / group_size));
     worksteal_for(static_cast<std::size_t>(groups), [&](std::size_t g) {
         const std::int64_t start = static_cast<std::int64_t>(g) * group_size;
         const std::int64_t len =
             std::min<std::int64_t>(group_size, n - start);
         bitflip_group({out.data() + start, static_cast<std::size_t>(len)},
                       target_zero_columns);
-    }, threads);
+    }, 0, grain);
     return out;
 }
 

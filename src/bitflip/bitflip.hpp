@@ -41,11 +41,13 @@ struct GroupFlipResult
  *
  * @param target_zero_columns in [0, 8]; 8 forces the all-zero group.
  *
- * The greedy search scores candidates against a per-group magnitude
- * profile (counts per distinct magnitude) instead of walking every
- * element per candidate, and materializes the group once at the end —
- * selections, flipped values and reported errors are bit-identical to
- * bitflip_group_scalar().
+ * Each greedy step prices all eight candidates (drop one of the seven
+ * magnitude columns, or the sign column) in one branch-free pass over
+ * the group: every weight adds one row of a table built once, the
+ * squared re-rounding error of each drop per (allowed mask, magnitude),
+ * to eight exact integer sums. The group is materialized once at the
+ * end. Selections, flipped values and reported errors are bit-identical
+ * to bitflip_group_scalar() at any group size.
  */
 GroupFlipResult bitflip_group(std::span<std::int8_t> group,
                               int target_zero_columns);
@@ -72,7 +74,8 @@ Int8Tensor bitflip_tensor(const Int8Tensor &tensor, int group_size,
 
 /**
  * Nearest magnitude to @p magnitude representable using only the bit
- * positions in @p allowed_mask (both in [0, 127]). Ties round down.
+ * positions in @p allowed_mask (both in [0, 127]). Ties round up, as in
+ * Fig. 4(c), where 3 re-rounds to 4 rather than 2.
  * Exposed for testing; backed by a precomputed 128x128 table.
  */
 int nearest_magnitude_under_mask(int magnitude, int allowed_mask);

@@ -6,8 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <numeric>
+#include <string>
 
 #include "bitflip/bitflip.hpp"
 #include "bitflip/strategy.hpp"
@@ -15,6 +17,8 @@
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "eval/scenario.hpp"
+#include "nn/layer.hpp"
+#include "nn/synthesis.hpp"
 #include "nn/workloads.hpp"
 #include "sparsity/bitcolumn.hpp"
 #include "tensor/quantize.hpp"
@@ -151,32 +155,80 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(4, 8, 16, 32),
                        ::testing::Values(1, 3, 5, 7, 8)));
 
-TEST(BitflipGroup, ProfileScoringMatchesScalarOracleBitExactly)
+/// Same flipped values, zero columns and error bits from the fast
+/// kernel as from the element-at-a-time oracle, on a copy of @p group.
+void
+expect_matches_oracle(const std::vector<std::int8_t> &group, int target,
+                      const std::string &what)
 {
-    // The profile-scored greedy must reproduce the element-at-a-time
-    // oracle exactly: same flipped values, same column selections, same
-    // reported error — on random groups of every size and target, in
-    // both dense and zero-heavy regimes, including the -128 clamp.
+    std::vector<std::int8_t> fast = group;
+    std::vector<std::int8_t> scalar = group;
+    const auto rf = bitflip_group({fast.data(), fast.size()}, target);
+    const auto rs =
+        bitflip_group_scalar({scalar.data(), scalar.size()}, target);
+    ASSERT_EQ(fast, scalar) << what;
+    EXPECT_EQ(rf.zero_columns, rs.zero_columns) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rf.squared_error),
+              std::bit_cast<std::uint64_t>(rs.squared_error))
+        << what;
+}
+
+TEST(BitflipGroup, MatchesScalarOracleBitExactly)
+{
+    // The all-candidate kernel must reproduce the oracle exactly on
+    // random groups of every target, in four regimes: uniform (with the
+    // -128 clamp), 40 % zeros, and the Laplacian (CNN) and Gaussian
+    // (transformer) scales the workloads synthesize. Sizes run 1..64,
+    // plus 65, 256 and 1,000, past one block of the cost pass.
     Rng rng(2024);
-    for (int trial = 0; trial < 2000; ++trial) {
-        const int g_size = 1 + static_cast<int>(rng.uniform_int(0, 63));
+    const int big_sizes[] = {65, 256, 1000};
+    for (int trial = 0; trial < 4000; ++trial) {
+        const int g_size = trial % 10 == 9
+            ? big_sizes[rng.uniform_int(0, 2)]
+            : 1 + static_cast<int>(rng.uniform_int(0, 63));
         const int target = static_cast<int>(rng.uniform_int(0, 8));
-        const double zero_prob = rng.bernoulli(0.5) ? 0.0 : 0.4;
-        std::vector<std::int8_t> fast(static_cast<std::size_t>(g_size));
-        for (auto &v : fast) {
-            v = rng.bernoulli(zero_prob)
-                ? 0
-                : static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+        const int regime = trial % 4;
+        const double scale = regime == 2 ? 3.0 + 4.0 * rng.uniform()
+                                         : 24.0 + 10.0 * rng.uniform();
+        std::vector<std::int8_t> group(static_cast<std::size_t>(g_size));
+        for (auto &v : group) {
+            double x = 0.0;
+            if (regime == 0 || regime == 1) {
+                x = regime == 1 && rng.bernoulli(0.4)
+                    ? 0.0
+                    : static_cast<double>(rng.uniform_int(-128, 127));
+            } else {
+                x = regime == 2 ? rng.laplacian(scale)
+                                : rng.gaussian(scale);
+            }
+            v = static_cast<std::int8_t>(std::clamp<std::int64_t>(
+                round_half_away(x), -128, 127));
         }
-        std::vector<std::int8_t> scalar = fast;
-        const auto rf = bitflip_group({fast.data(), fast.size()}, target);
-        const auto rs =
-            bitflip_group_scalar({scalar.data(), scalar.size()}, target);
-        ASSERT_EQ(fast, scalar)
-            << "trial " << trial << " g=" << g_size << " z=" << target;
-        EXPECT_EQ(rf.zero_columns, rs.zero_columns);
-        EXPECT_DOUBLE_EQ(rf.squared_error, rs.squared_error);
+        expect_matches_oracle(group, target,
+                              "trial " + std::to_string(trial) +
+                                  " g=" + std::to_string(g_size) +
+                                  " z=" + std::to_string(target));
+        if (HasFatalFailure()) {
+            return;
+        }
     }
+}
+
+TEST(BitflipGroup, HugeGroupMatchesOracle)
+{
+    // 300,000 weights of magnitude 127, two thirds negative: the last
+    // candidates cost up to 300,000 x 127^2 = 4.8e9 > 2^32. At target 7
+    // the sign drop (3.6e9) beats dropping bit 6 (4.8e9) only if no cost
+    // wraps at 32 bits; target 8 zeroes everything.
+    Rng rng(300000);
+    std::vector<std::int8_t> group(300000);
+    for (auto &v : group) {
+        const std::int64_t pick = rng.uniform_int(0, 2);
+        v = static_cast<std::int8_t>(pick == 0 ? 127 : pick == 1 ? -127
+                                                                  : -128);
+    }
+    expect_matches_oracle(group, 7, "z=7");
+    expect_matches_oracle(group, 8, "z=8");
 }
 
 TEST(BitflipGroup, GreedyCloseToExhaustive)
@@ -228,6 +280,46 @@ TEST(BitflipTensor, IncreasingTargetIncreasesCompression)
                 .column_sparsity();
         EXPECT_GT(cs, prev_sparsity) << "z=" << z;
         prev_sparsity = cs;
+    }
+}
+
+TEST(BitflipTensor, OutputIsPinned)
+{
+    // Pins every flipped weight of one CNN-profile (Laplacian) and one
+    // transformer-profile (Gaussian) tensor at g16/z4 and g16/z5. Both
+    // tensors exceed one 2^16-weight fan-out chunk.
+    WeightProfile cnn;
+    cnn.scale = 5.0;
+    cnn.zero_probability = 0.05;
+    cnn.zero_avoidance = 0.8;
+    WeightProfile transformer;
+    transformer.distribution = WeightDistribution::kGaussian;
+    transformer.scale = 28.0;
+    transformer.zero_probability = 0.005;
+    transformer.zero_avoidance = 0.5;
+    transformer.kernel_gain_sigma = 0.3;
+    struct Case
+    {
+        LayerDesc desc;
+        WeightProfile profile;
+        std::uint64_t pins[2];  // z = 4, 5
+    };
+    const Case cases[] = {
+        {make_conv("conv", 128, 128, 14, 14, 3, 3), cnn,
+         {0x980c1e23136209acULL, 0xfc74d9e14890f346ULL}},
+        {make_linear("q", 768, 256), transformer,
+         {0x4f7885e970a4e83eULL, 0x808b3aca50b27235ULL}},
+    };
+    for (const auto &c : cases) {
+        Rng rng(777);
+        const Int8Tensor w = synthesize_weights(c.desc, c.profile, rng);
+        for (int i = 0; i < 2; ++i) {
+            const Int8Tensor f = bitflip_tensor(w, 16, 4 + i);
+            const std::uint64_t h =
+                fnv1a(f.data(), static_cast<std::size_t>(f.numel()));
+            EXPECT_EQ(h, c.pins[i]) << c.desc.name << " z=" << 4 + i
+                                    << ": 0x" << std::hex << h;
+        }
     }
 }
 
