@@ -8,9 +8,10 @@
  * statistics, BCS compress, Bit-Flip), and
  * verifies bit-identical results in the same run, and closes with a
  * `runner_scaling` row timing the runner's chunk-cursor pool serial vs
- * parallel on a warm batch, the serial cost of synthesizing the tensor
- * (param `synthesis_ns_per_weight`) and of flipping a CNN-profile one
- * (param `bitflip_ns_per_weight`), plus `fault_branch` /
+ * parallel on a warm batch, the serial cost of one uniform draw (param
+ * `uniform_ns_per_draw`), of synthesizing the tensor (param
+ * `synthesis_ns_per_weight`) and of flipping a CNN-profile one (param
+ * `bitflip_ns_per_weight`), plus `fault_branch` /
  * `metrics_record` rows measuring the cost of a disarmed fault point and
  * a disarmed gated histogram record (the robustness and observability
  * layers' zero-overhead claims). Emits BENCH_micro_kernels.json; CI
@@ -18,6 +19,7 @@
  * reports.
  */
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <functional>
 #include <thread>
@@ -41,12 +43,12 @@ using namespace bitwave;
 
 namespace {
 
-/// Best-of-N wall time of @p fn in milliseconds.
+/// Best-of-3 wall time of @p fn in milliseconds.
 double
-time_ms(const std::function<void()> &fn, int repeats = 3)
+time_ms(const std::function<void()> &fn)
 {
     double best = 1e300;
-    for (int r = 0; r < repeats; ++r) {
+    for (int r = 0; r < 3; ++r) {
         const auto t0 = std::chrono::steady_clock::now();
         fn();
         const double ms = std::chrono::duration<double, std::milli>(
@@ -215,18 +217,14 @@ main()
                            target);
                 }
             };
-        const double scalar_ms = time_ms(
-            [&] {
-                scalar = w;
-                flip_with(scalar, bitflip_group_scalar);
-            },
-            1);
-        const double packed_ms = time_ms(
-            [&] {
-                fast = w;
-                flip_with(fast, bitflip_group);
-            },
-            1);
+        const double scalar_ms = time_ms([&] {
+            scalar = w;
+            flip_with(scalar, bitflip_group_scalar);
+        });
+        const double packed_ms = time_ms([&] {
+            fast = w;
+            flip_with(fast, bitflip_group);
+        });
         report(json, table, "bitflip_group", scalar_ms, packed_ms,
                fast == scalar);
     }
@@ -272,6 +270,27 @@ main()
         report(json, table, "runner_scaling", serial_ms, parallel_ms,
                identical);
     }
+
+    // ------------------------------------------------------ uniform ---
+    // Serial cost of one Rng::uniform(), the draw under every
+    // synthesized weight: best of 3 over 2^24 draws, folded into a local
+    // XOR so the loop carries no floating-point or memory dependency.
+    // Published, not gated.
+    double uniform_ns = 0.0;
+    {
+        constexpr std::size_t kDraws = std::size_t{1} << 24;
+        Rng uniform_rng(0xBEEF);
+        volatile std::uint64_t sink = 0;
+        const double ms = time_ms([&] {
+            std::uint64_t fold = 0;
+            for (std::size_t i = 0; i < kDraws; ++i) {
+                fold ^= std::bit_cast<std::uint64_t>(uniform_rng.uniform());
+            }
+            sink = fold;
+        });
+        uniform_ns = ms * 1e6 / static_cast<double>(kDraws);
+    }
+    json.param("uniform_ns_per_draw", uniform_ns);
 
     // ---------------------------------------------------- synthesis ---
     // Serial cost of synthesizing one weight: the ffn_in tensor above
@@ -326,27 +345,23 @@ main()
         constexpr std::size_t kIters = 50'000'000;
         volatile std::uint64_t guard = 0;
         std::uint64_t acc = 0;
-        const double bare_ms = time_ms(
-            [&] {
-                std::uint64_t sum = 0;
-                for (std::size_t i = 0; i < kIters; ++i) {
-                    sum += i ^ guard;
+        const double bare_ms = time_ms([&] {
+            std::uint64_t sum = 0;
+            for (std::size_t i = 0; i < kIters; ++i) {
+                sum += i ^ guard;
+            }
+            acc ^= sum;
+        });
+        const double pointed_ms = time_ms([&] {
+            std::uint64_t sum = 0;
+            for (std::size_t i = 0; i < kIters; ++i) {
+                if (BITWAVE_FAULT_POINT("micro.bench")) {
+                    sum += 1;  // never taken while disarmed
                 }
-                acc ^= sum;
-            },
-            1);
-        const double pointed_ms = time_ms(
-            [&] {
-                std::uint64_t sum = 0;
-                for (std::size_t i = 0; i < kIters; ++i) {
-                    if (BITWAVE_FAULT_POINT("micro.bench")) {
-                        sum += 1;  // never taken while disarmed
-                    }
-                    sum += i ^ guard;
-                }
-                acc ^= sum;
-            },
-            1);
+                sum += i ^ guard;
+            }
+            acc ^= sum;
+        });
         guard = acc;
         report(json, table, "fault_branch", bare_ms, pointed_ms, true);
         json.param("fault_branch_ns_per_check",
@@ -368,25 +383,21 @@ main()
         constexpr std::size_t kIters = 50'000'000;
         volatile std::uint64_t guard = 0;
         std::uint64_t acc = 0;
-        const double bare_ms = time_ms(
-            [&] {
-                std::uint64_t sum = 0;
-                for (std::size_t i = 0; i < kIters; ++i) {
-                    sum += i ^ guard;
-                }
-                acc ^= sum;
-            },
-            1);
-        const double pointed_ms = time_ms(
-            [&] {
-                std::uint64_t sum = 0;
-                for (std::size_t i = 0; i < kIters; ++i) {
-                    hist.record(i & 0xFF);  // no-op while disarmed
-                    sum += i ^ guard;
-                }
-                acc ^= sum;
-            },
-            1);
+        const double bare_ms = time_ms([&] {
+            std::uint64_t sum = 0;
+            for (std::size_t i = 0; i < kIters; ++i) {
+                sum += i ^ guard;
+            }
+            acc ^= sum;
+        });
+        const double pointed_ms = time_ms([&] {
+            std::uint64_t sum = 0;
+            for (std::size_t i = 0; i < kIters; ++i) {
+                hist.record(i & 0xFF);  // no-op while disarmed
+                sum += i ^ guard;
+            }
+            acc ^= sum;
+        });
         guard = acc;
         // Disarmed records must not land; one armed record must.
         bool ok = hist.snapshot().count == before;
@@ -401,7 +412,8 @@ main()
     }
 
     std::printf("%s", table.render().c_str());
-    std::printf("\nSerial weight synthesis: %.1f ns per weight.\n",
+    std::printf("\nSerial uniform draw: %.2f ns.\n", uniform_ns);
+    std::printf("Serial weight synthesis: %.1f ns per weight.\n",
                 synthesis_ns);
     std::printf("Serial Bit-Flip (g16/z4, CNN profile): %.1f ns per "
                 "weight.\n",

@@ -43,6 +43,11 @@ Mt19937_64::refill()
         state_[k] = twist(state_[k], state_[k + 1], state_[k + m - n]);
     }
     state_[n - 1] = twist(state_[n - 1], state_[0], state_[m - 1]);
+    // The block's uniforms, all at once: a straight-line loop that
+    // vectorizes, where one word per uniform() call cannot.
+    for (std::size_t k = 0; k < n; ++k) {
+        canonical_[k] = Rng::canonical(temper(state_[k]));
+    }
     next_ = 0;
 }
 

@@ -17,14 +17,20 @@
  * random data: the libstdc++ refill branches on each state word's low
  * bit and the uint64 -> double conversion on the sign bit, so about
  * every other draw mispredicted. Here both are straight-line code.
- * The same contract is why `gaussian` still discards the first value
- * of each polar pair: keeping it would halve its draws but change every
- * Gaussian weight (all of BERT-Base's).
+ * The engine also works a block at a time: each refill twists all 312
+ * state words, then tempers each and stores its `Rng::canonical` double
+ * in one loop that the compiler vectorizes, so `uniform()` is a load.
+ * Both views share one cursor, so raw draws (`engine()()`,
+ * `uniform_int`, `std::shuffle`) and uniform draws interleave in stream
+ * order. The same contract is why `gaussian` still discards the first
+ * value of each polar pair: keeping it would halve its draws but change
+ * every Gaussian weight (all of BERT-Base's).
  */
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -36,7 +42,8 @@ namespace bitwave {
  * MT19937-64 exactly as [rand.eng.mers] specifies the standard's
  * `mt19937_64`: the same seeding, twist and tempering, so the same seed
  * yields the same 64-bit stream. The refill picks the twist's matrix
- * term with a mask instead of a branch. A UniformRandomBitGenerator, so
+ * term with a mask instead of a branch, and prepares the block's
+ * uniforms for `uniform()`. A UniformRandomBitGenerator, so
  * std::shuffle and the standard distributions accept it.
  */
 class Mt19937_64
@@ -56,22 +63,37 @@ class Mt19937_64
         if (next_ >= kStateWords) {
             refill();
         }
-        result_type z = state_[next_++];
-        z ^= (z >> 29) & 0x5555555555555555ULL;
-        z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
-        z ^= (z << 37) & 0xFFF7EEE000000000ULL;
-        z ^= z >> 43;
-        return z;
+        return temper(state_[next_++]);
+    }
+
+    /// The same draw as `Rng::canonical((*this)())`, prepared by the
+    /// refill.
+    double uniform()
+    {
+        if (next_ >= kStateWords) {
+            refill();
+        }
+        return canonical_[next_++];
     }
 
   private:
     static constexpr std::size_t kStateWords = 312;  ///< n
     static constexpr std::size_t kShiftWords = 156;  ///< m
 
-    /// Twist all kStateWords words in one pass.
+    static constexpr result_type temper(result_type z)
+    {
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+        z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+        return z ^ (z >> 43);
+    }
+
+    /// Twist all kStateWords words in one pass, then temper and convert
+    /// each into `canonical_` in another.
     void refill();
 
     std::array<std::uint64_t, kStateWords> state_;
+    std::array<double, kStateWords> canonical_{};
     std::size_t next_ = kStateWords;
 };
 
@@ -87,21 +109,25 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x5eedULL) : engine_(seed) {}
 
     /// Uniform double in [0, 1): canonical() of one engine draw.
-    double uniform() { return canonical(engine_()); }
+    double uniform() { return engine_.uniform(); }
 
     /**
      * What libstdc++'s generate_canonical returns for the 64-bit draw
      * @p v: v * 2^-64, clamped to the largest double below 1. double(v)
      * is formed from two exact halves whose sum rounds once, to the same
      * correctly rounded value a uint64 -> double conversion gives,
-     * without its sign-bit branch.
+     * without its sign-bit branch. Each half is read off the bits of
+     * 2^52 + half, not converted, so the refill's loop over this
+     * vectorizes on baseline x86-64, which has no packed int64 -> double
+     * conversion.
      */
     static double canonical(std::uint64_t v)
     {
-        const double hi =
-            static_cast<double>(static_cast<std::int64_t>(v >> 32));
-        const double lo =
-            static_cast<double>(static_cast<std::uint32_t>(v));
+        const auto exact = [](std::uint64_t half) {
+            return std::bit_cast<double>(kTwoPow52Bits | half) - 0x1p52;
+        };
+        const double hi = exact(v >> 32);
+        const double lo = exact(v & 0xFFFFFFFFULL);
         return std::min((hi * 0x1p32 + lo) * 0x1p-64, kBelowOne);
     }
 
@@ -159,6 +185,9 @@ class Rng
   private:
     /// The largest double below 1, generate_canonical's clamp.
     static constexpr double kBelowOne = 0x1.fffffffffffffp-1;
+    /// The bits of 2^52, whose last place is worth 1: a 32-bit value
+    /// ORed into its mantissa reads as exactly 2^52 + value.
+    static constexpr std::uint64_t kTwoPow52Bits = 0x4330000000000000ULL;
 
     Mt19937_64 engine_;
 };

@@ -121,8 +121,11 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
 
     // Group size: the SU's BCS group — the C unrolling for standard
     // layers, SU7's G unrolling (64) for depthwise. The analytical model
-    // accounts with the same su.group_size(), so the two engines can no
-    // longer drift apart on depthwise layers.
+    // reads the same su.group_size(), but on depthwise layers the two
+    // engines group different weights under it: SU7's group is 64
+    // channels at one tap, while the sim's groups run along one
+    // channel's 9 taps (weight_row_geometry()), so it counts 1/9 of the
+    // model's compute cycles there (ROADMAP item 1).
     const int group_size =
         std::clamp(static_cast<int>(su.group_size()), 1, 64);
 

@@ -7,6 +7,7 @@
 #include "common/hash.hpp"
 #include "common/logging.hpp"
 #include "common/lru.hpp"
+#include "common/trace.hpp"
 
 namespace bitwave {
 
@@ -236,8 +237,12 @@ shared_bitplanes(const Int8Tensor &tensor, Representation repr,
     std::uint64_t key = hash_combine(content_hash,
                                      static_cast<std::uint64_t>(repr) + 1);
     key = hash_combine(key, static_cast<std::uint64_t>(tensor.numel()));
-    return bitplane_cache().get_or_build(
-        key, [&] { return pack_bitplanes(tensor, repr); });
+    return bitplane_cache().get_or_build(key, [&] {
+        trace::Span span("bitplane.pack", "bitplane");
+        span.arg("elements", static_cast<std::uint64_t>(tensor.numel()));
+        span.arg("repr", static_cast<std::uint64_t>(repr));
+        return pack_bitplanes(tensor, repr);
+    });
 }
 
 }  // namespace bitwave

@@ -547,29 +547,73 @@ TEST(ScenarioRunner, PrivateWorkloadSeedsMatchPrebuiltWorkloads)
     }
 
     // Each selected layer is synthesized exactly once, by its unit; the
-    // filtered scenario never draws the layers it skips.
-    trace::clear();
-    trace::start();
-    eval::RunnerOptions options;
-    options.threads = 4;
-    eval::ScenarioRunner(options).run(batch);
-    trace::stop();
-    std::multiset<std::pair<std::uint64_t, std::uint64_t>> drawn;
-    for (const auto &e : trace::snapshot_events()) {
-        if (std::string(e.name) == "workload.synthesize") {
-            drawn.emplace(e.arg0, e.arg1);
+    // filtered scenario never draws the layers it skips. On fresh seeds
+    // every tensor an engine reads is packed once per representation
+    // (a `bitplane.pack` span per plane-cache miss), and a re-run of the
+    // same batch packs nothing.
+    using Pairs = std::multiset<std::pair<std::uint64_t, std::uint64_t>>;
+    const auto cold = private_batch(0x9100);
+    const auto traced_run = [&](Pairs &drawn, Pairs &packed) {
+        trace::clear();
+        trace::start();
+        eval::RunnerOptions options;
+        options.threads = 4;
+        eval::ScenarioRunner(options).run(cold);
+        trace::stop();
+        for (const auto &e : trace::snapshot_events()) {
+            const std::string name = e.name;
+            if (name == "workload.synthesize") {
+                drawn.emplace(e.arg0, e.arg1);
+            } else if (name == "bitplane.pack") {
+                packed.emplace(e.arg0, e.arg1);
+            }
         }
-    }
-    trace::clear();
-    std::multiset<std::pair<std::uint64_t, std::uint64_t>> expected;
-    for (std::uint64_t i = 0; i + 1 < batch.size(); ++i) {
+        trace::clear();
+    };
+    Pairs drawn, packed, warm_drawn, warm_packed;
+    traced_run(drawn, packed);
+    traced_run(warm_drawn, warm_packed);
+
+    Pairs expected;
+    for (std::uint64_t i = 0; i + 1 < cold.size(); ++i) {
         for (std::uint64_t l = 0; l < 6; ++l) {
             expected.emplace(i, l);
         }
     }
-    expected.emplace(batch.size() - 1, 0);  // conv1
-    expected.emplace(batch.size() - 1, 4);  // LSTM.1
+    expected.emplace(cold.size() - 1, 0);  // conv1
+    expected.emplace(cold.size() - 1, 4);  // LSTM.1
     EXPECT_EQ(drawn, expected);
+    EXPECT_EQ(warm_drawn, expected);
+
+    // (elements, representation) per pack: each scenario's tensors are
+    // its own, so none is shared. The model and the sim read
+    // sign-magnitude planes (a Bit-Flip twin in place of the weights it
+    // flips), and kStats reads both representations.
+    const auto sm =
+        static_cast<std::uint64_t>(Representation::kSignMagnitude);
+    const auto tc =
+        static_cast<std::uint64_t>(Representation::kTwosComplement);
+    const Workload skeleton = build_workload_skeleton(
+        WorkloadId::kCnnLstm, cold.front().workload_seed);
+    const auto elements = [&](std::size_t l) {
+        return static_cast<std::uint64_t>(shape_numel(
+            WorkloadLayer::weight_shape(skeleton.layers[l].desc)));
+    };
+    Pairs expected_packs;
+    for (std::size_t i = 0; i < cold.size(); ++i) {
+        for (std::size_t l = 0; l < 6; ++l) {
+            const bool selected =
+                cold[i].layer_filter.empty() || l == 0 || l == 4;
+            if (selected) {
+                expected_packs.emplace(elements(l), sm);
+            }
+            if (selected && cold[i].engine == eval::EngineKind::kStats) {
+                expected_packs.emplace(elements(l), tc);
+            }
+        }
+    }
+    EXPECT_EQ(packed, expected_packs);
+    EXPECT_TRUE(warm_packed.empty()) << warm_packed.size() << " warm packs";
 }
 
 TEST(ScenarioRunner, PrivateWorkloadRetriesInPlaceBitIdentical)
