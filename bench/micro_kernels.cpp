@@ -355,9 +355,7 @@ main()
         const double pointed_ms = time_ms([&] {
             std::uint64_t sum = 0;
             for (std::size_t i = 0; i < kIters; ++i) {
-                if (BITWAVE_FAULT_POINT("micro.bench")) {
-                    sum += 1;  // never taken while disarmed
-                }
+                BITWAVE_FAULT_POINT("micro.bench");  // never fires
                 sum += i ^ guard;
             }
             acc ^= sum;

@@ -1,9 +1,7 @@
 #include "common/fault.hpp"
 
-#include <chrono>
 #include <cstdlib>
 #include <memory>
-#include <thread>
 #include <unordered_map>
 
 #include "common/annotations.hpp"
@@ -34,6 +32,13 @@ std::atomic<bool> g_armed{false};
 
 namespace {
 
+/// What an armed fault point throws when it fires.
+enum class FaultKind
+{
+    kTransient,  ///< FaultError(kTransient): retryable.
+    kError,      ///< FaultError(kInternal): not retryable.
+};
+
 /// Armed configuration of one point, packed into atomics so fire() on
 /// hot paths never takes the registry mutex.
 struct PointConfig
@@ -41,7 +46,6 @@ struct PointConfig
     /// Probability as bit-cast double; 0 bits = disarmed.
     std::atomic<std::uint64_t> probability_bits{0};
     std::atomic<int> kind{static_cast<int>(FaultKind::kTransient)};
-    std::atomic<std::uint64_t> delay_ns{0};
     /// `@tag` filter; 0 = fire for any context.
     std::atomic<std::uint64_t> tag{0};
 };
@@ -52,8 +56,6 @@ struct Point
     std::uint64_t salt = 0;  ///< splitmix64(fnv1a(name)): per-point stream.
     PointConfig config;
     std::atomic<std::uint64_t> counter{0};  ///< Invocation index.
-    std::atomic<std::uint64_t> checks{0};
-    std::atomic<std::uint64_t> fired{0};
 };
 
 /// One parsed spec entry.
@@ -61,7 +63,6 @@ struct SpecEntry
 {
     double probability = 0.0;
     FaultKind kind = FaultKind::kTransient;
-    double delay_ms = 1.0;
     std::uint64_t tag = 0;
 };
 
@@ -91,7 +92,6 @@ struct Registry
     metrics::Counter &fired = metrics::counter("fault.fired");
     metrics::Counter &transients = metrics::counter("fault.transients");
     metrics::Counter &errors = metrics::counter("fault.errors");
-    metrics::Counter &delays = metrics::counter("fault.delays");
     metrics::Counter &checks = metrics::counter("fault.checks");
 };
 
@@ -111,12 +111,9 @@ apply_locked(Point &point, const SpecEntry &entry)
     __builtin_memcpy(&bits, &p, sizeof(bits));
     point.config.kind.store(static_cast<int>(entry.kind),
                             std::memory_order_relaxed);
-    point.config.delay_ns.store(
-        static_cast<std::uint64_t>(entry.delay_ms * 1e6),
-        std::memory_order_relaxed);
     point.config.tag.store(entry.tag, std::memory_order_relaxed);
     // Probability last: a concurrent fire() that sees it non-zero also
-    // sees kind/delay/tag from this entry or a newer one — close enough
+    // sees kind/tag from this entry or a newer one — close enough
     // for a fault injector; arming mid-flight is inherently racy.
     point.config.probability_bits.store(bits, std::memory_order_release);
 }
@@ -127,8 +124,8 @@ disarm_locked(Point &point)
     point.config.probability_bits.store(0, std::memory_order_relaxed);
 }
 
-/// Parse one `point[@tag]=prob[:kind[:delay_ms]]` entry; false (with a
-/// warn-once) on malformed input.
+/// Parse one `point[@tag]=prob[:kind]` entry; false (with a warn-once)
+/// on malformed input.
 bool
 parse_entry(const std::string &text, std::string *name, SpecEntry *entry)
 {
@@ -150,16 +147,11 @@ parse_entry(const std::string &text, std::string *name, SpecEntry *entry)
         return false;
     }
     std::string rest = text.substr(eq + 1);
-    std::string kind_text, delay_text;
+    std::string kind_text;
     const auto colon = rest.find(':');
     if (colon != std::string::npos) {
         kind_text = rest.substr(colon + 1);
         rest.resize(colon);
-        const auto colon2 = kind_text.find(':');
-        if (colon2 != std::string::npos) {
-            delay_text = kind_text.substr(colon2 + 1);
-            kind_text.resize(colon2);
-        }
     }
     char *end = nullptr;
     entry->probability = std::strtod(rest.c_str(), &end);
@@ -171,16 +163,8 @@ parse_entry(const std::string &text, std::string *name, SpecEntry *entry)
         entry->kind = FaultKind::kTransient;
     } else if (kind_text == "error") {
         entry->kind = FaultKind::kError;
-    } else if (kind_text == "delay") {
-        entry->kind = FaultKind::kDelay;
     } else {
         return false;
-    }
-    if (!delay_text.empty()) {
-        entry->delay_ms = std::strtod(delay_text.c_str(), &end);
-        if (end == nullptr || *end != '\0' || !(entry->delay_ms >= 0.0)) {
-            return false;
-        }
     }
     return true;
 }
@@ -232,7 +216,7 @@ context_tag(std::string_view token)
     return fnv1a(token.data(), token.size());
 }
 
-bool
+void
 fire(std::size_t id, std::uint64_t context)
 {
     Registry &r = registry();
@@ -240,14 +224,13 @@ fire(std::size_t id, std::uint64_t context)
     const std::uint64_t bits =
         point.config.probability_bits.load(std::memory_order_acquire);
     if (bits == 0) {
-        return false;
+        return;
     }
     const std::uint64_t tag =
         point.config.tag.load(std::memory_order_relaxed);
     if (tag != 0 && tag != context) {
-        return false;
+        return;
     }
-    point.checks.fetch_add(1, std::memory_order_relaxed);
     r.checks.inc();
     double probability = 0.0;
     __builtin_memcpy(&probability, &bits, sizeof(probability));
@@ -255,29 +238,19 @@ fire(std::size_t id, std::uint64_t context)
         point.counter.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t seed = r.seed.load(std::memory_order_relaxed);
     if (to_unit(splitmix64(seed ^ point.salt ^ n)) >= probability) {
-        return false;
+        return;
     }
-    point.fired.fetch_add(1, std::memory_order_relaxed);
     r.fired.inc();
-    switch (static_cast<FaultKind>(
-        point.config.kind.load(std::memory_order_relaxed))) {
-      case FaultKind::kTransient:
-        r.transients.inc();
-        throw FaultError(ErrorKind::kTransient,
-                         strprintf("injected transient fault at %s "
-                                   "(draw %llu)",
-                                   point.name.c_str(),
-                                   static_cast<unsigned long long>(n)));
-      case FaultKind::kError:
-        r.errors.inc();
-        return true;
-      case FaultKind::kDelay:
-        r.delays.inc();
-        std::this_thread::sleep_for(std::chrono::nanoseconds(
-            point.config.delay_ns.load(std::memory_order_relaxed)));
-        return false;
-    }
-    return false;
+    const bool transient =
+        static_cast<FaultKind>(point.config.kind.load(
+            std::memory_order_relaxed)) == FaultKind::kTransient;
+    (transient ? r.transients : r.errors).inc();
+    throw FaultError(transient ? ErrorKind::kTransient
+                               : ErrorKind::kInternal,
+                     strprintf("injected %s fault at %s (draw %llu)",
+                               transient ? "transient" : "error",
+                               point.name.c_str(),
+                               static_cast<unsigned long long>(n)));
 }
 
 void
@@ -305,7 +278,7 @@ configure(const std::string &spec, std::uint64_t seed)
         if (!parse_entry(entry_text, &name, &entry)) {
             warn_once(("fault-spec:" + entry_text).c_str(),
                       "ignoring malformed BITWAVE_FAULT_SPEC entry \"%s\" "
-                      "(expected point[@tag]=prob[:kind[:delay_ms]])",
+                      "(expected point[@tag]=prob[:kind])",
                       entry_text.c_str());
             continue;
         }
@@ -340,17 +313,6 @@ reset()
     configure(std::string(), 0);
 }
 
-void
-configure_from_env()
-{
-    const std::string spec = env_string("BITWAVE_FAULT_SPEC");
-    if (spec.empty()) {
-        return;
-    }
-    configure(spec, static_cast<std::uint64_t>(
-                        env_positive_int("BITWAVE_FAULT_SEED", 0x5eed)));
-}
-
 FaultStats
 stats()
 {
@@ -361,43 +323,19 @@ stats()
     s.fired = r.fired.value();
     s.transients = r.transients.value();
     s.errors = r.errors.value();
-    s.delays = r.delays.value();
     return s;
-}
-
-std::vector<PointInfo>
-points()
-{
-    Registry &r = registry();
-    MutexLock lock(r.mutex);
-    std::vector<PointInfo> out;
-    out.reserve(r.point_count);
-    for (std::size_t i = 0; i < r.point_count; ++i) {
-        const auto &point = r.points[i];
-        PointInfo info;
-        info.name = point->name;
-        const std::uint64_t bits =
-            point->config.probability_bits.load(std::memory_order_relaxed);
-        __builtin_memcpy(&info.probability, &bits,
-                         sizeof(info.probability));
-        info.kind = static_cast<FaultKind>(
-            point->config.kind.load(std::memory_order_relaxed));
-        info.delay_ms = static_cast<double>(point->config.delay_ns.load(
-                            std::memory_order_relaxed)) *
-            1e-6;
-        info.checks = point->checks.load(std::memory_order_relaxed);
-        info.fired = point->fired.load(std::memory_order_relaxed);
-        out.push_back(std::move(info));
-    }
-    return out;
 }
 
 namespace {
 
-/// Arm from the environment once at startup, so any binary can run a
-/// storm via BITWAVE_FAULT_SPEC without code changes.
+/// Arm from BITWAVE_FAULT_SPEC / BITWAVE_FAULT_SEED once at startup, so
+/// any binary can run a storm without code changes.
 const bool g_env_configured = [] {
-    configure_from_env();
+    const std::string spec = env_string("BITWAVE_FAULT_SPEC");
+    if (!spec.empty()) {
+        configure(spec, static_cast<std::uint64_t>(env_positive_int(
+                            "BITWAVE_FAULT_SEED", 0x5eed)));
+    }
     return true;
 }();
 

@@ -14,17 +14,6 @@ namespace bitwave {
 
 namespace {
 
-/// Verbosity threshold. Atomic (relaxed) because tests flip it while
-/// worker threads log; the threshold is a monotonic filter, not a
-/// synchronisation point, so no ordering is needed.
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
-LogLevel
-level_relaxed()
-{
-    return g_level.load(std::memory_order_relaxed);
-}
-
 /// The sink and the mutex serialising every emission. One struct so
 /// the guarded_by relation is spelled in the type: fatal and panic
 /// messages flush through the same mutex, and concurrent loggers never
@@ -77,18 +66,6 @@ vformat(const char *fmt, std::va_list args)
 
 }  // namespace
 
-void
-set_log_level(LogLevel level)
-{
-    g_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel
-log_level()
-{
-    return level_relaxed();
-}
-
 LogSink
 set_log_sink(LogSink sink)
 {
@@ -100,24 +77,8 @@ set_log_sink(LogSink sink)
 }
 
 void
-inform(const char *fmt, ...)
-{
-    if (level_relaxed() < LogLevel::kInform) {
-        return;
-    }
-    std::va_list args;
-    va_start(args, fmt);
-    const std::string message = vformat(fmt, args);
-    va_end(args);
-    emit(LogLevel::kInform, "info", message);
-}
-
-void
 warn(const char *fmt, ...)
 {
-    if (level_relaxed() < LogLevel::kWarn) {
-        return;
-    }
     std::va_list args;
     va_start(args, fmt);
     const std::string message = vformat(fmt, args);
@@ -128,9 +89,6 @@ warn(const char *fmt, ...)
 void
 warn_once(const char *key, const char *fmt, ...)
 {
-    if (level_relaxed() < LogLevel::kWarn) {
-        return;
-    }
     {
         struct OnceState
         {
@@ -157,7 +115,7 @@ fatal(const char *fmt, ...)
     va_start(args, fmt);
     const std::string message = vformat(fmt, args);
     va_end(args);
-    emit(LogLevel::kSilent, "fatal", message);
+    emit(LogLevel::kFatal, "fatal", message);
     std::exit(1);
 }
 
@@ -168,7 +126,7 @@ panic(const char *fmt, ...)
     va_start(args, fmt);
     const std::string message = vformat(fmt, args);
     va_end(args);
-    emit(LogLevel::kSilent, "panic", message);
+    emit(LogLevel::kFatal, "panic", message);
     std::abort();
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Minimal logging / fatal-error facilities in the spirit of gem5's
  * logging.hh: `fatal` for user errors that make continuing impossible,
- * `panic` for internal invariant violations, `warn`/`inform` for status.
+ * `panic` for internal invariant violations, `warn` for status.
  */
 #pragma once
 
@@ -12,19 +12,14 @@
 
 namespace bitwave {
 
-/// Verbosity levels for status messages.
-enum class LogLevel { kSilent = 0, kWarn = 1, kInform = 2, kDebug = 3 };
-
-/// Set the global verbosity threshold (default kWarn).
-void set_log_level(LogLevel level);
-
-/// Current global verbosity threshold.
-LogLevel log_level();
+/// Severity of a log line: kWarn for warn/warn_once, kFatal for fatal
+/// and panic.
+enum class LogLevel { kWarn, kFatal };
 
 /**
  * Sink receiving every formatted log line (level + message without the
- * trailing newline). All messages — inform/warn/fatal/panic and the
- * warn_once dedup path — funnel through one mutex-serialised sink, so
+ * trailing newline). All messages — warn/fatal/panic and the warn_once
+ * dedup path — funnel through one mutex-serialised sink, so
  * concurrent loggers never interleave lines and an embedding process
  * (an MPI rank, a test harness) can capture or redirect everything.
  */
@@ -34,10 +29,7 @@ using LogSink = std::function<void(LogLevel, const std::string &)>;
 /// previous sink so scoped captures can chain.
 LogSink set_log_sink(LogSink sink);
 
-/// Print an informational message when verbosity allows (printf-style).
-void inform(const char *fmt, ...);
-
-/// Print a warning when verbosity allows (printf-style).
+/// Print a warning (printf-style).
 void warn(const char *fmt, ...);
 
 /**

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdio>
 #include <memory>
-#include <new>
 #include <unordered_map>
 
 #include "common/annotations.hpp"
@@ -311,23 +310,6 @@ render_json(const Snapshot &snap)
     }
     out += "}}";
     return out;
-}
-
-void
-zero_all_for_tests()
-{
-    Registry &reg = registry();
-    MutexLock lock(reg.mutex);
-    for (auto &[name, c] : reg.counters) {
-        c->~Counter();
-        new (c.get()) Counter();
-    }
-    for (auto &[name, h] : reg.histograms) {
-        // Registry histograms are always gated; rebuild in place to
-        // zero the atomics.
-        h->~Histogram();
-        new (h.get()) Histogram(true);
-    }
 }
 
 } // namespace bitwave::metrics

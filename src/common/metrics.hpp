@@ -148,8 +148,4 @@ std::string render_prometheus(const Snapshot &snap);
 /// "histograms":{name:{count,sum,mean,p50,p90,p99}}}.
 std::string render_json(const Snapshot &snap);
 
-/// Reset every registered counter/histogram to zero.  Handles
-/// stay valid.  Tests only — racing writers may leave a torn view.
-void zero_all_for_tests();
-
 } // namespace bitwave::metrics

@@ -58,7 +58,7 @@ class MpmcQueue
     /// Block until there is space (or the queue closes), then enqueue.
     QueuePush push(T item)
     {
-        BITWAVE_FAULT_INJECT("mpmc.push");
+        BITWAVE_FAULT_POINT("mpmc.push");
         MutexLock lock(mutex_);
         while (!closed_ && items_.size() >= capacity_) {
             not_full_.wait(mutex_);
@@ -73,7 +73,7 @@ class MpmcQueue
     /// Non-blocking push: kFull when at capacity.
     QueuePush try_push(T item)
     {
-        BITWAVE_FAULT_INJECT("mpmc.push");
+        BITWAVE_FAULT_POINT("mpmc.push");
         MutexLock lock(mutex_);
         if (closed_) {
             return QueuePush::kClosed;
@@ -94,7 +94,7 @@ class MpmcQueue
     QueuePush push_shed_oldest(T item, std::optional<T> *shed)
     {
         shed->reset();
-        BITWAVE_FAULT_INJECT("mpmc.push");
+        BITWAVE_FAULT_POINT("mpmc.push");
         MutexLock lock(mutex_);
         if (closed_) {
             return QueuePush::kClosed;

@@ -133,14 +133,12 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
     std::vector<std::atomic<bool>> failed(n);
     std::vector<std::exception_ptr> errors(n);
     std::atomic<std::int64_t> retries{0};
-    std::atomic<bool> stalled{false};
     const std::atomic<bool> *cancel = options_.cancel;
-    const double stall_budget = options_.stall_budget_seconds;
 
     // Run one piece of scenario i's work — its preparation or one layer
     // range — re-running it in place while it throws kTransient and
     // attempts remain. Skipped once the scenario has ended; cancellation
-    // and the stall budget end it before the piece starts.
+    // ends it before the piece starts.
     const auto attempt = [&](std::size_t i, const auto &body) {
         for (int k = 1;; ++k) {
             if (failed[i].load(std::memory_order_relaxed)) {
@@ -151,11 +149,6 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
             if (cancel != nullptr &&
                 cancel->load(std::memory_order_relaxed)) {
                 error = std::make_exception_ptr(BatchCancelled());
-            } else if (stall_budget > 0.0 &&
-                       seconds_since(t0) > stall_budget) {
-                stalled.store(true, std::memory_order_relaxed);
-                error = std::make_exception_ptr(EvalError(
-                    ErrorKind::kTransient, "stall budget exceeded"));
             } else {
                 try {
                     body();
@@ -247,8 +240,8 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
         // Context-tagged by scenario label so a chaos test can poison
         // exactly one job of a coalesced batch
         // (`runner.chunk@<label>=1:transient`).
-        BITWAVE_FAULT_INJECT_CTX("runner.chunk",
-                                 fault::context_tag(scenarios[i].label));
+        BITWAVE_FAULT_POINT_CTX("runner.chunk",
+                                fault::context_tag(scenarios[i].label));
         const std::uint64_t tr0 = trace::enabled() ? trace::now_ns() : 0;
         const auto s0 = std::chrono::steady_clock::now();
         auto evals = evaluate_layer_range(scenarios[i], preps[i], seeds[i],
@@ -322,7 +315,6 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
         report->threads_used = sched.threads_used;
         report->chunks = sched.chunks;
         report->retries = retries.load(std::memory_order_relaxed);
-        report->stalled = stalled.load(std::memory_order_relaxed);
         report->wall_seconds = wall_seconds;
         report->scenario_seconds_sum = 0.0;
         for (const auto &o : outcomes) {

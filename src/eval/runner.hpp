@@ -36,8 +36,8 @@
  * seed, layer index), the re-run is bit-identical to a fault-free one.
  * Any other error, or the last attempt's, ends that scenario alone: its
  * remaining ranges are skipped and its siblings finish normally.
- * Cancellation and the stall budget end scenarios at the same points,
- * before a piece starts, and are never retried.
+ * Cancellation ends scenarios at the same points, before a piece
+ * starts, and is never retried.
  */
 #pragma once
 
@@ -93,14 +93,6 @@ struct RunnerOptions
      * cancels.
      */
     const std::atomic<bool> *cancel = nullptr;
-    /**
-     * Wall-time budget of one run call, checked where `cancel` is
-     * polled: once the batch has run longer, every scenario that has
-     * not finished ends with EvalError(kTransient, "stall budget
-     * exceeded"), which is not retried in place, and the report says
-     * `stalled`. <= 0 (default) disables it.
-     */
-    double stall_budget_seconds = 0.0;
 };
 
 /**
@@ -135,7 +127,6 @@ struct RunnerReport
     std::int64_t steals = 0;
     std::int64_t retries = 0;  ///< In-place retries of transient
                                ///< failures (RetryPolicy).
-    bool stalled = false;      ///< The stall budget ended a scenario.
     double wall_seconds = 0.0;          ///< End-to-end batch wall time.
     double scenario_seconds_sum = 0.0;  ///< Sum of per-scenario costs.
 

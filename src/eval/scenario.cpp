@@ -130,8 +130,6 @@ mix_accel(std::uint64_t h, const AcceleratorConfig &a)
     h = hash_combine(h, static_cast<std::uint64_t>(a.accumulator_banks));
     h = hash_combine(h, static_cast<std::uint64_t>(a.compress_acts));
     h = mix_double(h, a.value_imbalance);
-    h = hash_combine(h, static_cast<std::uint64_t>(a.map_batch_to_ox));
-    h = mix_double(h, a.matmul_penalty);
     h = hash_combine(h, static_cast<std::uint64_t>(a.planar_crossbar));
     h = hash_combine(h, static_cast<std::uint64_t>(a.layer_sequential_dram));
     h = mix_double(h, a.e_crossbar_conflict_pj);

@@ -132,7 +132,6 @@ make_scnn()
     // FC/LSTM projections run as degenerate 1x1 convolutions: the token
     // batch im2cols onto OX and token-starved planar tiles pay the
     // calibrated crossbar-conflict inflation.
-    c.map_batch_to_ox = true;
     c.planar_crossbar = true;
     // Energy side (Fig. 15 calibration): layer-sequential feature-map
     // spills, accumulator-bank RMW per Cartesian product attempt (via

@@ -85,14 +85,6 @@ struct AcceleratorConfig
     bool compress_acts = false;
     /// Load-imbalance inflation for value-sparse PEs (SCNN).
     double value_imbalance = 1.2;
-    /// Whether the dataflow can treat the token/timestep batch of matmul
-    /// layers as a spatial OX dimension (im2col view).
-    bool map_batch_to_ox = true;
-    /**
-     * Flat compute-cycle inflation for matmul-shaped layers
-     * (kLinear/kLstm); 1.0 for machines with a native matmul path.
-     */
-    double matmul_penalty = 1.0;
     /**
      * Planar OXu x OYu output crossbar (SCNN): matmul tiles that cannot
      * fill the crossbar with tokens pay conflict cycles growing with

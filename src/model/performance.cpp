@@ -126,8 +126,7 @@ model_config_error(const AcceleratorConfig &config)
     // search::mapping_cost prices bit-column machines and reads none of
     // the baseline-only knobs.
     if (config.compress_acts || config.accumulator_banks ||
-        config.planar_crossbar || config.matmul_penalty != 1.0 ||
-        config.e_lane_overhead_pj != 0.0) {
+        config.planar_crossbar || config.e_lane_overhead_pj != 0.0) {
         return "baseline-only knob on a bit-column machine";
     }
     for (const auto &su : config.dataflows) {
@@ -157,10 +156,10 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
 {
     const Int8Tensor &w = weights != nullptr ? *weights : layer.weights;
     // Matmul layers map their token batch onto OX (im2col view) on
-    // machines whose dataflow supports it (SCNN's planar-tiled conv
-    // dataflow does not, which is what sinks it on LSTM/BERT).
-    const LayerDesc desc = config_.map_batch_to_ox
-        ? normalized_for_mapping(layer.desc) : layer.desc;
+    // every machine. On SCNN's planar-tiled dataflow that view leaves
+    // the OXu x OYu crossbar token-starved, which is what sinks it on
+    // LSTM/BERT (the starvation factor below).
+    const LayerDesc desc = normalized_for_mapping(layer.desc);
 
     LayerResult r;
     r.layer_name = desc.name;
@@ -271,26 +270,22 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
     // planar-crossbar machines); the energy side charges the conflict
     // share of the resulting cycles as arbitration churn below.
     double starvation = 1.0;
-    if (layer.desc.kind == LayerKind::kLinear ||
-        layer.desc.kind == LayerKind::kLstm) {
-        double penalty = config_.matmul_penalty;
-        if (config_.planar_crossbar) {
-            // Conv-specialized machines run matmuls as degenerate 1x1
-            // convolutions; the planar output tile starves when the
-            // token batch cannot fill the OXu x OYu crossbar (BERT's 4
-            // tokens vs a 64-position tile) and conflicts grow with the
-            // fill deficit. Exponent calibrated against the paper's
-            // Fig. 14 CNN-LSTM and Bert-Base bars (together with
-            // make_scnn()'s value_imbalance).
-            const double positions = static_cast<double>(
-                su.factor(Dim::kOX) * su.factor(Dim::kOY));
-            const double tokens = std::clamp(
-                static_cast<double>(desc.ox), 1.0, positions);
-            starvation = std::pow(positions / tokens,
-                                  kPlanarStarvationExponent);
-            penalty *= starvation;
-        }
-        compute_cycles *= penalty;
+    const bool matmul = layer.desc.kind == LayerKind::kLinear ||
+        layer.desc.kind == LayerKind::kLstm;
+    if (config_.planar_crossbar && matmul) {
+        // Conv-specialized machines run matmuls as degenerate 1x1
+        // convolutions; the planar output tile starves when the token
+        // batch cannot fill the OXu x OYu crossbar (BERT's 4 tokens vs
+        // a 64-position tile) and conflicts grow with the fill deficit.
+        // Exponent calibrated against the paper's Fig. 14 CNN-LSTM and
+        // Bert-Base bars (together with make_scnn()'s value_imbalance).
+        const double positions = static_cast<double>(
+            su.factor(Dim::kOX) * su.factor(Dim::kOY));
+        const double tokens = std::clamp(
+            static_cast<double>(desc.ox), 1.0, positions);
+        starvation =
+            std::pow(positions / tokens, kPlanarStarvationExponent);
+        compute_cycles *= starvation;
     }
     r.compute_cycles = compute_cycles;
     r.cycles_per_group = cycles_per_pass;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <chrono>
 #include <deque>
 #include <optional>
@@ -99,13 +98,6 @@ struct ServiceShared
     std::deque<std::uint64_t> kept GUARDED_BY(jobs_mutex);
     std::vector<BatchControl *> active_batches GUARDED_BY(jobs_mutex);
 
-    /// Sliding window of the last <= 32 evaluation-attempt outcomes
-    /// (bit = failure), the input to the health state.
-    MutexCap health_mutex;
-    std::uint32_t health_window GUARDED_BY(health_mutex) = 0;
-    int health_count GUARDED_BY(health_mutex) = 0;
-    std::atomic<int> health{static_cast<int>(HealthState::kHealthy)};
-
     /// This instance's counters; stats() reads them.
     metrics::Counter submitted;
     metrics::Counter dedup_hits;
@@ -118,7 +110,6 @@ struct ServiceShared
     metrics::Counter chunks;
     metrics::Counter retries;
     metrics::Counter quarantined;
-    metrics::Counter watchdog_cancels;
 
     /// Per-phase latency histograms (ungated: always recorded so
     /// stats() is populated without BITWAVE_METRICS).
@@ -165,32 +156,6 @@ saturating_deadline(Clock::time_point base, double seconds)
     return base +
         std::chrono::duration_cast<Clock::duration>(
                std::chrono::duration<double>(seconds));
-}
-
-/// Record one evaluation-attempt outcome and refresh the health state.
-void
-record_attempt(ServiceShared &shared, bool ok)
-{
-    MutexLock lock(shared.health_mutex);
-    shared.health_window =
-        (shared.health_window << 1) | (ok ? 0u : 1u);
-    if (shared.health_count < 32) {
-        shared.health_count++;
-    }
-    const std::uint32_t mask = shared.health_count >= 32
-        ? 0xffffffffu
-        : ((1u << shared.health_count) - 1u);
-    const int fails = std::popcount(shared.health_window & mask);
-    HealthState state = HealthState::kHealthy;
-    if (shared.health_count >= 8) {
-        if (fails * 2 >= shared.health_count) {
-            state = HealthState::kFailing;
-        } else if (fails * 8 >= shared.health_count) {
-            state = HealthState::kDegraded;
-        }
-    }
-    shared.health.store(static_cast<int>(state),
-                        std::memory_order_relaxed);
 }
 
 /// Move @p state to a terminal status (idempotent) and count it.
@@ -302,17 +267,6 @@ ticket_status_terminal(TicketStatus status)
 {
     return status != TicketStatus::kQueued &&
         status != TicketStatus::kRunning;
-}
-
-const char *
-health_state_name(HealthState state)
-{
-    switch (state) {
-      case HealthState::kHealthy: return "healthy";
-      case HealthState::kDegraded: return "degraded";
-      case HealthState::kFailing: return "failing";
-    }
-    return "?";
 }
 
 // ---------------------------------------------------------------------------
@@ -721,14 +675,8 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
         return a > b ? a - b : 0;
     };
 
-    if (report.stalled) {
-        shared_->watchdog_cancels.inc();
-        trace::instant("service.watchdog_cancel", "service");
-    }
-
     // A cancelled job was abandoned by every subscriber or cut short by
-    // shutdown(kAbort), so it does not count as evaluated. The stall
-    // budget ends a job as kTransient, which does.
+    // shutdown(kAbort), so it does not count as evaluated.
     std::vector<ErrorKind> kinds(live.size(), ErrorKind::kInternal);
     for (std::size_t i = 0; i < live.size(); ++i) {
         if (outcomes[i].error) {
@@ -801,7 +749,6 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
                 job.result = std::move(out.result);
                 detail::finish_job_locked(*shared_, job, TicketStatus::kDone,
                                           nullptr);
-                detail::record_attempt(*shared_, true);
                 any_done = true;
                 continue;
             }
@@ -816,7 +763,6 @@ EvalService::process_batch(std::shared_ptr<detail::Job> first, bool linger)
                     nullptr, ErrorKind::kCancelled);
                 continue;
             }
-            detail::record_attempt(*shared_, false);
             detail::finish_job_locked(*shared_, job, TicketStatus::kFailed,
                                       out.error, kinds[i]);
         }
@@ -903,11 +849,8 @@ EvalService::stats() const
     s.chunks = shared_->chunks.value();
     s.retries = shared_->retries.value();
     s.quarantined = shared_->quarantined.value();
-    s.watchdog_cancels = shared_->watchdog_cancels.value();
     s.queue_depth = shared_->queue.size();
     s.peak_queue_depth = shared_->queue.peak_size();
-    s.health = static_cast<HealthState>(
-        shared_->health.load(std::memory_order_relaxed));
     s.queue_wait_ns = shared_->phase_queue.snapshot();
     s.batch_ns = shared_->phase_batch.snapshot();
     s.compute_ns = shared_->phase_compute.snapshot();

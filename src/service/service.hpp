@@ -57,15 +57,6 @@
  *    the failure stays (without its Scenario, up to kMaxKeptFailures,
  *    oldest evicted first) and an identical resubmission completes
  *    inside submit() with the stored error.
- *
- *  - **Stall budget.** `runner.stall_budget_seconds` bounds a batch's
- *    wall time inside the runner: scenarios still unfinished past it
- *    fail as kTransient, finished ones complete, and stats() counts the
- *    batch in watchdog_cancels.
- *
- *  - **Health.** stats().health summarises the recent attempt window
- *    (kHealthy/kDegraded/kFailing). It is reported only; admission
- *    never reads it.
  */
 #pragma once
 
@@ -96,17 +87,6 @@ enum class BackpressurePolicy
                  ///< the new one is admitted.
 };
 
-/// Service health, derived from the recent evaluation-attempt window.
-enum class HealthState
-{
-    kHealthy,   ///< Failures rare or absent.
-    kDegraded,  ///< >= 1/8 of recent attempts failed.
-    kFailing,   ///< >= 1/2 of recent attempts failed.
-};
-
-/// Display name of a health state ("healthy", ...).
-const char *health_state_name(HealthState state);
-
 /// Most kInvalid failures the outcome table keeps for resubmissions;
 /// the oldest is evicted first.
 inline constexpr std::size_t kMaxKeptFailures = 1024;
@@ -133,9 +113,9 @@ struct ServiceOptions
      * pump() never does.
      */
     double linger_seconds = 0.002;
-    /// Evaluation core configuration (threads, grain, scheduler,
-    /// chaos_seed, stall_budget_seconds). The per-batch cancel flag is
-    /// service-managed; any `cancel` pointer set here is ignored.
+    /// Evaluation core configuration (threads, grain, chaos_seed). The
+    /// per-batch cancel flag is service-managed; any `cancel` pointer
+    /// set here is ignored.
     eval::RunnerOptions runner;
     /// In-place retry of kTransient failures: layer ranges in the
     /// runner, and queue admission in submit().
@@ -268,11 +248,8 @@ struct ServiceStats
     std::uint64_t bisections = 0;
     std::uint64_t quarantined = 0;    ///< kInvalid failures kept in the
                                       ///< outcome table.
-    std::uint64_t watchdog_cancels = 0;  ///< Batches that ran past the
-                                         ///< runner's stall budget.
     std::size_t queue_depth = 0;      ///< Current queue size.
     std::size_t peak_queue_depth = 0;
-    HealthState health = HealthState::kHealthy;
     /**
      * Per-phase latency decomposition of evaluated requests, in
      * nanoseconds: submit -> pop (queue_wait_ns), pop -> evaluation

@@ -64,9 +64,6 @@ class Bce
     /// Step 5 result: the accumulated output register.
     std::int32_t output() const { return accumulator_; }
 
-    /// Clear the output register (new output position).
-    void reset_output() { accumulator_ = 0; }
-
     const BceActivity &activity() const { return activity_; }
 
   private:

@@ -152,6 +152,9 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
     // Streamed columns times the weights each covers: a row's tail group
     // holds fewer than group_size weights when C is not a multiple of G.
     std::int64_t column_weights_once = 0;
+    // Each group pass streams its columns plus, in sparse mode, its
+    // one-byte zero-column index; dense mode streams no index.
+    const std::int64_t index_bits = config_.dense_mode ? 0 : kWordBits;
 
     for (std::int64_t k0 = 0; k0 < k_total; k0 += ku) {
         const std::int64_t k1 = std::min<std::int64_t>(k0 + ku, k_total);
@@ -177,7 +180,7 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
                     ++group_passes_once;
                     nz_streamed_once += nz;
                     column_weights_once += nz * len;
-                    weight_bits_once += kWordBits +
+                    weight_bits_once += index_bits +
                         static_cast<std::int64_t>(nz) * group_size;
                 }
                 lockstep += worst;

@@ -72,7 +72,7 @@ pack_bitplanes(const Int8Tensor &tensor, Representation repr)
 {
     // A throwing pack never poisons the shared cache: get_or_build
     // leaves the entry unbuilt on exception, so the next hit rebuilds.
-    BITWAVE_FAULT_INJECT("bitplane.pack");
+    BITWAVE_FAULT_POINT("bitplane.pack");
     BitPlanes out;
     out.repr = repr;
     out.n = tensor.numel();

@@ -919,7 +919,7 @@ TEST(Fault, DisarmedPointsCostOneBranchAndNeverFire)
     fault::reset();
     EXPECT_FALSE(fault::enabled());
     for (int i = 0; i < 1000; ++i) {
-        EXPECT_FALSE(BITWAVE_FAULT_POINT("test.disarmed"));
+        EXPECT_NO_THROW(BITWAVE_FAULT_POINT("test.disarmed"));
     }
 }
 
@@ -927,24 +927,33 @@ TEST(Fault, SpecArmsPointsByNameAndWildcard)
 {
     fault::configure("test.always=1:error,other.point=0.5", 42);
     EXPECT_TRUE(fault::enabled());
-    // kError faults return true from the point expression.
-    EXPECT_TRUE(BITWAVE_FAULT_POINT("test.always"));
+    EXPECT_THROW(BITWAVE_FAULT_POINT("test.always"), FaultError);
     fault::configure("*=1:error", 42);
-    EXPECT_TRUE(BITWAVE_FAULT_POINT("test.some.new.point"));
+    EXPECT_THROW(BITWAVE_FAULT_POINT("test.some.new.point"), FaultError);
     fault::reset();
     EXPECT_FALSE(fault::enabled());
-    EXPECT_FALSE(BITWAVE_FAULT_POINT("test.always"));
+    EXPECT_NO_THROW(BITWAVE_FAULT_POINT("test.always"));
 }
 
-TEST(Fault, TransientFaultsThrowWithTaxonomyKind)
+/// The kind one draw of point @p name throws; nullopt when it does not
+/// fire.
+std::optional<ErrorKind>
+draw(const char *name, std::uint64_t context = 0)
 {
-    fault::configure("test.transient=1", 7);
     try {
-        BITWAVE_FAULT_INJECT("test.transient");
-        FAIL() << "armed transient point must throw";
+        fault::fire(fault::register_point(name), context);
     } catch (const FaultError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::kTransient);
+        return e.kind();
     }
+    return std::nullopt;
+}
+
+TEST(Fault, EveryKindThrowsItsTaxonomyKind)
+{
+    // `transient` (the default kind) is retryable; `error` is not.
+    fault::configure("test.transient=1,test.error=1:error", 7);
+    EXPECT_EQ(draw("test.transient"), ErrorKind::kTransient);
+    EXPECT_EQ(draw("test.error"), ErrorKind::kInternal);
     fault::reset();
 }
 
@@ -957,7 +966,7 @@ TEST(Fault, DrawsAreSeededAndDeterministic)
         std::vector<bool> fired;
         fired.reserve(64);
         for (int i = 0; i < 64; ++i) {
-            fired.push_back(BITWAVE_FAULT_POINT("test.seeded"));
+            fired.push_back(draw("test.seeded").has_value());
         }
         fault::reset();
         return fired;
@@ -979,22 +988,24 @@ TEST(Fault, ContextTagRestrictsFiring)
     // context hash — the mechanism the chaos tests use to poison one
     // scenario of a batch.
     fault::configure("test.tagged@poison=1:error", 3);
-    EXPECT_TRUE(BITWAVE_FAULT_POINT_CTX("test.tagged",
-                                        fault::context_tag("poison")));
-    EXPECT_FALSE(BITWAVE_FAULT_POINT_CTX("test.tagged",
-                                         fault::context_tag("innocent")));
-    EXPECT_FALSE(BITWAVE_FAULT_POINT("test.tagged"));
+    EXPECT_TRUE(
+        draw("test.tagged", fault::context_tag("poison")).has_value());
+    EXPECT_FALSE(
+        draw("test.tagged", fault::context_tag("innocent")).has_value());
+    EXPECT_FALSE(draw("test.tagged").has_value());
     fault::reset();
 }
 
 TEST(Fault, MalformedSpecEntriesAreSkipped)
 {
     // Bad entries warn once and are ignored; good entries in the same
-    // spec still arm.
-    fault::configure("nonsense,=0.5,test.ok=1:error,p=2.0,p=0.5:bogus",
+    // spec still arm. There is no `delay` kind.
+    fault::configure("nonsense,=0.5,test.ok=1:error,p=2.0,p=0.5:bogus,"
+                     "test.slow=1:delay:50",
                      1);
-    EXPECT_TRUE(BITWAVE_FAULT_POINT("test.ok"));
-    EXPECT_FALSE(BITWAVE_FAULT_POINT("p"));
+    EXPECT_EQ(draw("test.ok"), ErrorKind::kInternal);
+    EXPECT_FALSE(draw("p").has_value());
+    EXPECT_FALSE(draw("test.slow").has_value());
     fault::reset();
 }
 
@@ -1003,21 +1014,13 @@ TEST(Fault, StatsCountChecksAndFires)
     fault::configure("test.counted=1:error", 9);
     const auto before = fault::stats();
     for (int i = 0; i < 10; ++i) {
-        EXPECT_TRUE(BITWAVE_FAULT_POINT("test.counted"));
+        EXPECT_EQ(draw("test.counted"), ErrorKind::kInternal);
     }
     const auto after = fault::stats();
     EXPECT_EQ(after.checks, before.checks + 10);
     EXPECT_EQ(after.fired, before.fired + 10);
     EXPECT_EQ(after.errors, before.errors + 10);
-    bool found = false;
-    for (const auto &info : fault::points()) {
-        if (info.name == "test.counted") {
-            found = true;
-            EXPECT_EQ(info.probability, 1.0);
-            EXPECT_GE(info.fired, 10u);
-        }
-    }
-    EXPECT_TRUE(found);
+    EXPECT_EQ(after.transients, before.transients);
     fault::reset();
 }
 

@@ -5,8 +5,8 @@
  * agreement through the scenario engine, ScenarioRunner determinism
  * under 1 vs N threads, private workload seeds synthesized layer by
  * layer inside the runner's units, its per-scenario failure contract
- * (in-place retry, isolation, invalid requests, the stall budget), and
- * the core/pipeline facade that drives it.
+ * (in-place retry, isolation, invalid requests), and the
+ * core/pipeline facade that drives it.
  */
 #include <gtest/gtest.h>
 
@@ -643,43 +643,6 @@ TEST(ScenarioRunner, PrivateWorkloadRetriesInPlaceBitIdentical)
         }
         EXPECT_GT(report.retries, 0) << "storm never fired";
     }
-}
-
-TEST(ScenarioRunner, StallBudgetEndsUnfinishedScenariosAsTransient)
-{
-    // Every layer range sleeps 50 ms against a 20 ms budget: the range
-    // after the first ends its scenario with the budget's kTransient
-    // error, which is never retried in place, so no scenario finishes
-    // and the report says the batch stalled.
-    auto batch = determinism_batch();
-    batch.resize(3);
-    FaultGuard guard("runner.chunk=1:delay:50", 7);
-    eval::RunnerOptions options;
-    options.threads = 2;
-    options.shard_layers = 1;
-    eval::RetryPolicy retry;
-    retry.max_attempts = 3;
-
-    options.stall_budget_seconds = 0.02;
-    eval::RunnerReport report;
-    auto outcomes =
-        eval::ScenarioRunner(options).run_outcomes(batch, {}, retry, &report);
-    ASSERT_EQ(outcomes.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        ASSERT_TRUE(outcomes[i].error) << batch[i].name();
-        EXPECT_EQ(error_kind_of(outcomes[i].error),
-                  eval::ErrorKind::kTransient);
-    }
-    EXPECT_TRUE(report.stalled);
-    EXPECT_EQ(report.retries, 0);
-
-    options.stall_budget_seconds = 0.0;
-    outcomes =
-        eval::ScenarioRunner(options).run_outcomes(batch, {}, retry, &report);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        EXPECT_FALSE(outcomes[i].error) << batch[i].name();
-    }
-    EXPECT_FALSE(report.stalled);
 }
 
 TEST(ScenarioRunner, InvalidScenarioThrowsInvalidEvalError)

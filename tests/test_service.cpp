@@ -206,6 +206,209 @@ TEST(Fingerprint, DistinguishesEveryResultAffectingKnob)
     EXPECT_NE(eval::scenario_fingerprint(other), fp);
 }
 
+/// @p v moved off its current value: @p a, or @p b when it already is @p a.
+template <typename T>
+T
+other_than(T v, T a, T b)
+{
+    return v == a ? b : a;
+}
+
+// Dedup hands one request's result to another with the same
+// fingerprint, so every config field an engine reads must reach it:
+// move each field to another value, under the engine that reads it,
+// and the fingerprint must change.
+TEST(Fingerprint, EveryConfigFieldReachesIt)
+{
+    // Member-count tripwires: a structured binding names every member,
+    // so a new member fails to compile here until it is bound and its
+    // case below is added.
+    {
+        [[maybe_unused]] const auto &[name, style, sparsity, weight_repr,
+                                      dataflows, mapping_policy, memory,
+                                      sync_lanes, interleave_window,
+                                      interleave_overhead, compress_weights,
+                                      accumulator_banks, compress_acts,
+                                      value_imbalance, planar_crossbar,
+                                      layer_sequential_dram,
+                                      e_crossbar_conflict_pj,
+                                      e_lane_overhead_pj] =
+            AcceleratorConfig{};
+        [[maybe_unused]] const auto &[weight_sram_bytes, act_sram_bytes,
+                                      weight_port_bits, act_port_bits] =
+            MemoryHierarchy{};
+        [[maybe_unused]] const auto &[su_name, factors, depthwise_only,
+                                      bit_columns] = SpatialUnrolling{};
+        [[maybe_unused]] const auto &[npu_dataflows, npu_mapping_policy,
+                                      npu_weight_sram_bytes,
+                                      npu_act_sram_bytes,
+                                      npu_weight_port_bits, act_sram_banks,
+                                      sram_word_bits, dense_mode, repr,
+                                      act_seed] = NpuConfig{};
+        [[maybe_unused]] const auto &[stats_group_size, column_stats,
+                                      reference_codecs] = eval::StatsSpec{};
+        [[maybe_unused]] const auto &[mode, flip_group_size, zero_columns,
+                                      weight_share] = eval::BitflipSpec{};
+    }
+
+    using E = eval::EngineKind;
+    using Policy = search::MappingPolicy;
+    struct Case
+    {
+        const char *field;
+        E engine;
+        void (*perturb)(eval::Scenario &);
+    };
+    const Case cases[] = {
+        // AcceleratorConfig, read by the analytical model.
+        {"accel.name", E::kAnalytical,
+         [](eval::Scenario &s) { s.accel.name += "'"; }},
+        {"accel.style", E::kAnalytical,
+         [](eval::Scenario &s) {
+             s.accel.style = other_than(s.accel.style,
+                                        ComputeStyle::kBitParallel,
+                                        ComputeStyle::kBitSerial);
+         }},
+        {"accel.sparsity", E::kAnalytical,
+         [](eval::Scenario &s) {
+             s.accel.sparsity = other_than(s.accel.sparsity,
+                                           SparsityMode::kNone,
+                                           SparsityMode::kValue);
+         }},
+        {"accel.weight_repr", E::kAnalytical,
+         [](eval::Scenario &s) {
+             s.accel.weight_repr = other_than(
+                 s.accel.weight_repr, Representation::kTwosComplement,
+                 Representation::kSignMagnitude);
+         }},
+        {"accel.dataflows (length)", E::kAnalytical,
+         [](eval::Scenario &s) { s.accel.dataflows.pop_back(); }},
+        {"accel.dataflows[0].name", E::kAnalytical,
+         [](eval::Scenario &s) { s.accel.dataflows[0].name += "'"; }},
+        {"accel.dataflows[0].factors", E::kAnalytical,
+         [](eval::Scenario &s) {
+             s.accel.dataflows[0].factors[Dim::kOX] += 1;
+         }},
+        {"accel.dataflows[0].depthwise_only", E::kAnalytical,
+         [](eval::Scenario &s) {
+             s.accel.dataflows[0].depthwise_only =
+                 !s.accel.dataflows[0].depthwise_only;
+         }},
+        {"accel.dataflows[0].bit_columns", E::kAnalytical,
+         [](eval::Scenario &s) { s.accel.dataflows[0].bit_columns += 1; }},
+        {"accel.mapping_policy", E::kAnalytical,
+         [](eval::Scenario &s) {
+             s.accel.mapping_policy =
+                 other_than(s.accel.mapping_policy, Policy::kUtilization,
+                            Policy::kCostAware);
+         }},
+        {"accel.memory.weight_sram_bytes", E::kAnalytical,
+         [](eval::Scenario &s) { s.accel.memory.weight_sram_bytes *= 2; }},
+        {"accel.memory.act_sram_bytes", E::kAnalytical,
+         [](eval::Scenario &s) { s.accel.memory.act_sram_bytes *= 2; }},
+        {"accel.memory.weight_port_bits", E::kAnalytical,
+         [](eval::Scenario &s) { s.accel.memory.weight_port_bits *= 2; }},
+        {"accel.memory.act_port_bits", E::kAnalytical,
+         [](eval::Scenario &s) { s.accel.memory.act_port_bits *= 2; }},
+        {"accel.sync_lanes", E::kAnalytical,
+         [](eval::Scenario &s) { s.accel.sync_lanes += 1; }},
+        {"accel.interleave_window", E::kAnalytical,
+         [](eval::Scenario &s) { s.accel.interleave_window += 1; }},
+        {"accel.interleave_overhead", E::kAnalytical,
+         [](eval::Scenario &s) { s.accel.interleave_overhead += 0.5; }},
+        {"accel.compress_weights", E::kAnalytical,
+         [](eval::Scenario &s) {
+             s.accel.compress_weights = !s.accel.compress_weights;
+         }},
+        {"accel.accumulator_banks", E::kAnalytical,
+         [](eval::Scenario &s) {
+             s.accel.accumulator_banks = !s.accel.accumulator_banks;
+         }},
+        {"accel.compress_acts", E::kAnalytical,
+         [](eval::Scenario &s) {
+             s.accel.compress_acts = !s.accel.compress_acts;
+         }},
+        {"accel.value_imbalance", E::kAnalytical,
+         [](eval::Scenario &s) { s.accel.value_imbalance += 0.5; }},
+        {"accel.planar_crossbar", E::kAnalytical,
+         [](eval::Scenario &s) {
+             s.accel.planar_crossbar = !s.accel.planar_crossbar;
+         }},
+        {"accel.layer_sequential_dram", E::kAnalytical,
+         [](eval::Scenario &s) {
+             s.accel.layer_sequential_dram = !s.accel.layer_sequential_dram;
+         }},
+        {"accel.e_crossbar_conflict_pj", E::kAnalytical,
+         [](eval::Scenario &s) { s.accel.e_crossbar_conflict_pj += 1.0; }},
+        {"accel.e_lane_overhead_pj", E::kAnalytical,
+         [](eval::Scenario &s) { s.accel.e_lane_overhead_pj += 1.0; }},
+        // NpuConfig, read by the cycle-level simulator.
+        {"npu.dataflows", E::kCycleSim,
+         [](eval::Scenario &s) { s.npu.dataflows.pop_back(); }},
+        {"npu.mapping_policy", E::kCycleSim,
+         [](eval::Scenario &s) {
+             s.npu.mapping_policy =
+                 other_than(s.npu.mapping_policy, Policy::kUtilization,
+                            Policy::kCostAware);
+         }},
+        {"npu.weight_sram_bytes", E::kCycleSim,
+         [](eval::Scenario &s) { s.npu.weight_sram_bytes *= 2; }},
+        {"npu.act_sram_bytes", E::kCycleSim,
+         [](eval::Scenario &s) { s.npu.act_sram_bytes *= 2; }},
+        {"npu.weight_port_bits", E::kCycleSim,
+         [](eval::Scenario &s) { s.npu.weight_port_bits *= 2; }},
+        {"npu.act_sram_banks", E::kCycleSim,
+         [](eval::Scenario &s) { s.npu.act_sram_banks *= 2; }},
+        {"npu.sram_word_bits", E::kCycleSim,
+         [](eval::Scenario &s) { s.npu.sram_word_bits *= 2; }},
+        {"npu.dense_mode", E::kCycleSim,
+         [](eval::Scenario &s) { s.npu.dense_mode = !s.npu.dense_mode; }},
+        {"npu.repr", E::kCycleSim,
+         [](eval::Scenario &s) {
+             s.npu.repr = other_than(s.npu.repr,
+                                     Representation::kTwosComplement,
+                                     Representation::kSignMagnitude);
+         }},
+        {"npu.act_seed", E::kCycleSim,
+         [](eval::Scenario &s) { s.npu.act_seed += 1; }},
+        // StatsSpec, read by the statistics engine.
+        {"stats.group_size", E::kStats,
+         [](eval::Scenario &s) { s.stats.group_size *= 2; }},
+        {"stats.column_stats", E::kStats,
+         [](eval::Scenario &s) {
+             s.stats.column_stats = !s.stats.column_stats;
+         }},
+        {"stats.reference_codecs", E::kStats,
+         [](eval::Scenario &s) {
+             s.stats.reference_codecs = !s.stats.reference_codecs;
+         }},
+        // BitflipSpec, read by every engine's preparation.
+        {"bitflip.mode", E::kAnalytical,
+         [](eval::Scenario &s) {
+             s.bitflip.mode = other_than(s.bitflip.mode,
+                                         eval::BitflipSpec::Mode::kNone,
+                                         eval::BitflipSpec::Mode::kUniform);
+         }},
+        {"bitflip.group_size", E::kAnalytical,
+         [](eval::Scenario &s) { s.bitflip.group_size *= 2; }},
+        {"bitflip.zero_columns", E::kAnalytical,
+         [](eval::Scenario &s) { s.bitflip.zero_columns += 1; }},
+        {"bitflip.weight_share", E::kAnalytical,
+         [](eval::Scenario &s) { s.bitflip.weight_share /= 2; }},
+    };
+    eval::Scenario base =
+        tiny_scenario(tiny_net(), make_bitwave(BitWaveVariant::kDfSm));
+    // The one Bit-Flip mode that reads every BitflipSpec field.
+    base.bitflip.mode = eval::BitflipSpec::Mode::kHeavyLayers;
+    for (const Case &c : cases) {
+        eval::Scenario s = base;
+        s.engine = c.engine;
+        const auto fp = eval::scenario_fingerprint(s);
+        c.perturb(s);
+        EXPECT_NE(eval::scenario_fingerprint(s), fp) << c.field;
+    }
+}
+
 // ------------------------------------------------------------ lifecycle ---
 
 TEST(Service, TicketCompletesAndMatchesDirectEvaluation)

@@ -284,6 +284,26 @@ TEST(SimCycles, SparseNeverSlowerThanDense)
     EXPECT_LT(rs.weight_bits_fetched, rd.weight_bits_fetched);
 }
 
+TEST(SimCycles, DenseModeStreamsNoIndex)
+{
+    // Dense mode streams all 8 columns of every group and no zero-column
+    // index (sim/zcip.hpp): one weight sweep is exactly 8 * G bits per
+    // group, a row's C-tail group included (C = 24 at G = 16).
+    NpuConfig cfg;
+    cfg.dense_mode = true;
+    const BitWaveNpu npu(cfg);
+    for (const auto &desc : {make_conv("c", 16, 32, 8, 8, 3, 3),
+                             make_conv("tail", 48, 24, 6, 6, 3, 3)}) {
+        SimFixture fx(desc);
+        const auto r = npu.run_layer(fx.layer, &fx.input, nullptr, false);
+        const WeightRowGeometry geom = weight_row_geometry(fx.desc);
+        const std::int64_t groups =
+            geom.rows * ceil_div(geom.row_len, r.group_size);
+        EXPECT_EQ(r.weight_bits_fetched, groups * kWordBits * r.group_size)
+            << desc.name;
+    }
+}
+
 TEST(SimCycles, LockstepIsAtLeastDecoupled)
 {
     SimFixture fx(make_conv("c", 16, 32, 8, 8, 3, 3));

@@ -149,8 +149,6 @@ unservable_scenarios(const std::shared_ptr<const Workload> &net)
         [](eval::Scenario &s) { s.accel.accumulator_banks = true; });
     add("bit-column planar_crossbar",
         [](eval::Scenario &s) { s.accel.planar_crossbar = true; });
-    add("bit-column matmul_penalty",
-        [](eval::Scenario &s) { s.accel.matmul_penalty = 2.0; });
     add("bit-column e_lane_overhead_pj",
         [](eval::Scenario &s) { s.accel.e_lane_overhead_pj = 0.01; });
     return cases;

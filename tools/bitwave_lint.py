@@ -275,7 +275,7 @@ def check_logging(rel, stripped, findings):
     for m in CERR_RE.finditer(stripped):
         findings.append(Finding(
             rel, line_of(stripped, m.start()), "logging",
-            "direct std::cerr; use bitwave::log::warn()/inform() so "
+            "direct std::cerr; use bitwave::warn() so "
             "the sink stays swappable"))
 
 
