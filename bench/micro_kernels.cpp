@@ -146,10 +146,12 @@ main()
 
     {  // BCS stream materialization; its size must be the histogram's.
         BcsCompressed s, p;
-        const double scalar_ms =
-            time_ms([&] { s = bcs_compress_scalar(w, group, repr); });
-        const double packed_ms = time_ms(
-            [&] { p = bcs_compress(planes, w.shape(), group); });
+        const double scalar_ms = time_ms([&] {
+            s = bcs_compress_scalar(w, group, w.numel(), repr);
+        });
+        const double packed_ms = time_ms([&] {
+            p = bcs_compress(planes, w.shape(), group, planes.n);
+        });
         bool identical = s.groups.size() == p.groups.size() &&
             flat.bcs_bits() == p.compressed_bits();
         for (std::size_t i = 0; identical && i < s.groups.size(); ++i) {

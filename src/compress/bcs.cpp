@@ -1,5 +1,6 @@
 #include "compress/bcs.hpp"
 
+#include <algorithm>
 #include <span>
 
 #include "common/bits.hpp"
@@ -54,78 +55,90 @@ BcsCompressed::ideal_compression_ratio() const
     return static_cast<double>(original_bits()) / static_cast<double>(p);
 }
 
+namespace {
+
+/// A stream with no groups yet, after checking that @p group_size is in
+/// [1, 64] and that rows of @p row_len tile the tensor.
+BcsCompressed
+empty_stream(int group_size, std::int64_t row_len, Representation repr,
+             const Shape &shape)
+{
+    const std::int64_t n = shape_numel(shape);
+    if (group_size < 1 || group_size > 64 ||
+        (n > 0 && (row_len < 1 || n % row_len != 0))) {
+        fatal("bcs_compress: group_size %d, row_len %lld for %lld elements",
+              group_size, static_cast<long long>(row_len),
+              static_cast<long long>(n));
+    }
+    return {.group_size = group_size, .repr = repr, .element_count = n,
+            .row_len = row_len, .shape = shape, .groups = {}};
+}
+
+}  // namespace
+
 BcsCompressed
 bcs_compress_scalar(const Int8Tensor &tensor, int group_size,
-                    Representation repr)
+                    std::int64_t row_len, Representation repr)
 {
-    if (group_size < 1 || group_size > 64) {
-        fatal("bcs_compress: group_size must be in [1, 64], got %d",
-              group_size);
-    }
-    BcsCompressed out;
-    out.group_size = group_size;
-    out.repr = repr;
-    out.element_count = tensor.numel();
-    out.shape = tensor.shape();
-
+    BcsCompressed out =
+        empty_stream(group_size, row_len, repr, tensor.shape());
     const std::int64_t n = tensor.numel();
-    out.groups.reserve(static_cast<std::size_t>(ceil_div(n, group_size)));
-    for (std::int64_t start = 0; start < n; start += group_size) {
-        const std::int64_t len = std::min<std::int64_t>(group_size, n - start);
-        const std::span<const std::int8_t> grp(
-            tensor.data() + start, static_cast<std::size_t>(len));
-        BcsGroup g;
-        g.index = column_index(grp, repr);
-        for (int b = 0; b < kWordBits; ++b) {
-            if (test_bit(g.index, b)) {
-                g.columns.push_back(column_bits(grp, b, repr));
+    for (std::int64_t row = 0; row < n; row += row_len) {
+        for (std::int64_t c0 = 0; c0 < row_len; c0 += group_size) {
+            const std::int64_t len =
+                std::min<std::int64_t>(group_size, row_len - c0);
+            const std::span<const std::int8_t> grp(
+                tensor.data() + row + c0, static_cast<std::size_t>(len));
+            BcsGroup g;
+            g.index = column_index(grp, repr);
+            for (int b = 0; b < kWordBits; ++b) {
+                if (test_bit(g.index, b)) {
+                    g.columns.push_back(column_bits(grp, b, repr));
+                }
             }
+            out.groups.push_back(std::move(g));
         }
-        out.groups.push_back(std::move(g));
     }
     return out;
 }
 
 BcsCompressed
-bcs_compress(const BitPlanes &planes, const Shape &shape, int group_size)
+bcs_compress(const BitPlanes &planes, const Shape &shape, int group_size,
+             std::int64_t row_len)
 {
-    if (group_size < 1 || group_size > 64) {
-        fatal("bcs_compress: group_size must be in [1, 64], got %d",
-              group_size);
-    }
     if (shape_numel(shape) != planes.n) {
         fatal("bcs_compress: shape %s does not match %lld packed elements",
               shape_to_string(shape).c_str(),
               static_cast<long long>(planes.n));
     }
-    BcsCompressed out;
-    out.group_size = group_size;
-    out.repr = planes.repr;
-    out.element_count = planes.n;
-    out.shape = shape;
+    BcsCompressed out = empty_stream(group_size, row_len, planes.repr, shape);
     if (planes.n == 0) {
         return out;
     }
 
     const std::int64_t groups =
-        scan_group_count(planes.n, planes.n, group_size);
+        scan_group_count(planes.n, row_len, group_size);
     std::vector<std::uint8_t> idx(static_cast<std::size_t>(groups));
-    scan_group_indexes(planes, planes.n, group_size, idx.data());
+    scan_group_indexes(planes, row_len, group_size, idx.data());
 
     out.groups.resize(static_cast<std::size_t>(groups));
-    for (std::int64_t g = 0; g < groups; ++g) {
-        const std::int64_t start = g * group_size;
-        const int len = static_cast<int>(
-            std::min<std::int64_t>(group_size, planes.n - start));
-        BcsGroup &grp = out.groups[static_cast<std::size_t>(g)];
-        grp.index = idx[static_cast<std::size_t>(g)];
-        grp.columns.reserve(
-            static_cast<std::size_t>(popcount8(grp.index)));
-        for (int b = 0; b < kWordBits; ++b) {
-            if (test_bit(grp.index, b)) {
-                // A payload column IS the plane segment: weight j of the
-                // group at bit j, exactly the scalar column_bits() word.
-                grp.columns.push_back(planes.segment(b, start, len));
+    std::size_t g = 0;
+    for (std::int64_t row = 0; row < planes.n; row += row_len) {
+        for (std::int64_t c0 = 0; c0 < row_len; c0 += group_size, ++g) {
+            const int len = static_cast<int>(
+                std::min<std::int64_t>(group_size, row_len - c0));
+            BcsGroup &grp = out.groups[g];
+            grp.index = idx[g];
+            grp.columns.reserve(
+                static_cast<std::size_t>(popcount8(grp.index)));
+            for (int b = 0; b < kWordBits; ++b) {
+                if (test_bit(grp.index, b)) {
+                    // A payload column IS the plane segment: weight j of
+                    // the group at bit j, exactly the scalar
+                    // column_bits() word.
+                    grp.columns.push_back(
+                        planes.segment(b, row + c0, len));
+                }
             }
         }
     }
@@ -136,7 +149,7 @@ BcsCompressed
 bcs_compress(const Int8Tensor &tensor, int group_size, Representation repr)
 {
     return bcs_compress(pack_bitplanes(tensor, repr), tensor.shape(),
-                        group_size);
+                        group_size, tensor.numel());
 }
 
 Int8Tensor
@@ -144,10 +157,19 @@ bcs_decompress(const BcsCompressed &compressed)
 {
     Int8Tensor out(compressed.shape);
     const int g_size = compressed.group_size;
-    std::int64_t base = 0;
+    const std::int64_t row_len = compressed.row_len;
+    if (static_cast<std::int64_t>(compressed.groups.size()) !=
+        scan_group_count(out.numel(), row_len, g_size)) {
+        fatal("bcs_decompress: %zu groups do not tile shape %s in rows "
+              "of %lld", compressed.groups.size(),
+              shape_to_string(compressed.shape).c_str(),
+              static_cast<long long>(row_len));
+    }
+    std::int64_t row = 0;  // First element of the current row.
+    std::int64_t c0 = 0;   // Offset of the current group in its row.
     for (const auto &g : compressed.groups) {
         std::size_t col_cursor = 0;
-        std::vector<std::uint8_t> words(static_cast<std::size_t>(g_size), 0);
+        std::uint8_t words[64] = {};
         for (int b = 0; b < kWordBits; ++b) {
             if (!test_bit(g.index, b)) {
                 continue;
@@ -159,8 +181,7 @@ bcs_decompress(const BcsCompressed &compressed)
             const std::uint64_t col = g.columns[col_cursor++];
             for (int j = 0; j < g_size; ++j) {
                 if ((col >> j) & 1ULL) {
-                    words[static_cast<std::size_t>(j)] |=
-                        static_cast<std::uint8_t>(1u << b);
+                    words[j] |= static_cast<std::uint8_t>(1u << b);
                 }
             }
         }
@@ -168,13 +189,18 @@ bcs_decompress(const BcsCompressed &compressed)
             fatal("bcs_decompress: corrupt group, stored columns exceed "
                   "index population");
         }
-        for (int j = 0; j < g_size && base + j < compressed.element_count;
-             ++j) {
-            const std::uint8_t w = words[static_cast<std::size_t>(j)];
-            out[base + j] = compressed.repr == Representation::kTwosComplement
-                ? static_cast<std::int8_t>(w) : from_sign_magnitude(w);
+        const std::int64_t len = std::min<std::int64_t>(g_size, row_len - c0);
+        for (std::int64_t j = 0; j < len; ++j) {
+            out[row + c0 + j] =
+                compressed.repr == Representation::kTwosComplement
+                ? static_cast<std::int8_t>(words[j])
+                : from_sign_magnitude(words[j]);
         }
-        base += g_size;
+        c0 += g_size;
+        if (c0 >= row_len) {
+            row += row_len;
+            c0 = 0;
+        }
     }
     return out;
 }

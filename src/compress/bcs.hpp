@@ -2,7 +2,9 @@
  * @file
  * BCS (bit-column sparsity) lossless weight compression — Section III-C.
  *
- * A tensor is split into groups of G words. Each group is stored as:
+ * A tensor is split into rows of row_len words, and every row into
+ * ceil(row_len / G) groups of G words, the last one truncated (a flat
+ * stream is one row of all elements). Each group is stored as:
  *   - an 8-bit zero-column index (bit b set => column b is non-zero and
  *     present in the payload), and
  *   - one G-bit column payload per non-zero column, LSB column first.
@@ -14,7 +16,8 @@
  * A group's size follows from its non-zero column count alone, so every
  * caller that needs only sizes reads them from BitColumnStats
  * (bcs_bits(), bcs_payload_bits(), bcs_compression_ratio()); the stream
- * below is built only when the columns themselves are needed.
+ * below is built only where its groups are read one by one, as the
+ * cycle-level simulator's fetcher, ZCIP and BCEs read them.
  */
 #pragma once
 
@@ -40,6 +43,7 @@ struct BcsCompressed
     int group_size = 0;
     Representation repr = Representation::kSignMagnitude;
     std::int64_t element_count = 0;  ///< Original element count.
+    std::int64_t row_len = 0;        ///< Elements per row of groups.
     Shape shape;                     ///< Original tensor shape.
     std::vector<BcsGroup> groups;
 
@@ -59,20 +63,28 @@ struct BcsCompressed
 };
 
 /**
- * Compress @p tensor with group size @p group_size in representation
- * @p repr. The final partial group (if any) is zero-padded; the pad is
- * dropped again on decompression via `element_count`. The payload
- * columns are gathered straight from the packed bit planes (a group's
- * column IS a plane segment); pass pre-packed planes plus the source
- * shape to amortize the pack.
+ * Compress @p tensor flat (one row of all its elements) with group size
+ * @p group_size in representation @p repr. The final partial group (if
+ * any) is zero-padded; the pad is dropped again on decompression.
  */
 BcsCompressed bcs_compress(const Int8Tensor &tensor, int group_size,
                            Representation repr);
-BcsCompressed bcs_compress(const BitPlanes &planes, const Shape &shape,
-                           int group_size);
 
-/// Element-at-a-time oracle for the packed compressor (tests / bench).
+/**
+ * Compress pre-packed @p planes of a tensor of @p shape in rows of
+ * @p row_len elements (row_len = planes.n is the flat stream): every row
+ * splits into ceil(row_len / group_size) groups, the last one truncated,
+ * as scan_group_indexes() and analyze_bit_columns(planes, group_size,
+ * row_len) group it. A payload column IS a plane segment, so the stream
+ * is the index scan plus one segment gather per non-zero column.
+ */
+BcsCompressed bcs_compress(const BitPlanes &planes, const Shape &shape,
+                           int group_size, std::int64_t row_len);
+
+/// Element-at-a-time oracle for the packed compressor (tests and the
+/// micro-kernel bench), over the same row geometry.
 BcsCompressed bcs_compress_scalar(const Int8Tensor &tensor, int group_size,
+                                  std::int64_t row_len,
                                   Representation repr);
 
 /// Invert bcs_compress exactly (BCS is lossless).

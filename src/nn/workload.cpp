@@ -52,16 +52,6 @@ Workload::total_weights() const
     return n;
 }
 
-std::int64_t
-Workload::total_activations() const
-{
-    std::int64_t n = 0;
-    for (const auto &l : layers) {
-        n += l.desc.input_count() + l.desc.output_count();
-    }
-    return n;
-}
-
 std::size_t
 Workload::layer_index(const std::string &layer_name) const
 {

@@ -118,7 +118,6 @@ struct Workload
 
     std::int64_t total_macs() const;
     std::int64_t total_weights() const;
-    std::int64_t total_activations() const;
 
     /// Index of a layer by name; throws FaultError(kInvalid) if absent.
     std::size_t layer_index(const std::string &layer_name) const;

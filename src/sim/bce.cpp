@@ -38,9 +38,6 @@ Bce::process_column(std::uint64_t column_bits, int shift)
     // Step 4: one shift for the whole column.
     // Step 5: accumulate into the output register.
     accumulator_ += column_sum << shift;
-    ++activity_.column_ops;
-    ++activity_.shifts;
-    ++activity_.output_writes;
 }
 
 std::int32_t

@@ -25,16 +25,8 @@
 
 namespace bitwave {
 
-/// Per-BCE activity counters (for energy accounting).
-struct BceActivity
-{
-    std::int64_t column_ops = 0;  ///< Bit-column multiply/accumulate ops.
-    std::int64_t shifts = 0;      ///< Single-shift operations.
-    std::int64_t output_writes = 0;
-};
-
 /**
- * Functional + activity model of one (possibly fused) BCE.
+ * Functional model of one (possibly fused) BCE.
  */
 class Bce
 {
@@ -64,14 +56,11 @@ class Bce
     /// Step 5 result: the accumulated output register.
     std::int32_t output() const { return accumulator_; }
 
-    const BceActivity &activity() const { return activity_; }
-
   private:
     std::int8_t activations_[64] = {};
     std::uint64_t sign_bits_ = 0;
     std::size_t width_ = 0;
     std::int32_t accumulator_ = 0;
-    BceActivity activity_;
 };
 
 /**

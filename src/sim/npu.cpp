@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/bits.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "compress/bcs.hpp"
 #include "nn/reference.hpp"
 #include "nn/synthesis.hpp"
-#include "sparsity/bitcolumn.hpp"
+#include "sim/bce.hpp"
+#include "sim/zcip.hpp"
 
 namespace bitwave {
 
@@ -30,53 +33,11 @@ BitWaveNpu::BitWaveNpu(NpuConfig config, const TechParams &tech,
     if (config_.dataflows.empty()) {
         fatal("BitWaveNpu: no dataflows configured");
     }
-}
-
-std::vector<BitWaveNpu::CompressedRow>
-BitWaveNpu::compress_rows(const BitPlanes &planes, const LayerDesc &desc,
-                          int group_size) const
-{
-    const WeightRowGeometry geom = weight_row_geometry(desc);
-    if (geom.rows * geom.row_len != planes.n) {
-        fatal("compress_rows: weight tensor does not match layer %s",
-              desc.to_string().c_str());
+    if (config_.act_sram_bytes <= 0 || config_.act_sram_banks <= 0 ||
+        config_.sram_word_bits <= 0) {
+        fatal("BitWaveNpu: activation SRAM size, banks and word bits "
+              "must be positive");
     }
-    // One word-parallel pass yields every group's zero-column index; the
-    // payload gather below then touches only the non-zero planes.
-    const std::int64_t groups_per_row =
-        ceil_div(geom.row_len, group_size);
-    std::vector<std::uint8_t> indexes(
-        static_cast<std::size_t>(geom.rows * groups_per_row));
-    if (planes.n > 0) {
-        scan_group_indexes(planes, geom.row_len, group_size,
-                           indexes.data());
-    }
-
-    ZeroColumnIndexParser parser;
-    std::vector<CompressedRow> rows(static_cast<std::size_t>(geom.rows));
-    for (std::int64_t r = 0; r < geom.rows; ++r) {
-        CompressedRow &row = rows[static_cast<std::size_t>(r)];
-        for (std::int64_t g = 0; g < groups_per_row; ++g) {
-            const std::int64_t c0 = g * group_size;
-            const std::int64_t start = r * geom.row_len + c0;
-            const int len = static_cast<int>(
-                std::min<std::int64_t>(group_size, geom.row_len - c0));
-            ZcipDecode decode = config_.dense_mode
-                ? parser.parse_dense(kWordBits)
-                : parser.parse(indexes[static_cast<std::size_t>(
-                      r * groups_per_row + g)]);
-            std::vector<std::uint64_t> cols;
-            cols.reserve(decode.shifts.size());
-            for (int shift : decode.shifts) {
-                cols.push_back(planes.segment(shift, start, len));
-            }
-            row.sign_columns.push_back(
-                planes.segment(kWordBits - 1, start, len));
-            row.data_columns.push_back(std::move(cols));
-            row.decodes.push_back(std::move(decode));
-        }
-    }
-    return rows;
 }
 
 LayerSimResult
@@ -134,8 +95,17 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
     result.su_name = su.name;
     result.group_size = group_size;
 
-    const auto rows = compress_rows(*planes, desc, group_size);
+    // The weight stream the fetcher reads: every kernel row splits into
+    // row-aligned BCS groups (Section III-C), one index byte plus one
+    // G-bit word per non-zero column each.
     const WeightRowGeometry geom = weight_row_geometry(desc);
+    if (geom.rows * geom.row_len != planes->n) {
+        fatal("BitWaveNpu: weight tensor does not match layer %s",
+              desc.to_string().c_str());
+    }
+    const BcsCompressed stream =
+        bcs_compress(*planes, w.shape(), group_size, geom.row_len);
+    const std::int64_t groups_per_row = ceil_div(geom.row_len, group_size);
     const double bc = static_cast<double>(su.bit_columns);
 
     // ---- Cycle accounting over the temporal tile schedule ---------------
@@ -161,18 +131,19 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
         double tile_work = 0.0;
         // All kernels in the tile share row structure (same layer), so
         // lockstep cost maxes over kernels per (row-in-kernel, group).
-        const std::size_t groups_per_row =
-            rows.empty() ? 0 : rows.front().decodes.size();
         for (std::int64_t f = 0; f < geom.rows_per_kernel; ++f) {
-            for (std::size_t g = 0; g < groups_per_row; ++g) {
+            for (std::int64_t g = 0; g < groups_per_row; ++g) {
                 const std::int64_t len = std::min<std::int64_t>(
-                    group_size,
-                    geom.row_len - static_cast<std::int64_t>(g) * group_size);
+                    group_size, geom.row_len - g * group_size);
                 double worst = 0.0;
                 for (std::int64_t k = k0; k < k1; ++k) {
-                    const auto &row = rows[static_cast<std::size_t>(
-                        k * geom.rows_per_kernel + f)];
-                    const int nz = row.decodes[g].nonzero_columns;
+                    // The ZCIP's Sync.ctr: the group's streamed columns,
+                    // all eight in dense mode.
+                    const int nz = config_.dense_mode
+                        ? kWordBits
+                        : popcount8(stream.groups[static_cast<std::size_t>(
+                              (k * geom.rows_per_kernel + f) *
+                                  groups_per_row + g)].index);
                     const double cycles = std::max(
                         1.0, std::ceil(static_cast<double>(nz) / bc));
                     tile_work += cycles;
@@ -205,11 +176,9 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
     // Activation fetches: one group-wide activation vector per k-tile
     // group pass, covering OXu output positions, re-fetched per revisit.
     const std::int64_t k_tiles = ceil_div(k_total, ku);
-    const std::size_t groups_per_row =
-        rows.empty() ? 0 : rows.front().decodes.size();
     result.act_bits_fetched = k_tiles * geom.rows_per_kernel *
-        static_cast<std::int64_t>(groups_per_row) * group_size *
-        su.factor(Dim::kOX) * kWordBits * revisits;
+        groups_per_row * group_size * su.factor(Dim::kOX) * kWordBits *
+        revisits;
 
     // Activations cross DRAM only at the network boundary (the Fig. 16
     // residency assumption the analytical model applies): first layers
@@ -219,10 +188,6 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
         (ctx.last_layer ? desc.output_count() * kWordBits : 0);
 
     // ---- SRAM / DRAM composition (Eq. 5) ---------------------------------
-    BankedSram act_sram(config_.act_sram_bytes, config_.act_sram_banks,
-                        config_.sram_word_bits);
-    act_sram.read(result.act_bits_fetched);
-    act_sram.write(result.output_words * kWordBits);
     result.act_fetch_cycles =
         static_cast<double>(result.act_bits_fetched) /
         static_cast<double>(config_.act_sram_banks *
@@ -289,9 +254,23 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
         Int32Tensor out({desc.batch, desc.k, desc.oy, desc.ox});
         std::vector<std::int8_t> acts(static_cast<std::size_t>(group_size));
         std::vector<std::int32_t> accs(static_cast<std::size_t>(desc.k));
-        const std::size_t act_groups =
-            rows.empty() ? 0 : rows.front().decodes.size();
         const bool depthwise = desc.kind == LayerKind::kDepthwiseConv;
+
+        // The ZCIP parses each group's index, and the BCE reads the
+        // stream's own columns. Dense mode takes the same path: the
+        // columns it would add are zero and contribute nothing.
+        const ZeroColumnIndexParser zcip;
+        const auto group_pass = [&](std::span<const std::int8_t> acts_in,
+                                    std::int64_t row, std::int64_t g) {
+            const BcsGroup &grp = stream.groups[static_cast<std::size_t>(
+                row * groups_per_row + g)];
+            // Columns are stored in ascending bit order: the data columns
+            // first, then the sign column when index bit 7 is set.
+            const ZcipDecode decode = zcip.parse(grp.index);
+            return bce_group_pass(
+                acts_in, decode, {grp.columns.data(), decode.shifts.size()},
+                decode.sign_request ? grp.columns.back() : 0);
+        };
 
         // Batched gathers: for standard layers a group's activation
         // vector depends only on (b, oy, ox, f, g), so it is gathered
@@ -307,9 +286,9 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
                          ++f) {
                         const std::int64_t fy = f / desc.fx;
                         const std::int64_t fx = f % desc.fx;
-                        for (std::size_t g = 0; g < act_groups; ++g) {
-                            const std::int64_t c0 =
-                                static_cast<std::int64_t>(g) * group_size;
+                        for (std::int64_t g = 0; g < groups_per_row;
+                             ++g) {
+                            const std::int64_t c0 = g * group_size;
                             const std::int64_t len =
                                 std::min<std::int64_t>(
                                     group_size, geom.row_len - c0);
@@ -336,9 +315,6 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
                                 }
                             }
                             for (std::int64_t k = 0; k < desc.k; ++k) {
-                                const auto &row =
-                                    rows[static_cast<std::size_t>(
-                                        k * geom.rows_per_kernel + f)];
                                 if (depthwise) {
                                     for (std::int64_t j = 0; j < len;
                                          ++j) {
@@ -357,13 +333,10 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
                                     }
                                 }
                                 accs[static_cast<std::size_t>(k)] +=
-                                    bce_group_pass(
+                                    group_pass(
                                         {acts.data(),
                                          static_cast<std::size_t>(len)},
-                                        row.decodes[g],
-                                        {row.data_columns[g].data(),
-                                         row.data_columns[g].size()},
-                                        row.sign_columns[g]);
+                                        k * geom.rows_per_kernel + f, g);
                             }
                         }
                     }

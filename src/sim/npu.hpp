@@ -7,7 +7,10 @@
  * The simulator is *functional* (its outputs are bit-exact against the
  * reference int8 kernels) and *cycle-level*: it walks the temporal tile
  * schedule of the selected SU and charges per-group column cycles from
- * the actual compressed weight stream. Two cycle counts are reported:
+ * the actual compressed weight stream, the row-aligned bcs_compress()
+ * stream the fetcher reads. No SRAM object exists: the activation SRAM
+ * is priced by its port, banks x word width bits per cycle, and the
+ * weight SRAM by its weight port. Two cycle counts are reported:
  *
  *  - `cycles_decoupled`: lanes drain their group streams independently
  *    through the fetcher's double buffering (throughput = mean group
@@ -31,9 +34,6 @@
 #include "energy/pricing.hpp"
 #include "energy/tech.hpp"
 #include "nn/workload.hpp"
-#include "sim/bce.hpp"
-#include "sim/sram.hpp"
-#include "sim/zcip.hpp"
 
 namespace bitwave {
 
@@ -139,21 +139,6 @@ class BitWaveNpu
     const NpuConfig &config() const { return config_; }
 
   private:
-    /// One compressed weight row (all groups along the reduction axis).
-    struct CompressedRow
-    {
-        std::vector<ZcipDecode> decodes;
-        std::vector<std::vector<std::uint64_t>> data_columns;
-        std::vector<std::uint64_t> sign_columns;
-    };
-
-    /// Row-aligned BCS compression of a weight tensor from its packed
-    /// bit planes: indexes come from the word-parallel group scan and
-    /// every payload/sign column is a plane segment gather.
-    std::vector<CompressedRow> compress_rows(const BitPlanes &planes,
-                                             const LayerDesc &desc,
-                                             int group_size) const;
-
     NpuConfig config_;
     const TechParams &tech_;
     const DramModel &dram_;

@@ -1,7 +1,6 @@
 #include "sim/zcip.hpp"
 
 #include "common/bits.hpp"
-#include "common/logging.hpp"
 
 namespace bitwave {
 
@@ -17,21 +16,6 @@ ZeroColumnIndexParser::parse(std::uint8_t index) const
     }
     out.nonzero_columns =
         static_cast<int>(out.shifts.size()) + (out.sign_request ? 1 : 0);
-    return out;
-}
-
-ZcipDecode
-ZeroColumnIndexParser::parse_dense(int precision) const
-{
-    if (precision < 1 || precision > kWordBits) {
-        fatal("parse_dense: precision %d out of [1, 8]", precision);
-    }
-    ZcipDecode out;
-    out.sign_request = true;
-    for (int b = 0; b < precision - 1; ++b) {
-        out.shifts.push_back(b);
-    }
-    out.nonzero_columns = precision;
     return out;
 }
 

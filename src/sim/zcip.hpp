@@ -8,10 +8,6 @@
  * the BCE's partial-sum accumulation. The parser also derives the number
  * of non-zero columns (Sync.ctr) that controls how many cycles the
  * current index's computation occupies.
- *
- * In dense mode the parser synthesizes shift controls locally from the
- * configured precision, so uncompressed (deeply-quantized) weights run
- * without index overhead.
  */
 #pragma once
 
@@ -36,14 +32,8 @@ struct ZcipDecode
 class ZeroColumnIndexParser
 {
   public:
-    /// Decode a sparse-mode index byte.
+    /// Decode an index byte.
     ZcipDecode parse(std::uint8_t index) const;
-
-    /**
-     * Dense-mode decode: all @p precision data columns present plus the
-     * sign column; no index is consumed.
-     */
-    ZcipDecode parse_dense(int precision) const;
 };
 
 }  // namespace bitwave

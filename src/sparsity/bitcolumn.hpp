@@ -75,8 +75,9 @@ struct BitColumnStats
     std::int64_t bcs_bits() const;
     /// BCS compression ratio, index included (the paper's "real CR"):
     /// elements * 8 / bcs_bits(), or 0 when nothing was scanned. Over
-    /// flat groups these three equal bcs_compress()'s payload_bits(),
-    /// compressed_bits() and compression_ratio().
+    /// the same groups, flat or row-aligned, these three equal
+    /// bcs_compress()'s payload_bits(), compressed_bits() and
+    /// compression_ratio().
     double bcs_compression_ratio() const;
     /// Merge the counts of @p other into this.
     void merge(const BitColumnStats &other);

@@ -82,12 +82,6 @@ struct BitPlanes
         }
         return mask;
     }
-
-    /// Resident size of the packed planes in bytes.
-    std::int64_t memory_bytes() const
-    {
-        return static_cast<std::int64_t>(bits.size()) * 8;
-    }
 };
 
 /// One-time transpose of @p tensor into bit planes of @p repr.
@@ -101,8 +95,8 @@ BitPlanes pack_bitplanes(const Int8Tensor &tensor, Representation repr);
  * for flat whole-tensor grouping. @p out must hold
  * rows * ceil(row_len / group_size) bytes.
  *
- * This is the column-index stream the BCS compressor and the
- * simulator's row compression read; it shares one per-group walk with
+ * This is the column-index stream of the BCS compressor, which the
+ * cycle-level simulator reads row-aligned; it shares one per-group walk with
  * scan_zero_column_histogram(). 64-aligned layouts take a whole-word
  * SWAR path that emits up to 8 group masks per plane load. Both scans
  * require 1 <= group_size <= 64.

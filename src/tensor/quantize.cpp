@@ -7,92 +7,6 @@
 
 namespace bitwave {
 
-namespace {
-
-std::int8_t
-quantize_value(float x, float scale)
-{
-    if (scale <= 0.f) {
-        return 0;
-    }
-    const float q = std::round(x / scale);
-    const float clamped = std::clamp(
-        q, static_cast<float>(kSignMagMin), static_cast<float>(kSignMagMax));
-    return static_cast<std::int8_t>(clamped);
-}
-
-}  // namespace
-
-float
-QuantizedTensor::scale_for(std::int64_t i) const
-{
-    if (!per_channel) {
-        return scales.empty() ? 1.f : scales[0];
-    }
-    const std::int64_t channels = values.dim(0);
-    const std::int64_t per_chan = values.numel() / std::max<std::int64_t>(
-        channels, 1);
-    const std::int64_t k = per_chan > 0 ? i / per_chan : 0;
-    return scales[static_cast<std::size_t>(
-        std::min<std::int64_t>(k, channels - 1))];
-}
-
-float
-QuantizedTensor::dequantize(std::int64_t i) const
-{
-    return static_cast<float>(values[i]) * scale_for(i);
-}
-
-QuantizedTensor
-quantize_per_tensor(const FloatTensor &input)
-{
-    float max_abs = 0.f;
-    for (std::int64_t i = 0; i < input.numel(); ++i) {
-        max_abs = std::max(max_abs, std::abs(input[i]));
-    }
-    const float scale = max_abs > 0.f
-        ? max_abs / static_cast<float>(kSignMagMax) : 1.f;
-
-    QuantizedTensor out;
-    out.values = Int8Tensor(input.shape());
-    out.scales = {scale};
-    out.per_channel = false;
-    for (std::int64_t i = 0; i < input.numel(); ++i) {
-        out.values[i] = quantize_value(input[i], scale);
-    }
-    return out;
-}
-
-QuantizedTensor
-quantize_per_channel(const FloatTensor &input)
-{
-    if (input.rank() == 0 || input.dim(0) == 0) {
-        fatal("per-channel quantization requires a non-empty dim 0");
-    }
-    const std::int64_t channels = input.dim(0);
-    const std::int64_t per_chan = input.numel() / channels;
-
-    QuantizedTensor out;
-    out.values = Int8Tensor(input.shape());
-    out.scales.resize(static_cast<std::size_t>(channels));
-    out.per_channel = true;
-
-    for (std::int64_t k = 0; k < channels; ++k) {
-        float max_abs = 0.f;
-        for (std::int64_t j = 0; j < per_chan; ++j) {
-            max_abs = std::max(max_abs, std::abs(input[k * per_chan + j]));
-        }
-        const float scale = max_abs > 0.f
-            ? max_abs / static_cast<float>(kSignMagMax) : 1.f;
-        out.scales[static_cast<std::size_t>(k)] = scale;
-        for (std::int64_t j = 0; j < per_chan; ++j) {
-            out.values[k * per_chan + j] =
-                quantize_value(input[k * per_chan + j], scale);
-        }
-    }
-    return out;
-}
-
 Int8Tensor
 requantize_to_bits(const Int8Tensor &input, int bits)
 {

@@ -1,49 +1,15 @@
 /**
  * @file
- * Post-training quantization (PTQ) of floating-point tensors to Int8, plus
- * the reduced-bit-width PTQ baseline the paper compares Bit-Flip against
- * (the "Int8+PTQ" series of Fig. 6(e)-(h)).
- *
- * Quantization is symmetric (zero-point 0) as assumed by the BitWave
- * sign-magnitude datapath. Values are clamped to [-127, 127] so every
- * quantized word is representable in 8-bit sign-magnitude.
+ * The reduced-bit-width PTQ baseline the paper compares Bit-Flip against
+ * (the "Int8+PTQ" series of Fig. 6(e)-(h)). Weights arrive as symmetric
+ * int8 (zero-point 0, clamped to [-127, 127]) as assumed by the BitWave
+ * sign-magnitude datapath.
  */
 #pragma once
-
-#include <cstdint>
-#include <vector>
 
 #include "tensor/tensor.hpp"
 
 namespace bitwave {
-
-/// Result of quantizing a float tensor: int8 data plus scale(s).
-struct QuantizedTensor
-{
-    Int8Tensor values;          ///< Quantized words.
-    std::vector<float> scales;  ///< One scale (per-tensor) or one per channel.
-    bool per_channel = false;   ///< True when scales.size() == dim(0).
-
-    /// Dequantize element @p i (flat index) back to float.
-    float dequantize(std::int64_t i) const;
-
-    /// Scale applied to flat element @p i.
-    float scale_for(std::int64_t i) const;
-};
-
-/**
- * Symmetric per-tensor PTQ: scale = max|x| / 127.
- *
- * @param input  Float tensor.
- * @return Quantized tensor with a single scale.
- */
-QuantizedTensor quantize_per_tensor(const FloatTensor &input);
-
-/**
- * Symmetric per-channel PTQ along dimension 0 (output channels for
- * weights): scale_k = max|x_k| / 127.
- */
-QuantizedTensor quantize_per_channel(const FloatTensor &input);
 
 /**
  * Reduced-precision PTQ baseline: requantize an Int8 tensor to @p bits

@@ -72,8 +72,6 @@ class Tensor
 
     T *data() { return data_.data(); }
     const T *data() const { return data_.data(); }
-    std::vector<T> &storage() { return data_; }
-    const std::vector<T> &storage() const { return data_; }
 
     T &operator[](std::int64_t i)
     {
@@ -126,7 +124,6 @@ class Tensor
     std::vector<T> data_;
 };
 
-using FloatTensor = Tensor<float>;
 using Int8Tensor = Tensor<std::int8_t>;
 using Int32Tensor = Tensor<std::int32_t>;
 

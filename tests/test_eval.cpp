@@ -153,6 +153,42 @@ TEST(Scenario, LayerFilterRestrictsEvaluation)
     EXPECT_GT(r.total_cycles, 0.0);
 }
 
+TEST(Scenario, SeedChangesNothingButRngSeed)
+{
+    // Scenario sweeps run the simulator for its accounting only
+    // (compute_output = false), and only the functional pass draws
+    // synthetic activations from NpuConfig::act_seed. So neither the
+    // scenario's salt nor its batch position reaches a result: on all
+    // three engines every field but rng_seed matches across two salts
+    // at two batch positions.
+    const auto net = std::make_shared<Workload>(tiny_workload());
+    for (const auto engine :
+         {eval::EngineKind::kAnalytical, eval::EngineKind::kCycleSim,
+          eval::EngineKind::kStats}) {
+        eval::Scenario s;
+        s.custom_workload = net;
+        s.accel = make_bitwave(BitWaveVariant::kDfSm);
+        s.engine = engine;
+        const auto golden =
+            eval::evaluate_scenario(s, eval::scenario_rng_seed(s, 0));
+        for (const std::uint64_t salt : {0ull, 17ull}) {
+            for (const std::size_t index : {std::size_t{0}, std::size_t{5}}) {
+                eval::Scenario salted = s;
+                salted.seed = salt;
+                const std::uint64_t seed =
+                    eval::scenario_rng_seed(salted, index);
+                auto r = eval::evaluate_scenario(salted, seed);
+                EXPECT_EQ(r.rng_seed, seed);
+                if (salt != 0 || index != 0) {
+                    EXPECT_NE(seed, golden.rng_seed);
+                }
+                r.rng_seed = golden.rng_seed;
+                expect_identical(r, golden);
+            }
+        }
+    }
+}
+
 // ----------------------------------------- sim vs model (shared core) ---
 
 TEST(Engine, SimAndModelAgreeThroughTheSharedCore)

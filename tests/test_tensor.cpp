@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the tensor substrate and post-training quantization.
+ * Unit tests for the tensor substrate and reduced-bit PTQ.
  */
 #include <gtest/gtest.h>
 
@@ -52,52 +52,6 @@ TEST(Tensor, FillAndEquality)
     EXPECT_EQ(a, b);
     b[2] = 0;
     EXPECT_FALSE(a == b);
-}
-
-TEST(Quantize, PerTensorScaleCoversMax)
-{
-    FloatTensor x({4}, {0.5f, -1.0f, 0.25f, 2.54f});
-    const auto q = quantize_per_tensor(x);
-    ASSERT_EQ(q.scales.size(), 1u);
-    EXPECT_NEAR(q.scales[0], 2.54f / 127.f, 1e-6f);
-    EXPECT_EQ(q.values[3], 127);
-    EXPECT_NEAR(q.dequantize(1), -1.0f, q.scales[0]);
-}
-
-TEST(Quantize, PerTensorClampsToSignMagnitudeRange)
-{
-    // All quantized codes must be representable in sign-magnitude, i.e.
-    // never -128.
-    Rng rng(3);
-    FloatTensor x({1000});
-    for (std::int64_t i = 0; i < x.numel(); ++i) {
-        x[i] = static_cast<float>(rng.gaussian(1.0));
-    }
-    const auto q = quantize_per_tensor(x);
-    for (std::int64_t i = 0; i < q.values.numel(); ++i) {
-        EXPECT_GE(q.values[i], -127);
-        EXPECT_LE(q.values[i], 127);
-    }
-}
-
-TEST(Quantize, PerChannelUsesIndependentScales)
-{
-    FloatTensor x({2, 2}, {0.1f, -0.1f, 10.f, -5.f});
-    const auto q = quantize_per_channel(x);
-    ASSERT_EQ(q.scales.size(), 2u);
-    EXPECT_NEAR(q.scales[0], 0.1f / 127.f, 1e-7f);
-    EXPECT_NEAR(q.scales[1], 10.f / 127.f, 1e-6f);
-    EXPECT_EQ(q.values[0], 127);
-    EXPECT_EQ(q.values[2], 127);
-}
-
-TEST(Quantize, AllZeroTensorQuantizesToZero)
-{
-    FloatTensor x({8});
-    const auto q = quantize_per_tensor(x);
-    for (std::int64_t i = 0; i < q.values.numel(); ++i) {
-        EXPECT_EQ(q.values[i], 0);
-    }
 }
 
 TEST(Requantize, EightBitsIsIdentity)

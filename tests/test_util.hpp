@@ -154,31 +154,67 @@ unservable_scenarios(const std::shared_ptr<const Workload> &net)
     return cases;
 }
 
+/// Every component of two energy breakdowns, bit for bit.
+inline void
+expect_identical(const EnergyBreakdown &a, const EnergyBreakdown &b)
+{
+    EXPECT_EQ(a.mac_pj, b.mac_pj);
+    EXPECT_EQ(a.sram_pj, b.sram_pj);
+    EXPECT_EQ(a.reg_pj, b.reg_pj);
+    EXPECT_EQ(a.dram_pj, b.dram_pj);
+    EXPECT_EQ(a.static_pj, b.static_pj);
+    EXPECT_EQ(a.total_pj, b.total_pj);
+}
+
 /// Bit-identical, not approximately equal: the determinism contract.
+/// Covers every result field but the host-side diagnostics
+/// (wall_seconds, stats_memo_hits, stats_from_memo).
 inline void
 expect_identical(const eval::ScenarioResult &a, const eval::ScenarioResult &b)
 {
     EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.engine, b.engine);
+    EXPECT_EQ(a.accelerator, b.accelerator);
+    EXPECT_EQ(a.workload, b.workload);
     EXPECT_EQ(a.rng_seed, b.rng_seed);
     EXPECT_EQ(a.total_cycles, b.total_cycles) << a.name;
-    EXPECT_EQ(a.energy.total_pj, b.energy.total_pj) << a.name;
+    expect_identical(a.energy, b.energy);
     EXPECT_EQ(a.nominal_macs, b.nominal_macs) << a.name;
     ASSERT_EQ(a.layers.size(), b.layers.size());
     for (std::size_t l = 0; l < a.layers.size(); ++l) {
-        EXPECT_EQ(a.layers[l].layer_name, b.layers[l].layer_name);
-        EXPECT_EQ(a.layers[l].total_cycles, b.layers[l].total_cycles);
-        EXPECT_EQ(a.layers[l].energy.total_pj, b.layers[l].energy.total_pj);
-        EXPECT_EQ(a.layers[l].cycles_per_group,
-                  b.layers[l].cycles_per_group);
+        const eval::LayerEval &x = a.layers[l];
+        const eval::LayerEval &y = b.layers[l];
+        EXPECT_EQ(x.layer_name, y.layer_name);
+        EXPECT_EQ(x.su_name, y.su_name);
+        EXPECT_EQ(x.utilization, y.utilization);
+        EXPECT_EQ(x.compute_cycles, y.compute_cycles);
+        EXPECT_EQ(x.cycles_lockstep, y.cycles_lockstep);
+        EXPECT_EQ(x.dram_cycles, y.dram_cycles);
+        EXPECT_EQ(x.total_cycles, y.total_cycles);
+        EXPECT_EQ(x.cycles_per_group, y.cycles_per_group);
+        expect_identical(x.energy, y.energy);
         // kStats records carry no cycles: compare their statistics.
-        ASSERT_EQ(a.layers[l].stats == nullptr,
-                  b.layers[l].stats == nullptr);
-        if (a.layers[l].stats) {
-            const auto &x = a.layers[l].stats->sparsity;
-            const auto &y = b.layers[l].stats->sparsity;
-            EXPECT_EQ(x.value_sparsity(), y.value_sparsity());
-            EXPECT_EQ(x.bit_sparsity(Representation::kSignMagnitude),
-                      y.bit_sparsity(Representation::kSignMagnitude));
+        ASSERT_EQ(x.stats == nullptr, y.stats == nullptr);
+        if (x.stats) {
+            const eval::LayerStatsEval &p = *x.stats;
+            const eval::LayerStatsEval &q = *y.stats;
+            EXPECT_EQ(p.sparsity.words, q.sparsity.words);
+            EXPECT_EQ(p.sparsity.zero_words, q.sparsity.zero_words);
+            EXPECT_EQ(p.sparsity.zero_bits_2c, q.sparsity.zero_bits_2c);
+            EXPECT_EQ(p.sparsity.zero_bits_sm, q.sparsity.zero_bits_sm);
+            EXPECT_EQ(p.columns_2c.bcs_bits(), q.columns_2c.bcs_bits());
+            EXPECT_EQ(p.columns_sm.bcs_bits(), q.columns_sm.bcs_bits());
+            for (int z = 0; z <= 8; ++z) {
+                EXPECT_EQ(p.columns_2c.zero_column_hist[z],
+                          q.columns_2c.zero_column_hist[z]);
+                EXPECT_EQ(p.columns_sm.zero_column_hist[z],
+                          q.columns_sm.zero_column_hist[z]);
+            }
+            EXPECT_EQ(p.weight_bits, q.weight_bits);
+            EXPECT_EQ(p.zre_bits, q.zre_bits);
+            EXPECT_EQ(p.zre_ideal_bits, q.zre_ideal_bits);
+            EXPECT_EQ(p.csr_bits, q.csr_bits);
+            EXPECT_EQ(p.csr_ideal_bits, q.csr_ideal_bits);
         }
     }
 }
