@@ -9,9 +9,12 @@
  * verifies bit-identical results in the same run, and closes with a
  * `runner_scaling` row timing the runner's chunk-cursor pool serial vs
  * parallel on a warm batch, the serial cost of one uniform draw (param
- * `uniform_ns_per_draw`), of synthesizing the tensor (param
- * `synthesis_ns_per_weight`) and of flipping a CNN-profile one (param
- * `bitflip_ns_per_weight`), plus `fault_branch` /
+ * `uniform_ns_per_draw`, with the refill variant that drew it in
+ * `rng_refill_isa`), of synthesizing the tensor and a ResNet18
+ * (Laplacian) one (params `synthesis_ns_per_weight`,
+ * `synthesis_cnn_ns_per_weight`) and of flipping a CNN-profile tensor
+ * and BERT-Base's `layer.0.ffn_in` (params `bitflip_ns_per_weight`,
+ * `bitflip_bert_ns_per_weight`), plus `fault_branch` /
  * `metrics_record` rows measuring the cost of a disarmed fault point and
  * a disarmed gated histogram record (the robustness and observability
  * layers' zero-overhead claims). Emits BENCH_micro_kernels.json; CI
@@ -87,6 +90,31 @@ same_stats(const BitColumnStats &a, const BitColumnStats &b)
         }
     }
     return true;
+}
+
+/// Layer @p name of benchmark network @p id: its shape and synthesis
+/// profile, weights not yet drawn.
+WorkloadLayer
+network_layer(WorkloadId id, const std::string &name)
+{
+    const Workload skeleton = build_workload_skeleton(id);
+    return skeleton.layers[skeleton.layer_index(name)];
+}
+
+/// Serial cost in ns per weight of @p fn over @p weights weights: best
+/// of 3 inside a single-worker frame, so nested loops (synthesis
+/// chunks, Bit-Flip groups) stay on this core.
+double
+serial_ns_per_weight(std::int64_t weights, const std::function<void()> &fn)
+{
+    double ns = 0.0;
+    worksteal_for(
+        1,
+        [&](std::size_t) {
+            ns = time_ms(fn) * 1e6 / static_cast<double>(weights);
+        },
+        /*threads=*/1);
+    return ns;
 }
 
 }  // namespace
@@ -293,28 +321,31 @@ main()
         uniform_ns = ms * 1e6 / static_cast<double>(kDraws);
     }
     json.param("uniform_ns_per_draw", uniform_ns);
+    json.param("rng_refill_isa", detail::active_refill().name);
 
     // ---------------------------------------------------- synthesis ---
     // Serial cost of synthesizing one weight: the ffn_in tensor above
-    // again, best of 3, inside a single-worker frame so its nested
-    // kernel chunks stay on this core. Published, not gated.
-    double synthesis_ns = 0.0;
-    worksteal_for(
-        1,
-        [&](std::size_t) {
-            const double ms = time_ms([&] {
-                Rng synth_rng(0xBEEF);
-                synthesize_weights(desc, profile, synth_rng);
-            });
-            synthesis_ns = ms * 1e6 / static_cast<double>(w.numel());
-        },
-        /*threads=*/1);
+    // again (Gaussian) and ResNet18's `l4.0.conv2` (Laplacian, what
+    // cold_sweep draws). Published, not gated.
+    const double synthesis_ns = serial_ns_per_weight(w.numel(), [&] {
+        Rng synth_rng(0xBEEF);
+        synthesize_weights(desc, profile, synth_rng);
+    });
     json.param("synthesis_ns_per_weight", synthesis_ns);
+    const WorkloadLayer l4 =
+        network_layer(WorkloadId::kResNet18, "l4.0.conv2");
+    const double synthesis_cnn_ns = serial_ns_per_weight(
+        shape_numel(WorkloadLayer::weight_shape(l4.desc)), [&] {
+            Rng synth_rng(0xBEEF);
+            synthesize_weights(l4.desc, l4.profile, synth_rng);
+        });
+    json.param("synthesis_cnn_ns_per_weight", synthesis_cnn_ns);
 
     // ----------------------------------------------------- Bit-Flip ---
-    // Serial cost of flipping one weight at g16/z4, on a ResNet-scale
-    // conv tensor drawn from a CNN (Laplacian) profile, best of 3 in a
-    // single-worker frame like the synthesis row. Published, not gated.
+    // Serial cost of flipping one weight: at g16/z4 on a ResNet-scale
+    // conv tensor drawn from a CNN (Laplacian) profile, and at g16/z5
+    // on BERT-Base's `layer.0.ffn_in`, the grid flagship's twin.
+    // Published, not gated.
     double bitflip_ns = 0.0;
     {
         const LayerDesc conv = make_conv("conv", 256, 256, 14, 14, 3, 3);
@@ -324,17 +355,21 @@ main()
         cnn.zero_avoidance = 0.8;
         Rng cnn_rng(0xBEEF);
         const Int8Tensor cw = synthesize_weights(conv, cnn, cnn_rng);
-        Int8Tensor flipped;
-        worksteal_for(
-            1,
-            [&](std::size_t) {
-                const double ms =
-                    time_ms([&] { flipped = bitflip_tensor(cw, 16, 4); });
-                bitflip_ns = ms * 1e6 / static_cast<double>(cw.numel());
-            },
-            /*threads=*/1);
+        bitflip_ns = serial_ns_per_weight(
+            cw.numel(), [&] { bitflip_tensor(cw, 16, 4); });
     }
     json.param("bitflip_ns_per_weight", bitflip_ns);
+    double bitflip_bert_ns = 0.0;
+    {
+        const WorkloadLayer ffn =
+            network_layer(WorkloadId::kBertBase, "layer.0.ffn_in");
+        Rng ffn_rng(0xBEEF);
+        const Int8Tensor fw =
+            synthesize_weights(ffn.desc, ffn.profile, ffn_rng);
+        bitflip_bert_ns = serial_ns_per_weight(
+            fw.numel(), [&] { bitflip_tensor(fw, 16, 5); });
+    }
+    json.param("bitflip_bert_ns_per_weight", bitflip_bert_ns);
 
     // ------------------------------------------------- fault branch ---
     // Cost of a *disarmed* fault point — the robustness acceptance
@@ -412,12 +447,14 @@ main()
     }
 
     std::printf("%s", table.render().c_str());
-    std::printf("\nSerial uniform draw: %.2f ns.\n", uniform_ns);
-    std::printf("Serial weight synthesis: %.1f ns per weight.\n",
-                synthesis_ns);
-    std::printf("Serial Bit-Flip (g16/z4, CNN profile): %.1f ns per "
-                "weight.\n",
-                bitflip_ns);
+    std::printf("\nSerial uniform draw: %.2f ns (%s refill).\n",
+                uniform_ns, detail::active_refill().name);
+    std::printf("Serial weight synthesis: %.1f ns per weight (BERT "
+                "ffn_in), %.1f (ResNet18 l4.0.conv2).\n",
+                synthesis_ns, synthesis_cnn_ns);
+    std::printf("Serial Bit-Flip: %.1f ns per weight (g16/z4, CNN "
+                "profile), %.1f (g16/z5, BERT-Base ffn_in).\n",
+                bitflip_ns, bitflip_bert_ns);
     std::printf("\nPacked kernels read 64 weights per word; the pack is "
                 "one transpose per tensor, cached by content hash in "
                 "production paths.\n");

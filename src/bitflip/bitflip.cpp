@@ -134,103 +134,56 @@ materialize(std::span<std::int8_t> group,
     }
 }
 
+/// Four uint32_t lanes; GCC/Clang lower its arithmetic to SSE2 at the
+/// baseline target.
+using U32x4 = std::uint32_t __attribute__((vector_size(16)));
+
+/// One weight's squared re-rounding error under each of the eight greedy
+/// candidates: lanes 0-3 in `lo`, lanes 4-7 in `hi`.
+struct DropRow
+{
+    U32x4 lo;
+    U32x4 hi;
+};
+
+/// Rows per allowed mask: one per sign-magnitude byte.
+using DropRows = std::array<DropRow, 256>;
+
 /**
- * drop_table[mask][m][c] = squared re-rounding error of magnitude m once
- * greedy candidate c leaves the allowed columns @p mask: magnitude
- * column c for c < 7, the sign column for c = 7 (which leaves a
- * non-negative weight's error at err2[mask][m]). One 16-byte row per
- * weight prices all eight candidates.
+ * drop_table[mask][sm][c] = squared re-rounding error of the weight
+ * whose sign-magnitude byte is sm once greedy candidate c leaves the
+ * allowed columns @p mask: magnitude column c for c < 7, the sign
+ * column for c = 7. A non-negative weight keeps its value's error
+ * err2[mask][m] when the sign column drops; a negative one re-rounds to
+ * 0, error m^2. So with the sign column allowed, each weight's row
+ * prices all eight candidates, and a group's costs are its rows' lane
+ * sums. One 32-byte row of uint32_t lanes per (mask, byte), 1 MB in
+ * all, built once like nearest_table.
  */
-const std::array<std::array<std::array<std::uint16_t, kWordBits>, 128>,
-                 128> &
+const std::array<DropRows, 128> &
 drop_table()
 {
     static const auto table = [] {
-        std::array<std::array<std::array<std::uint16_t, kWordBits>, 128>,
-                   128> t{};
+        std::array<DropRows, 128> t{};
         const auto &err2 = err2_table();
         for (std::size_t mask = 0; mask < 128; ++mask) {
-            for (std::size_t m = 0; m < 128; ++m) {
-                for (std::size_t c = 0; c < kWordBits; ++c) {
-                    const std::size_t cand = c < kMagnitudeBits
-                        ? mask & ~(std::size_t{1} << c) : mask;
-                    t[mask][m][c] = err2[cand][m];
+            for (std::size_t sm = 0; sm < 256; ++sm) {
+                const std::size_t m = sm & 0x7F;
+                std::uint32_t lanes[kWordBits];
+                for (std::size_t c = 0; c < kMagnitudeBits; ++c) {
+                    lanes[c] = err2[mask & ~(std::size_t{1} << c)][m];
+                }
+                lanes[kMagnitudeBits] = sm < 0x80
+                    ? err2[mask][m] : static_cast<std::uint32_t>(m * m);
+                for (std::size_t c = 0; c < 4; ++c) {
+                    t[mask][sm].lo[c] = lanes[c];
+                    t[mask][sm].hi[c] = lanes[c + 4];
                 }
             }
         }
         return t;
     }();
     return table;
-}
-
-/**
- * Cost of each greedy candidate under (mask, sign_allowed): the squared
- * re-rounding error of @p group once column c (c < 7) or the sign column
- * (c = 7) is dropped, exactly config_cost() of that configuration. Each
- * weight adds its table row to all eight lanes; a negative weight that
- * has lost its sign column adds the zero row (magnitude 0) instead. The
- * m^2 a negative weight pays without its sign column goes to one scalar,
- * net of its row's lane 7, and joins the lanes whose candidate leaves no
- * sign column. Branch-free: a block's rows are copied out (a gather gcc
- * cannot vectorize) and then summed lane-wise (which it can), in 32-bit
- * lanes widened to int64 per block, so costs stay exact at any size.
- */
-std::array<std::int64_t, kWordBits>
-drop_costs(std::span<const std::int8_t> group, int mask, bool sign_allowed)
-{
-    constexpr std::size_t kBlock = 64;
-    const auto &rows = drop_table()[static_cast<std::size_t>(mask)];
-    const std::uint32_t sign_dropped = sign_allowed ? 0U : ~0U;
-    std::array<std::int64_t, kWordBits> cost{};
-    std::int64_t unsigned_cost = 0;
-    std::array<std::uint16_t, kWordBits> block[kBlock];
-    for (std::size_t b0 = 0; b0 < group.size(); b0 += kBlock) {
-        const std::size_t len = std::min(group.size() - b0, kBlock);
-        std::uint32_t neg_sq = 0;
-        for (std::size_t i = 0; i < len; ++i) {
-            const std::int8_t v = group[b0 + i];
-            const auto m = static_cast<std::uint32_t>(sm_magnitude(v));
-            const std::uint32_t neg = v < 0 ? ~0U : 0U;
-            block[i] = rows[m & ~(neg & sign_dropped)];
-            neg_sq += (m * m - block[i][kMagnitudeBits]) & neg;
-        }
-        std::uint32_t acc[kWordBits] = {};
-        for (std::size_t i = 0; i < len; ++i) {
-            for (std::size_t c = 0; c < kWordBits; ++c) {
-                acc[c] += block[i][c];
-            }
-        }
-        for (std::size_t c = 0; c < kWordBits; ++c) {
-            cost[c] += acc[c];
-        }
-        unsigned_cost += neg_sq;
-    }
-    for (std::size_t c = 0; c < kWordBits; ++c) {
-        if (c == kMagnitudeBits || !sign_allowed) {
-            cost[c] += unsigned_cost;
-        }
-    }
-    return cost;
-}
-
-/// occupancy(materialize(group, mask, sign_allowed)), without writing.
-std::uint8_t
-reround_occupancy(std::span<const std::int8_t> group, int mask,
-                  bool sign_allowed)
-{
-    const auto &nearest = nearest_table()[static_cast<std::size_t>(mask)];
-    const std::uint8_t keep_neg = sign_allowed ? 0xFF : 0x00;
-    std::uint8_t occ = 0;
-    std::uint8_t neg_occ = 0;
-    for (const std::int8_t v : group) {
-        const std::uint8_t nm =
-            nearest[static_cast<std::size_t>(sm_magnitude(v))];
-        const std::uint8_t neg = v < 0 ? 0xFF : 0x00;
-        occ |= nm & static_cast<std::uint8_t>(~neg | keep_neg);
-        neg_occ |= nm & neg;
-    }
-    return static_cast<std::uint8_t>(
-        occ | ((keep_neg & neg_occ) != 0 ? 0x80 : 0x00));
 }
 
 }  // namespace
@@ -252,17 +205,67 @@ bitflip_group(std::span<std::int8_t> group, int target_zero_columns)
     if (target_zero_columns < 0 || target_zero_columns > 8) {
         fatal("bitflip_group: target %d out of [0, 8]", target_zero_columns);
     }
+    constexpr std::size_t kBlock = 64;
+    const auto &nearest = nearest_table();
+    const auto &drops = drop_table();
+    const std::size_t n = group.size();
 
-    std::uint8_t occ = occupancy(group);
+    // Each weight's sign-magnitude byte, computed once: `signed_sm` is
+    // the byte itself, `unsigned_sm` the byte a weight re-rounds from
+    // once the sign column is gone (0 for a negative weight, whose
+    // error is then its m^2, summed once into `neg_sq`). A group of at
+    // most kBlock weights keeps both on the stack.
+    std::array<std::uint8_t, 2 * kBlock> small;
+    std::vector<std::uint8_t> large;
+    std::uint8_t *signed_sm = small.data();
+    if (n > kBlock) {
+        large.resize(2 * n);
+        signed_sm = large.data();
+    }
+    std::uint8_t *const unsigned_sm = signed_sm + n;
+    std::uint8_t occ = 0;
+    std::int64_t neg_sq = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint8_t sm = to_sign_magnitude(group[i]);
+        const std::uint8_t neg = sm >> 7 ? 0xFF : 0x00;
+        const std::int64_t m = sm & 0x7F;
+        signed_sm[i] = sm;
+        unsigned_sm[i] = sm & static_cast<std::uint8_t>(~neg);
+        neg_sq += (m * m) & -static_cast<std::int64_t>(sm >> 7);
+        occ |= sm;
+    }
+
     int mask = occ & 0x7F;
     bool sign_allowed = (occ & 0x80) != 0;
-
+    const std::uint8_t *bytes = sign_allowed ? signed_sm : unsigned_sm;
     while (kWordBits - popcount8(occ) < target_zero_columns) {
+        // Each weight adds its drop row to the eight candidates' costs,
+        // in uint32_t lanes widened to int64 per kBlock weights, so
+        // costs stay exact at any group size. Without the sign column a
+        // negative weight adds the zero row and its m^2 to every lane.
+        const DropRows &rows = drops[static_cast<std::size_t>(mask)];
+        std::array<std::int64_t, kWordBits> cost{};
+        for (std::size_t b0 = 0; b0 < n; b0 += kBlock) {
+            const std::size_t end = std::min(n, b0 + kBlock);
+            U32x4 lo{}, hi{};
+            for (std::size_t i = b0; i < end; ++i) {
+                lo += rows[bytes[i]].lo;
+                hi += rows[bytes[i]].hi;
+            }
+            for (std::size_t c = 0; c < 4; ++c) {
+                cost[c] += lo[c];
+                cost[c + 4] += hi[c];
+            }
+        }
+        if (!sign_allowed) {
+            for (std::int64_t &c : cost) {
+                c += neg_sq;
+            }
+        }
         // The scalar oracle's candidates are the occupied columns, bits
         // 0..6 then the sign (bit 7 of occ implies sign_allowed), taken
         // under a strict <. Costs are exact integers, so comparing them
         // as int64 selects what the oracle's doubles select.
-        const auto cost = drop_costs(group, mask, sign_allowed);
         int best = -1;
         std::int64_t best_cost = std::numeric_limits<std::int64_t>::max();
         for (int c = 0; c < kWordBits; ++c) {
@@ -277,8 +280,19 @@ bitflip_group(std::span<std::int8_t> group, int target_zero_columns)
             mask &= ~(1 << best);
         } else {
             sign_allowed = false;
+            bytes = unsigned_sm;
         }
-        occ = reround_occupancy(group, mask, sign_allowed);
+        // The occupancy once every weight re-rounds under the new mask;
+        // a negative weight keeps the sign column only while it is
+        // allowed, and only if it re-rounds to a non-zero magnitude.
+        const auto &near = nearest[static_cast<std::size_t>(mask)];
+        std::uint8_t mag_occ = 0, neg_occ = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint8_t nm = near[bytes[i] & 0x7F];
+            mag_occ |= nm;
+            neg_occ |= nm & (bytes[i] >> 7 ? 0xFF : 0x00);
+        }
+        occ = static_cast<std::uint8_t>(mag_occ | (neg_occ != 0 ? 0x80 : 0));
     }
 
     // Materialize once. Every d^2 is an integer and every partial sum
@@ -286,17 +300,14 @@ bitflip_group(std::span<std::int8_t> group, int target_zero_columns)
     // element-order double sum bit for bit.
     GroupFlipResult result;
     result.zero_columns = kWordBits - popcount8(occ);
-    const auto &nearest = nearest_table()[static_cast<std::size_t>(mask)];
-    const int keep_neg = sign_allowed ? -1 : 0;
+    const auto &near = nearest[static_cast<std::size_t>(mask)];
     std::int64_t err = 0;
-    for (std::int8_t &w : group) {
-        const int v = w;
-        const int neg = v >> 31;  // 0 or -1
-        const int nm = nearest[static_cast<std::size_t>(sm_magnitude(w))] &
-            (~neg | keep_neg);
-        const int flipped = (nm ^ neg) - neg;
+    for (std::size_t i = 0; i < n; ++i) {
+        const int v = group[i];
+        const int neg = -(bytes[i] >> 7);  // 0 or -1
+        const int flipped = (near[bytes[i] & 0x7F] ^ neg) - neg;
         err += (v - flipped) * (v - flipped);
-        w = static_cast<std::int8_t>(flipped);
+        group[i] = static_cast<std::int8_t>(flipped);
     }
     result.squared_error = static_cast<double>(err);
     return result;

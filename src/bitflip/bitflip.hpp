@@ -41,13 +41,17 @@ struct GroupFlipResult
  *
  * @param target_zero_columns in [0, 8]; 8 forces the all-zero group.
  *
- * Each greedy step prices all eight candidates (drop one of the seven
- * magnitude columns, or the sign column) in one branch-free pass over
- * the group: every weight adds one row of a table built once, the
- * squared re-rounding error of each drop per (allowed mask, magnitude),
- * to eight exact integer sums. The group is materialized once at the
- * end. Selections, flipped values and reported errors are bit-identical
- * to bitflip_group_scalar() at any group size.
+ * Each weight's sign-magnitude byte is computed once per group, and
+ * every greedy step, occupancy update and the final write-back read it.
+ * A step prices all eight candidates (drop one of the seven magnitude
+ * columns, or the sign column) in one branch-free pass over the group:
+ * every weight adds one 32-byte row of a table built once, the squared
+ * re-rounding error of each drop per (allowed mask, sign-magnitude
+ * byte) in eight uint32_t lanes, to two 4-lane vectors, widened to
+ * int64 every 64 weights, so the sums stay exact at any group size. The
+ * group is materialized once at the end; a group of at most 64 weights
+ * allocates nothing. Selections, flipped values and reported errors are
+ * bit-identical to bitflip_group_scalar() at any group size.
  */
 GroupFlipResult bitflip_group(std::span<std::int8_t> group,
                               int target_zero_columns);

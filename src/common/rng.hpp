@@ -25,6 +25,20 @@
  * order. The same contract is why `gaussian` still discards the first
  * value of each polar pair: keeping it would halve its draws but change
  * every Gaussian weight (all of BERT-Base's).
+ *
+ * The refill is compiled three times from one body: as AVX-512F, as
+ * AVX2 and for the baseline target (x86-64 builds; other targets carry
+ * the baseline only). The first refill of the process picks the widest
+ * variant the CPU supports (`__builtin_cpu_supports`, CPUID alone), and
+ * every refill calls it (`detail::active_refill()`; tests reach each
+ * variant through `detail::refill_variants()`). The choice cannot move
+ * a bit: the twist and the tempering are integer operations, and the
+ * conversion's products are by powers of two, so exact. That leaves
+ * one rounding (`hi * 2^32 + lo`), whose result depends neither on the
+ * vector width nor on whether it is fused into an FMA (the build also
+ * passes `-ffp-contract=off`, which keeps it unfused).
+ * `Rng.EveryRefillVariantMatchesTheStandardOracle` (test_common) runs
+ * each variant the CPU supports against the standard engine.
  */
 #pragma once
 
@@ -35,8 +49,46 @@
 #include <cstddef>
 #include <cstdint>
 #include <random>
+#include <span>
 
 namespace bitwave {
+
+namespace detail {
+
+inline constexpr std::size_t kStateWords = 312;  ///< MT19937-64's n
+
+/// MT19937-64's tempering of one state word.
+constexpr std::uint64_t
+temper(std::uint64_t z)
+{
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+}
+
+/// One compiled form of the refill: twist the kStateWords words of
+/// @p state, then store each tempered word's `Rng::canonical` in
+/// @p canonical.
+using RefillFn = void (*)(std::uint64_t *state, double *canonical);
+
+/// A refill variant, named after the instruction set it targets.
+struct RefillVariant
+{
+    const char *name;  ///< "avx512f", "avx2" or "baseline"
+    RefillFn refill;
+    bool supported;    ///< whether this CPU can run it
+};
+
+/// Every variant this build carries, widest first; the baseline, last,
+/// is always supported.
+std::span<const RefillVariant> refill_variants();
+
+/// The variant every refill runs: the first supported one, picked once
+/// per process.
+const RefillVariant &active_refill();
+
+}  // namespace detail
 
 /**
  * MT19937-64 exactly as [rand.eng.mers] specifies the standard's
@@ -63,7 +115,7 @@ class Mt19937_64
         if (next_ >= kStateWords) {
             refill();
         }
-        return temper(state_[next_++]);
+        return detail::temper(state_[next_++]);
     }
 
     /// The same draw as `Rng::canonical((*this)())`, prepared by the
@@ -77,19 +129,10 @@ class Mt19937_64
     }
 
   private:
-    static constexpr std::size_t kStateWords = 312;  ///< n
-    static constexpr std::size_t kShiftWords = 156;  ///< m
-
-    static constexpr result_type temper(result_type z)
-    {
-        z ^= (z >> 29) & 0x5555555555555555ULL;
-        z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
-        z ^= (z << 37) & 0xFFF7EEE000000000ULL;
-        return z ^ (z >> 43);
-    }
+    static constexpr std::size_t kStateWords = detail::kStateWords;
 
     /// Twist all kStateWords words in one pass, then temper and convert
-    /// each into `canonical_` in another.
+    /// each into `canonical_` in another, through detail::active_refill().
     void refill();
 
     std::array<std::uint64_t, kStateWords> state_;

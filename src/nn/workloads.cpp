@@ -9,6 +9,7 @@
 #include "common/logging.hpp"
 #include "common/lru.hpp"
 #include "common/metrics.hpp"
+#include "common/trace.hpp"
 #include "common/worksteal.hpp"
 #include "nn/synthesis.hpp"
 
@@ -305,8 +306,12 @@ Workload
 build_workload(WorkloadId id, std::uint64_t seed)
 {
     Workload w = build_workload_skeleton(id, seed);
-    worksteal_for(w.layers.size(),
-                  [&](std::size_t i) { synthesize_layer(w, i); });
+    worksteal_for(w.layers.size(), [&](std::size_t i) {
+        trace::Span span("workload.build", "workload");
+        span.arg("network", static_cast<std::uint64_t>(id));
+        span.arg("layer", i);
+        synthesize_layer(w, i);
+    });
     std::uint64_t h = fnv1a(w.name.data(), w.name.size());
     h = hash_combine(h, seed);
     for (const auto &layer : w.layers) {

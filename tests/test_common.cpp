@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -213,6 +214,59 @@ TEST(Rng, EngineMatchesTheStandardMt19937_64)
         for (int i = 0; i < 1'000'000; ++i) {
             ASSERT_EQ(ours(), oracle()) << "seed " << seed << " draw " << i;
         }
+    }
+}
+
+TEST(Rng, EveryRefillVariantMatchesTheStandardOracle)
+{
+    // Each compiled refill the CPU can run, called directly on a state
+    // seeded as [rand.eng.mers] seeds it: its tempered words must be the
+    // standard engine's and its uniforms generate_canonical's, over
+    // > 10^6 draws per seed. The engine runs only one variant, so this
+    // is the only test that reaches the others.
+    constexpr std::size_t n = detail::kStateWords;
+    constexpr std::size_t kDigits = std::numeric_limits<double>::digits;
+    constexpr int kBlocks = 1'000'000 / static_cast<int>(n) + 1;
+    std::string skipped;
+    for (const detail::RefillVariant &variant : detail::refill_variants()) {
+        if (!variant.supported) {
+            skipped += std::string(skipped.empty() ? "" : ", ") + variant.name;
+            continue;
+        }
+        for (const std::uint64_t seed : {0ULL, 1ULL, 0x5eedULL, ~0ULL}) {
+            std::array<std::uint64_t, n> state;
+            std::array<double, n> canonical;
+            state[0] = seed;
+            for (std::size_t i = 1; i < n; ++i) {
+                const std::uint64_t x = state[i - 1];
+                state[i] = 6364136223846793005ULL * (x ^ (x >> 62)) + i;
+            }
+            std::mt19937_64 words(seed), uniforms(seed);
+            for (int b = 0; b < kBlocks; ++b) {
+                variant.refill(state.data(), canonical.data());
+                for (std::size_t k = 0; k < n; ++k) {
+                    const double want =
+                        std::generate_canonical<double, kDigits>(uniforms);
+                    ASSERT_EQ(detail::temper(state[k]), words())
+                        << variant.name << " seed " << seed << " block "
+                        << b << " word " << k;
+                    ASSERT_EQ(bits_of(canonical[k]), bits_of(want))
+                        << variant.name << " seed " << seed << " block "
+                        << b << " word " << k;
+                }
+            }
+        }
+    }
+    // The engine runs the widest variant the CPU supports.
+    const auto variants = detail::refill_variants();
+    const auto widest = std::find_if(
+        variants.begin(), variants.end(),
+        [](const detail::RefillVariant &v) { return v.supported; });
+    ASSERT_NE(widest, variants.end());
+    EXPECT_EQ(&detail::active_refill(), &*widest);
+    EXPECT_TRUE(variants.back().supported);
+    if (!skipped.empty()) {
+        GTEST_SKIP() << "not run, this CPU lacks: " << skipped;
     }
 }
 

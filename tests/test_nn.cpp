@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "common/trace.hpp"
 #include "nn/accuracy.hpp"
 #include "nn/reference.hpp"
 #include "nn/synthesis.hpp"
@@ -189,6 +192,38 @@ TEST(Workloads, SynthesisIsPinned)
               0x19f29978f8316ebcULL);
     EXPECT_EQ(build_workload(WorkloadId::kCnnLstm, 20261016).content_hash,
               0xa17ee8e40b573217ULL);
+}
+
+TEST(Workloads, TracedBuildNamesEveryLayer)
+{
+    // build_workload's per-layer body is a `workload.build` span with
+    // the network id and the layer index, so a traced set-up shows
+    // where shared synthesis goes; a private layer's
+    // `workload.synthesize` span is the runner's, not this one's.
+    using Pairs = std::multiset<std::pair<std::uint64_t, std::uint64_t>>;
+    trace::clear();
+    trace::start();
+    const Workload w = build_workload(WorkloadId::kCnnLstm, 0x7ACE);
+    trace::stop();
+    Pairs built;
+    std::size_t synthesized = 0;
+    for (const auto &e : trace::snapshot_events()) {
+        const std::string name = e.name;
+        if (name == "workload.build") {
+            EXPECT_STREQ(e.arg0_name, "network");
+            EXPECT_STREQ(e.arg1_name, "layer");
+            built.emplace(e.arg0, e.arg1);
+        }
+        synthesized += name == "workload.synthesize";
+    }
+    trace::clear();
+    Pairs expected;
+    for (std::size_t l = 0; l < w.layers.size(); ++l) {
+        expected.emplace(static_cast<std::uint64_t>(WorkloadId::kCnnLstm),
+                         l);
+    }
+    EXPECT_EQ(built, expected);
+    EXPECT_EQ(synthesized, 0u);
 }
 
 TEST(Workloads, SkeletonLayersSynthesizeLikeTheFullBuild)
