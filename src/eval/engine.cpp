@@ -171,21 +171,29 @@ layer_stats(const Scenario &scenario, const WorkloadLayer &layer,
 std::string
 scenario_error(const Scenario &scenario)
 {
-    const NpuConfig &npu = scenario.npu;
+    const AcceleratorConfig &accel = scenario.accel;
     const StatsSpec &stats = scenario.stats;
     const BitflipSpec &flip = scenario.bitflip;
     std::string why;
     switch (scenario.engine) {
       case EngineKind::kAnalytical:
-        why = model_config_error(scenario.accel);
+        why = model_config_error(accel);
         break;
       case EngineKind::kCycleSim:
-        why = dataflows_error(npu.dataflows);
-        if (why.empty() &&
-            (npu.weight_sram_bytes < 1 || npu.weight_port_bits < 1 ||
-             npu.act_sram_bytes < 1 || npu.act_sram_banks < 1 ||
-             npu.sram_word_bits < 1)) {
-            why = "NPU SRAM size, port width, banks or word bits < 1";
+        // The NPU is a bit-column machine with one switch (dense mode)
+        // for both column skipping and BCS compression, and it keeps
+        // feature maps on chip: npu_config() can express no other.
+        why = model_config_error(accel);
+        if (!why.empty()) {
+            break;
+        }
+        if (accel.style != ComputeStyle::kBitColumnSerial) {
+            why = "the simulator runs bit-column-serial machines only";
+        } else if ((accel.sparsity == SparsityMode::kWeightBitColumn) !=
+                   accel.compress_weights) {
+            why = "column skipping without BCS compression, or the reverse";
+        } else if (accel.layer_sequential_dram) {
+            why = "layer_sequential_dram on the simulator";
         }
         break;
       case EngineKind::kStats:
@@ -205,14 +213,24 @@ scenario_error(const Scenario &scenario)
     return why;
 }
 
-}  // namespace
-
-std::uint64_t
-layer_rng_seed(std::uint64_t scenario_seed, std::size_t layer_index)
+/**
+ * The NPU @p accel describes: its dataflows, mapping policy, memory and
+ * representation, in the ZCIP's dense mode when it skips no bit
+ * columns. scenario_error() rejects every machine this cannot express.
+ */
+NpuConfig
+npu_config(const AcceleratorConfig &accel)
 {
-    return hash_combine(scenario_seed,
-                        static_cast<std::uint64_t>(layer_index) + 1);
+    NpuConfig npu;
+    npu.dataflows = accel.dataflows;
+    npu.mapping_policy = accel.mapping_policy;
+    npu.memory = accel.memory;
+    npu.repr = accel.weight_repr;
+    npu.dense_mode = accel.sparsity != SparsityMode::kWeightBitColumn;
+    return npu;
 }
+
+}  // namespace
 
 ScenarioPrep
 prepare_scenario(const Scenario &scenario)
@@ -291,7 +309,7 @@ prepare_scenario(const Scenario &scenario)
 
 std::vector<LayerEval>
 evaluate_layer_range(const Scenario &scenario, const ScenarioPrep &prep,
-                     std::uint64_t rng_seed, std::size_t begin,
+                     std::uint64_t /*rng_seed*/, std::size_t begin,
                      std::size_t end, std::size_t scenario_index)
 {
     const Workload &w = *prep.workload;
@@ -344,14 +362,10 @@ evaluate_layer_range(const Scenario &scenario, const ScenarioPrep &prep,
         break;
       }
       case EngineKind::kCycleSim: {
+        const BitWaveNpu npu(npu_config(scenario.accel));
         for (std::size_t s = begin; s < end; ++s) {
             const auto [layer, weights, ctx, l, whash] = layer_inputs(s);
-            // Each layer draws from its own (scenario, layer) stream so
-            // sharded evaluation is bit-identical to serial.
-            NpuConfig cfg = scenario.npu;
-            cfg.act_seed = rng_seed != 0 ? layer_rng_seed(rng_seed, l)
-                                         : cfg.act_seed;
-            const BitWaveNpu npu(cfg);
+            (void)l;
             // Accounting-only execution: functional output is exercised
             // by the simulator's own tests, not by scenario sweeps.
             out.push_back(from_sim(

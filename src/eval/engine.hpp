@@ -22,11 +22,10 @@
  *                          evaluate a contiguous slice of the selection
  *   finalize_scenario()    stitch slices into one ScenarioResult
  *
- * Every layer is synthesized from (workload seed, layer index) and
- * evaluated from a seed stream derived from (scenario seed, layer index),
- * and finalize accumulates totals in layer order — results are
- * bit-identical no matter how the slices were cut or which threads ran
- * them.
+ * Every layer is synthesized from (workload seed, layer index), no
+ * engine draws from a seed of its own, and finalize accumulates totals
+ * in layer order — results are bit-identical no matter how the slices
+ * were cut or which threads ran them.
  */
 #pragma once
 
@@ -148,25 +147,22 @@ struct ScenarioPrep
  * (no synthesis here: selection and flip set read only the layer
  * descriptors); a shared workload's first touch builds it. A scenario
  * with a field an engine cannot serve — a config model_config_error()
- * rejects, an empty NPU dataflow set or SRAM, a stats or Bit-Flip
- * group or zero-column target out of range, an unknown layer name, an
- * override of the wrong size — throws EvalError(kInvalid) before any
- * work starts.
+ * rejects; on the simulator, a machine that is not bit-column-serial,
+ * skips columns without BCS compression (or the reverse) or sets
+ * layer_sequential_dram; a stats or Bit-Flip group or zero-column
+ * target out of range, an unknown layer name, an override of the wrong
+ * size — throws EvalError(kInvalid) before any work starts.
  */
 ScenarioPrep prepare_scenario(const Scenario &scenario);
-
-/// Seed of one layer's evaluation stream within a scenario stream.
-std::uint64_t layer_rng_seed(std::uint64_t scenario_seed,
-                             std::size_t layer_index);
 
 /**
  * Evaluate the slice [begin, end) of @p prep.layers and return its
  * LayerEval records in selection order, first synthesizing each layer of
  * the slice that a private skeleton still lacks (a `workload.synthesize`
  * span tagged with @p scenario_index, the scenario's batch position).
- * Pure function of (scenario, prep, rng_seed, slice) — safe to call
- * concurrently for disjoint slices of the same prep; a re-run slice
- * sees identical weights.
+ * @p rng_seed is not read. Pure function of (scenario, prep, slice) —
+ * safe to call concurrently for disjoint slices of the same prep; a
+ * re-run slice sees identical weights.
  */
 std::vector<LayerEval> evaluate_layer_range(const Scenario &scenario,
                                             const ScenarioPrep &prep,
@@ -189,10 +185,9 @@ ScenarioResult finalize_scenario(const Scenario &scenario,
  * Evaluate one scenario synchronously (prepare + evaluate + finalize).
  *
  * The ScenarioRunner shards this pipeline over its worker threads;
- * single evaluations call it directly. @p rng_seed seeds every
- * stochastic component of the evaluation (the simulator's synthetic
- * activations) so results depend only on the (scenario, seed) pair —
- * never on scheduling.
+ * single evaluations call it directly. @p rng_seed is only recorded in
+ * the result: no engine draws from it, so the result depends on the
+ * scenario alone — never on scheduling.
  */
 ScenarioResult evaluate_scenario(const Scenario &scenario,
                                  std::uint64_t rng_seed = 0);

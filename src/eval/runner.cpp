@@ -49,8 +49,8 @@ runner_metrics()
  * The batch's flat evaluation-unit space: unit u is one selected layer
  * of one scenario, scenarios laid out contiguously in batch order.
  * Chunk boundaries are free to land anywhere — the executor walks the
- * per-scenario sub-ranges of a chunk, and every layer evaluates from
- * its own (scenario, layer) stream, so the cut is pure scheduling.
+ * per-scenario sub-ranges of a chunk, and every layer is a pure
+ * function of (scenario, layer index), so the cut is pure scheduling.
  */
 struct UnitSpace
 {
@@ -211,9 +211,9 @@ ScenarioRunner::run_outcomes(const std::vector<Scenario> &scenarios,
     // of one scenario, synthesized (private workloads) and evaluated in
     // place. Workers claim shard_layers-sized chunks from one cursor.
     // Chunk boundaries only affect scheduling, never results: every
-    // layer draws its weights from (workload seed, layer index) and
-    // evaluates from its own (scenario, layer) stream. A scenario whose
-    // preparation failed has no units.
+    // layer draws its weights from (workload seed, layer index), and no
+    // engine draws from a seed of its own. A scenario whose preparation
+    // failed has no units.
     UnitSpace units;
     units.offsets.resize(n + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {

@@ -22,9 +22,10 @@
  * network per process.
  *
  * Determinism contract: every scenario's result is a pure function of
- * (scenario, batch index) — the per-scenario RNG seed is derived from the
- * batch position and per-layer streams from (seed, layer index), never
- * from thread identity or chunk boundaries — so an N-thread run is
+ * the scenario — every layer is synthesized from (workload seed, layer
+ * index) and no engine draws from the per-scenario RNG seed, which is
+ * derived from the batch position and only recorded in the result —
+ * never of thread identity or chunk boundaries, so an N-thread run is
  * bit-identical to a 1-thread run, under any chunk order (modulo the
  * `wall_seconds` diagnostics). The chaos-scheduler tests pin this with
  * seeded chunk permutations (`RunnerOptions::chaos_seed`).
@@ -32,8 +33,8 @@
  * Failure contract: every scenario ends with its own outcome — its
  * result, or the exception that ended it. A layer range (one scenario's
  * slice of a chunk) that throws kTransient is re-run in place under the
- * caller's RetryPolicy; because a layer is a pure function of (scenario
- * seed, layer index), the re-run is bit-identical to a fault-free one.
+ * caller's RetryPolicy; because a layer is a pure function of
+ * (scenario, layer index), the re-run is bit-identical to a fault-free one.
  * Any other error, or the last attempt's, ends that scenario alone: its
  * remaining ranges are skipped and its siblings finish normally.
  * Cancellation ends scenarios at the same points, before a piece

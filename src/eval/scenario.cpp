@@ -13,6 +13,8 @@
 
 namespace bitwave::eval {
 
+const NpuConfig Scenario::npu;
+
 const char *
 engine_name(EngineKind kind)
 {
@@ -137,22 +139,6 @@ mix_accel(std::uint64_t h, const AcceleratorConfig &a)
     return h;
 }
 
-std::uint64_t
-mix_npu(std::uint64_t h, const NpuConfig &n)
-{
-    h = mix_su_list(h, n.dataflows);
-    h = hash_combine(h, static_cast<std::uint64_t>(n.mapping_policy));
-    h = hash_combine(h, static_cast<std::uint64_t>(n.weight_sram_bytes));
-    h = hash_combine(h, static_cast<std::uint64_t>(n.act_sram_bytes));
-    h = hash_combine(h, static_cast<std::uint64_t>(n.weight_port_bits));
-    h = hash_combine(h, static_cast<std::uint64_t>(n.act_sram_banks));
-    h = hash_combine(h, static_cast<std::uint64_t>(n.sram_word_bits));
-    h = hash_combine(h, static_cast<std::uint64_t>(n.dense_mode));
-    h = hash_combine(h, static_cast<std::uint64_t>(n.repr));
-    h = hash_combine(h, n.act_seed);
-    return h;
-}
-
 }  // namespace
 
 std::uint64_t
@@ -162,14 +148,12 @@ scenario_fingerprint(const Scenario &scenario)
     h = mix_string(h, scenario.label);
     h = hash_combine(h, static_cast<std::uint64_t>(scenario.engine));
     // Only the configuration the selected engine reads contributes —
-    // two analytical requests differing solely in an untouched NpuConfig
-    // field still deduplicate.
+    // two stats requests differing solely in an accelerator field still
+    // deduplicate.
     switch (scenario.engine) {
       case EngineKind::kAnalytical:
-        h = mix_accel(h, scenario.accel);
-        break;
       case EngineKind::kCycleSim:
-        h = mix_npu(h, scenario.npu);
+        h = mix_accel(h, scenario.accel);
         break;
       case EngineKind::kStats:
         h = hash_combine(h,

@@ -76,10 +76,13 @@ struct Scenario
     std::string label;
 
     EngineKind engine = EngineKind::kAnalytical;
-    /// Accelerator under the analytical model.
+    /// The machine, under either engine: the simulator runs the NPU it
+    /// describes, and rejects as kInvalid a machine it cannot run.
     AcceleratorConfig accel = make_bitwave(BitWaveVariant::kDfSm);
-    /// NPU instance under the cycle-level simulator.
-    NpuConfig npu;
+    /// The default NPU, the one make_bitwave(kDfSm) describes. No caller
+    /// sets it and no engine reads it; it goes once nothing reads its
+    /// representation (ROADMAP item 4).
+    static const NpuConfig npu;
 
     WorkloadId workload = WorkloadId::kResNet18;
     /// kCachedWorkloadSeed shares the cached synthesis; any other value
@@ -118,7 +121,7 @@ std::uint64_t scenario_rng_seed(const Scenario &scenario,
 /**
  * Content identity of a scenario: a hash over every field that can
  * affect its evaluation result — label (the result carries the name),
- * engine, accelerator and NPU configuration, workload selection, flip
+ * engine, accelerator configuration, workload selection, flip
  * spec, stats spec, layer filter and seed. Two scenarios with equal
  * fingerprints evaluate to bit-identical results, so the evaluation
  * service deduplicates in-flight requests by this key and shares one

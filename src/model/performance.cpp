@@ -201,7 +201,6 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
             desc, su, planes.get(), content_hash, mcfg, tech_, dram_);
         r.su_name = su.name;
         r.utilization = c.utilization;
-        r.effective_macs = static_cast<double>(desc.macs());
         r.compute_cycles = c.compute_cycles;
         r.dram_cycles = c.dram_cycles;
         r.total_cycles = c.total_cycles;
@@ -295,7 +294,6 @@ AcceleratorModel::model_layer(const WorkloadLayer &layer,
     if (config_.sparsity == SparsityMode::kValue) {
         effective_macs = macs * (1.0 - sw) * (1.0 - sa);
     }
-    r.effective_macs = effective_macs;
 
     // ---- Compression factors ---------------------------------------------
     CompressionFactors cf;

@@ -38,7 +38,6 @@ struct LayerResult
     std::string layer_name;
     std::string su_name;        ///< Selected dataflow.
     double utilization = 0.0;   ///< Spatial PE utilization.
-    double effective_macs = 0.0;   ///< Nmac,e (Eq. 1).
     double compute_cycles = 0.0;   ///< CCmac,e (Eq. 2).
     double dram_cycles = 0.0;      ///< Channel occupancy.
     double total_cycles = 0.0;     ///< Eq. (5).

@@ -57,8 +57,8 @@ enum class MappingPolicy {
 const char *mapping_policy_name(MappingPolicy policy);
 
 /// Machine description the cost model prices a candidate against — the
-/// bit-column-serial subset of AcceleratorConfig / NpuConfig that both
-/// engines agree on.
+/// bit-column-serial subset of AcceleratorConfig, which both engines
+/// read.
 struct MappingCostConfig
 {
     Representation repr = Representation::kSignMagnitude;
@@ -79,9 +79,8 @@ struct MappingCostConfig
     /// configuration (halo tiling), but priced, so a bit-column machine
     /// with a layer-sequential schedule models correctly. The other
     /// baseline-only knobs (accumulator banks, planar crossbar, lane
-    /// overhead, matmul penalty, activation compression) have no field
-    /// here: model_config_error() rejects a bit-column machine that
-    /// sets one.
+    /// overhead, activation compression) have no field here:
+    /// model_config_error() rejects a bit-column machine that sets one.
     bool layer_sequential_dram = false;
 };
 

@@ -30,13 +30,14 @@ BitWaveNpu::BitWaveNpu(NpuConfig config, const TechParams &tech,
                        const DramModel &dram)
     : config_(std::move(config)), tech_(tech), dram_(dram)
 {
-    if (config_.dataflows.empty()) {
-        fatal("BitWaveNpu: no dataflows configured");
+    if (const std::string why = dataflows_error(config_.dataflows);
+        !why.empty()) {
+        fatal("BitWaveNpu: %s", why.c_str());
     }
-    if (config_.act_sram_bytes <= 0 || config_.act_sram_banks <= 0 ||
-        config_.sram_word_bits <= 0) {
-        fatal("BitWaveNpu: activation SRAM size, banks and word bits "
-              "must be positive");
+    const MemoryHierarchy &mem = config_.memory;
+    if (mem.weight_sram_bytes < 1 || mem.act_sram_bytes < 1 ||
+        mem.weight_port_bits < 1 || mem.act_port_bits < 1) {
+        fatal("BitWaveNpu: SRAM size or port width < 1");
     }
 }
 
@@ -65,11 +66,7 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
         // replays (search/cost.hpp), so both engines pick one SU.
         search::MappingCostConfig mcfg;
         mcfg.repr = config_.repr;
-        mcfg.memory.weight_sram_bytes = config_.weight_sram_bytes;
-        mcfg.memory.act_sram_bytes = config_.act_sram_bytes;
-        mcfg.memory.weight_port_bits = config_.weight_port_bits;
-        mcfg.memory.act_port_bits =
-            config_.act_sram_banks * config_.sram_word_bits;
+        mcfg.memory = config_.memory;
         mcfg.skip_zero_columns = !config_.dense_mode;
         mcfg.compress_weights = !config_.dense_mode;
         selected = &search::select_su_cost_aware(
@@ -188,10 +185,10 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
         (ctx.last_layer ? desc.output_count() * kWordBits : 0);
 
     // ---- SRAM / DRAM composition (Eq. 5) ---------------------------------
+    const MemoryHierarchy &mem = config_.memory;
     result.act_fetch_cycles =
         static_cast<double>(result.act_bits_fetched) /
-        static_cast<double>(config_.act_sram_banks *
-                            config_.sram_word_bits);
+        static_cast<double>(mem.act_port_bits);
     result.dram_cycles = dram_.transfer_cycles(
         static_cast<double>(result.weight_bits_dram +
                             result.act_bits_dram));
@@ -202,13 +199,12 @@ BitWaveNpu::run_layer(const WorkloadLayer &layer, const Int8Tensor *input,
     // (the same accounting the analytical model applies).
     lat.weight_fetch_cycles =
         static_cast<double>(result.weight_bits_fetched) /
-        static_cast<double>(config_.weight_port_bits);
+        static_cast<double>(mem.weight_port_bits);
     lat.act_fetch_cycles = result.act_fetch_cycles;
     lat.dram_cycles = result.dram_cycles;
     lat.output_write_cycles =
         static_cast<double>(result.output_words) * kWordBits /
-        static_cast<double>(config_.act_sram_banks *
-                            config_.sram_word_bits);
+        static_cast<double>(mem.act_port_bits);
     result.total_cycles = compose_latency(lat);
 
     // ---- Energy (shared Eq. 4 pricing) -----------------------------------

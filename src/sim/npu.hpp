@@ -8,9 +8,8 @@
  * reference int8 kernels) and *cycle-level*: it walks the temporal tile
  * schedule of the selected SU and charges per-group column cycles from
  * the actual compressed weight stream, the row-aligned bcs_compress()
- * stream the fetcher reads. No SRAM object exists: the activation SRAM
- * is priced by its port, banks x word width bits per cycle, and the
- * weight SRAM by its weight port. Two cycle counts are reported:
+ * stream the fetcher reads. No SRAM object exists: each SRAM is priced
+ * by its port width. Two cycle counts are reported:
  *
  *  - `cycles_decoupled`: lanes drain their group streams independently
  *    through the fetcher's double buffering (throughput = mean group
@@ -27,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "dataflow/mapping.hpp"
 #include "dataflow/su.hpp"
 #include "search/cost.hpp"
 #include "sparsity/stats.hpp"
@@ -49,12 +49,9 @@ struct NpuConfig
      */
     search::MappingPolicy mapping_policy =
         search::MappingPolicy::kUtilization;
-    std::int64_t weight_sram_bytes = 256 * 1024;
-    std::int64_t act_sram_bytes = 256 * 1024;
-    /// SRAM->array weight bandwidth (Table I: W BW <= 1024 bits/cycle).
-    std::int64_t weight_port_bits = 1024;
-    int act_sram_banks = 16;
-    int sram_word_bits = 64;
+    /// SRAM capacities and SRAM->array port widths (Table I: W BW <=
+    /// 1024 bits/cycle).
+    MemoryHierarchy memory;
     bool dense_mode = false;  ///< ZCIP dense mode: no skipping/index.
     /// Representation for zero-column skipping.
     Representation repr = Representation::kSignMagnitude;
@@ -104,6 +101,8 @@ struct LayerSimResult
 class BitWaveNpu
 {
   public:
+    /// Fatal on dataflows dataflows_error() rejects or a memory field
+    /// below 1.
     explicit BitWaveNpu(NpuConfig config = {},
                         const TechParams &tech = default_tech(),
                         const DramModel &dram = default_dram());

@@ -25,6 +25,7 @@
 #include "eval/runner.hpp"
 #include "nn/synthesis.hpp"
 #include "nn/workloads.hpp"
+#include "sim/npu.hpp"
 #include "sparsity/stats.hpp"
 #include "test_util.hpp"
 
@@ -212,6 +213,63 @@ TEST(Engine, SimAndModelAgreeThroughTheSharedCore)
         EXPECT_NEAR(s.compute_cycles / m.compute_cycles, 1.0, 0.15)
             << m.layer_name;
     }
+}
+
+TEST(Engine, SimRunsTheMachineItsAccelDescribes)
+{
+    // A sim scenario runs the NPU its `accel` describes, layer by layer
+    // equal to a BitWaveNpu built from the same machine.
+    const auto net = std::make_shared<Workload>(tiny_workload());
+    const auto sim_of = [&](const AcceleratorConfig &accel) {
+        eval::Scenario s;
+        s.custom_workload = net;
+        s.engine = eval::EngineKind::kCycleSim;
+        s.accel = accel;
+        return eval::evaluate_scenario(s);
+    };
+    const auto expect_runs = [&](const eval::ScenarioResult &r,
+                                 const NpuConfig &cfg) {
+        const BitWaveNpu npu(cfg);
+        ASSERT_EQ(r.layers.size(), net->layers.size());
+        for (std::size_t l = 0; l < net->layers.size(); ++l) {
+            LayerContext ctx;
+            ctx.first_layer = l == 0;
+            ctx.last_layer = l + 1 == net->layers.size();
+            const LayerSimResult want = npu.run_layer(
+                net->layers[l], nullptr, nullptr, false, ctx);
+            const eval::LayerEval &got = r.layers[l];
+            EXPECT_EQ(got.su_name, want.su_name) << r.name;
+            EXPECT_EQ(got.compute_cycles, want.cycles_decoupled) << r.name;
+            EXPECT_EQ(got.cycles_lockstep, want.cycles_lockstep) << r.name;
+            EXPECT_EQ(got.cycles_per_group, want.mean_columns_per_group())
+                << r.name;
+            EXPECT_EQ(got.total_cycles, want.total_cycles) << r.name;
+            expect_identical(got.energy, want.energy);
+        }
+    };
+
+    // +DF+SM is the default NPU.
+    const auto sparse = sim_of(make_bitwave(BitWaveVariant::kDfSm));
+    expect_runs(sparse, NpuConfig{});
+
+    // +DF skips no columns: the ZCIP's dense mode streams all 8 columns
+    // of every group.
+    NpuConfig dense;
+    dense.dense_mode = true;
+    const auto dynamic = sim_of(make_bitwave(BitWaveVariant::kDynamicDf));
+    expect_runs(dynamic, dense);
+    for (const auto &layer : dynamic.layers) {
+        EXPECT_EQ(layer.cycles_per_group, 8.0) << layer.layer_name;
+    }
+
+    // A narrower weight port reaches the simulator and slows it down.
+    AcceleratorConfig narrow = make_bitwave(BitWaveVariant::kDfSm);
+    narrow.memory.weight_port_bits = 8;
+    NpuConfig narrow_npu;
+    narrow_npu.memory.weight_port_bits = 8;
+    const auto narrow_run = sim_of(narrow);
+    expect_runs(narrow_run, narrow_npu);
+    EXPECT_GT(narrow_run.total_cycles, sparse.total_cycles);
 }
 
 // -------------------------------------------------------------- runner ---

@@ -15,6 +15,7 @@
 #include <limits>
 #include <memory>
 #include <new>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -239,12 +240,6 @@ TEST(Fingerprint, EveryConfigFieldReachesIt)
             MemoryHierarchy{};
         [[maybe_unused]] const auto &[su_name, factors, depthwise_only,
                                       bit_columns] = SpatialUnrolling{};
-        [[maybe_unused]] const auto &[npu_dataflows, npu_mapping_policy,
-                                      npu_weight_sram_bytes,
-                                      npu_act_sram_bytes,
-                                      npu_weight_port_bits, act_sram_banks,
-                                      sram_word_bits, dense_mode, repr,
-                                      act_seed] = NpuConfig{};
         [[maybe_unused]] const auto &[stats_group_size, column_stats,
                                       reference_codecs] = eval::StatsSpec{};
         [[maybe_unused]] const auto &[mode, flip_group_size, zero_columns,
@@ -260,7 +255,8 @@ TEST(Fingerprint, EveryConfigFieldReachesIt)
         void (*perturb)(eval::Scenario &);
     };
     const Case cases[] = {
-        // AcceleratorConfig, read by the analytical model.
+        // AcceleratorConfig, read by the analytical model and, below,
+        // by the simulator.
         {"accel.name", E::kAnalytical,
          [](eval::Scenario &s) { s.accel.name += "'"; }},
         {"accel.style", E::kAnalytical,
@@ -342,35 +338,6 @@ TEST(Fingerprint, EveryConfigFieldReachesIt)
          [](eval::Scenario &s) { s.accel.e_crossbar_conflict_pj += 1.0; }},
         {"accel.e_lane_overhead_pj", E::kAnalytical,
          [](eval::Scenario &s) { s.accel.e_lane_overhead_pj += 1.0; }},
-        // NpuConfig, read by the cycle-level simulator.
-        {"npu.dataflows", E::kCycleSim,
-         [](eval::Scenario &s) { s.npu.dataflows.pop_back(); }},
-        {"npu.mapping_policy", E::kCycleSim,
-         [](eval::Scenario &s) {
-             s.npu.mapping_policy =
-                 other_than(s.npu.mapping_policy, Policy::kUtilization,
-                            Policy::kCostAware);
-         }},
-        {"npu.weight_sram_bytes", E::kCycleSim,
-         [](eval::Scenario &s) { s.npu.weight_sram_bytes *= 2; }},
-        {"npu.act_sram_bytes", E::kCycleSim,
-         [](eval::Scenario &s) { s.npu.act_sram_bytes *= 2; }},
-        {"npu.weight_port_bits", E::kCycleSim,
-         [](eval::Scenario &s) { s.npu.weight_port_bits *= 2; }},
-        {"npu.act_sram_banks", E::kCycleSim,
-         [](eval::Scenario &s) { s.npu.act_sram_banks *= 2; }},
-        {"npu.sram_word_bits", E::kCycleSim,
-         [](eval::Scenario &s) { s.npu.sram_word_bits *= 2; }},
-        {"npu.dense_mode", E::kCycleSim,
-         [](eval::Scenario &s) { s.npu.dense_mode = !s.npu.dense_mode; }},
-        {"npu.repr", E::kCycleSim,
-         [](eval::Scenario &s) {
-             s.npu.repr = other_than(s.npu.repr,
-                                     Representation::kTwosComplement,
-                                     Representation::kSignMagnitude);
-         }},
-        {"npu.act_seed", E::kCycleSim,
-         [](eval::Scenario &s) { s.npu.act_seed += 1; }},
         // StatsSpec, read by the statistics engine.
         {"stats.group_size", E::kStats,
          [](eval::Scenario &s) { s.stats.group_size *= 2; }},
@@ -400,12 +367,20 @@ TEST(Fingerprint, EveryConfigFieldReachesIt)
         tiny_scenario(tiny_net(), make_bitwave(BitWaveVariant::kDfSm));
     // The one Bit-Flip mode that reads every BitflipSpec field.
     base.bitflip.mode = eval::BitflipSpec::Mode::kHeavyLayers;
-    for (const Case &c : cases) {
+    const auto expect_moves = [&](const Case &c, E engine) {
         eval::Scenario s = base;
-        s.engine = c.engine;
+        s.engine = engine;
         const auto fp = eval::scenario_fingerprint(s);
         c.perturb(s);
-        EXPECT_NE(eval::scenario_fingerprint(s), fp) << c.field;
+        EXPECT_NE(eval::scenario_fingerprint(s), fp)
+            << c.field << " under " << eval::engine_name(engine);
+    };
+    for (const Case &c : cases) {
+        expect_moves(c, c.engine);
+        // The simulator runs the machine `accel` describes.
+        if (std::string_view(c.field).starts_with("accel.")) {
+            expect_moves(c, E::kCycleSim);
+        }
     }
 }
 

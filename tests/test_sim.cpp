@@ -228,6 +228,35 @@ TEST(SimFunctional, BatchedGatherBitExactOnWideKernelLayers)
 
 // --------------------------------------------------------- cycle model ---
 
+TEST(SimConfig, UnrunnableConfigIsFatal)
+{
+    // A zero port width or bit_columns would price every layer at inf
+    // cycles, and a zero unrolling factor divides by zero: the NPU
+    // refuses them, as the model does.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const auto expect_fatal = [](const NpuConfig &cfg, const char *why) {
+        EXPECT_EXIT(BitWaveNpu{cfg}, ::testing::ExitedWithCode(1), why);
+    };
+    for (const auto field :
+         {&MemoryHierarchy::weight_sram_bytes,
+          &MemoryHierarchy::act_sram_bytes,
+          &MemoryHierarchy::weight_port_bits,
+          &MemoryHierarchy::act_port_bits}) {
+        NpuConfig cfg;
+        cfg.memory.*field = 0;
+        expect_fatal(cfg, "SRAM size or port width < 1");
+    }
+    NpuConfig no_sus;
+    no_sus.dataflows.clear();
+    expect_fatal(no_sus, "no dataflows");
+    NpuConfig k0;
+    k0.dataflows.front().factors[Dim::kK] = 0;
+    expect_fatal(k0, "K factor < 1");
+    NpuConfig bc0;
+    bc0.dataflows.front().bit_columns = 0;
+    expect_fatal(bc0, "bit_columns < 1");
+}
+
 TEST(SimCycles, SparseNeverSlowerThanDense)
 {
     SimFixture fx(make_conv("c", 16, 32, 8, 8, 3, 3));

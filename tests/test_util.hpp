@@ -35,8 +35,9 @@ class FaultGuard
 
 /**
  * Scenarios no engine can serve over @p net, each named by its defect:
- * every field an engine would otherwise fatal() on, and every
- * baseline-only knob a bit-column machine cannot be priced with.
+ * every field an engine would otherwise fatal() on, every baseline-only
+ * knob a bit-column machine cannot be priced with, and every machine
+ * the simulator cannot run.
  */
 inline std::vector<std::pair<std::string, eval::Scenario>>
 unservable_scenarios(const std::shared_ptr<const Workload> &net)
@@ -62,29 +63,29 @@ unservable_scenarios(const std::shared_ptr<const Workload> &net)
     });
     add("no model dataflows",
         [](eval::Scenario &s) { s.accel.dataflows.clear(); });
-    add("no NPU dataflows", [](eval::Scenario &s) {
+    add("no sim dataflows", [](eval::Scenario &s) {
         s.engine = eval::EngineKind::kCycleSim;
-        s.npu.dataflows.clear();
+        s.accel.dataflows.clear();
     });
-    add("no NPU activation banks", [](eval::Scenario &s) {
+    add("sim activation port 0", [](eval::Scenario &s) {
         s.engine = eval::EngineKind::kCycleSim;
-        s.npu.act_sram_banks = 0;
+        s.accel.memory.act_port_bits = 0;
     });
     add("HUAA K factor 0", [](eval::Scenario &s) {
         s.accel = make_huaa();
         s.accel.dataflows.front().factors[Dim::kK] = 0;
     });
-    add("NPU K factor 0", [](eval::Scenario &s) {
+    add("sim K factor 0", [](eval::Scenario &s) {
         s.engine = eval::EngineKind::kCycleSim;
-        s.npu.dataflows.front().factors[Dim::kK] = 0;
+        s.accel.dataflows.front().factors[Dim::kK] = 0;
     });
     add("dense SU bit_columns 0", [](eval::Scenario &s) {
         s.accel = make_bitwave(BitWaveVariant::kDenseSu);
         s.accel.dataflows.front().bit_columns = 0;
     });
-    add("NPU bit_columns 0", [](eval::Scenario &s) {
+    add("sim bit_columns 0", [](eval::Scenario &s) {
         s.engine = eval::EngineKind::kCycleSim;
-        s.npu.dataflows.front().bit_columns = 0;
+        s.accel.dataflows.front().bit_columns = 0;
     });
     add("weight SRAM 0",
         [](eval::Scenario &s) { s.accel.memory.weight_sram_bytes = 0; });
@@ -94,13 +95,30 @@ unservable_scenarios(const std::shared_ptr<const Workload> &net)
         [](eval::Scenario &s) { s.accel.memory.weight_port_bits = 0; });
     add("activation port 0",
         [](eval::Scenario &s) { s.accel.memory.act_port_bits = 0; });
-    add("NPU weight SRAM 0", [](eval::Scenario &s) {
+    add("sim weight SRAM 0", [](eval::Scenario &s) {
         s.engine = eval::EngineKind::kCycleSim;
-        s.npu.weight_sram_bytes = 0;
+        s.accel.memory.weight_sram_bytes = 0;
     });
-    add("NPU weight port 0", [](eval::Scenario &s) {
+    add("sim weight port 0", [](eval::Scenario &s) {
         s.engine = eval::EngineKind::kCycleSim;
-        s.npu.weight_port_bits = 0;
+        s.accel.memory.weight_port_bits = 0;
+    });
+    // Machines the model prices but the simulator cannot run.
+    add("SCNN on the sim", [](eval::Scenario &s) {
+        s.engine = eval::EngineKind::kCycleSim;
+        s.accel = make_scnn();
+    });
+    add("sim column skipping without compression", [](eval::Scenario &s) {
+        s.engine = eval::EngineKind::kCycleSim;
+        s.accel.compress_weights = false;
+    });
+    add("sim compression without column skipping", [](eval::Scenario &s) {
+        s.engine = eval::EngineKind::kCycleSim;
+        s.accel.sparsity = SparsityMode::kNone;
+    });
+    add("sim layer_sequential_dram", [](eval::Scenario &s) {
+        s.engine = eval::EngineKind::kCycleSim;
+        s.accel.layer_sequential_dram = true;
     });
     add("bitflip group 0", [](eval::Scenario &s) {
         s.bitflip.mode = eval::BitflipSpec::Mode::kUniform;
