@@ -12,12 +12,15 @@
  * `uniform_ns_per_draw`, with the refill variant that drew it in
  * `rng_refill_isa`), of synthesizing the tensor and a ResNet18
  * (Laplacian) one (params `synthesis_ns_per_weight`,
- * `synthesis_cnn_ns_per_weight`) and of flipping a CNN-profile tensor
- * and BERT-Base's `layer.0.ffn_in` (params `bitflip_ns_per_weight`,
- * `bitflip_bert_ns_per_weight`), plus `fault_branch` /
- * `metrics_record` rows measuring the cost of a disarmed fault point and
- * a disarmed gated histogram record (the robustness and observability
- * layers' zero-overhead claims). Emits BENCH_micro_kernels.json; CI
+ * `synthesis_cnn_ns_per_weight`; the share of their codes std::log
+ * settled in `synthesis_exact_frac`, and the variant that finished the
+ * rest with the in-house log in `synthesis_isa`) and of flipping a
+ * CNN-profile tensor and BERT-Base's `layer.0.ffn_in` (params
+ * `bitflip_ns_per_weight`, `bitflip_bert_ns_per_weight`), plus
+ * `fault_branch` / `metrics_record` rows measuring the cost of a
+ * disarmed fault point and a disarmed gated histogram record (the
+ * robustness and observability layers' zero-overhead claims), each the
+ * median of interleaved pairs. Emits BENCH_micro_kernels.json; CI
  * validates the JSON and the equivalence flags like the other bench
  * reports.
  */
@@ -60,6 +63,48 @@ time_ms(const std::function<void()> &fn)
         best = std::min(best, ms);
     }
     return best;
+}
+
+/// What a loop body adds to a bare loop: the median wall times of both
+/// loops and the median of their per-pair differences, per iteration.
+struct Overhead
+{
+    double bare_ms;
+    double pointed_ms;
+    double ns_per_iter;
+};
+
+/**
+ * Time @p bare and @p pointed (the same @p iters-iteration loop, with
+ * the body under test) in kPairs interleaved pairs, and take medians.
+ * Both runs of a pair share the machine's state, so drift between
+ * pairs cancels in their difference; a difference of two best-of-3
+ * times did not cancel it and spread up to 2.7x between runs.
+ */
+Overhead
+paired_overhead(std::size_t iters, const std::function<void()> &bare,
+                const std::function<void()> &pointed)
+{
+    constexpr int kPairs = 15;
+    const auto ms_of = [](const std::function<void()> &fn) {
+        const auto t0 = std::chrono::steady_clock::now();
+        fn();
+        return std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - t0)
+            .count();
+    };
+    std::vector<double> bare_ms, pointed_ms, diff_ms;
+    for (int r = 0; r < kPairs; ++r) {
+        bare_ms.push_back(ms_of(bare));
+        pointed_ms.push_back(ms_of(pointed));
+        diff_ms.push_back(pointed_ms.back() - bare_ms.back());
+    }
+    const auto median = [](std::vector<double> v) {
+        std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+        return v[v.size() / 2];
+    };
+    return {median(bare_ms), median(pointed_ms),
+            median(diff_ms) * 1e6 / static_cast<double>(iters)};
 }
 
 void
@@ -340,6 +385,26 @@ main()
             synthesize_weights(l4.desc, l4.profile, synth_rng);
         });
     json.param("synthesis_cnn_ns_per_weight", synthesis_cnn_ns);
+    // The share of both tensors' codes that std::log settled (the zero
+    // test's band and the rounding's window); CI fails a fast path that
+    // silently falls back.
+    double synthesis_exact_frac = 0.0;
+    {
+        const detail::RefillVariant &variant = detail::active_refill();
+        std::int64_t exact = 0;
+        Rng ffn_rng(0xBEEF), cnn_rng(0xBEEF);
+        const std::int64_t codes =
+            detail::synthesize_weights(desc, profile, ffn_rng, variant,
+                                       exact)
+                .numel() +
+            detail::synthesize_weights(l4.desc, l4.profile, cnn_rng,
+                                       variant, exact)
+                .numel();
+        synthesis_exact_frac =
+            static_cast<double>(exact) / static_cast<double>(codes);
+        json.param("synthesis_exact_frac", synthesis_exact_frac);
+        json.param("synthesis_isa", variant.name);
+    }
 
     // ----------------------------------------------------- Bit-Flip ---
     // Serial cost of flipping one weight: at g16/z4 on a ResNet-scale
@@ -377,31 +442,31 @@ main()
     // overhead in production. "scalar" is a bare accumulation loop,
     // "packed" the same loop with a BITWAVE_FAULT_POINT in the body
     // (one relaxed atomic load + never-taken branch per iteration).
+    constexpr std::size_t kOverheadIters = 20'000'000;
     {
         fault::reset();  // make sure nothing is armed
-        constexpr std::size_t kIters = 50'000'000;
         volatile std::uint64_t guard = 0;
         std::uint64_t acc = 0;
-        const double bare_ms = time_ms([&] {
-            std::uint64_t sum = 0;
-            for (std::size_t i = 0; i < kIters; ++i) {
-                sum += i ^ guard;
-            }
-            acc ^= sum;
-        });
-        const double pointed_ms = time_ms([&] {
-            std::uint64_t sum = 0;
-            for (std::size_t i = 0; i < kIters; ++i) {
-                BITWAVE_FAULT_POINT("micro.bench");  // never fires
-                sum += i ^ guard;
-            }
-            acc ^= sum;
-        });
+        const Overhead o = paired_overhead(
+            kOverheadIters,
+            [&] {
+                std::uint64_t sum = 0;
+                for (std::size_t i = 0; i < kOverheadIters; ++i) {
+                    sum += i ^ guard;
+                }
+                acc ^= sum;
+            },
+            [&] {
+                std::uint64_t sum = 0;
+                for (std::size_t i = 0; i < kOverheadIters; ++i) {
+                    BITWAVE_FAULT_POINT("micro.bench");  // never fires
+                    sum += i ^ guard;
+                }
+                acc ^= sum;
+            });
         guard = acc;
-        report(json, table, "fault_branch", bare_ms, pointed_ms, true);
-        json.param("fault_branch_ns_per_check",
-                   (pointed_ms - bare_ms) * 1e6 /
-                       static_cast<double>(kIters));
+        report(json, table, "fault_branch", o.bare_ms, o.pointed_ms, true);
+        json.param("fault_branch_ns_per_check", o.ns_per_iter);
     }
 
     // ----------------------------------------------- metrics record ---
@@ -415,24 +480,25 @@ main()
         metrics::Histogram &hist =
             metrics::histogram("bench.metrics_record");
         const std::uint64_t before = hist.snapshot().count;
-        constexpr std::size_t kIters = 50'000'000;
         volatile std::uint64_t guard = 0;
         std::uint64_t acc = 0;
-        const double bare_ms = time_ms([&] {
-            std::uint64_t sum = 0;
-            for (std::size_t i = 0; i < kIters; ++i) {
-                sum += i ^ guard;
-            }
-            acc ^= sum;
-        });
-        const double pointed_ms = time_ms([&] {
-            std::uint64_t sum = 0;
-            for (std::size_t i = 0; i < kIters; ++i) {
-                hist.record(i & 0xFF);  // no-op while disarmed
-                sum += i ^ guard;
-            }
-            acc ^= sum;
-        });
+        const Overhead o = paired_overhead(
+            kOverheadIters,
+            [&] {
+                std::uint64_t sum = 0;
+                for (std::size_t i = 0; i < kOverheadIters; ++i) {
+                    sum += i ^ guard;
+                }
+                acc ^= sum;
+            },
+            [&] {
+                std::uint64_t sum = 0;
+                for (std::size_t i = 0; i < kOverheadIters; ++i) {
+                    hist.record(i & 0xFF);  // no-op while disarmed
+                    sum += i ^ guard;
+                }
+                acc ^= sum;
+            });
         guard = acc;
         // Disarmed records must not land; one armed record must.
         bool ok = hist.snapshot().count == before;
@@ -440,18 +506,18 @@ main()
         hist.record(42);
         ok = ok && hist.snapshot().count == before + 1;
         metrics::set_enabled(false);
-        report(json, table, "metrics_record", bare_ms, pointed_ms, ok);
-        json.param("metrics_disarmed_ns_per_record",
-                   (pointed_ms - bare_ms) * 1e6 /
-                       static_cast<double>(kIters));
+        report(json, table, "metrics_record", o.bare_ms, o.pointed_ms, ok);
+        json.param("metrics_disarmed_ns_per_record", o.ns_per_iter);
     }
 
     std::printf("%s", table.render().c_str());
     std::printf("\nSerial uniform draw: %.2f ns (%s refill).\n",
                 uniform_ns, detail::active_refill().name);
     std::printf("Serial weight synthesis: %.1f ns per weight (BERT "
-                "ffn_in), %.1f (ResNet18 l4.0.conv2).\n",
-                synthesis_ns, synthesis_cnn_ns);
+                "ffn_in), %.1f (ResNet18 l4.0.conv2); std::log settled "
+                "%.2g of the codes (%s log).\n",
+                synthesis_ns, synthesis_cnn_ns, synthesis_exact_frac,
+                detail::active_refill().name);
     std::printf("Serial Bit-Flip: %.1f ns per weight (g16/z4, CNN "
                 "profile), %.1f (g16/z5, BERT-Base ffn_in).\n",
                 bitflip_ns, bitflip_bert_ns);

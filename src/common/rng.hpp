@@ -39,6 +39,20 @@
  * passes `-ffp-contract=off`, which keeps it unfused).
  * `Rng.EveryRefillVariantMatchesTheStandardOracle` (test_common) runs
  * each variant the CPU supports against the standard engine.
+ *
+ * The same variant carries an in-house, libm-free log, compiled from one
+ * body beside the refill, so one CPUID pick serves both. Its entry
+ * points (`detail::FinishFn`) finish a batch of draws with `Rng`'s own
+ * formulas: `laplacian()` and `gaussian()` are each a draw half
+ * (`laplacian_draw()`, `polar_pair()`: every uniform they read, before
+ * any log) and a finishing formula that takes the log as an argument
+ * (`laplacian_finish()`, `gaussian_finish()`). `Rng`'s own samplers pass
+ * std::log, so their outputs are unchanged. Weight synthesis
+ * (nn/synthesis.hpp) walks the stream with the draw halves in the same
+ * order and finishes its batches with the in-house log, which is within
+ * 2 ULP of glibc's; a sample it cannot round with certainty at that
+ * error is finished with std::log, so every code is the one `Rng`'s
+ * samplers give.
  */
 #pragma once
 
@@ -72,11 +86,35 @@ temper(std::uint64_t z)
 /// @p canonical.
 using RefillFn = void (*)(std::uint64_t *state, double *canonical);
 
-/// A refill variant, named after the instruction set it targets.
+/**
+ * One compiled form of a finishing formula over @p n draws, with the
+ * in-house log in place of std::log: `out[i]` is
+ * `Rng::laplacian_finish(scale, {other[i], arg[i]}, ln arg[i])` for
+ * Laplacian draws (sign, t), or `Rng::gaussian_finish(scale, {other[i],
+ * arg[i]}, ln arg[i])` for polar pairs (y, r2). Weight synthesis
+ * finishes its batches with these (nn/synthesis.hpp).
+ *
+ * The log is fdlibm's (FreeBSD msun, e_log.c) for positive normal
+ * doubles, without libm: the same reduction to ln(1 + f) with 1 + f in
+ * [sqrt(2)/2, sqrt(2)), the same degree-14 series in s = f / (2 + f)
+ * (2 atanh(s)), and always its more accurate `hfsq` form, so one
+ * straight-line body serves every lane. It is within 2 ULP of glibc's
+ * from 1e-300 to 1 (`Rng.EveryLogVariantStaysWithinTwoUlp`); with scale
+ * -1 and sign +1 the Laplacian form returns the log itself. Every
+ * variant runs the same operations in the same order, unfused, so they
+ * agree bit for bit.
+ */
+using FinishFn = void (*)(double scale, const double *arg,
+                          const double *other, double *out, std::size_t n);
+
+/// A variant of the vector kernels (the refill and the log's), named
+/// after the instruction set it targets.
 struct RefillVariant
 {
     const char *name;  ///< "avx512f", "avx2" or "baseline"
     RefillFn refill;
+    FinishFn laplacian;
+    FinishFn gaussian;
     bool supported;    ///< whether this CPU can run it
 };
 
@@ -84,8 +122,8 @@ struct RefillVariant
 /// is always supported.
 std::span<const RefillVariant> refill_variants();
 
-/// The variant every refill runs: the first supported one, picked once
-/// per process.
+/// The variant every refill (and weight synthesis' batch log) runs: the
+/// first supported one, picked once per process.
 const RefillVariant &active_refill();
 
 }  // namespace detail
@@ -189,14 +227,35 @@ class Rng
      */
     double gaussian(double sigma)
     {
+        const PolarPair p = polar_pair();
+        return gaussian_finish(sigma, p, std::log(p.r2));
+    }
+
+    /// The draw half of gaussian(): its operands, before any log.
+    struct PolarPair
+    {
+        double y;   ///< the kept coordinate, in [-1, 1]
+        double r2;  ///< x^2 + y^2, in (0, 1]
+    };
+
+    /// Draw one accepted polar pair: every uniform gaussian() reads.
+    PolarPair polar_pair()
+    {
         double x, y, r2;
         do {
             x = 2.0 * uniform() - 1.0;
             y = 2.0 * uniform() - 1.0;
             r2 = x * x + y * y;
         } while (r2 > 1.0 || r2 == 0.0);
-        const double mult = std::sqrt(-2 * std::log(r2) / r2);
-        return y * mult * sigma + 0.0;
+        return {y, r2};
+    }
+
+    /// gaussian()'s finishing formula for pair @p p, given
+    /// @p log_r2 = ln(p.r2).
+    static double gaussian_finish(double sigma, PolarPair p, double log_r2)
+    {
+        const double mult = std::sqrt(-2 * log_r2 / p.r2);
+        return p.y * mult * sigma + 0.0;
     }
 
     /**
@@ -209,14 +268,34 @@ class Rng
      */
     double laplacian(double b)
     {
+        const LaplacianDraw d = laplacian_draw();
+        return laplacian_finish(b, d, std::log(d.t));
+    }
+
+    /// The draw half of laplacian(): its operands, before any log.
+    struct LaplacianDraw
+    {
+        double sign;  ///< -1 or +1
+        double t;     ///< 1 - 2|u|, in [1e-300, 1]
+    };
+
+    /// Draw one Laplacian operand: the one uniform laplacian() reads.
+    LaplacianDraw laplacian_draw()
+    {
         // Inverse-CDF sampling: u in (-0.5, 0.5), x = -b * sgn(u) *
         // ln(1-2|u|).
         double u = uniform() - 0.5;
         const double sign = u < 0 ? -1.0 : 1.0;
         u = std::abs(u);
         // Guard against log(0) when uniform() returned exactly 0.5.
-        const double t = std::max(1.0 - 2.0 * u, 1e-300);
-        return -b * sign * std::log(t);
+        return {sign, std::max(1.0 - 2.0 * u, 1e-300)};
+    }
+
+    /// laplacian()'s finishing formula for draw @p d, given
+    /// @p log_t = ln(d.t).
+    static double laplacian_finish(double b, LaplacianDraw d, double log_t)
+    {
+        return -b * d.sign * log_t;
     }
 
     /// Bernoulli trial with probability @p p of returning true.

@@ -270,6 +270,70 @@ TEST(Rng, EveryRefillVariantMatchesTheStandardOracle)
     }
 }
 
+TEST(Rng, EveryLogVariantStaysWithinTwoUlp)
+{
+    // The in-house log against glibc's, in every variant the CPU runs:
+    // weight synthesis rounds its fast samples only outside a 1e-9
+    // window around each half-integer, which needs |x| <= 128 to move by
+    // far less than that. 2 ULP of the log moves such an x by < 1e-13.
+    // Inputs: every binade from 2^-997 (~1e-300) to 1, densely near 1,
+    // and every power of two with its neighbours. The Laplacian finisher
+    // at scale -1, sign +1 returns the log itself.
+    std::vector<double> x;
+    Rng rng(21);
+    for (int e = -997; e < 0; ++e) {
+        for (int i = 0; i < 64; ++i) {
+            x.push_back(std::ldexp(1.0 + rng.uniform(), e));
+        }
+        double p = std::ldexp(1.0, e);
+        for (int u = 0; u < 4; ++u) {
+            p = std::nextafter(p, 0.0);
+        }
+        for (int u = 0; u < 9; ++u, p = std::nextafter(p, 1.0)) {
+            x.push_back(p);
+        }
+    }
+    double below = 1.0;
+    for (int i = 0; i < 100'000; ++i) {
+        below = std::nextafter(below, 0.0);
+        x.push_back(below);
+    }
+    for (double gap = 1e-16; gap < 0.5; gap *= 1.01) {
+        x.push_back(1.0 - gap);
+    }
+    x.push_back(1.0);
+    x.push_back(1e-300);
+    const std::vector<double> sign(x.size(), 1.0);
+    std::vector<double> first;
+    std::string skipped;
+    for (const detail::RefillVariant &variant : detail::refill_variants()) {
+        if (!variant.supported) {
+            skipped += std::string(skipped.empty() ? "" : ", ") + variant.name;
+            continue;
+        }
+        std::vector<double> ln(x.size());
+        variant.laplacian(-1.0, x.data(), sign.data(), ln.data(), x.size());
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            const double want = std::log(x[i]);
+            const std::int64_t ulps = std::abs(
+                static_cast<std::int64_t>(bits_of(ln[i]) - bits_of(want)));
+            ASSERT_LE(ulps, 2) << variant.name << " ln(" << x[i] << ") = "
+                               << ln[i] << ", glibc " << want;
+        }
+        // The variants run one body: the same bits at every width.
+        if (first.empty()) {
+            first = ln;
+        }
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            ASSERT_EQ(bits_of(ln[i]), bits_of(first[i]))
+                << variant.name << " ln(" << x[i] << ")";
+        }
+    }
+    if (!skipped.empty()) {
+        GTEST_SKIP() << "not run, this CPU lacks: " << skipped;
+    }
+}
+
 TEST(Rng, CanonicalMatchesGenerateCanonical)
 {
     // A scripted generator feeds generate_canonical the edge draws: the

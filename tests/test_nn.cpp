@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -12,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/bits.hpp"
+#include "common/hash.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/trace.hpp"
@@ -363,6 +367,226 @@ TEST(Synthesis, ShardedSynthesisIsThreadInvariant)
     EXPECT_EQ(serial, parallel);
     // And the caller's stream advanced identically either way.
     EXPECT_EQ(serial_rng.engine()(), parallel_rng.engine()());
+}
+
+/// The per-weight loop synthesize_weights() ran before it took its logs
+/// in bulk, chunking included: every weight drawn with Rng::laplacian
+/// or Rng::gaussian (std::log), rounded, then zero-avoided.
+Int8Tensor
+oracle_synthesize_weights(const LayerDesc &desc, const WeightProfile &profile,
+                          Rng &rng)
+{
+    Int8Tensor out(WorkloadLayer::weight_shape(desc));
+    const std::int64_t kernels = out.rank() > 0 ? out.dim(0) : 1;
+    const std::int64_t per_kernel =
+        kernels > 0 ? out.numel() / kernels : out.numel();
+    const std::uint64_t base = rng.engine()();
+    const std::int64_t chunk_kernels = std::max<std::int64_t>(
+        1, (1 << 16) / std::max<std::int64_t>(per_kernel, 1));
+    const std::int64_t chunks =
+        ceil_div(std::max<std::int64_t>(kernels, 1), chunk_kernels);
+    for (std::int64_t c = 0; c < chunks; ++c) {
+        Rng chunk_rng(hash_combine(base, static_cast<std::uint64_t>(c)));
+        const std::int64_t k1 =
+            std::min<std::int64_t>((c + 1) * chunk_kernels, kernels);
+        std::int64_t i = c * chunk_kernels * per_kernel;
+        for (std::int64_t k = c * chunk_kernels; k < k1; ++k) {
+            const double gain =
+                std::exp(chunk_rng.gaussian(profile.kernel_gain_sigma));
+            const double scale = profile.scale * gain;
+            for (std::int64_t j = 0; j < per_kernel; ++j, ++i) {
+                if (chunk_rng.bernoulli(profile.zero_probability)) {
+                    out[i] = 0;
+                    continue;
+                }
+                const double x =
+                    profile.distribution == WeightDistribution::kLaplacian
+                    ? chunk_rng.laplacian(scale)
+                    : chunk_rng.gaussian(scale);
+                int code = static_cast<int>(round_half_away(x));
+                if (code == 0 &&
+                    chunk_rng.bernoulli(profile.zero_avoidance)) {
+                    code = chunk_rng.bernoulli(0.5) ? 1 : -1;
+                }
+                out[i] = static_cast<std::int8_t>(
+                    std::clamp(code, kSignMagMin, kSignMagMax));
+            }
+        }
+    }
+    return out;
+}
+
+/// The oracle's code for one exact sample, zero avoidance aside.
+int
+oracle_code(double x)
+{
+    return std::clamp(static_cast<int>(round_half_away(x)), kSignMagMin,
+                      kSignMagMax);
+}
+
+/// Runs @p check(variant) for every variant the CPU supports, then
+/// reports SKIPPED naming the ones it lacks.
+template <class Check>
+void
+for_every_supported_variant(Check &&check)
+{
+    std::string skipped;
+    for (const detail::RefillVariant &variant : detail::refill_variants()) {
+        if (!variant.supported) {
+            skipped += std::string(skipped.empty() ? "" : ", ") + variant.name;
+            continue;
+        }
+        SCOPED_TRACE(variant.name);
+        check(variant);
+    }
+    if (!skipped.empty()) {
+        GTEST_SKIP() << "not run, this CPU lacks: " << skipped;
+    }
+}
+
+TEST(Synthesis, EveryLogVariantMatchesThePerWeightOracle)
+{
+    // Byte for byte against the per-weight loop, on profiles that reach
+    // every branch: scale 0.2 (mostly zeros) to 400 (mostly clamped),
+    // every weight dropped or none, zero avoidance off, partial and
+    // certain, flat and wide kernel gains. Kernel lengths cover ragged
+    // vector tails (1, 7, 9), batch flushes (300, 4608) and kernels that
+    // span a 312-draw refill; 16 kernels of 4608 make two chunks.
+    struct Size
+    {
+        std::int64_t kernels, per_kernel;
+    };
+    const Size sizes[] = {{40, 1},  {40, 7},   {40, 9},
+                          {40, 64}, {20, 300}, {16, 4608}};
+    std::vector<WeightProfile> profiles;
+    for (const auto distribution :
+         {WeightDistribution::kLaplacian, WeightDistribution::kGaussian}) {
+        for (const double scale : {0.2, 5.0, 400.0}) {
+            for (const double drop : {0.0, 0.3, 1.0}) {
+                for (const double avoid : {0.0, 0.8, 1.0}) {
+                    for (const double gain_sigma : {0.0, 2.0}) {
+                        WeightProfile p;
+                        p.distribution = distribution;
+                        p.scale = scale;
+                        p.zero_probability = drop;
+                        p.zero_avoidance = avoid;
+                        p.kernel_gain_sigma = gain_sigma;
+                        profiles.push_back(p);
+                    }
+                }
+            }
+        }
+    }
+    std::uint64_t seed = 1;
+    std::vector<std::pair<WeightProfile, LayerDesc>> cases;
+    std::vector<Int8Tensor> want;
+    std::vector<std::uint64_t> next_draw;
+    for (const WeightProfile &p : profiles) {
+        for (const Size &size : sizes) {
+            const LayerDesc desc =
+                make_linear("l", size.kernels, size.per_kernel);
+            Rng rng(seed++);
+            want.push_back(oracle_synthesize_weights(desc, p, rng));
+            next_draw.push_back(rng.engine()());
+            cases.emplace_back(p, desc);
+        }
+    }
+    for_every_supported_variant([&](const detail::RefillVariant &variant) {
+        for (std::size_t c = 0; c < cases.size(); ++c) {
+            const auto &[p, desc] = cases[c];
+            Rng rng(c + 1);
+            std::int64_t exact = 0;
+            const Int8Tensor got =
+                detail::synthesize_weights(desc, p, rng, variant, exact);
+            ASSERT_EQ(got, want[c])
+                << "case " << c << ": " << desc.to_string() << ", scale "
+                << p.scale << ", drop " << p.zero_probability << ", avoid "
+                << p.zero_avoidance << ", gain sigma "
+                << p.kernel_gain_sigma;
+            ASSERT_EQ(rng.engine()(), next_draw[c]) << "case " << c;
+        }
+    });
+}
+
+TEST(Synthesis, BatchRoundsEveryBoundaryLikeTheExactExpression)
+{
+    // The fallbacks fire almost never on real tensors, so draws are
+    // placed on them: at, and 1-4 ULP around, every |x| = k + 1/2 for
+    // k = 0..127 (k = 0 is the zero threshold), and at relative offsets
+    // from 0.5 that the walk's bracket leaves to the in-house log.
+    // Every code must be the exact expression's, and the fallbacks must
+    // have fired.
+    const auto around = [](double v, auto &&emit) {
+        for (int ulps = -4; ulps <= 4; ++ulps) {
+            double w = v;
+            for (int u = 0; u < std::abs(ulps); ++u) {
+                w = std::nextafter(w, ulps < 0 ? 0.0 : 2.0);
+            }
+            emit(w);
+        }
+    };
+    std::vector<double> targets;
+    for (int k = 0; k <= 127; ++k) {
+        targets.push_back(k + 0.5);
+    }
+    for (const double rel : {1e-8, 1e-6, 1e-4, 1e-2, 0.1}) {
+        targets.push_back(0.5 * (1.0 - rel));
+        targets.push_back(0.5 * (1.0 + rel));
+    }
+    for_every_supported_variant([&](const detail::RefillVariant &variant) {
+        std::int64_t exact = 0;
+        for (const double b : {0.3, 1.0, 4.18, 24.0, 100.0}) {
+            // Laplacian: |x| = b * -ln t, so t = exp(-|x| / b).
+            std::vector<double> t, sign, want;
+            for (const double target : targets) {
+                around(std::exp(-target / b), [&](double v) {
+                    if (v >= 1e-300 && v <= 1.0) {
+                        t.push_back(v);
+                        sign.push_back(t.size() % 2 ? 1.0 : -1.0);
+                        want.push_back(oracle_code(Rng::laplacian_finish(
+                            b, {sign.back(), v}, std::log(v))));
+                    }
+                });
+            }
+            std::vector<std::int8_t> got(t.size());
+            exact += detail::weight_codes(WeightDistribution::kLaplacian, b,
+                                          t, sign, got, variant);
+            for (std::size_t i = 0; i < t.size(); ++i) {
+                ASSERT_EQ(got[i], want[i])
+                    << "Laplacian b " << b << " t " << t[i];
+            }
+            // Gaussian: |x| = |y| * sqrt(-2 ln r2 / r2) * sigma, solved
+            // for y at several r2, then y and r2 moved by ULPs.
+            std::vector<double> r2s, ys;
+            want.clear();
+            for (const double r2 : {1e-6, 0.05, 0.5, 0.9, 0.999}) {
+                const double mult = std::sqrt(-2 * std::log(r2) / r2);
+                for (const double target : targets) {
+                    const double y = target / (mult * b);
+                    if (y * y > r2) {
+                        continue;
+                    }
+                    around(y, [&](double yv) {
+                        around(r2, [&](double rv) {
+                            r2s.push_back(rv);
+                            ys.push_back(r2s.size() % 2 ? yv : -yv);
+                            want.push_back(oracle_code(Rng::gaussian_finish(
+                                b, {ys.back(), rv}, std::log(rv))));
+                        });
+                    });
+                }
+            }
+            got.assign(r2s.size(), 0);
+            exact += detail::weight_codes(WeightDistribution::kGaussian, b,
+                                          r2s, ys, got, variant);
+            for (std::size_t i = 0; i < r2s.size(); ++i) {
+                ASSERT_EQ(got[i], want[i]) << "Gaussian sigma " << b
+                                           << " r2 " << r2s[i] << " y "
+                                           << ys[i];
+            }
+        }
+        EXPECT_GT(exact, 0) << "no draw reached a fallback";
+    });
 }
 
 TEST(Synthesis, ActivationsRespectReluAndSparsity)
