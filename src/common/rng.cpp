@@ -1,5 +1,7 @@
 #include "common/rng.hpp"
 
+#include <limits>
+
 namespace bitwave {
 
 namespace {
@@ -9,6 +11,11 @@ constexpr std::uint64_t kInitMultiplier = 6364136223846793005ULL;  // f
 constexpr std::uint64_t kMatrix = 0xB5026F5AA96619E9ULL;           // a
 constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;      // r = 31
 constexpr std::uint64_t kLowerMask = ~kUpperMask;
+
+/// fdlibm's ln2 = kLn2Hi + kLn2Lo; k * kLn2Hi is exact for any binary
+/// exponent k.
+constexpr double kLn2Hi = 6.93147180369123816490e-01;
+constexpr double kLn2Lo = 1.90821492927058770002e-10;
 
 /// One twist step: the upper bit of @p word joined to the lower bits of
 /// @p next, shifted and mixed into @p far. The matrix term is selected
@@ -43,13 +50,11 @@ refill_block(std::uint64_t *state, double *canonical)
 }
 
 /// fdlibm's ln(@p x) (FreeBSD msun, e_log.c) for a positive normal
-/// @p x, branch-free: the log's one body, inlined into each variant
-/// below like refill_block.
+/// @p x, branch-free (always its more accurate `hfsq` form): the log's
+/// one body, inlined into each variant below and into fdlibm_log().
 [[gnu::always_inline]] inline double
 log_body(double x)
 {
-    constexpr double kLn2Hi = 6.93147180369123816490e-01;
-    constexpr double kLn2Lo = 1.90821492927058770002e-10;
     constexpr double kLg1 = 6.666666666666735130e-01;
     constexpr double kLg2 = 3.999999999940941908e-01;
     constexpr double kLg3 = 2.857142874366239149e-01;
@@ -175,6 +180,66 @@ active_refill()
 }
 
 }  // namespace detail
+
+double
+fdlibm_log(double x)
+{
+    return log_body(x);
+}
+
+double
+fdlibm_exp(double x)
+{
+    constexpr double kInvLn2 = 1.44269504088896338700e+00;
+    constexpr double kP1 = 1.66666666666666019037e-01;
+    constexpr double kP2 = -2.77777777770155933842e-03;
+    constexpr double kP3 = 6.61375632143793436117e-05;
+    constexpr double kP4 = -1.65339022054652515390e-06;
+    constexpr double kP5 = 4.13813679705723846039e-08;
+    constexpr double kOverflow = 7.09782712893383973096e+02;
+    constexpr double kUnderflow = -7.45133219101941108420e+02;
+
+    // fdlibm's ranges, by the high word of |x|.
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+    const std::uint32_t high =
+        static_cast<std::uint32_t>(bits >> 32) & 0x7FFFFFFFU;
+    if (high >= 0x40862E42U) {  // |x| >= 709.78, or not finite
+        if (x < kUnderflow) {
+            return 0.0;
+        }
+        if (!(x <= kOverflow)) {  // +inf, or NaN for NaN
+            return x * std::numeric_limits<double>::infinity();
+        }
+    } else if (high < 0x3E300000U) {  // |x| < 2^-28: e^x rounds as 1 + x
+        return 1.0 + x;
+    }
+    // x = k ln2 + (hi - lo), |hi - lo| <= ln2 / 2 (fdlibm spells out
+    // k = +-1 below 3 ln2 / 2; this gives the same k, hi and lo).
+    int k = 0;
+    double hi = x, lo = 0.0;
+    if (high > 0x3FD62E42U) {  // |x| > ln2 / 2
+        k = static_cast<int>(kInvLn2 * x + (x < 0 ? -0.5 : 0.5));
+        hi = x - k * kLn2Hi;
+        lo = k * kLn2Lo;
+    }
+    const double r = hi - lo;
+    // e^r = 1 + r + r c / (2 - c), c = r - r^2 P(r^2).
+    const double t = r * r;
+    const double c =
+        r - t * (kP1 + t * (kP2 + t * (kP3 + t * (kP4 + t * kP5))));
+    if (k == 0) {
+        return 1.0 - ((r * c) / (c - 2.0) - r);
+    }
+    const double y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
+    // y 2^k in two exact halves, so that 2^k need not be a normal
+    // double: the second product rounds once, as fdlibm's split of
+    // k < -1021 and k = 1024 does.
+    const auto two_to = [](int e) {
+        return std::bit_cast<double>(static_cast<std::uint64_t>(1023 + e)
+                                     << 52);
+    };
+    return y * two_to(k / 2) * two_to(k - k / 2);
+}
 
 Mt19937_64::Mt19937_64(std::uint64_t seed)
 {

@@ -6,17 +6,20 @@
  * inputs) flows through this generator so experiments are reproducible
  * run-to-run and the benches regenerate identical tables.
  *
- * Stream contract: `Rng` yields exactly the values that the standard
- * `mt19937_64` engine plus libstdc++'s uniform real and normal
- * distributions (a fresh distribution per call) yielded before this
- * header carried its own engine, bit for bit, so every synthesized
- * weight, figure and table is unchanged. The oracle test
- * `Rng.StreamMatchesTheStandardOracle` (test_common) pins this against
- * the standard engine and distributions, which survive only there. The
- * in-house engine and draws exist because the standard ones branch on
- * random data: the libstdc++ refill branches on each state word's low
- * bit and the uint64 -> double conversion on the sign bit, so about
- * every other draw mispredicted. Here both are straight-line code.
+ * Stream contract: the engine and `uniform()` (so also `bernoulli()`,
+ * `uniform_int()` and raw draws) yield exactly the values of the
+ * standard `mt19937_64` engine and libstdc++'s uniform real
+ * distribution, bit for bit. `gaussian()` and `laplacian()` read the
+ * uniforms that libstdc++'s normal distribution and the inverse-CDF
+ * Laplacian read, but take the in-house log (`fdlibm_log()`), so no
+ * weight depends on the host's libm; they lie within a few ULP of the
+ * standard log's values. `Rng.StreamMatchesTheStandardOracle`
+ * (test_common) pins both against the standard engine and
+ * distributions, which survive only there. The in-house engine and
+ * draws exist because the standard ones branch on random data: the
+ * libstdc++ refill branches on each state word's low bit and the
+ * uint64 -> double conversion on the sign bit, so about every other
+ * draw mispredicted. Here both are straight-line code.
  * The engine also works a block at a time: each refill twists all 312
  * state words, then tempers each and stores its `Rng::canonical` double
  * in one loop that the compiler vectorizes, so `uniform()` is a load.
@@ -40,19 +43,19 @@
  * `Rng.EveryRefillVariantMatchesTheStandardOracle` (test_common) runs
  * each variant the CPU supports against the standard engine.
  *
- * The same variant carries an in-house, libm-free log, compiled from one
- * body beside the refill, so one CPUID pick serves both. Its entry
- * points (`detail::FinishFn`) finish a batch of draws with `Rng`'s own
+ * The same variant carries the in-house log, compiled from one body
+ * beside the refill, so one CPUID pick serves both. Its entry points
+ * (`detail::FinishFn`) finish a batch of draws with `Rng`'s own
  * formulas: `laplacian()` and `gaussian()` are each a draw half
  * (`laplacian_draw()`, `polar_pair()`: every uniform they read, before
  * any log) and a finishing formula that takes the log as an argument
- * (`laplacian_finish()`, `gaussian_finish()`). `Rng`'s own samplers pass
- * std::log, so their outputs are unchanged. Weight synthesis
+ * (`laplacian_finish()`, `gaussian_finish()`). `Rng`'s own samplers
+ * pass `fdlibm_log()`, the scalar entry to the same body, so a batch
+ * gives the samplers' bits at every width. Weight synthesis
  * (nn/synthesis.hpp) walks the stream with the draw halves in the same
- * order and finishes its batches with the in-house log, which is within
- * 2 ULP of glibc's; a sample it cannot round with certainty at that
- * error is finished with std::log, so every code is the one `Rng`'s
- * samplers give.
+ * order, finishes its batches through the variant and takes each
+ * kernel's gain from `fdlibm_exp()`: it calls no libm transcendental
+ * (tools/bitwave_lint.py's `libm` rule).
  */
 #pragma once
 
@@ -87,22 +90,14 @@ temper(std::uint64_t z)
 using RefillFn = void (*)(std::uint64_t *state, double *canonical);
 
 /**
- * One compiled form of a finishing formula over @p n draws, with the
- * in-house log in place of std::log: `out[i]` is
- * `Rng::laplacian_finish(scale, {other[i], arg[i]}, ln arg[i])` for
- * Laplacian draws (sign, t), or `Rng::gaussian_finish(scale, {other[i],
- * arg[i]}, ln arg[i])` for polar pairs (y, r2). Weight synthesis
- * finishes its batches with these (nn/synthesis.hpp).
- *
- * The log is fdlibm's (FreeBSD msun, e_log.c) for positive normal
- * doubles, without libm: the same reduction to ln(1 + f) with 1 + f in
- * [sqrt(2)/2, sqrt(2)), the same degree-14 series in s = f / (2 + f)
- * (2 atanh(s)), and always its more accurate `hfsq` form, so one
- * straight-line body serves every lane. It is within 2 ULP of glibc's
- * from 1e-300 to 1 (`Rng.EveryLogVariantStaysWithinTwoUlp`); with scale
- * -1 and sign +1 the Laplacian form returns the log itself. Every
- * variant runs the same operations in the same order, unfused, so they
- * agree bit for bit.
+ * One compiled form of a finishing formula over @p n draws: `out[i]` is
+ * `Rng::laplacian_finish(scale, {other[i], arg[i]}, fdlibm_log(arg[i]))`
+ * for Laplacian draws (sign, t), or `Rng::gaussian_finish(scale,
+ * {other[i], arg[i]}, fdlibm_log(arg[i]))` for polar pairs (y, r2).
+ * Weight synthesis finishes its batches with these (nn/synthesis.hpp).
+ * Every variant and `fdlibm_log()` run the log's one body, the same
+ * operations in the same order, unfused, so they agree bit for bit;
+ * with scale -1 and sign +1 the Laplacian form returns the log itself.
  */
 using FinishFn = void (*)(double scale, const double *arg,
                           const double *other, double *out, std::size_t n);
@@ -127,6 +122,17 @@ std::span<const RefillVariant> refill_variants();
 const RefillVariant &active_refill();
 
 }  // namespace detail
+
+/// ln(@p x) for a positive normal @p x without libm: fdlibm's log
+/// (FreeBSD msun, e_log.c), branch-free, the body every
+/// `detail::FinishFn` variant runs. Within 1 ULP of ln x
+/// (`Rng.InHouseLogAndExpStayWithinOneUlp`, test_common).
+double fdlibm_log(double x);
+
+/// e^@p x for every double without libm: fdlibm's exp (FreeBSD msun,
+/// e_exp.c), unfused like fdlibm_log(); exactly 1 at 0, +inf past
+/// ~709.78, 0 below ~-745.13. Within 1 ULP of e^x (the same test).
+double fdlibm_exp(double x);
 
 /**
  * MT19937-64 exactly as [rand.eng.mers] specifies the standard's
@@ -220,15 +226,16 @@ class Rng
 
     /**
      * Zero-mean Gaussian sample with standard deviation @p sigma:
-     * Marsaglia's polar method exactly as a freshly built libstdc++
-     * normal distribution evaluates it, trailing `+ mean` included (it
-     * turns a -0.0 product into +0.0). The polar pair's first value
-     * is discarded, as the fresh distribution discarded it.
+     * Marsaglia's polar method as a freshly built libstdc++ normal
+     * distribution evaluates it, trailing `+ mean` included (it turns a
+     * -0.0 product into +0.0), with fdlibm_log() for std::log. The polar
+     * pair's first value is discarded, as the fresh distribution
+     * discarded it.
      */
     double gaussian(double sigma)
     {
         const PolarPair p = polar_pair();
-        return gaussian_finish(sigma, p, std::log(p.r2));
+        return gaussian_finish(sigma, p, fdlibm_log(p.r2));
     }
 
     /// The draw half of gaussian(): its operands, before any log.
@@ -269,7 +276,7 @@ class Rng
     double laplacian(double b)
     {
         const LaplacianDraw d = laplacian_draw();
-        return laplacian_finish(b, d, std::log(d.t));
+        return laplacian_finish(b, d, fdlibm_log(d.t));
     }
 
     /// The draw half of laplacian(): its operands, before any log.

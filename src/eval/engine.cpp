@@ -401,17 +401,8 @@ finalize_scenario(const Scenario &scenario, const ScenarioPrep &prep,
     out.engine = engine_name(scenario.engine);
     out.rng_seed = rng_seed;
     out.workload = prep.workload->name;
-    switch (scenario.engine) {
-      case EngineKind::kAnalytical:
-        out.accelerator = scenario.accel.name;
-        break;
-      case EngineKind::kCycleSim:
-        out.accelerator = "BitWaveNPU";
-        break;
-      case EngineKind::kStats:
-        out.accelerator = "stats";
-        break;
-    }
+    out.accelerator =
+        scenario.engine == EngineKind::kStats ? "stats" : scenario.accel.name;
     out.layers = std::move(layers);
     for (std::size_t s = 0; s < out.layers.size(); ++s) {
         out.total_cycles += out.layers[s].total_cycles;

@@ -32,12 +32,7 @@ Scenario::name() const
     if (!label.empty()) {
         return label;
     }
-    std::string n;
-    switch (engine) {
-      case EngineKind::kCycleSim: n = "BitWaveNPU"; break;
-      case EngineKind::kStats: n = "stats"; break;
-      case EngineKind::kAnalytical: n = accel.name; break;
-    }
+    std::string n = engine == EngineKind::kStats ? "stats" : accel.name;
     n += '/';
     n += custom_workload ? custom_workload->name.c_str()
                          : workload_name(workload);

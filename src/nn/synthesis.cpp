@@ -1,9 +1,7 @@
 #include "nn/synthesis.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <limits>
 
 #include "common/bits.hpp"
 #include "common/hash.hpp"
@@ -23,27 +21,13 @@ constexpr std::int64_t kSynthesisChunkElements = 1 << 16;
 /// Nonzero samples a batch holds before its log pass runs.
 constexpr std::size_t kBatch = 256;
 
-/// The walk's zero test: |x| within this of 0.5 takes std::log.
+/// The walk's zero test settles a sample by its bracket only when |x|
+/// lies further than this from 0.5, where neither the bracket's own
+/// rounding nor the in-house log's error can carry it across; any other
+/// sample is finished, and its value decides.
 constexpr double kZeroBand = 1e-7;
 constexpr double kBelowZeroBand = 0.5 - kZeroBand;
 constexpr double kAboveZeroBand = 0.5 + kZeroBand;
-
-/// The batch's rounding: |x| within this of a half-integer takes
-/// std::log (the in-house log moves |x| <= 128 by < 1e-13).
-constexpr double kHalfWindow = 1e-9;
-
-/// What the walk's zero test returns for a sample that does not round
-/// to 0: the batch computes its code.
-constexpr int kDeferred = std::numeric_limits<int>::min();
-
-/// The code of sample @p x as the per-weight loop rounds it: half away
-/// from zero, clamped, zero avoidance aside.
-int
-quantize(double x)
-{
-    return std::clamp(static_cast<int>(round_half_away(x)), kSignMagMin,
-                      kSignMagMax);
-}
 
 /// A draw as both passes carry it: the value whose log the finishing
 /// formula takes, and the rest of the draw.
@@ -71,12 +55,6 @@ struct LaplacianAt
     {
         const Rng::LaplacianDraw d = rng.laplacian_draw();
         return {d.t, d.sign};
-    }
-
-    double exact(Operands o) const
-    {
-        return Rng::laplacian_finish(scale, {o.other, o.arg},
-                                     std::log(o.arg));
     }
 
     /// |x| = |scale| * -ln t, and -ln t lies in [d + d^2/2 + d^3/3,
@@ -108,12 +86,6 @@ struct GaussianAt
         return {p.r2, p.y};
     }
 
-    double exact(Operands o) const
-    {
-        return Rng::gaussian_finish(scale, {o.other, o.arg},
-                                    std::log(o.arg));
-    }
-
     /// x^2 = 2 sigma^2 y^2 (-ln r2) / r2, and -ln r2 lies in
     /// [d + d^2/2 + d^3/3, d/r2].
     Bracket bracket(Operands o) const
@@ -137,7 +109,6 @@ struct Sampler
 {
     Dist dist;
     const RefillVariant &variant;
-    std::int64_t &exact;  ///< codes std::log settled
 
     /// Finish @p n draws with the in-house log.
     void finish(const double *arg, const double *other, double *x,
@@ -146,22 +117,17 @@ struct Sampler
         (variant.*Dist::kFinish)(dist.scale, arg, other, x, n);
     }
 
-    /// The walk's zero test for draw @p o: 0 when its exact code is 0,
-    /// kDeferred when it is not. A draw in the band gets its exact code.
-    int settle(Operands o) const
+    /// The walk's zero test: whether draw @p o rounds to a nonzero
+    /// code. The bracket settles it, or else the sample's own value.
+    bool nonzero(Operands o) const
     {
         const Bracket bracket = dist.bracket(o);
         if (bracket != Bracket::kUnsure) {
-            return bracket == Bracket::kZero ? 0 : kDeferred;
+            return bracket == Bracket::kNonzero;
         }
         double x;
         finish(&o.arg, &o.other, &x, 1);
-        const double a = std::abs(x);
-        if (std::abs(a - 0.5) >= kZeroBand) {
-            return a < 0.5 ? 0 : kDeferred;
-        }
-        ++exact;
-        return quantize(dist.exact(o));
+        return std::abs(x) >= 0.5;
     }
 };
 
@@ -194,19 +160,14 @@ struct Batch
         double x[kBatch];
         sampler.finish(arg, other, x, n);
         for (std::size_t i = 0; i < n; ++i) {
-            // Past 128 every code clamps to 127; past 2^31 quantize()'s
-            // int cast wraps, so the exact expression decides.
+            // Half away from zero; past 128 every code clamps to 127. The
+            // sign is a coin flip: a branch on it mispredicts every other
+            // sample, so it multiplies.
             const double a = std::min(std::abs(x[i]), 128.0);
             const int whole = static_cast<int>(a);
-            const double frac = a - whole;
-            int code = std::min(whole + (frac >= 0.5), kSignMagMax);
-            code = x[i] < 0 ? -code : code;
-            if (std::abs(frac - 0.5) < kHalfWindow ||
-                !(std::abs(x[i]) < 0x1p31)) {
-                ++sampler.exact;
-                code = quantize(sampler.dist.exact({arg[i], other[i]}));
-            }
-            out[at[i]] = static_cast<std::int8_t>(code);
+            const int code = std::min(whole + (a - whole >= 0.5), kSignMagMax);
+            const int sign = 1 - 2 * static_cast<int>(x[i] < 0);
+            out[at[i]] = static_cast<std::int8_t>(sign * code);
         }
         n = 0;
     }
@@ -223,11 +184,8 @@ walk_kernel(std::int8_t *out, std::int64_t n, const Sampler<Dist> &sampler,
             continue;
         }
         const Operands o = Dist::draw(rng);
-        const int code = sampler.settle(o);
-        if (code == kDeferred) {
+        if (sampler.nonzero(o)) {
             batch.push(sampler, out, o, static_cast<std::uint32_t>(j));
-        } else if (code != 0) {
-            out[j] = static_cast<std::int8_t>(code);
         } else if (rng.bernoulli(profile.zero_avoidance)) {
             out[j] = rng.bernoulli(0.5) ? 1 : -1;
         }
@@ -241,14 +199,13 @@ void
 synthesize_kernel_range(std::int8_t *out, const WeightProfile &profile,
                         std::int64_t per_kernel, std::int64_t k0,
                         std::int64_t k1, Rng &rng,
-                        const RefillVariant &variant, std::int64_t &exact)
+                        const RefillVariant &variant)
 {
     Batch batch;
     for (std::int64_t k = k0; k < k1; ++k) {
         const double gain =
-            std::exp(rng.gaussian(profile.kernel_gain_sigma));
-        const Sampler<Dist> sampler{Dist{profile.scale * gain}, variant,
-                                    exact};
+            fdlibm_exp(rng.gaussian(profile.kernel_gain_sigma));
+        const Sampler<Dist> sampler{Dist{profile.scale * gain}, variant};
         walk_kernel(out + k * per_kernel, per_kernel, sampler, profile, rng,
                     batch);
     }
@@ -260,17 +217,15 @@ Int8Tensor
 synthesize_weights(const LayerDesc &desc, const WeightProfile &profile,
                    Rng &rng)
 {
-    std::int64_t exact = 0;
     return detail::synthesize_weights(desc, profile, rng,
-                                      detail::active_refill(), exact);
+                                      detail::active_refill());
 }
 
 namespace detail {
 
 Int8Tensor
 synthesize_weights(const LayerDesc &desc, const WeightProfile &profile,
-                   Rng &rng, const RefillVariant &variant,
-                   std::int64_t &exact)
+                   Rng &rng, const RefillVariant &variant)
 {
     Int8Tensor out(WorkloadLayer::weight_shape(desc));
     const std::int64_t kernels = out.rank() > 0 ? out.dim(0) : 1;
@@ -287,46 +242,37 @@ synthesize_weights(const LayerDesc &desc, const WeightProfile &profile,
         1, kSynthesisChunkElements / std::max<std::int64_t>(per_kernel, 1));
     const std::int64_t chunks = ceil_div(std::max<std::int64_t>(kernels, 1),
                                          chunk_kernels);
-    std::atomic<std::int64_t> exact_total{0};
     worksteal_for(static_cast<std::size_t>(chunks), [&](std::size_t c) {
         const std::int64_t k0 =
             static_cast<std::int64_t>(c) * chunk_kernels;
         const std::int64_t k1 =
             std::min<std::int64_t>(k0 + chunk_kernels, kernels);
         Rng chunk_rng(hash_combine(base, static_cast<std::uint64_t>(c)));
-        std::int64_t chunk_exact = 0;
         if (profile.distribution == WeightDistribution::kLaplacian) {
             synthesize_kernel_range<LaplacianAt>(
-                out.data(), profile, per_kernel, k0, k1, chunk_rng, variant,
-                chunk_exact);
+                out.data(), profile, per_kernel, k0, k1, chunk_rng, variant);
         } else {
             synthesize_kernel_range<GaussianAt>(
-                out.data(), profile, per_kernel, k0, k1, chunk_rng, variant,
-                chunk_exact);
+                out.data(), profile, per_kernel, k0, k1, chunk_rng, variant);
         }
-        exact_total.fetch_add(chunk_exact, std::memory_order_relaxed);
     });
-    exact += exact_total.load(std::memory_order_relaxed);
     return out;
 }
 
-std::int64_t
+void
 weight_codes(WeightDistribution distribution, double scale,
              std::span<const double> arg, std::span<const double> other,
              std::span<std::int8_t> codes, const RefillVariant &variant)
 {
-    std::int64_t exact = 0;
     const auto run = [&](auto dist) {
-        const Sampler<decltype(dist)> sampler{dist, variant, exact};
+        const Sampler<decltype(dist)> sampler{dist, variant};
         Batch batch;
         for (std::size_t i = 0; i < codes.size(); ++i) {
             const Operands o{arg[i], other[i]};
-            const int code = sampler.settle(o);
-            if (code == kDeferred) {
+            codes[i] = 0;
+            if (sampler.nonzero(o)) {
                 batch.push(sampler, codes.data(), o,
                            static_cast<std::uint32_t>(i));
-            } else {
-                codes[i] = static_cast<std::int8_t>(code);
             }
         }
         batch.flush(sampler, codes.data());
@@ -336,7 +282,6 @@ weight_codes(WeightDistribution distribution, double scale,
     } else {
         run(GaussianAt{scale});
     }
-    return exact;
 }
 
 }  // namespace detail

@@ -14,13 +14,16 @@
  * magnitudes, reproducing the paper's observation that the original
  * BERT Int8 model has few zero columns until Bit-Flip is applied.
  *
- * Each weight is x = Rng's Laplacian or Gaussian sample, rounded half
- * away from zero and clamped to [-127, 127]; a dropped weight
- * (`zero_probability`) is 0, and a sample that rounds to 0 may become
- * +-1 (`zero_avoidance`). Every code equals what drawing each weight
- * with `Rng::laplacian` / `Rng::gaussian` (glibc's `log`) gives, bit
- * for bit, though the common case takes no libm log. A kernel is drawn
- * in two passes:
+ * Each weight is x = Rng's Laplacian or Gaussian sample at the
+ * kernel's scale (the profile's, times a gain e^g with g a
+ * `kernel_gain_sigma` Gaussian draw), rounded half away from zero and
+ * clamped to [-127, 127]; a dropped weight (`zero_probability`) is 0,
+ * and a sample that rounds to 0 may become +-1 (`zero_avoidance`).
+ * `Rng::laplacian` and `Rng::gaussian` take the in-house log and the
+ * gain the in-house exp (`fdlibm_log`, `fdlibm_exp`, common/rng.hpp),
+ * so no weight depends on the host's libm. Every code equals what
+ * drawing each weight with those samplers gives, bit for bit. A kernel
+ * is drawn in two passes:
  *
  * - **The walk** reads the `Rng` stream in that order, exactly the
  *   uniforms that loop reads: the drop test, the Laplacian operand
@@ -29,17 +32,14 @@
  *   depend on whether the sample rounds to 0, so the walk settles that
  *   first, without a log: with d = 1 - t, d + d^2/2 + d^3/3 <= -ln t
  *   <= d/t brackets |x| (t is the Laplacian's operand or the polar
- *   pair's r^2). When the bracket straddles 0.5, the in-house log
- *   settles it; only a sample whose |x| lies within 1e-7 of 0.5 takes
- *   the exact expression, std::log included. A nonzero sample goes
+ *   pair's r^2). A sample whose bracket reaches within 1e-7 of 0.5 is
+ *   finished on the spot and its |x| decides. A nonzero sample goes
  *   into a batch of 256 operands, flushed when full and at kernel end.
  * - **The batch** takes its logs in one vectorized pass (the in-house
- *   log, `detail::FinishFn`, through the same variant as the MT refill)
- *   and finishes each sample with `Rng`'s own formula. The in-house log
- *   is within 2 ULP of glibc's, so |x| moves by < 1e-13 wherever
- *   |x| <= 128: a sample whose |x| lies within 1e-9 of a half-integer
- *   is recomputed with std::log, and every other rounds to the code
- *   the exact expression gives.
+ *   log, `detail::FinishFn`, through the same variant as the MT refill),
+ *   finishes each sample with `Rng`'s own formula and rounds it. The
+ *   variants and the samplers run one log body, so they give the same
+ *   bits.
  *
  * `Synthesis.EveryLogVariantMatchesThePerWeightOracle` (test_nn) pins
  * the codes against that per-weight loop on profiles that reach every
@@ -73,25 +73,21 @@ Int8Tensor synthesize_activations(const Shape &shape, double value_sparsity,
 namespace detail {
 
 /// synthesize_weights() with its batches finished by @p variant (tests
-/// run every variant). Adds to @p exact the codes std::log settled:
-/// zero tests in the band and roundings in the window.
+/// run every variant).
 Int8Tensor synthesize_weights(const LayerDesc &desc,
                               const WeightProfile &profile, Rng &rng,
-                              const RefillVariant &variant,
-                              std::int64_t &exact);
+                              const RefillVariant &variant);
 
 /**
  * Both passes on hand-placed draws, as one kernel of scale @p scale
  * takes them: draw i is (t, sign) for kLaplacian and (r^2, y) for
  * kGaussian, given as @p arg[i] (the value the log is taken of) and
  * @p other[i]. Stores each draw's code before zero avoidance in
- * @p codes and returns how many std::log settled.
+ * @p codes.
  */
-std::int64_t weight_codes(WeightDistribution distribution, double scale,
-                          std::span<const double> arg,
-                          std::span<const double> other,
-                          std::span<std::int8_t> codes,
-                          const RefillVariant &variant);
+void weight_codes(WeightDistribution distribution, double scale,
+                  std::span<const double> arg, std::span<const double> other,
+                  std::span<std::int8_t> codes, const RefillVariant &variant);
 
 }  // namespace detail
 

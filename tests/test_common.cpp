@@ -270,26 +270,41 @@ TEST(Rng, EveryRefillVariantMatchesTheStandardOracle)
     }
 }
 
-TEST(Rng, EveryLogVariantStaysWithinTwoUlp)
+/// How far @p got lies from @p want, in units in the last place of a
+/// double at @p want (2^-1074 below the normal range).
+long double
+ulps_from(double got, long double want)
 {
-    // The in-house log against glibc's, in every variant the CPU runs:
-    // weight synthesis rounds its fast samples only outside a 1e-9
-    // window around each half-integer, which needs |x| <= 128 to move by
-    // far less than that. 2 ULP of the log moves such an x by < 1e-13.
-    // Inputs: every binade from 2^-997 (~1e-300) to 1, densely near 1,
-    // and every power of two with its neighbours. The Laplacian finisher
-    // at scale -1, sign +1 returns the log itself.
+    if (want == 0) {
+        return got == 0 ? 0 : std::numeric_limits<long double>::infinity();
+    }
+    const int e = std::max(std::ilogb(want), -1022);
+    return std::abs(got - want) / std::ldexp(1.0L, e - 52);
+}
+
+TEST(Rng, InHouseLogAndExpStayWithinOneUlp)
+{
+    // fdlibm_log and fdlibm_exp define every synthesized weight: the
+    // samplers' log and the kernel gain's exp. Pinned against long
+    // double's log and exp, whose own error is ~2^-11 of a double's ULP.
+    if (std::numeric_limits<long double>::digits <= 53) {
+        GTEST_SKIP() << "long double is no wider than double here";
+    }
+    // The log: every binade of the normal range (2^-997 ~ 1e-300 is the
+    // Laplacian's floor), densely just below 1 (100,000 ULP steps, then
+    // a geometric sweep), and every power of two with 4 ULP each side.
     std::vector<double> x;
     Rng rng(21);
-    for (int e = -997; e < 0; ++e) {
+    for (int e = -1022; e < 1024; ++e) {
         for (int i = 0; i < 64; ++i) {
             x.push_back(std::ldexp(1.0 + rng.uniform(), e));
         }
+        // 2^e and its neighbours (none below the normal range).
         double p = std::ldexp(1.0, e);
-        for (int u = 0; u < 4; ++u) {
+        for (int u = 0; u < 4 && e > -1022; ++u) {
             p = std::nextafter(p, 0.0);
         }
-        for (int u = 0; u < 9; ++u, p = std::nextafter(p, 1.0)) {
+        for (int u = 0; u < 9; ++u, p = std::nextafter(p, 2 * p)) {
             x.push_back(p);
         }
     }
@@ -303,32 +318,56 @@ TEST(Rng, EveryLogVariantStaysWithinTwoUlp)
     }
     x.push_back(1.0);
     x.push_back(1e-300);
+    std::vector<double> ln(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        ln[i] = fdlibm_log(x[i]);
+        const long double want = std::log(static_cast<long double>(x[i]));
+        ASSERT_LE(ulps_from(ln[i], want), 1.0L)
+            << "ln(" << x[i] << ") = " << ln[i];
+    }
+    // Every variant runs the scalar entry's body: the same bits at every
+    // width. The Laplacian finisher at scale -1, sign +1 returns the log.
     const std::vector<double> sign(x.size(), 1.0);
-    std::vector<double> first;
     std::string skipped;
     for (const detail::RefillVariant &variant : detail::refill_variants()) {
         if (!variant.supported) {
             skipped += std::string(skipped.empty() ? "" : ", ") + variant.name;
             continue;
         }
-        std::vector<double> ln(x.size());
-        variant.laplacian(-1.0, x.data(), sign.data(), ln.data(), x.size());
+        std::vector<double> got(x.size());
+        variant.laplacian(-1.0, x.data(), sign.data(), got.data(), x.size());
         for (std::size_t i = 0; i < x.size(); ++i) {
-            const double want = std::log(x[i]);
-            const std::int64_t ulps = std::abs(
-                static_cast<std::int64_t>(bits_of(ln[i]) - bits_of(want)));
-            ASSERT_LE(ulps, 2) << variant.name << " ln(" << x[i] << ") = "
-                               << ln[i] << ", glibc " << want;
-        }
-        // The variants run one body: the same bits at every width.
-        if (first.empty()) {
-            first = ln;
-        }
-        for (std::size_t i = 0; i < x.size(); ++i) {
-            ASSERT_EQ(bits_of(ln[i]), bits_of(first[i]))
+            ASSERT_EQ(bits_of(got[i]), bits_of(ln[i]))
                 << variant.name << " ln(" << x[i] << ")";
         }
     }
+
+    // The exp: [-30, 30] densely, which holds every kernel gain draw at
+    // kernel_gain_sigma <= 2 (a polar sample's |y| sqrt(-2 ln r2 / r2)
+    // is at most sqrt(-2 ln r2) <= 12.2, as r2 >= 2^-106), then the rest
+    // of its finite range, subnormal results and |x| < 2^-28 included.
+    std::vector<double> e;
+    for (int i = 0; i < 1'000'000; ++i) {
+        e.push_back(60.0 * rng.uniform() - 30.0);
+    }
+    for (int i = 0; i < 100'000; ++i) {
+        e.push_back(1454.88 * rng.uniform() - 745.1);  // to 709.78
+        e.push_back(36.7 * rng.uniform() - 745.1);
+        e.push_back(std::ldexp(rng.uniform() - 0.5, -26));
+    }
+    for (const double v : e) {
+        const long double want = std::exp(static_cast<long double>(v));
+        ASSERT_LE(ulps_from(fdlibm_exp(v), want), 1.0L)
+            << "exp(" << v << ") = " << fdlibm_exp(v);
+    }
+    EXPECT_EQ(bits_of(fdlibm_exp(0.0)), bits_of(1.0));
+    EXPECT_EQ(bits_of(fdlibm_exp(-0.0)), bits_of(1.0));
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(fdlibm_exp(kInf), kInf);
+    EXPECT_EQ(fdlibm_exp(710.0), kInf);
+    EXPECT_EQ(bits_of(fdlibm_exp(-kInf)), bits_of(0.0));
+    EXPECT_EQ(bits_of(fdlibm_exp(-746.0)), bits_of(0.0));
+    EXPECT_TRUE(std::isnan(fdlibm_exp(std::nan(""))));
     if (!skipped.empty()) {
         GTEST_SKIP() << "not run, this CPU lacks: " << skipped;
     }
@@ -371,24 +410,45 @@ TEST(Rng, CanonicalMatchesGenerateCanonical)
 TEST(Rng, StreamMatchesTheStandardOracle)
 {
     // Rng's definitions before it carried its own engine, over the
-    // standard engine: a fresh distribution per call.
+    // standard engine: a fresh distribution per call. The engine,
+    // uniform(), bernoulli(), uniform_int() and raw draws match it bit
+    // for bit. gaussian() and laplacian() read the same draws but take
+    // the in-house log: they match the same formulas over fdlibm_log()
+    // bit for bit, and lie within a bound of the standard's values.
     std::mt19937_64 engine(0x5eed);
     const auto uniform = [&] {
         return std::uniform_real_distribution<double>(0.0, 1.0)(engine);
     };
+    // The polar method as libstdc++'s normal distribution runs it.
     const auto gaussian = [&](double sigma) {
-        return std::normal_distribution<double>(0.0, sigma)(engine);
+        double x, y, r2;
+        do {
+            x = 2.0 * uniform() - 1.0;
+            y = 2.0 * uniform() - 1.0;
+            r2 = x * x + y * y;
+        } while (r2 > 1.0 || r2 == 0.0);
+        return y * std::sqrt(-2 * fdlibm_log(r2) / r2) * sigma + 0.0;
     };
-    const auto laplacian = [&](double b) {
+    const auto laplacian_operand = [&] {
         double u = uniform() - 0.5;
         const double sign = u < 0 ? -1.0 : 1.0;
         u = std::abs(u);
-        const double t = std::max(1.0 - 2.0 * u, 1e-300);
-        return -b * sign * std::log(t);
+        return std::pair{sign, std::max(1.0 - 2.0 * u, 1e-300)};
     };
     const auto uniform_int = [&](std::int64_t lo, std::int64_t hi) {
         return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine);
     };
+    // The bounds, relative, from the logs' error alone: both lie within
+    // 1 ULP of ln, i.e. within 2^-52 of it relative (the in-house one by
+    // Rng.InHouseLogAndExpStayWithinOneUlp; the standard one is taken to
+    // be as good), so they differ by <= 2^-51 relative. Each later
+    // rounding adds <= 2^-53 per value, 2^-52 between the two, and a
+    // square root halves what it is given. Laplacian, one product:
+    // 2^-51 + 2^-52. Gaussian: / r2 gives 3 * 2^-52, the root
+    // 1.5 * 2^-52 + 2^-52, then * y and * sigma 2^-52 each. A factor
+    // 1 + 2^-40 covers the second-order terms.
+    constexpr double kLaplacianBound = 3 * 0x1p-52 * (1 + 0x1p-40);
+    constexpr double kGaussianBound = 4.5 * 0x1p-52 * (1 + 0x1p-40);
     constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
     constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
     constexpr std::int64_t kLo[] = {-3, 0, -128, 0, kMin};
@@ -406,14 +466,32 @@ TEST(Rng, StreamMatchesTheStandardOracle)
                 ours = bits_of(rng.uniform());
                 want = bits_of(uniform());
                 break;
-            case 1:
-                ours = bits_of(rng.gaussian(scale));
+            case 1: {
+                // libstdc++'s own distribution reads a copy of the
+                // stream, and must read as far.
+                std::mt19937_64 standard = engine;
+                const double libstdcxx =
+                    std::normal_distribution<double>(0.0, scale)(standard);
+                const double x = rng.gaussian(scale);
+                ours = bits_of(x);
                 want = bits_of(gaussian(scale));
+                ASSERT_EQ(standard, engine) << "call " << i;
+                ASSERT_LE(std::abs(x - libstdcxx),
+                          kGaussianBound * std::abs(libstdcxx))
+                    << "call " << i << ": " << x << " vs " << libstdcxx;
                 break;
-            case 2:
-                ours = bits_of(rng.laplacian(scale));
-                want = bits_of(laplacian(scale));
+            }
+            case 2: {
+                const auto [sign, t] = laplacian_operand();
+                const double standard = -scale * sign * std::log(t);
+                const double x = rng.laplacian(scale);
+                ours = bits_of(x);
+                want = bits_of(-scale * sign * fdlibm_log(t));
+                ASSERT_LE(std::abs(x - standard),
+                          kLaplacianBound * std::abs(standard))
+                    << "call " << i << ": " << x << " vs " << standard;
                 break;
+            }
             case 3:
                 ours = rng.bernoulli(p);
                 want = uniform() < p;

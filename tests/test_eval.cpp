@@ -218,14 +218,18 @@ TEST(Engine, SimAndModelAgreeThroughTheSharedCore)
 TEST(Engine, SimRunsTheMachineItsAccelDescribes)
 {
     // A sim scenario runs the NPU its `accel` describes, layer by layer
-    // equal to a BitWaveNpu built from the same machine.
+    // equal to a BitWaveNpu built from the same machine, and its result
+    // is named after that machine.
     const auto net = std::make_shared<Workload>(tiny_workload());
     const auto sim_of = [&](const AcceleratorConfig &accel) {
         eval::Scenario s;
         s.custom_workload = net;
         s.engine = eval::EngineKind::kCycleSim;
         s.accel = accel;
-        return eval::evaluate_scenario(s);
+        const eval::ScenarioResult r = eval::evaluate_scenario(s);
+        EXPECT_EQ(r.accelerator, accel.name);
+        EXPECT_EQ(r.name, accel.name + "/" + net->name + " (sim)");
+        return r;
     };
     const auto expect_runs = [&](const eval::ScenarioResult &r,
                                  const NpuConfig &cfg) {
@@ -264,6 +268,7 @@ TEST(Engine, SimRunsTheMachineItsAccelDescribes)
 
     // A narrower weight port reaches the simulator and slows it down.
     AcceleratorConfig narrow = make_bitwave(BitWaveVariant::kDfSm);
+    narrow.name = "BitWave+DF+SM@8b";
     narrow.memory.weight_port_bits = 8;
     NpuConfig narrow_npu;
     narrow_npu.memory.weight_port_bits = 8;

@@ -183,9 +183,10 @@ TEST(Workloads, SynthesisIsPinned)
 {
     // Every figure anchor has a +-20 % band, so a change that shifts
     // every synthesized weight would pass them all. These content
-    // hashes pin the bytes themselves. They depend on the libm's
-    // log/exp under the default flags (no -march); if another libm
-    // disagrees, that is a finding to report, not a value to re-pin.
+    // hashes pin the bytes themselves. They take no libm call (the
+    // in-house log and exp, common/rng.hpp), so no host or flag may move
+    // them; if one does, that is a finding to report, not a value to
+    // re-pin.
     EXPECT_EQ(get_workload(WorkloadId::kResNet18).content_hash,
               0xad2c2edad42f75f9ULL);
     EXPECT_EQ(get_workload(WorkloadId::kMobileNetV2).content_hash,
@@ -371,7 +372,8 @@ TEST(Synthesis, ShardedSynthesisIsThreadInvariant)
 
 /// The per-weight loop synthesize_weights() ran before it took its logs
 /// in bulk, chunking included: every weight drawn with Rng::laplacian
-/// or Rng::gaussian (std::log), rounded, then zero-avoided.
+/// or Rng::gaussian (the in-house log) at the kernel's gain (the
+/// in-house exp), rounded, then zero-avoided.
 Int8Tensor
 oracle_synthesize_weights(const LayerDesc &desc, const WeightProfile &profile,
                           Rng &rng)
@@ -392,7 +394,7 @@ oracle_synthesize_weights(const LayerDesc &desc, const WeightProfile &profile,
         std::int64_t i = c * chunk_kernels * per_kernel;
         for (std::int64_t k = c * chunk_kernels; k < k1; ++k) {
             const double gain =
-                std::exp(chunk_rng.gaussian(profile.kernel_gain_sigma));
+                fdlibm_exp(chunk_rng.gaussian(profile.kernel_gain_sigma));
             const double scale = profile.scale * gain;
             for (std::int64_t j = 0; j < per_kernel; ++j, ++i) {
                 if (chunk_rng.bernoulli(profile.zero_probability)) {
@@ -495,9 +497,8 @@ TEST(Synthesis, EveryLogVariantMatchesThePerWeightOracle)
         for (std::size_t c = 0; c < cases.size(); ++c) {
             const auto &[p, desc] = cases[c];
             Rng rng(c + 1);
-            std::int64_t exact = 0;
             const Int8Tensor got =
-                detail::synthesize_weights(desc, p, rng, variant, exact);
+                detail::synthesize_weights(desc, p, rng, variant);
             ASSERT_EQ(got, want[c])
                 << "case " << c << ": " << desc.to_string() << ", scale "
                 << p.scale << ", drop " << p.zero_probability << ", avoid "
@@ -510,12 +511,12 @@ TEST(Synthesis, EveryLogVariantMatchesThePerWeightOracle)
 
 TEST(Synthesis, BatchRoundsEveryBoundaryLikeTheExactExpression)
 {
-    // The fallbacks fire almost never on real tensors, so draws are
-    // placed on them: at, and 1-4 ULP around, every |x| = k + 1/2 for
-    // k = 0..127 (k = 0 is the zero threshold), and at relative offsets
-    // from 0.5 that the walk's bracket leaves to the in-house log.
-    // Every code must be the exact expression's, and the fallbacks must
-    // have fired.
+    // Random draws land on a rounding boundary almost never, so draws
+    // are placed there: at, and 1-4 ULP around, every |x| = k + 1/2 for
+    // k = 0..127 (k = 0 is the zero threshold, where the walk's bracket
+    // leaves the sample to its own value), and at relative offsets from
+    // 0.5 that the bracket does or does not settle. Every code must be
+    // the exact expression's: Rng's formula over the in-house log.
     const auto around = [](double v, auto &&emit) {
         for (int ulps = -4; ulps <= 4; ++ulps) {
             double w = v;
@@ -534,23 +535,22 @@ TEST(Synthesis, BatchRoundsEveryBoundaryLikeTheExactExpression)
         targets.push_back(0.5 * (1.0 + rel));
     }
     for_every_supported_variant([&](const detail::RefillVariant &variant) {
-        std::int64_t exact = 0;
         for (const double b : {0.3, 1.0, 4.18, 24.0, 100.0}) {
             // Laplacian: |x| = b * -ln t, so t = exp(-|x| / b).
             std::vector<double> t, sign, want;
             for (const double target : targets) {
-                around(std::exp(-target / b), [&](double v) {
+                around(fdlibm_exp(-target / b), [&](double v) {
                     if (v >= 1e-300 && v <= 1.0) {
                         t.push_back(v);
                         sign.push_back(t.size() % 2 ? 1.0 : -1.0);
                         want.push_back(oracle_code(Rng::laplacian_finish(
-                            b, {sign.back(), v}, std::log(v))));
+                            b, {sign.back(), v}, fdlibm_log(v))));
                     }
                 });
             }
             std::vector<std::int8_t> got(t.size());
-            exact += detail::weight_codes(WeightDistribution::kLaplacian, b,
-                                          t, sign, got, variant);
+            detail::weight_codes(WeightDistribution::kLaplacian, b, t, sign,
+                                 got, variant);
             for (std::size_t i = 0; i < t.size(); ++i) {
                 ASSERT_EQ(got[i], want[i])
                     << "Laplacian b " << b << " t " << t[i];
@@ -560,7 +560,7 @@ TEST(Synthesis, BatchRoundsEveryBoundaryLikeTheExactExpression)
             std::vector<double> r2s, ys;
             want.clear();
             for (const double r2 : {1e-6, 0.05, 0.5, 0.9, 0.999}) {
-                const double mult = std::sqrt(-2 * std::log(r2) / r2);
+                const double mult = std::sqrt(-2 * fdlibm_log(r2) / r2);
                 for (const double target : targets) {
                     const double y = target / (mult * b);
                     if (y * y > r2) {
@@ -571,21 +571,20 @@ TEST(Synthesis, BatchRoundsEveryBoundaryLikeTheExactExpression)
                             r2s.push_back(rv);
                             ys.push_back(r2s.size() % 2 ? yv : -yv);
                             want.push_back(oracle_code(Rng::gaussian_finish(
-                                b, {ys.back(), rv}, std::log(rv))));
+                                b, {ys.back(), rv}, fdlibm_log(rv))));
                         });
                     });
                 }
             }
             got.assign(r2s.size(), 0);
-            exact += detail::weight_codes(WeightDistribution::kGaussian, b,
-                                          r2s, ys, got, variant);
+            detail::weight_codes(WeightDistribution::kGaussian, b, r2s, ys,
+                                 got, variant);
             for (std::size_t i = 0; i < r2s.size(); ++i) {
                 ASSERT_EQ(got[i], want[i]) << "Gaussian sigma " << b
                                            << " r2 " << r2s[i] << " y "
                                            << ys[i];
             }
         }
-        EXPECT_GT(exact, 0) << "no draw reached a fallback";
     });
 }
 

@@ -162,6 +162,8 @@ class SimEquivalence : public ::testing::TestWithParam<int>
           case 3: return make_depthwise("dw", 12, 5, 5, 3);
           case 4: return make_linear("fc", 24, 40, 3);
           case 5: return make_lstm("lstm", 8, 8, 4);
+          // One full 64-channel SU7 group plus a 32-channel tail.
+          case 6: return make_depthwise("dw96", 96, 5, 5, 3);
           default: return make_conv("c3", 4, 3, 4, 4, 3, 3);
         }
     }
@@ -197,7 +199,7 @@ TEST_P(SimEquivalence, DenseModeMatchesReferenceBitExactly)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLayerKinds, SimEquivalence,
-                         ::testing::Range(0, 7));
+                         ::testing::Range(0, 8));
 
 TEST(SimFunctional, BatchedGatherBitExactOnWideKernelLayers)
 {
@@ -209,6 +211,7 @@ TEST(SimFunctional, BatchedGatherBitExactOnWideKernelLayers)
         make_conv("wide", 48, 24, 6, 6, 3, 3),         // C tail at G=16
         make_conv("strided", 32, 40, 5, 5, 3, 3, 2),
         make_depthwise("dw", 40, 6, 6, 3),             // per-kernel taps
+        make_depthwise("dw96", 96, 6, 6, 3),  // a 64-channel group + tail
         make_linear("fc", 64, 56, 5),
     };
     for (const auto &desc : shapes) {

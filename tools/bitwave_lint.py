@@ -23,6 +23,11 @@ Enforces the handful of repo-specific contracts that generic tools
                     the leveled logging API so sinks stay swappable.
   bench-write       BENCH_*.json emission goes through bench_util's
                     atomic temp-file + rename writer, never ad-hoc.
+  libm              No libm transcendental call (log/exp/pow and
+                    kin, std:: or bare) in weight synthesis: src/nn/
+                    and common/rng.{hpp,cpp}.  Every weight is defined
+                    by common/rng's in-house fdlibm_log/fdlibm_exp, so
+                    no host's libm can move one.
 
 Diagnostics are `path:line: [rule] message`.  A finding is suppressed
 by an inline escape hatch on the same or the preceding line:
@@ -45,6 +50,7 @@ RULES = {
     "env-access": "getenv() only inside common/env.{hpp,cpp}",
     "logging": "std::cerr only inside common/logging.cpp",
     "bench-write": "BENCH_*.json only via bench_util's atomic writer",
+    "libm": "no libm log/exp/pow-family call in src/nn/ or common/rng.*",
 }
 
 # Files exempt from a rule (repo-relative, forward slashes).  These are
@@ -87,6 +93,20 @@ ATOMIC_OP_RE = re.compile(
 UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set)\s*<")
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(")
 RESULT_SINK_RE = re.compile(r"ScenarioResult|fingerprint|fnv1a")
+
+# --- libm -------------------------------------------------------------
+
+# The transcendental functions whose last bit depends on the libm (sqrt
+# is correctly rounded everywhere and stays allowed), with their float
+# and long double forms, called as std::f, ::f or a bare f.
+LIBM_FUNCS = (
+    "log", "log2", "log10", "log1p", "exp", "exp2", "expm1", "pow",
+    "cbrt", "hypot", "sin", "cos", "tan", "asin", "acos", "atan", "atan2",
+    "sinh", "cosh", "tanh", "asinh", "acosh", "atanh", "erf", "erfc",
+    "tgamma", "lgamma",
+)
+LIBM_RE = re.compile(r"(?:\bstd::|(?<![\w.>:])::|(?<![\w.>:]))"
+                     r"((?:" + "|".join(LIBM_FUNCS) + r")[fl]?)\s*\(")
 
 # --- env-access / logging / bench-write ------------------------------
 
@@ -279,6 +299,17 @@ def check_logging(rel, stripped, findings):
             "the sink stays swappable"))
 
 
+def check_libm(rel, stripped, findings):
+    if not (rel.startswith("src/nn/") or rel in RNG_SEAMS):
+        return
+    for m in LIBM_RE.finditer(stripped):
+        findings.append(Finding(
+            rel, line_of(stripped, m.start()), "libm",
+            f"{m.group(1)}() takes the host libm's last bit into weight "
+            "synthesis; use fdlibm_log()/fdlibm_exp() from "
+            "common/rng.hpp"))
+
+
 def check_bench_write(rel, stripped_keep_strings, findings):
     if rel in BENCH_SEAMS:
         return
@@ -308,6 +339,7 @@ def lint_file(root, rel):
         check_unordered_iteration(rel, stripped, findings)
         check_env_access(rel, stripped, findings)
         check_logging(rel, stripped, findings)
+        check_libm(rel, stripped, findings)
         if rel.startswith(("src/common/", "src/service/")):
             check_memory_order(rel, stripped, findings)
     if rel.startswith("bench/"):

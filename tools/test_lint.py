@@ -30,6 +30,11 @@ EXPECTED = {
     ("src/common/bad_env.cpp", 7, "env-access"),
     ("src/common/bad_logging.cpp", 6, "logging"),
     ("bench/bad_bench_write.cpp", 6, "bench-write"),
+    ("src/nn/bad_libm.cpp", 6, "libm"),
+    ("src/nn/bad_libm.cpp", 7, "libm"),
+    ("src/nn/bad_libm.cpp", 8, "libm"),
+    ("src/nn/bad_libm.cpp", 9, "libm"),
+    ("src/common/rng.hpp", 7, "libm"),
     # allow(logging) does not excuse a memory-order finding:
     ("src/common/allow_suppressed.cpp", 19, "memory-order"),
 }
@@ -43,6 +48,8 @@ SILENT_FILES = {
     "src/common/good_logging.cpp",
     "bench/bench_util.hpp",
     "bench/good_bench_write.cpp",
+    "src/nn/good_libm.cpp",
+    "src/model/good_libm_scope.cpp",
 }
 
 
